@@ -4,7 +4,8 @@ Efficiency cost of robustness
 
 Asymptotic relative efficiency (MLE variance over MDPDE variance) per
 parameter, as alpha grows. The exponential column is parameter-free;
-the others are computed by quadrature at representative settings.
+the others are evaluated at representative settings. Every entry comes
+from the closed-form weighted score moments, no quadrature.
 """
 
 from dpdfit import EXPONENTIAL, GAMMA, LOGNORMAL, WEIBULL, ParamVector, are

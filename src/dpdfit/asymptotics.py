@@ -6,8 +6,8 @@ The estimator is asymptotically normal with variance J^-1 K J^-1 where
     J = E[u u' f^alpha],   K = E[u u' f^(2 alpha)] - xi xi',
     xi = E[u f^alpha]      (expectations under the model itself),
 
-equivalently integrals of u u' f^(1+alpha) and friends. The exponential
-family has closed forms; everything else is integrated numerically.
+equivalently integrals of u u' f^(1+alpha) and friends, all taken in
+closed form by families.weighted_moments.
 """
 
 import csv
@@ -18,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError, SingularInformationError
-from .families import (
-    EXPONENTIAL,
-    check_dpd_valid,
-    log_density,
-    quantile,
-    score,
-)
-from .numerics import QuadratureSpec, integrate_halfline
+from .families import log_density, quantile, score, weighted_moments
 
 __all__ = [
     "SandwichMatrices",
@@ -102,48 +95,13 @@ def _invert_spd(mat, what):
     return np.array([[d, -b], [-b, a]]) / det
 
 
-def _weighted_moment(theta, power, i, j=None):
-    """integral of u_i u_j f^power (or u_i f^power when j is None)."""
-    spec = QuadratureSpec()
-
-    def integrand(x):
-        u = score(theta, x)
-        w = math.exp(power * log_density(theta, x))
-        return u[i] * (u[j] if j is not None else 1.0) * w
-
-    value, _ = integrate_halfline(integrand, spec)
-    return value
-
-
-def _exponential_jkxi(lam, alpha):
-    j = (1.0 + alpha**2) / (1.0 + alpha) ** 3 * lam ** (alpha - 2.0)
-    xi = alpha / (1.0 + alpha) ** 2 * lam ** (alpha - 1.0)
-    k = (1.0 + 4.0 * alpha**2) / (1.0 + 2.0 * alpha) ** 3 * lam ** (
-        2.0 * alpha - 2.0
-    ) - xi**2
-    return np.array([[j]]), np.array([[k]]), np.array([xi])
-
-
 def sandwich(family, theta, alpha):
     """J, K, xi and the sandwich variance J^-1 K J^-1 at theta."""
     if theta.family is not family:
         raise DomainError(f"theta is for {theta.family.tag}, expected {family.tag}")
-    check_dpd_valid(theta, 2.0 * alpha)
-    if family is EXPONENTIAL:
-        j_mat, k_mat, xi = _exponential_jkxi(theta.values[0], alpha)
-    else:
-        p = family.param_count
-        j_mat = np.empty((p, p))
-        k_raw = np.empty((p, p))
-        xi = np.empty(p)
-        for i in range(p):
-            xi[i] = _weighted_moment(theta, 1.0 + alpha, i)
-            for j in range(i, p):
-                j_mat[i, j] = j_mat[j, i] = _weighted_moment(theta, 1.0 + alpha, i, j)
-                k_raw[i, j] = k_raw[j, i] = _weighted_moment(
-                    theta, 1.0 + 2.0 * alpha, i, j
-                )
-        k_mat = k_raw - np.outer(xi, xi)
+    _, j_mat, xi = weighted_moments(theta, alpha)
+    _, k_raw, _ = weighted_moments(theta, 2.0 * alpha)
+    k_mat = k_raw - np.outer(xi, xi)
     j_inv = _invert_spd(j_mat, f"{family.tag} information matrix J")
     avar = j_inv @ k_mat @ j_inv
     return SandwichMatrices(
@@ -189,21 +147,6 @@ def are(family, theta, alphas=_TABLE_ALPHAS):
     return AreTable(family=family, theta=theta, rows=rows)
 
 
-def _j_and_xi(family, theta, alpha):
-    """J and xi only (influence functions need no K)."""
-    if family is EXPONENTIAL:
-        j_mat, _, xi = _exponential_jkxi(theta.values[0], alpha)
-        return j_mat, xi
-    p = family.param_count
-    j_mat = np.empty((p, p))
-    xi = np.empty(p)
-    for i in range(p):
-        xi[i] = _weighted_moment(theta, 1.0 + alpha, i)
-        for j in range(i, p):
-            j_mat[i, j] = j_mat[j, i] = _weighted_moment(theta, 1.0 + alpha, i, j)
-    return j_mat, xi
-
-
 def influence_function(family, theta0, alpha, y):
     """IF(y) = J^-1 [u(y) f^alpha(y) - xi]; a p-vector per point.
 
@@ -212,8 +155,7 @@ def influence_function(family, theta0, alpha, y):
     """
     if theta0.family is not family:
         raise DomainError(f"theta0 is for {theta0.family.tag}, expected {family.tag}")
-    check_dpd_valid(theta0, alpha)
-    j_mat, xi = _j_and_xi(family, theta0, alpha)
+    _, j_mat, xi = weighted_moments(theta0, alpha)
     j_inv = _invert_spd(j_mat, f"{family.tag} information matrix J")
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     u = score(theta0, y_arr)

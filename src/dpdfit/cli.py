@@ -28,7 +28,7 @@ from .dataio import (
 from .errors import DataError, DomainError, DpdError, FitError
 from .estimator import fit
 from .families import EXPONENTIAL, FAMILIES, GAMMA, WEIBULL, ParamVector, density, quantile
-from .selection import ric, select_model
+from .selection import _ric_from_fit, select_model
 from .tuning import select_alpha
 from .uncertainty import ContaminationScheme, bootstrap_se, sample_family, simulate_contaminated
 
@@ -459,7 +459,7 @@ def _series_row(sample, fast):
         "se1": None if se is None else se[names[0]],
         "se2": None if se is None or len(names) < 2 else se[names[1]],
         "cvmd": tun.cvmd_star,
-        "ric": ric(winner, tun.alpha_star, sample),
+        "ric": _ric_from_fit(res),
         "median_adjusted": adjusted_median(res, sample.dry_count, len(sample.values)),
     }
 

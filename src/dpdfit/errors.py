@@ -21,19 +21,6 @@ class DpdValidityError(DomainError):
     """
 
 
-class QuadratureError(DpdError):
-    """Numerical integration did not reach the requested accuracy.
-
-    Carries the best estimate and its error bound so callers that can
-    tolerate a loose integral may still inspect it.
-    """
-
-    def __init__(self, message, value=None, err_estimate=None):
-        super().__init__(message)
-        self.value = value
-        self.err_estimate = err_estimate
-
-
 class BracketingError(DpdError):
     """A root finder was handed an interval without a sign change."""
 

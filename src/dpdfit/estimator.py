@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, DpdValidityError, FitError
+from .errors import DomainError, FitError
 from .families import (
     EXPONENTIAL,
     GAMMA,
@@ -26,14 +26,9 @@ from .families import (
     log_density,
     score,
     v_alpha,
+    weighted_moments,
 )
-from .numerics import (
-    OptimizerSpec,
-    QuadratureSpec,
-    find_root_bracketed,
-    integrate_halfline,
-    minimize,
-)
+from .numerics import OptimizerSpec, find_root_bracketed, minimize
 
 __all__ = ["FitResult", "objective_h", "estimating_residual", "fit", "dpd_weights"]
 
@@ -79,22 +74,11 @@ def _score_mass_integral(theta, alpha):
     """integral of u_theta f_theta^(1+alpha), componentwise.
 
     Zero at alpha = 0 (the score integrates to zero under the model);
-    closed form for the exponential; quadrature otherwise.
+    the shortcut keeps it exactly zero.
     """
     if alpha == 0.0:
         return np.zeros(theta.family.param_count)
-    if theta.family is EXPONENTIAL:
-        (lam,) = theta.values
-        return np.array([alpha * lam ** (alpha - 1.0) / (1.0 + alpha) ** 2])
-    spec = QuadratureSpec()
-    out = np.empty(theta.family.param_count)
-    for j in range(theta.family.param_count):
-
-        def integrand(x, _j=j):
-            return score(theta, x)[_j] * math.exp((1.0 + alpha) * log_density(theta, x))
-
-        out[j], _ = integrate_halfline(integrand, spec)
-    return out
+    return weighted_moments(theta, alpha)[2]
 
 
 def estimating_residual(family, theta, alpha, sample):
@@ -219,7 +203,7 @@ def _polish_newton(family, theta, alpha, vals):
     best = np.asarray(theta.values, dtype=float)
     try:
         res = estimating_residual(family, ParamVector(family, tuple(best)), alpha, vals)
-    except (DomainError, DpdValidityError):
+    except (DomainError, OverflowError):
         return theta
     best_norm = float(np.max(np.abs(res)))
     cur = best.copy()
@@ -236,7 +220,7 @@ def _polish_newton(family, theta, alpha, vals):
                 r2 = estimating_residual(
                     family, ParamVector(family, tuple(stepped)), alpha, vals
                 )
-            except (DomainError, DpdValidityError):
+            except (DomainError, OverflowError):
                 ok = False
                 break
             jac[:, j] = (r2 - res) / h
@@ -251,7 +235,7 @@ def _polish_newton(family, theta, alpha, vals):
             new = ParamVector(family, tuple(trial))
             check_dpd_valid(new, alpha)
             r_new = estimating_residual(family, new, alpha, vals)
-        except (DomainError, DpdValidityError):
+        except (DomainError, OverflowError):
             break
         norm = float(np.max(np.abs(r_new)))
         if not math.isfinite(norm) or norm >= best_norm:

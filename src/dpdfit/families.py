@@ -31,6 +31,7 @@ __all__ = [
     "quantile",
     "score",
     "dpd_mass_integral",
+    "weighted_moments",
     "v_alpha",
 ]
 
@@ -247,6 +248,65 @@ def dpd_mass_integral(p, alpha):
     if alpha == 0.0:
         return 1.0
     return _mass(p.family, p.values, alpha)
+
+
+def weighted_moments(p, c):
+    """Closed forms of (M, integral of u u' f^(1+c), integral of u f^(1+c)).
+
+    f^(1+c)/M is the density of a known law, so each integral is M times
+    a score moment under that law: exponential with rate b(1+c); gamma
+    with shape a + c(a-1) and rate b(1+c); for the lognormal, ln x - mu
+    is N(-c sigma^2/(1+c), sigma^2/(1+c)); for the Weibull, (bx)^a is
+    gamma with shape 1 + c(a-1)/a and rate 1+c. At c = 0 this is
+    (1, Fisher information, 0). J, K and xi of the sandwich are built
+    from these (Basu, Harris, Hjort & Jones 1998).
+    """
+    mass = dpd_mass_integral(p, c)
+    fam = p.family
+    if fam is EXPONENTIAL:
+        # u = 1/lambda - x
+        rate = p.values[0] * (1.0 + c)
+        mean = np.array([c / rate])
+        second = np.array([[(1.0 + c * c) / rate**2]])
+    elif fam is GAMMA:
+        # u = (ln x + ln b - digamma(a), a/b - x)
+        a, b = p.values
+        shape, rate = a + c * (a - 1.0), b * (1.0 + c)
+        mean = np.array(
+            [special.digamma(shape) - special.digamma(a) - math.log1p(c), c / rate]
+        )
+        cov = np.array(
+            [[special.polygamma(1, shape), -1.0 / rate], [-1.0 / rate, shape / rate**2]]
+        )
+        second = cov + np.outer(mean, mean)
+    elif fam is LOGNORMAL:
+        # u = (w, (w^2 - sigma^2)/sigma) / sigma^2 with w = ln x - mu ~ N(m, s2)
+        sigma = p.values[1]
+        m, s2 = -c * sigma**2 / (1.0 + c), sigma**2 / (1.0 + c)
+        mean = np.array([m, m * (m + 1.0) / sigma]) / sigma**2
+        cov_ms = 2.0 * m * s2 / sigma
+        cov = np.array(
+            [[s2, cov_ms], [cov_ms, 2.0 * s2 * (s2 + 2.0 * m * m) / sigma**2]]
+        ) / sigma**4
+        second = cov + np.outer(mean, mean)
+    elif fam is WEIBULL:
+        # u = ((1 + L (1 - t))/a, (a/b)(1 - t)) with t = (bx)^a, L = ln t;
+        # E[t^j] = r_j, E[t^j L] = r_j d_j, E[t^j L^2] = r_j q_j
+        a, b = p.values
+        shape, rate = 1.0 + c * (a - 1.0) / a, 1.0 + c
+        r = np.array([1.0, shape / rate, shape * (shape + 1.0) / rate**2])
+        d = special.digamma(shape + np.arange(3.0)) - math.log(rate)
+        q = d * d + special.polygamma(1, shape + np.arange(3.0))
+        el, eq = r * d, r * q
+        tail = c / (a * rate)  # 1 - E[t]
+        mean = np.array([(1.0 + el[0] - el[1]) / a, a / b * tail])
+        s_aa = (1.0 + 2.0 * (el[0] - el[1]) + eq[0] - 2.0 * eq[1] + eq[2]) / a**2
+        s_ab = (tail + el[0] - 2.0 * el[1] + el[2]) / b
+        s_bb = (a / b) ** 2 * (shape / rate**2 + tail * tail)
+        second = np.array([[s_aa, s_ab], [s_ab, s_bb]])
+    else:
+        raise DomainError(f"unknown family {fam!r}")
+    return mass, mass * second, mass * mean
 
 
 def v_alpha(p, alpha, x):

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: special functions, half-line quadrature,
-derivative-free minimization, bracketed root finding, CDF inversion.
+"""Shared numerical kernels: special functions, derivative-free
+minimization, bracketed root finding, CDF inversion.
 
 Everything here is a pure function of its inputs; no module state.
 """
@@ -7,40 +7,19 @@ Everything here is a pure function of its inputs; no module state.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import optimize, special
 
-from .errors import BracketingError, DomainError, InversionError, QuadratureError
+from .errors import BracketingError, DomainError, InversionError
 
 __all__ = [
-    "QuadratureSpec",
     "OptimizerSpec",
     "log_gamma",
     "reg_incomplete_gamma_lower",
     "std_normal_cdf",
-    "integrate_halfline",
     "minimize",
     "find_root_bracketed",
     "invert_cdf",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Settings for adaptive quadrature over [0, inf).
-
-    The half line is mapped onto (0, 1) by x = t/(1-t) before panels are
-    laid down, so integrands must decay fast enough to be integrable.
-    """
-
-    abs_tolerance: float = 1e-10
-    rel_tolerance: float = 1e-8
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.abs_tolerance <= 0 or self.rel_tolerance <= 0:
-            raise DomainError("quadrature tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -78,47 +57,6 @@ def reg_incomplete_gamma_lower(a, x):
 def std_normal_cdf(z):
     """Standard normal CDF."""
     return special.ndtr(z)
-
-
-def integrate_halfline(f, spec=None):
-    """Integrate f over [0, inf); returns (value, err_estimate).
-
-    Raises QuadratureError if the error estimate exceeds
-    10 * max(abs_tolerance, rel_tolerance * |value|) or the adaptive
-    scheme runs out of subdivisions; the exception carries the best
-    estimate found.
-    """
-    if spec is None:
-        spec = QuadratureSpec()
-
-    def transformed(t):
-        # x = t/(1-t) maps (0,1) onto (0,inf); dx = dt/(1-t)^2
-        u = 1.0 - t
-        return f(t / u) / (u * u)
-
-    out = integrate.quad(
-        transformed,
-        0.0,
-        1.0,
-        epsabs=spec.abs_tolerance,
-        epsrel=spec.rel_tolerance,
-        limit=spec.max_subdivisions,
-        full_output=1,
-    )
-    value, err = out[0], out[1]
-    if len(out) > 3 or not (np.isfinite(value) and np.isfinite(err)):
-        raise QuadratureError(
-            "quadrature did not converge within max_subdivisions",
-            value=value,
-            err_estimate=err,
-        )
-    if err > 10.0 * max(spec.abs_tolerance, spec.rel_tolerance * abs(value)):
-        raise QuadratureError(
-            f"quadrature error estimate {err:.3e} too large for value {value:.6e}",
-            value=value,
-            err_estimate=err,
-        )
-    return value, err
 
 
 def _nelder_mead(objective, x0, spec, budget, initial_step=None):

@@ -97,11 +97,8 @@ def test_02_numeric_family_efficiency_tables():
         wanted = TABULATED_ARE[(family.tag, theta)]
         exact = REFERENCE_ARE[(family.tag, theta)]
         for alpha in TABLE_ALPHAS:
-            got = np.atleast_1d(table.rows[alpha])
-            want = np.atleast_1d(wanted[alpha])
-            truth = np.atleast_1d(exact[alpha])
             for index, (name, g, w, x) in enumerate(
-                zip(family.param_names, got, want, truth)
+                zip(family.param_names, table.rows[alpha], wanted[alpha], exact[alpha])
             ):
                 where = f"{family.tag}{theta} alpha={alpha} {name}"
                 erratum = TABULATED_ARE_ERRATA.get(

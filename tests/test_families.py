@@ -23,7 +23,7 @@ from dpdfit.families import (
     score,
     v_alpha,
 )
-from dpdfit.numerics import integrate_halfline
+from quadrature import integrate_halfline
 from reference_values import GAMMA_5_1_MEDIAN, LOGNORMAL_V_HALF_AT_1
 
 EXPONENTIAL = FAMILIES["exponential"]

@@ -1,8 +1,9 @@
 """Tests for the shared numerical kernels.
 
-Covers the special functions, half-line quadrature, the simplex
-minimizer, bracketed root finding, and CDF inversion, including the
-documented error conditions of each.
+Covers the special functions, the simplex minimizer, bracketed root
+finding, and CDF inversion, including the documented error conditions
+of each, plus the test suite's own half-line quadrature oracle
+(tests/quadrature.py).
 """
 
 import math
@@ -10,24 +11,18 @@ import math
 import numpy as np
 import pytest
 
-from dpdfit.errors import (
-    BracketingError,
-    DomainError,
-    InversionError,
-    QuadratureError,
-)
+from dpdfit.errors import BracketingError, DomainError, InversionError
 from dpdfit.families import FAMILIES, ParamVector, cdf, density
 from dpdfit.numerics import (
     OptimizerSpec,
-    QuadratureSpec,
     find_root_bracketed,
-    integrate_halfline,
     invert_cdf,
     log_gamma,
     minimize,
     reg_incomplete_gamma_lower,
     std_normal_cdf,
 )
+from quadrature import QuadratureError, QuadratureSpec, integrate_halfline
 from reference_values import GAMMA_5_1_MEDIAN
 
 

@@ -1,8 +1,10 @@
 """Generate the frozen constants in tests/reference_values.py.
 
-Everything here is computed through closed-form moment identities that are
-independent of the library code (which integrates numerically), so the two
-routes can legitimately cross-check each other:
+Everything here is computed through closed-form moment identities. The
+library (dpdfit.families.weighted_moments) takes the same integrals in
+closed form but shares no code with this script, so the frozen values
+check its implementation; the derivation itself is checked by the test
+suite's quadrature oracle (tests/quadrature.py) and the Monte-Carlo route:
 
 * gamma: f^(1+c) is proportional to another gamma density with shape
   A = (a-1)(1+c)+1 and rate B = b(1+c); weighted score moments then reduce
@@ -248,6 +250,16 @@ def fmt(x):
     return repr(float(x))
 
 
+def tuple_literal(parts):
+    """A tuple literal of already formatted parts; one part makes a 1-tuple."""
+    body = ", ".join(parts)
+    return f"({body},)" if len(parts) == 1 else f"({body})"
+
+
+def fmt_tuple(values):
+    return tuple_literal([fmt(v) for v in values])
+
+
 def emit():
     self_checks()
 
@@ -276,10 +288,7 @@ def emit():
                     worst, worst_at = dev, (fam, theta, alpha)
                 if dev > ERRATUM_SLACK:
                     errata.append(((fam, theta, alpha, index), p, v))
-            out.append(
-                "        "
-                + f"{alpha!r}: ({', '.join(fmt(v) for v in vals)}),"
-            )
+            out.append(f"        {alpha!r}: {fmt_tuple(vals)},")
         out.append("    },")
     out.append("}")
     out.append("")
@@ -288,10 +297,7 @@ def emit():
     for (fam, theta), rows in TABULATED_ARE.items():
         out.append(f"    ({fam!r}, {theta!r}): {{")
         for alpha in ALPHA_GRID:
-            out.append(
-                "        "
-                + f"{alpha!r}: ({', '.join(fmt(v) for v in rows[alpha])}),"
-            )
+            out.append(f"        {alpha!r}: {fmt_tuple(rows[alpha])},")
         out.append("    },")
     out.append("}")
     out.append("")
@@ -323,21 +329,10 @@ def emit():
         j, kraw, xi = jkxi(fam, theta, alpha)
         k = kraw - np.outer(xi, xi)
         out.append(f"    ({fam!r}, {theta!r}, {alpha!r}): {{")
-        out.append(
-            "        'J': ("
-            + ", ".join(
-                "(" + ", ".join(fmt(v) for v in row) + ")" for row in j
-            )
-            + "),"
-        )
-        out.append(
-            "        'K': ("
-            + ", ".join(
-                "(" + ", ".join(fmt(v) for v in row) + ")" for row in k
-            )
-            + "),"
-        )
-        out.append("        'xi': (" + ", ".join(fmt(v) for v in xi) + "),")
+        for name, mat in (("J", j), ("K", k)):
+            rows = tuple_literal([fmt_tuple(row) for row in mat])
+            out.append(f"        {name!r}: {rows},")
+        out.append(f"        'xi': {fmt_tuple(xi)},")
         out.append("    },")
     out.append("}")
     out.append("")
@@ -385,10 +380,7 @@ def emit():
                 math.log(a) + math.log(b) + (a - 1.0) * math.log(b * y) - t
             )
         vec = np.linalg.solve(j, u * math.exp(alpha * logf) - xi)
-        out.append(
-            f"    ({fam!r}, {theta!r}, {alpha!r}, {y!r}): "
-            + "(" + ", ".join(fmt(v) for v in vec) + "),"
-        )
+        out.append(f"    ({fam!r}, {theta!r}, {alpha!r}, {y!r}): {fmt_tuple(vec)},")
     out.append("}")
     out.append("")
 

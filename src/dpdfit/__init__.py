@@ -2,131 +2,21 @@
 divergence minimization, with CVM-based tuning of the robustness
 parameter, sandwich asymptotics, RIC model selection, bootstrap
 standard errors, and zero-inflation-aware reporting.
+
+The package exports exactly the names each module lists in __all__.
 """
 
-from .asymptotics import (
-    AreTable,
-    SandwichMatrices,
-    are,
-    asymptotic_se,
-    if_supremum,
-    influence_function,
-    sandwich,
-)
-from .dataio import (
-    REPORT_COLUMNS,
-    OutlierSummary,
-    Sample,
-    adjusted_median,
-    load_csv,
-    load_panel,
-    outlier_summary,
-    save_csv,
-    write_report_rows,
-)
-from .errors import (
-    BracketingError,
-    DataError,
-    DomainError,
-    DpdError,
-    DpdValidityError,
-    FitError,
-    InversionError,
-    SelectionError,
-    SingularInformationError,
-    TuningError,
-)
-from .estimator import FitResult, dpd_weights, estimating_residual, fit, objective_h
-from .families import (
-    EXPONENTIAL,
-    FAMILIES,
-    GAMMA,
-    LOGNORMAL,
-    WEIBULL,
-    Family,
-    ParamVector,
-    cdf,
-    check_dpd_valid,
-    density,
-    dpd_mass_integral,
-    log_density,
-    quantile,
-    score,
-    v_alpha,
-    weighted_moments,
-)
-from .selection import SelectionRecord, SelectionReport, ric, select_model
-from .tuning import COARSE_GRID, TuningResult, cvm_distance, select_alpha
-from .uncertainty import (
-    BootstrapResult,
-    ContaminationScheme,
-    bootstrap_se,
-    sample_family,
-    simulate_contaminated,
-)
+from . import asymptotics, dataio, errors, estimator, families, selection, tuning, uncertainty
+from .asymptotics import *  # noqa: F403
+from .dataio import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .estimator import *  # noqa: F403
+from .families import *  # noqa: F403
+from .selection import *  # noqa: F403
+from .tuning import *  # noqa: F403
+from .uncertainty import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "AreTable",
-    "BootstrapResult",
-    "BracketingError",
-    "COARSE_GRID",
-    "ContaminationScheme",
-    "DataError",
-    "DomainError",
-    "DpdError",
-    "DpdValidityError",
-    "EXPONENTIAL",
-    "FAMILIES",
-    "Family",
-    "FitError",
-    "FitResult",
-    "GAMMA",
-    "InversionError",
-    "LOGNORMAL",
-    "OutlierSummary",
-    "ParamVector",
-    "REPORT_COLUMNS",
-    "Sample",
-    "SandwichMatrices",
-    "SelectionError",
-    "SelectionRecord",
-    "SelectionReport",
-    "SingularInformationError",
-    "TuningError",
-    "TuningResult",
-    "WEIBULL",
-    "adjusted_median",
-    "are",
-    "asymptotic_se",
-    "bootstrap_se",
-    "cdf",
-    "check_dpd_valid",
-    "cvm_distance",
-    "density",
-    "dpd_mass_integral",
-    "dpd_weights",
-    "estimating_residual",
-    "fit",
-    "if_supremum",
-    "influence_function",
-    "load_csv",
-    "load_panel",
-    "log_density",
-    "objective_h",
-    "outlier_summary",
-    "quantile",
-    "ric",
-    "sample_family",
-    "sandwich",
-    "save_csv",
-    "score",
-    "select_alpha",
-    "select_model",
-    "simulate_contaminated",
-    "v_alpha",
-    "weighted_moments",
-    "write_report_rows",
-]
+_MODULES = (asymptotics, dataio, errors, estimator, families, selection, tuning, uncertainty)
+__all__ = ["__version__", *sorted(name for m in _MODULES for name in m.__all__)]

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError, SingularInformationError
-from .families import log_density, quantile, score, weighted_moments
+from .dataio import open_sink
+from .families import _check_family, log_density, quantile, score, weighted_moments
 
 __all__ = [
     "SandwichMatrices",
@@ -53,18 +54,12 @@ class AreTable:
     rows: dict
 
     def to_csv(self, path_or_fp):
-        def _write(fh):
+        with open_sink(path_or_fp) as fh:
             writer = csv.writer(fh)
             writer.writerow(["alpha", "param", "are"])
             for alpha in sorted(self.rows):
                 for name, value in zip(self.family.param_names, self.rows[alpha]):
                     writer.writerow([f"{alpha:g}", name, f"{value:.6f}"])
-
-        if hasattr(path_or_fp, "write"):
-            _write(path_or_fp)
-        else:
-            with open(path_or_fp, "w", newline="") as fh:
-                _write(fh)
 
 
 def _invert_spd(mat, what):
@@ -97,8 +92,7 @@ def _invert_spd(mat, what):
 
 def sandwich(family, theta, alpha):
     """J, K, xi and the sandwich variance J^-1 K J^-1 at theta."""
-    if theta.family is not family:
-        raise DomainError(f"theta is for {theta.family.tag}, expected {family.tag}")
+    _check_family(family, theta)
     _, j_mat, xi = weighted_moments(theta, alpha)
     _, k_raw, _ = weighted_moments(theta, 2.0 * alpha)
     k_mat = k_raw - np.outer(xi, xi)
@@ -153,8 +147,7 @@ def influence_function(family, theta0, alpha, y):
     Accepts a scalar y (returns shape (p,)) or an array (returns
     (len(y), p)). Bounded in y exactly when alpha > 0.
     """
-    if theta0.family is not family:
-        raise DomainError(f"theta0 is for {theta0.family.tag}, expected {family.tag}")
+    _check_family(family, theta0)
     _, j_mat, xi = weighted_moments(theta0, alpha)
     j_inv = _invert_spd(j_mat, f"{family.tag} information matrix J")
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))

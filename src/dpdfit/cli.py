@@ -8,33 +8,28 @@ both to stdout unless --output names a file. Exit codes: 0 success,
 
 import argparse
 import csv
-import io
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .asymptotics import are, asymptotic_se, influence_function
 from .dataio import (
-    Sample,
     adjusted_median,
     load_csv,
     load_panel,
+    open_sink,
     save_csv,
     write_report_rows,
 )
 from .errors import DataError, DomainError, DpdError, FitError
 from .estimator import fit
-from .families import EXPONENTIAL, FAMILIES, GAMMA, WEIBULL, ParamVector, density, quantile
+from .families import FAMILIES, ParamVector, density, quantile
 from .selection import _ric_from_fit, select_model
 from .tuning import select_alpha
 from .uncertainty import ContaminationScheme, bootstrap_se, sample_family, simulate_contaminated
 
-__all__ = ["CliConfig", "main", "run", "emit_plot_data", "parse_args"]
-
-_COMMANDS = ("fit", "tune", "select", "are-table", "influence", "bootstrap", "simulate", "report")
+__all__ = ["main", "run", "emit_plot_data", "parse_args"]
 
 
 class _UsageError(Exception):
@@ -44,34 +39,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    family: object = None
-    alpha: float = None
-    input: str = None
-    column: str = "value"
-    seed: int = None
-    output: str = None
-    fast: bool = False
-    theta: object = None
-    B: int = 1000
-    n: int = None
-    bins: int = 30
-    points: int = 512
-    epsilon: float = 0.0
-    point: float = None
-    displaced: object = None
-    y_min: float = None
-    y_max: float = None
-    alphas: tuple = None
-    curve_csv: str = None
-    table_csv: str = None
-    estimates_csv: str = None
-    plot_data: str = None
-    label_column: str = None
 
 
 def build_parser():
@@ -149,7 +116,7 @@ def build_parser():
 
 def _parse_theta(family, text):
     if text is None:
-        if family is EXPONENTIAL:
+        if family.param_count == 1:  # the exponential's ARE is free of its rate
             return ParamVector(family, (1.0,))
         raise _UsageError(f"--theta is required for {family.tag}")
     try:
@@ -162,106 +129,61 @@ def _parse_theta(family, text):
         raise _UsageError(str(e)) from None
 
 
-def _check_alpha(alpha):
-    if alpha is not None and not 0.0 <= alpha <= 1.0:
-        raise _UsageError(f"--alpha must lie in [0, 1], got {alpha}")
-    return alpha
-
-
 def parse_args(argv=None):
+    """Parse and check argv. Returns the argparse namespace with family,
+    theta, alphas and the displaced law converted to their objects."""
     ns = build_parser().parse_args(argv)
-    family = FAMILIES[ns.family] if getattr(ns, "family", None) else None
-    theta = None
-    if hasattr(ns, "theta"):
-        if family is None:
-            raise _UsageError("--theta needs --family")
-        theta = _parse_theta(family, ns.theta)
-    alphas = None
+    ns.family = FAMILIES[ns.family] if getattr(ns, "family", None) else None
+    if hasattr(ns, "theta"):  # every command with --theta requires --family
+        ns.theta = _parse_theta(ns.family, ns.theta)
+    if getattr(ns, "alpha", None) is not None and not 0.0 <= ns.alpha <= 1.0:
+        raise _UsageError(f"--alpha must lie in [0, 1], got {ns.alpha}")
     if getattr(ns, "alphas", None):
         try:
-            alphas = tuple(float(s) for s in ns.alphas.split(","))
+            ns.alphas = tuple(float(s) for s in ns.alphas.split(","))
         except ValueError:
             raise _UsageError(f"--alphas must be comma-separated numbers, got {ns.alphas!r}") from None
-        for a in alphas:
+        for a in ns.alphas:
             if not 0.0 <= a <= 1.0:
                 raise _UsageError(f"--alphas entries must lie in [0, 1], got {a}")
-    displaced = None
-    if getattr(ns, "displaced_family", None) or getattr(ns, "displaced_theta", None):
-        if not (ns.displaced_family and ns.displaced_theta):
-            raise _UsageError("--displaced-family and --displaced-theta go together")
-        dfam = FAMILIES[ns.displaced_family]
-        displaced = _parse_theta(dfam, ns.displaced_theta)
-    cfg = CliConfig(
-        command=ns.command,
-        family=family,
-        alpha=_check_alpha(getattr(ns, "alpha", None)),
-        input=getattr(ns, "input", None),
-        column=getattr(ns, "column", "value"),
-        seed=getattr(ns, "seed", None),
-        output=ns.output,
-        fast=bool(getattr(ns, "fast", False)),
-        theta=theta,
-        B=getattr(ns, "B", 1000),
-        n=getattr(ns, "n", None),
-        bins=getattr(ns, "bins", 30),
-        points=getattr(ns, "points", 512),
-        epsilon=getattr(ns, "epsilon", 0.0),
-        point=getattr(ns, "point", None),
-        displaced=displaced,
-        y_min=getattr(ns, "y_min", None),
-        y_max=getattr(ns, "y_max", None),
-        alphas=alphas,
-        curve_csv=getattr(ns, "curve_csv", None),
-        table_csv=getattr(ns, "table_csv", None),
-        estimates_csv=getattr(ns, "estimates_csv", None),
-        plot_data=getattr(ns, "plot_data", None),
-        label_column=getattr(ns, "label_column", None),
-    )
-    _validate(cfg)
-    return cfg
+    if ns.command == "simulate":
+        ns.displaced = None
+        if ns.displaced_family or ns.displaced_theta:
+            if not (ns.displaced_family and ns.displaced_theta):
+                raise _UsageError("--displaced-family and --displaced-theta go together")
+            ns.displaced = _parse_theta(FAMILIES[ns.displaced_family], ns.displaced_theta)
+    _validate(ns)
+    return ns
 
 
-def _validate(cfg):
-    if cfg.command == "bootstrap" and cfg.B < 2:
-        raise _UsageError(f"need at least 2 replicates, got {cfg.B}")
-    if cfg.command == "simulate":
-        if cfg.n < 1:
-            raise _UsageError(f"--n must be at least 1, got {cfg.n}")
-        if not 0.0 <= cfg.epsilon < 0.5:
-            raise _UsageError(f"--epsilon must lie in [0, 0.5), got {cfg.epsilon}")
-        if cfg.point is not None and cfg.displaced is not None:
+def _validate(args):
+    if args.command == "bootstrap" and args.B < 2:
+        raise _UsageError(f"need at least 2 replicates, got {args.B}")
+    if args.command == "simulate":
+        if args.n < 1:
+            raise _UsageError(f"--n must be at least 1, got {args.n}")
+        if not 0.0 <= args.epsilon < 0.5:
+            raise _UsageError(f"--epsilon must lie in [0, 0.5), got {args.epsilon}")
+        if args.point is not None and args.displaced is not None:
             raise _UsageError("give --point or a displaced law, not both")
-        if cfg.epsilon > 0.0 and cfg.point is None and cfg.displaced is None:
+        if args.epsilon > 0.0 and args.point is None and args.displaced is None:
             raise _UsageError("--epsilon > 0 needs --point or --displaced-family/--displaced-theta")
-        if cfg.point is not None and cfg.point <= 0.0:
-            raise _UsageError(f"--point must be positive, got {cfg.point}")
-    if cfg.command == "fit" and cfg.bins < 1:
-        raise _UsageError(f"--bins must be at least 1, got {cfg.bins}")
-    if cfg.command == "influence" and cfg.points < 2:
-        raise _UsageError(f"--points must be at least 2, got {cfg.points}")
+        if args.point is not None and args.point <= 0.0:
+            raise _UsageError(f"--point must be positive, got {args.point}")
+    if args.command == "fit" and args.bins < 1:
+        raise _UsageError(f"--bins must be at least 1, got {args.bins}")
+    if args.command == "influence" and args.points < 2:
+        raise _UsageError(f"--points must be at least 2, got {args.points}")
 
 
-def _emit_text(output, text):
-    if not text.endswith("\n"):
-        text += "\n"
-    if output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(output, write):
+    """write(stream) to stdout, or to the named file."""
+    with open_sink(sys.stdout if output in (None, "-") else output) as fh:
+        write(fh)
 
 
 def _emit_json(output, obj):
-    _emit_text(output, json.dumps(obj, indent=2))
-
-
-def _emit_csv(output, write_fn):
-    if output in (None, "-"):
-        buf = io.StringIO()
-        write_fn(buf)
-        sys.stdout.write(buf.getvalue())
-    else:
-        write_fn(output)
+    _emit(output, lambda fh: fh.write(json.dumps(obj, indent=2) + "\n"))
 
 
 def _named(family, values):
@@ -296,77 +218,57 @@ def emit_plot_data(fit_result, sample, bins=30):
     lines.append("x,f(x)")
     xs = np.linspace(0.0, float(values.max()) * 1.1, 512)
     fs = np.empty_like(xs)
-    fs[0] = _density_at_zero(fit_result.family, theta)
+    fs[0] = fit_result.family.at_zero(theta.values)
     fs[1:] = density(theta, xs[1:])
     for x, f in zip(xs, fs):
         lines.append(f"{float(x)!r},{float(f)!r}")
     return "\n".join(lines) + "\n"
 
 
-def _density_at_zero(family, theta):
-    if family is EXPONENTIAL:
-        return theta.values[0]
-    if family in (GAMMA, WEIBULL):
-        a = theta.values[0]
-        if a == 1.0:
-            return theta.values[1]
-        return 0.0 if a > 1.0 else float("inf")
-    return 0.0
-
-
-def _cmd_fit(cfg):
-    sample = load_csv(cfg.input, cfg.column)
-    res = fit(cfg.family, cfg.alpha, sample)
+def _cmd_fit(args):
+    sample = load_csv(args.input, args.column)
+    res = fit(args.family, args.alpha, sample)
     out = {
         "command": "fit",
-        "family": cfg.family.tag,
-        "alpha": cfg.alpha,
+        "family": args.family.tag,
+        "alpha": args.alpha,
         "n_wet": len(sample.values),
         "dry_count": sample.dry_count,
-        "params": _named(cfg.family, res.theta_hat.values),
+        "params": _named(args.family, res.theta_hat.values),
         "se_asymptotic": _se_or_none(res),
         "objective": res.objective,
         "converged": res.converged,
         "evaluations": res.evaluations,
     }
-    if cfg.plot_data:
-        _emit_csv(cfg.plot_data, lambda sink: _emit_plot_text(sink, res, sample, cfg.bins))
-    _emit_json(cfg.output, out)
+    if args.plot_data:
+        _emit(args.plot_data, lambda fh: fh.write(emit_plot_data(res, sample, args.bins)))
+    _emit_json(args.output, out)
 
 
-def _emit_plot_text(sink, res, sample, bins):
-    text = emit_plot_data(res, sample, bins)
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        with open(sink, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _cmd_tune(cfg):
-    sample = load_csv(cfg.input, cfg.column)
-    tun = select_alpha(cfg.family, sample, refine=not cfg.fast)
-    if cfg.curve_csv:
-        _emit_csv(cfg.curve_csv, tun.curve_to_csv)
+def _cmd_tune(args):
+    sample = load_csv(args.input, args.column)
+    tun = select_alpha(args.family, sample, refine=not args.fast)
+    if args.curve_csv:
+        _emit(args.curve_csv, tun.curve_to_csv)
     out = {
         "command": "tune",
-        "family": cfg.family.tag,
+        "family": args.family.tag,
         "alpha_star": tun.alpha_star,
         "cvmd_star": tun.cvmd_star,
-        "params": _named(cfg.family, tun.fit_star.theta_hat.values),
+        "params": _named(args.family, tun.fit_star.theta_hat.values),
         "converged": tun.fit_star.converged,
         "n_wet": len(sample.values),
         "dry_count": sample.dry_count,
         "curve": [[a, tun.cvmd_curve[a]] for a in sorted(tun.cvmd_curve)],
     }
-    _emit_json(cfg.output, out)
+    _emit_json(args.output, out)
 
 
-def _cmd_select(cfg):
-    sample = load_csv(cfg.input, cfg.column)
-    rep = select_model(list(FAMILIES.values()), sample, refine=not cfg.fast)
-    if cfg.table_csv:
-        _emit_csv(cfg.table_csv, rep.table_to_csv)
+def _cmd_select(args):
+    sample = load_csv(args.input, args.column)
+    rep = select_model(list(FAMILIES.values()), sample, refine=not args.fast)
+    if args.table_csv:
+        _emit(args.table_csv, rep.table_to_csv)
     out = {
         "command": "select",
         "winner": rep.winner.tag,
@@ -381,64 +283,59 @@ def _cmd_select(cfg):
             for r in rep.records
         ],
     }
-    _emit_json(cfg.output, out)
+    _emit_json(args.output, out)
 
 
-def _cmd_are_table(cfg):
-    table = are(cfg.family, cfg.theta) if cfg.alphas is None else are(cfg.family, cfg.theta, cfg.alphas)
-    _emit_csv(cfg.output, table.to_csv)
+def _cmd_are_table(args):
+    table = are(args.family, args.theta) if args.alphas is None else are(args.family, args.theta, args.alphas)
+    _emit(args.output, table.to_csv)
 
 
-def _cmd_influence(cfg):
-    lo = cfg.y_min if cfg.y_min is not None else quantile(cfg.theta, 0.001)
-    hi = cfg.y_max if cfg.y_max is not None else quantile(cfg.theta, 0.999)
+def _cmd_influence(args):
+    lo = args.y_min if args.y_min is not None else quantile(args.theta, 0.001)
+    hi = args.y_max if args.y_max is not None else quantile(args.theta, 0.999)
     if not 0.0 < lo < hi:
         raise _UsageError(f"need 0 < y-min < y-max, got {lo} and {hi}")
-    ys = np.linspace(lo, hi, cfg.points)
-    vals = influence_function(cfg.family, cfg.theta, cfg.alpha, ys)
+    ys = np.linspace(lo, hi, args.points)
+    vals = influence_function(args.family, args.theta, args.alpha, ys)
 
-    def _write(sink):
-        fh = sink if hasattr(sink, "write") else open(sink, "w", newline="", encoding="utf-8")
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(["y", "param", "value"])
-            for y, row in zip(ys, np.atleast_2d(vals)):
-                for name, v in zip(cfg.family.param_names, row):
-                    writer.writerow([f"{y:.12g}", name, f"{v:.12g}"])
-        finally:
-            if fh is not sink:
-                fh.close()
+    def _write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(["y", "param", "value"])
+        for y, row in zip(ys, np.atleast_2d(vals)):
+            for name, v in zip(args.family.param_names, row):
+                writer.writerow([f"{y:.12g}", name, f"{v:.12g}"])
 
-    _emit_csv(cfg.output, _write)
+    _emit(args.output, _write)
 
 
-def _cmd_bootstrap(cfg):
-    sample = load_csv(cfg.input, cfg.column)
-    res = bootstrap_se(cfg.family, cfg.alpha, sample, B=cfg.B, seed=cfg.seed or 0)
-    if cfg.estimates_csv:
-        _emit_csv(cfg.estimates_csv, res.estimates_to_csv)
+def _cmd_bootstrap(args):
+    sample = load_csv(args.input, args.column)
+    res = bootstrap_se(args.family, args.alpha, sample, B=args.B, seed=args.seed or 0)
+    if args.estimates_csv:
+        _emit(args.estimates_csv, res.estimates_to_csv)
     out = {
         "command": "bootstrap",
-        "family": cfg.family.tag,
-        "alpha": cfg.alpha,
+        "family": args.family.tag,
+        "alpha": args.alpha,
         "B": res.B,
         "failures": res.failures,
-        "params": _named(cfg.family, res.fit.theta_hat.values),
-        "se_bootstrap": _named(cfg.family, res.se),
+        "params": _named(args.family, res.fit.theta_hat.values),
+        "se_bootstrap": _named(args.family, res.se),
         "se_asymptotic": _se_or_none(res.fit),
         "warning": res.warning,
     }
-    _emit_json(cfg.output, out)
+    _emit_json(args.output, out)
 
 
-def _cmd_simulate(cfg):
-    if cfg.epsilon > 0.0:
-        pod = cfg.point if cfg.point is not None else cfg.displaced
-        scheme = ContaminationScheme(cfg.epsilon, pod, seed=cfg.seed)
-        sample = simulate_contaminated(cfg.family, cfg.theta, scheme, cfg.n)
+def _cmd_simulate(args):
+    if args.epsilon > 0.0:
+        pod = args.point if args.point is not None else args.displaced
+        scheme = ContaminationScheme(args.epsilon, pod, seed=args.seed)
+        sample = simulate_contaminated(args.family, args.theta, scheme, args.n)
     else:
-        sample = sample_family(cfg.family, cfg.theta, cfg.n, cfg.seed)
-    _emit_csv(cfg.output, lambda sink: save_csv(sample, sink))
+        sample = sample_family(args.family, args.theta, args.n, args.seed)
+    _emit(args.output, lambda fh: save_csv(sample, fh))
 
 
 def _series_row(sample, fast):
@@ -464,54 +361,29 @@ def _series_row(sample, fast):
     }
 
 
-def _load_series(cfg):
-    if cfg.label_column is not None:
-        return load_panel(cfg.input, cfg.column, cfg.label_column)
+def _load_series(args):
+    if args.label_column is not None:
+        return load_panel(args.input, args.column, args.label_column)
     try:
-        with open(cfg.input, newline="", encoding="utf-8-sig") as fh:
+        with open(args.input, newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader(fh), [])
     except OSError:
-        raise DataError(f"no such file: {cfg.input}") from None
+        raise DataError(f"no such file: {args.input}") from None
     if "label" in header:
-        return load_panel(cfg.input, cfg.column, "label")
-    return [load_csv(cfg.input, cfg.column)]
+        return load_panel(args.input, args.column, "label")
+    return [load_csv(args.input, args.column)]
 
 
-def _thread_count():
-    raw = os.environ.get("RF_THREADS", "1") or "1"
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise _UsageError(f"RF_THREADS must be an integer, got {raw!r}") from None
-
-
-def _cmd_report(cfg):
-    series = _load_series(cfg)
-    workers = _thread_count()
-
-    def one(sample):
-        try:
-            return sample.label, _series_row(sample, cfg.fast), None
-        except (DpdError, DataError) as e:
-            return sample.label, None, str(e)
-
-    if workers > 1 and len(series) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(one, series))
-    else:
-        results = [one(s) for s in series]
-
+def _cmd_report(args):
     rows = []
-    for label, row, err in results:
-        if err is not None:
-            print(f"error: series {label!r} skipped: {err}", file=sys.stderr)
-        else:
-            rows.append(row)
+    for sample in _load_series(args):
+        try:
+            rows.append(_series_row(sample, args.fast))
+        except (DpdError, DataError) as e:
+            print(f"error: series {sample.label!r} skipped: {e}", file=sys.stderr)
     if not rows:
         raise FitError("every series failed")
-    _emit_csv(cfg.output, lambda sink: write_report_rows(rows, sink))
+    _emit(args.output, lambda fh: write_report_rows(rows, fh))
 
 
 _HANDLERS = {
@@ -530,10 +402,10 @@ def _one_line(e):
     return " ".join(str(e).split()) or e.__class__.__name__
 
 
-def run(config):
-    """Dispatch a parsed config; returns the process exit code."""
+def run(args):
+    """Dispatch parsed arguments; returns the process exit code."""
     try:
-        _HANDLERS[config.command](config)
+        _HANDLERS[args.command](args)
     except _UsageError as e:
         print(f"error: usage: {_one_line(e)}", file=sys.stderr)
         return 1
@@ -551,11 +423,11 @@ def run(config):
 
 def main(argv=None):
     try:
-        cfg = parse_args(argv)
+        args = parse_args(argv)
     except _UsageError as e:
         print(f"error: usage: {_one_line(e)}", file=sys.stderr)
         return 1
-    return run(cfg)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ adjusted_median and nowhere else.
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,22 +127,18 @@ def _assemble(pairs, label):
     return Sample(values=wet, dry_count=dry, label=label)
 
 
-def load_csv(path, column="value", zero_policy="drop_and_count", label=None):
+def load_csv(path, column="value", label=None):
     """One series from a headered CSV; zeros become dry_count.
 
     Negative, blank, missing, or non-numeric cells raise DataError
     naming the offending line (header is line 1).
     """
-    if zero_policy != "drop_and_count":
-        raise DomainError(f"unknown zero_policy {zero_policy!r}")
     rows = _read_rows(path, column)
     return _assemble([v for _, v in rows], label if label is not None else Path(path).stem)
 
 
-def load_panel(path, column="value", label_column="label", zero_policy="drop_and_count"):
+def load_panel(path, column="value", label_column="label"):
     """Multiple series keyed by a label column, first-appearance order."""
-    if zero_policy != "drop_and_count":
-        raise DomainError(f"unknown zero_policy {zero_policy!r}")
     rows = _read_rows(path, column, label_column=label_column)
     grouped = {}
     for label, v in rows:
@@ -149,11 +146,22 @@ def load_panel(path, column="value", label_column="label", zero_policy="drop_and
     return [_assemble(vals, label) for label, vals in grouped.items()]
 
 
+@contextmanager
+def open_sink(path_or_fp):
+    """The stream itself when it has a write method, else the named file
+    opened for text writing (closed on exit). Every writer goes through here."""
+    if hasattr(path_or_fp, "write"):
+        yield path_or_fp
+    else:
+        with open(path_or_fp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+
+
 def save_csv(sample, path_or_fp):
     """Write year,value rows; values keep full repr precision so a
     reload is bit-exact. Dry months come last as zero rows."""
 
-    def _write(fh):
+    with open_sink(path_or_fp) as fh:
         writer = csv.writer(fh)
         writer.writerow(["year", "value"])
         year = 0
@@ -163,12 +171,6 @@ def save_csv(sample, path_or_fp):
         for _ in range(sample.dry_count):
             year += 1
             writer.writerow([year, "0.0"])
-
-    if hasattr(path_or_fp, "write"):
-        _write(path_or_fp)
-    else:
-        with open(path_or_fp, "w", newline="", encoding="utf-8") as fh:
-            _write(fh)
 
 
 def outlier_summary(sample):
@@ -229,14 +231,8 @@ def _format_field(v):
 def write_report_rows(rows, path_or_fp):
     """Report CSV with the fixed REPORT_COLUMNS schema."""
 
-    def _write(fh):
+    with open_sink(path_or_fp) as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for row in rows:
             writer.writerow([_format_field(row.get(col)) for col in REPORT_COLUMNS])
-
-    if hasattr(path_or_fp, "write"):
-        _write(path_or_fp)
-    else:
-        with open(path_or_fp, "w", newline="", encoding="utf-8") as fh:
-            _write(fh)

@@ -4,6 +4,19 @@ Everything raised on purpose derives from DpdError so callers (and the
 command line driver) can separate expected failures from genuine bugs.
 """
 
+__all__ = [
+    "DpdError",
+    "DomainError",
+    "DpdValidityError",
+    "BracketingError",
+    "InversionError",
+    "FitError",
+    "SingularInformationError",
+    "TuningError",
+    "SelectionError",
+    "DataError",
+]
+
 
 class DpdError(Exception):
     """Base class for all errors raised deliberately by this package."""

@@ -11,17 +11,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, FitError
 from .families import (
-    EXPONENTIAL,
-    GAMMA,
-    LOGNORMAL,
-    WEIBULL,
     ParamVector,
-    _logf,
-    _mass,
+    _check_family,
+    _divergence_terms,
     check_dpd_valid,
     log_density,
     score,
@@ -53,13 +48,6 @@ def _sample_values(sample):
     return vals
 
 
-def _check_family(family, theta):
-    if theta.family is not family:
-        raise DomainError(
-            f"theta is for {theta.family.tag}, expected {family.tag}"
-        )
-
-
 def objective_h(family, theta, alpha, sample):
     """Empirical divergence H: the mean of the per-observation terms.
 
@@ -68,17 +56,6 @@ def objective_h(family, theta, alpha, sample):
     _check_family(family, theta)
     vals = _sample_values(sample)
     return float(np.mean(v_alpha(theta, alpha, vals)))
-
-
-def _score_mass_integral(theta, alpha):
-    """integral of u_theta f_theta^(1+alpha), componentwise.
-
-    Zero at alpha = 0 (the score integrates to zero under the model);
-    the shortcut keeps it exactly zero.
-    """
-    if alpha == 0.0:
-        return np.zeros(theta.family.param_count)
-    return weighted_moments(theta, alpha)[2]
 
 
 def estimating_residual(family, theta, alpha, sample):
@@ -91,11 +68,10 @@ def estimating_residual(family, theta, alpha, sample):
     vals = _sample_values(sample)
     u = score(theta, vals)
     if alpha == 0.0:
-        data_term = u.mean(axis=0)
-    else:
-        w = np.exp(alpha * log_density(theta, vals))
-        data_term = (u * w[:, None]).mean(axis=0)
-    return data_term - _score_mass_integral(theta, alpha)
+        # the model expectation of the score is exactly zero here
+        return u.mean(axis=0)
+    w = np.exp(alpha * log_density(theta, vals))
+    return (u * w[:, None]).mean(axis=0) - weighted_moments(theta, alpha)[2]
 
 
 def dpd_weights(family, theta, alpha, sample):
@@ -107,65 +83,11 @@ def dpd_weights(family, theta, alpha, sample):
     return np.exp(alpha * log_density(theta, vals))
 
 
-# --- start points -----------------------------------------------------------
-
-def _moment_start(family, vals, alpha):
-    n = vals.size
-    mean = float(vals.mean())
-    if family is EXPONENTIAL:
-        return np.array([1.0 / mean])
-    if family is GAMMA:
-        var = float(vals.var(ddof=1))
-        a0 = mean * mean / var
-        b0 = mean / var
-        a0 = max(a0, alpha / (1.0 + alpha) + 0.1)
-        return np.array([a0, b0])
-    if family is LOGNORMAL:
-        logs = np.log(vals)
-        sd = float(logs.std())
-        return np.array([float(logs.mean()), max(sd, 1e-3)])
-    if family is WEIBULL:
-        # slope of ln(-ln(1-p)) on ln x at plotting positions (i-1/2)/n
-        xs = np.sort(vals)
-        pp = (np.arange(1, n + 1) - 0.5) / n
-        y = np.log(-np.log1p(-pp))
-        z = np.log(xs)
-        vz = float(((z - z.mean()) ** 2).mean())
-        a0 = float(((z - z.mean()) * (y - y.mean())).mean() / vz) if vz > 0 else 1.0
-        a0 = max(a0, alpha / (1.0 + alpha) + 0.1)
-        b0 = math.exp(special.gammaln(1.0 + 1.0 / a0)) / mean
-        return np.array([a0, b0])
-    raise DomainError(f"unknown family {family!r}")
-
-
-def _to_log(family, theta_values):
-    z = np.asarray(theta_values, dtype=float).copy()
-    if family is LOGNORMAL:
-        z[1] = math.log(z[1])
-    else:
-        z = np.log(z)
-    return z
-
-
-def _from_log(family, z):
-    vals = np.exp(z)
-    if family is LOGNORMAL:
-        vals = np.array([z[0], math.exp(z[1])])
-    return ParamVector(family, tuple(vals))
-
-
 # --- polish steps -----------------------------------------------------------
 
-def _exponential_un(lam, alpha, vals):
-    # closed-form U_n for the exponential family
-    w = lam**alpha * np.exp(-alpha * lam * vals)
-    data = float(np.mean((1.0 / lam - vals) * w))
-    return data - alpha * lam ** (alpha - 1.0) / (1.0 + alpha) ** 2
-
-
-def _polish_exponential(lam, alpha, vals, scan_roots):
-    """Root of U_n nearest the minimizer; warn when several roots exist."""
-    un = lambda l: _exponential_un(l, alpha, vals)
+def _polish_root(family, lam, alpha, vals, scan_roots):
+    """Root of the scalar U_n nearest the minimizer; warn when several roots exist."""
+    un = lambda l: family.un(l, alpha, vals)
     roots = []
     if scan_roots:
         grid = lam * np.exp2(np.linspace(-5.0, 5.0, 41))
@@ -250,9 +172,10 @@ def fit(family, alpha, sample, warm_start=None, fast=False):
 
     Minimizes H over log-reparameterized parameters (the lognormal
     log-mean stays unconstrained), starting from `warm_start` when
-    given and from moment-based initializers otherwise. The returned
+    given and from the family's moment start otherwise. The returned
     point is polished against the estimating equation: a bracketed
-    root solve for the exponential, Newton steps otherwise.
+    root solve where the family gives a scalar U_n (the exponential),
+    Newton steps otherwise.
 
     `fast=True` is for sweep drivers (leave-one-out tuning, bootstrap
     replicates) that run thousands of warm-started refits: it skips
@@ -276,40 +199,30 @@ def fit(family, alpha, sample, warm_start=None, fast=False):
     if warm_start is not None:
         _check_family(family, warm_start)
         start = np.asarray(warm_start.values, dtype=float)
-        if family in (GAMMA, WEIBULL):
+        if family.shaped:
             start[0] = max(start[0], alpha / (1.0 + alpha) + 0.05)
     else:
-        start = _moment_start(family, vals, alpha)
+        start = family.start(vals, alpha)
 
     evals = 0
     lnx = np.log(vals)
     shape_floor = alpha / (1.0 + alpha)
-    shaped = family is GAMMA or family is WEIBULL
-    outer = 1.0 + 1.0 / alpha if alpha > 0.0 else 0.0
 
     def obj(z):
         # hot loop: plain tuples and precomputed log(x), no re-validation
         nonlocal evals
         evals += 1
         try:
-            if family is LOGNORMAL:
-                tv = (float(z[0]), math.exp(float(z[1])))
-                bad = not math.isfinite(tv[0]) or tv[1] <= 0.0
-            else:
-                tv = tuple(math.exp(float(v)) for v in z)
-                bad = not all(0.0 < v < math.inf for v in tv)
+            tv = family.unlog(z)
         except OverflowError:
             return np.inf
-        if bad or (shaped and tv[0] <= shape_floor):
+        if tv is None or (family.shaped and tv[0] <= shape_floor):
             return np.inf
-        if alpha == 0.0:
-            h = -float(np.mean(_logf(family, tv, vals, lnx)))
-        else:
-            try:
-                m = _mass(family, tv, alpha)
-            except OverflowError:
-                return np.inf
-            h = m - outer * float(np.mean(np.exp(alpha * _logf(family, tv, vals, lnx))))
+        try:
+            m, k, g = _divergence_terms(family, tv, alpha, vals, lnx)
+        except OverflowError:
+            return np.inf
+        h = m - k * float(np.mean(g))
         return h if math.isfinite(h) else np.inf
 
     if fast:
@@ -317,17 +230,17 @@ def fit(family, alpha, sample, warm_start=None, fast=False):
     else:
         spec = OptimizerSpec()
     step = 0.003 if warm_start is not None else None
-    z0 = _to_log(family, start)
+    z0 = family.to_log(start)
     start_obj = obj(z0)
     if not np.isfinite(start_obj):
         raise FitError(f"objective not finite at the {family.tag} start point")
 
     theta = h_val = None
     converged = did_root = False
-    if family is EXPONENTIAL and warm_start is not None and fast:
+    if family.un is not None and warm_start is not None and fast:
         # sweep fast path: the unique interior root of U_n is the minimizer
-        lam = _polish_exponential(float(start[0]), alpha, vals, scan_roots=False)
-        h_root = obj(np.log([lam]))
+        lam = _polish_root(family, float(start[0]), alpha, vals, scan_roots=False)
+        h_root = obj(family.to_log([lam]))
         if h_root <= start_obj:
             theta, h_val, converged, did_root = (
                 ParamVector(family, (lam,)),
@@ -337,18 +250,16 @@ def fit(family, alpha, sample, warm_start=None, fast=False):
             )
     if theta is None:
         z_hat, h_val, converged = minimize(obj, z0, spec, initial_step=step)
-        theta = _from_log(family, z_hat)
+        theta = ParamVector(family, tuple(family.from_log(z_hat)))
 
     # Polishing may trade a sub-tolerance amount of objective for a much
     # smaller estimating-equation residual, but never worse than the start.
-    if family is EXPONENTIAL and not did_root:
-        lam = _polish_exponential(theta.values[0], alpha, vals, scan_roots=polish)
-        cand = ParamVector(family, (lam,))
-        h_cand = objective_h(family, cand, alpha, vals)
-        if h_cand <= min(h_val + 1e-12, start_obj):
-            theta, h_val = cand, h_cand
-    elif family is not EXPONENTIAL and polish:
+    cand = None
+    if family.un is not None and not did_root:
+        cand = ParamVector(family, (_polish_root(family, theta.values[0], alpha, vals, polish),))
+    elif family.un is None and polish:
         cand = _polish_newton(family, theta, alpha, vals)
+    if cand is not None:
         h_cand = objective_h(family, cand, alpha, vals)
         if h_cand <= min(h_val + 1e-12, start_obj):
             theta, h_val = cand, h_cand

@@ -5,10 +5,13 @@ Gamma and Weibull are parameterized by shape a and RATE b, so
 Gamma(1, b) and Weibull(1, b) both coincide with Exponential(b).
 Densities are evaluated in log space and exponentiated at the end;
 x = 0 is outside the support of every family here.
+
+Each family is one entry of a table: a Family carries the functions
+that define it, and the public functions below only dispatch to them.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -38,20 +41,320 @@ __all__ = [
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def _entry(default=None):
+    return field(default=default, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class Family:
+    """A model family: its tag and parameter names, plus the functions
+    that define it. Equality, hashing and repr use the first three only.
+
+    The functions take the parameter values v first: logf(v, x, lnx) is
+    ln f on validated x with lnx = log x; cdf(v, x); ppf(v, q);
+    score(v, x) gives the score components; mass(v, alpha) is the
+    integral of f^(1+alpha); moments(v, c, mass) gives the integrals of
+    u u' f^(1+c) and u f^(1+c); start(xs, alpha) is a moment start
+    point; to_log/from_log map arrays to and from the optimizer's
+    coordinates, and unlog(z) is from_log for the objective's hot loop:
+    a tuple of floats by math.exp, or None outside the parameter space
+    (math.exp and np.exp may differ in the last bit, so they are kept apart);
+    at_zero(v) is the density's limit at x = 0. A one-parameter family
+    may give un(lam, alpha, xs), its estimating function U_n on scalars.
+    """
+
     tag: str
     param_count: int
     param_names: tuple
+    shaped: bool = _entry(False)  # the first parameter is a shape a > alpha/(1+alpha)
+    logf: object = _entry()
+    cdf: object = _entry()
+    ppf: object = _entry()
+    score: object = _entry()
+    mass: object = _entry()
+    moments: object = _entry()
+    start: object = _entry()
+    to_log: object = _entry()
+    from_log: object = _entry()
+    unlog: object = _entry()
+    at_zero: object = _entry()
+    un: object = _entry()
 
     def __str__(self):
         return self.tag
 
 
-EXPONENTIAL = Family("exponential", 1, ("rate",))
-GAMMA = Family("gamma", 2, ("shape", "rate"))
-LOGNORMAL = Family("lognormal", 2, ("log_mean", "log_sd"))
-WEIBULL = Family("weibull", 2, ("shape", "rate"))
+# --- exponential: u = 1/lambda - x -------------------------------------------
+
+def _exp_logf(v, x, lnx):
+    lam = v[0]
+    return math.log(lam) - lam * x
+
+
+def _exp_cdf(v, x):
+    return -np.expm1(-v[0] * x)
+
+
+def _exp_ppf(v, q):
+    return -np.log1p(-q) / v[0]
+
+
+def _exp_score(v, x):
+    return (1.0 / v[0] - x,)
+
+
+def _exp_mass(v, alpha):
+    return math.exp(alpha * math.log(v[0]) - math.log1p(alpha))
+
+
+def _exp_xi(lam, c):
+    """integral of u f^(1+c), on scalars so the root polish stays cheap."""
+    return c * lam ** (c - 1.0) / (1.0 + c) ** 2
+
+
+def _exp_moments(v, c, mass):
+    rate = v[0] * (1.0 + c)
+    return mass * np.array([[(1.0 + c * c) / rate**2]]), np.array([_exp_xi(v[0], c)])
+
+
+def _exp_start(xs, alpha):
+    return np.array([1.0 / float(xs.mean())])
+
+
+def _exp_at_zero(v):
+    return v[0]
+
+
+def _exp_un(lam, alpha, xs):
+    """Closed-form U_n: the weighted mean score minus xi."""
+    w = lam**alpha * np.exp(-alpha * lam * xs)
+    return float(np.mean((1.0 / lam - xs) * w)) - _exp_xi(lam, alpha)
+
+
+# --- gamma: u = (ln x + ln b - digamma(a), a/b - x) ---------------------------
+
+def _gamma_logf(v, x, lnx):
+    a, b = v
+    return a * math.log(b) + (a - 1.0) * lnx - b * x - special.gammaln(a)
+
+
+def _gamma_cdf(v, x):
+    return reg_incomplete_gamma_lower(v[0], v[1] * x)
+
+
+def _gamma_ppf(v, q):
+    # no closed form: invert the CDF one probability at a time
+    flat = [invert_cdf(lambda x: float(_gamma_cdf(v, x)), float(p)) for p in q.ravel()]
+    return np.asarray(flat).reshape(q.shape)
+
+
+def _gamma_score(v, x):
+    a, b = v
+    return math.log(b) - special.digamma(a) + np.log(x), a / b - x
+
+
+def _gamma_mass(v, alpha):
+    a, b = v
+    aa = (a - 1.0) * (1.0 + alpha) + 1.0
+    return math.exp(
+        special.gammaln(aa)
+        + alpha * math.log(b)
+        - (1.0 + alpha) * special.gammaln(a)
+        - aa * math.log1p(alpha)
+    )
+
+
+def _gamma_moments(v, c, mass):
+    a, b = v
+    shape, rate = a + c * (a - 1.0), b * (1.0 + c)
+    mean = np.array(
+        [special.digamma(shape) - special.digamma(a) - math.log1p(c), c / rate]
+    )
+    cov = np.array(
+        [[special.polygamma(1, shape), -1.0 / rate], [-1.0 / rate, shape / rate**2]]
+    )
+    return mass * (cov + np.outer(mean, mean)), mass * mean
+
+
+def _gamma_start(xs, alpha):
+    mean = float(xs.mean())
+    var = float(xs.var(ddof=1))
+    a0 = mean * mean / var
+    b0 = mean / var
+    a0 = max(a0, alpha / (1.0 + alpha) + 0.1)
+    return np.array([a0, b0])
+
+
+def _positive_unlog(z):
+    v = tuple(map(math.exp, z))
+    return v if all(0.0 < p < math.inf for p in v) else None
+
+
+def _shape_rate_at_zero(v):
+    a = v[0]
+    if a == 1.0:
+        return v[1]
+    return 0.0 if a > 1.0 else math.inf
+
+
+# --- lognormal: u = (w, (w^2 - sigma^2)/sigma) / sigma^2, w = ln x - mu -------
+
+def _lognormal_logf(v, x, lnx):
+    mu, sigma = v
+    z = (lnx - mu) / sigma
+    return -_LOG_SQRT_2PI - math.log(sigma) - lnx - 0.5 * z * z
+
+
+def _lognormal_cdf(v, x):
+    return std_normal_cdf((np.log(x) - v[0]) / v[1])
+
+
+def _lognormal_ppf(v, q):
+    return np.exp(v[0] + v[1] * special.ndtri(q))
+
+
+def _lognormal_score(v, x):
+    mu, sigma = v
+    d = np.log(x) - mu
+    return d / sigma**2, (d * d - sigma**2) / sigma**3
+
+
+def _lognormal_mass(v, alpha):
+    mu, sigma = v
+    return math.exp(
+        -0.5 * math.log1p(alpha)
+        - alpha * (_LOG_SQRT_2PI + math.log(sigma))
+        - alpha * mu
+        + alpha**2 * sigma**2 / (2.0 * (1.0 + alpha))
+    )
+
+
+def _lognormal_moments(v, c, mass):
+    # w ~ N(m, s2) under f^(1+c)/M
+    sigma = v[1]
+    m, s2 = -c * sigma**2 / (1.0 + c), sigma**2 / (1.0 + c)
+    mean = np.array([m, m * (m + 1.0) / sigma]) / sigma**2
+    cov_ms = 2.0 * m * s2 / sigma
+    cov = np.array(
+        [[s2, cov_ms], [cov_ms, 2.0 * s2 * (s2 + 2.0 * m * m) / sigma**2]]
+    ) / sigma**4
+    return mass * (cov + np.outer(mean, mean)), mass * mean
+
+
+def _lognormal_start(xs, alpha):
+    logs = np.log(xs)
+    sd = float(logs.std())
+    return np.array([float(logs.mean()), max(sd, 1e-3)])
+
+
+def _lognormal_to_log(v):
+    # the log-mean stays a free coordinate
+    return np.array([float(v[0]), math.log(v[1])])
+
+
+def _lognormal_from_log(z):
+    return np.array([z[0], math.exp(z[1])])
+
+
+def _lognormal_unlog(z):
+    v = (float(z[0]), math.exp(z[1]))
+    return v if math.isfinite(v[0]) and v[1] > 0.0 else None
+
+
+def _lognormal_at_zero(v):
+    return 0.0
+
+
+# --- Weibull: u = ((1 + L (1 - t))/a, (a/b)(1 - t)), t = (bx)^a, L = ln t -----
+
+def _weibull_logf(v, x, lnx):
+    a, b = v
+    lbx = math.log(b) + lnx
+    return math.log(a) + math.log(b) + (a - 1.0) * lbx - np.exp(a * lbx)
+
+
+def _weibull_cdf(v, x):
+    a, b = v
+    return -np.expm1(-((b * x) ** a))
+
+
+def _weibull_ppf(v, q):
+    a, b = v
+    return (-np.log1p(-q)) ** (1.0 / a) / b
+
+
+def _weibull_score(v, x):
+    a, b = v
+    t = (b * x) ** a
+    return 1.0 / a + np.log(b * x) * (1.0 - t), (a / b) * (1.0 - t)
+
+
+def _weibull_mass(v, alpha):
+    a, b = v
+    kap = (a - 1.0) * alpha / a
+    return math.exp(
+        alpha * (math.log(a) + math.log(b))
+        + special.gammaln(1.0 + kap)
+        - (1.0 + kap) * math.log1p(alpha)
+    )
+
+
+def _weibull_moments(v, c, mass):
+    # t ~ Gamma(shape, rate) under f^(1+c)/M;
+    # E[t^j] = r_j, E[t^j L] = r_j d_j, E[t^j L^2] = r_j q_j
+    a, b = v
+    shape, rate = 1.0 + c * (a - 1.0) / a, 1.0 + c
+    r = np.array([1.0, shape / rate, shape * (shape + 1.0) / rate**2])
+    d = special.digamma(shape + np.arange(3.0)) - math.log(rate)
+    q = d * d + special.polygamma(1, shape + np.arange(3.0))
+    el, eq = r * d, r * q
+    tail = c / (a * rate)  # 1 - E[t]
+    mean = np.array([(1.0 + el[0] - el[1]) / a, a / b * tail])
+    s_aa = (1.0 + 2.0 * (el[0] - el[1]) + eq[0] - 2.0 * eq[1] + eq[2]) / a**2
+    s_ab = (tail + el[0] - 2.0 * el[1] + el[2]) / b
+    s_bb = (a / b) ** 2 * (shape / rate**2 + tail * tail)
+    return mass * np.array([[s_aa, s_ab], [s_ab, s_bb]]), mass * mean
+
+
+def _weibull_start(xs, alpha):
+    # slope of ln(-ln(1-p)) on ln x at plotting positions (i-1/2)/n
+    n = xs.size
+    pp = (np.arange(1, n + 1) - 0.5) / n
+    y = np.log(-np.log1p(-pp))
+    z = np.log(np.sort(xs))
+    vz = float(((z - z.mean()) ** 2).mean())
+    a0 = float(((z - z.mean()) * (y - y.mean())).mean() / vz) if vz > 0 else 1.0
+    a0 = max(a0, alpha / (1.0 + alpha) + 0.1)
+    b0 = math.exp(special.gammaln(1.0 + 1.0 / a0)) / float(xs.mean())
+    return np.array([a0, b0])
+
+
+EXPONENTIAL = Family(
+    "exponential", 1, ("rate",),
+    logf=_exp_logf, cdf=_exp_cdf, ppf=_exp_ppf, score=_exp_score, mass=_exp_mass,
+    moments=_exp_moments, start=_exp_start, at_zero=_exp_at_zero, un=_exp_un,
+    to_log=np.log, from_log=np.exp, unlog=_positive_unlog,
+)
+GAMMA = Family(
+    "gamma", 2, ("shape", "rate"), shaped=True,
+    logf=_gamma_logf, cdf=_gamma_cdf, ppf=_gamma_ppf, score=_gamma_score, mass=_gamma_mass,
+    moments=_gamma_moments, start=_gamma_start, at_zero=_shape_rate_at_zero,
+    to_log=np.log, from_log=np.exp, unlog=_positive_unlog,
+)
+LOGNORMAL = Family(
+    "lognormal", 2, ("log_mean", "log_sd"),
+    logf=_lognormal_logf, cdf=_lognormal_cdf, ppf=_lognormal_ppf, score=_lognormal_score,
+    mass=_lognormal_mass, moments=_lognormal_moments, start=_lognormal_start,
+    at_zero=_lognormal_at_zero,
+    to_log=_lognormal_to_log, from_log=_lognormal_from_log, unlog=_lognormal_unlog,
+)
+WEIBULL = Family(
+    "weibull", 2, ("shape", "rate"), shaped=True,
+    logf=_weibull_logf, cdf=_weibull_cdf, ppf=_weibull_ppf, score=_weibull_score,
+    mass=_weibull_mass, moments=_weibull_moments, start=_weibull_start,
+    at_zero=_shape_rate_at_zero,
+    to_log=np.log, from_log=np.exp, unlog=_positive_unlog,
+)
 
 # Canonical ordering, also the model-selection tie-break order.
 FAMILIES = {f.tag: f for f in (EXPONENTIAL, GAMMA, LOGNORMAL, WEIBULL)}
@@ -86,11 +389,16 @@ class ParamVector:
         return iter(self.values)
 
 
+def _check_family(family, theta):
+    if theta.family != family:
+        raise DomainError(f"theta is for {theta.family.tag}, expected {family.tag}")
+
+
 def check_dpd_valid(p, alpha):
     """Gamma/Weibull shape must exceed alpha/(1+alpha) for the DPD terms to exist."""
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
-    if p.family in (GAMMA, WEIBULL) and p.values[0] <= alpha / (1.0 + alpha):
+    if p.family.shaped and p.values[0] <= alpha / (1.0 + alpha):
         raise DpdValidityError(
             f"{p.family.tag} shape {p.values[0]:g} <= alpha/(1+alpha) "
             f"= {alpha / (1.0 + alpha):g}; DPD integrals do not exist"
@@ -104,33 +412,10 @@ def _check_x(x):
     return arr
 
 
-def _logf(fam, vals, x, lnx):
-    """ln f on pre-validated inputs; lnx = log(x) precomputed by the caller.
-
-    The single source of the density formulas; both the public wrapper
-    and the estimator's hot loop go through here.
-    """
-    if fam is EXPONENTIAL:
-        lam = vals[0]
-        return math.log(lam) - lam * x
-    if fam is GAMMA:
-        a, b = vals
-        return a * math.log(b) + (a - 1.0) * lnx - b * x - special.gammaln(a)
-    if fam is LOGNORMAL:
-        mu, sigma = vals
-        z = (lnx - mu) / sigma
-        return -_LOG_SQRT_2PI - math.log(sigma) - lnx - 0.5 * z * z
-    if fam is WEIBULL:
-        a, b = vals
-        lbx = math.log(b) + lnx
-        return math.log(a) + math.log(b) + (a - 1.0) * lbx - np.exp(a * lbx)
-    raise DomainError(f"unknown family {fam!r}")
-
-
 def log_density(p, x):
     """ln f_theta(x), vectorized over x."""
     x = _check_x(x)
-    return _logf(p.family, p.values, x, np.log(x))
+    return p.family.logf(p.values, x, np.log(x))
 
 
 def density(p, x):
@@ -138,21 +423,7 @@ def density(p, x):
 
 
 def cdf(p, x):
-    x = _check_x(x)
-    fam = p.family
-    if fam is EXPONENTIAL:
-        (lam,) = p.values
-        return -np.expm1(-lam * x)
-    if fam is GAMMA:
-        a, b = p.values
-        return reg_incomplete_gamma_lower(a, b * x)
-    if fam is LOGNORMAL:
-        mu, sigma = p.values
-        return std_normal_cdf((np.log(x) - mu) / sigma)
-    if fam is WEIBULL:
-        a, b = p.values
-        return -np.expm1(-((b * x) ** a))
-    raise DomainError(f"unknown family {fam!r}")
+    return p.family.cdf(p.values, _check_x(x))
 
 
 def quantile(p, q):
@@ -164,82 +435,14 @@ def quantile(p, q):
     arr = np.asarray(q, dtype=float)
     if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("quantile requires q in (0, 1)")
-    fam = p.family
-    if fam is EXPONENTIAL:
-        (lam,) = p.values
-        out = -np.log1p(-arr) / lam
-    elif fam is GAMMA:
-        flat = [invert_cdf(lambda x: float(cdf(p, x)), float(v)) for v in arr.ravel()]
-        out = np.asarray(flat).reshape(arr.shape)
-    elif fam is LOGNORMAL:
-        mu, sigma = p.values
-        out = np.exp(mu + sigma * special.ndtri(arr))
-    elif fam is WEIBULL:
-        a, b = p.values
-        out = (-np.log1p(-arr)) ** (1.0 / a) / b
-    else:
-        raise DomainError(f"unknown family {fam!r}")
+    out = p.family.ppf(p.values, arr)
     return float(out) if np.ndim(q) == 0 else out
 
 
 def score(p, x):
     """Gradient of ln f_theta(x) in theta; shape x.shape + (param_count,)."""
-    x = _check_x(x)
-    fam = p.family
-    if fam is EXPONENTIAL:
-        (lam,) = p.values
-        return np.asarray(1.0 / lam - x)[..., None]
-    if fam is GAMMA:
-        a, b = p.values
-        u_a = math.log(b) - special.digamma(a) + np.log(x)
-        u_b = a / b - x
-        return np.stack(np.broadcast_arrays(u_a, u_b), axis=-1)
-    if fam is LOGNORMAL:
-        mu, sigma = p.values
-        d = np.log(x) - mu
-        u_mu = d / sigma**2
-        u_sigma = (d * d - sigma**2) / sigma**3
-        return np.stack(np.broadcast_arrays(u_mu, u_sigma), axis=-1)
-    if fam is WEIBULL:
-        a, b = p.values
-        t = (b * x) ** a
-        lbx = np.log(b * x)
-        u_a = 1.0 / a + lbx * (1.0 - t)
-        u_b = (a / b) * (1.0 - t)
-        return np.stack(np.broadcast_arrays(u_a, u_b), axis=-1)
-    raise DomainError(f"unknown family {fam!r}")
-
-
-def _mass(fam, vals, alpha):
-    """Mass term core on pre-validated inputs; may raise OverflowError."""
-    if fam is EXPONENTIAL:
-        return math.exp(alpha * math.log(vals[0]) - math.log1p(alpha))
-    if fam is GAMMA:
-        a, b = vals
-        aa = (a - 1.0) * (1.0 + alpha) + 1.0
-        return math.exp(
-            special.gammaln(aa)
-            + alpha * math.log(b)
-            - (1.0 + alpha) * special.gammaln(a)
-            - aa * math.log1p(alpha)
-        )
-    if fam is LOGNORMAL:
-        mu, sigma = vals
-        return math.exp(
-            -0.5 * math.log1p(alpha)
-            - alpha * (_LOG_SQRT_2PI + math.log(sigma))
-            - alpha * mu
-            + alpha**2 * sigma**2 / (2.0 * (1.0 + alpha))
-        )
-    if fam is WEIBULL:
-        a, b = vals
-        kap = (a - 1.0) * alpha / a
-        return math.exp(
-            alpha * (math.log(a) + math.log(b))
-            + special.gammaln(1.0 + kap)
-            - (1.0 + kap) * math.log1p(alpha)
-        )
-    raise DomainError(f"unknown family {fam!r}")
+    parts = p.family.score(p.values, _check_x(x))
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
 def dpd_mass_integral(p, alpha):
@@ -247,7 +450,7 @@ def dpd_mass_integral(p, alpha):
     check_dpd_valid(p, alpha)
     if alpha == 0.0:
         return 1.0
-    return _mass(p.family, p.values, alpha)
+    return p.family.mass(p.values, alpha)
 
 
 def weighted_moments(p, c):
@@ -262,51 +465,19 @@ def weighted_moments(p, c):
     from these (Basu, Harris, Hjort & Jones 1998).
     """
     mass = dpd_mass_integral(p, c)
-    fam = p.family
-    if fam is EXPONENTIAL:
-        # u = 1/lambda - x
-        rate = p.values[0] * (1.0 + c)
-        mean = np.array([c / rate])
-        second = np.array([[(1.0 + c * c) / rate**2]])
-    elif fam is GAMMA:
-        # u = (ln x + ln b - digamma(a), a/b - x)
-        a, b = p.values
-        shape, rate = a + c * (a - 1.0), b * (1.0 + c)
-        mean = np.array(
-            [special.digamma(shape) - special.digamma(a) - math.log1p(c), c / rate]
-        )
-        cov = np.array(
-            [[special.polygamma(1, shape), -1.0 / rate], [-1.0 / rate, shape / rate**2]]
-        )
-        second = cov + np.outer(mean, mean)
-    elif fam is LOGNORMAL:
-        # u = (w, (w^2 - sigma^2)/sigma) / sigma^2 with w = ln x - mu ~ N(m, s2)
-        sigma = p.values[1]
-        m, s2 = -c * sigma**2 / (1.0 + c), sigma**2 / (1.0 + c)
-        mean = np.array([m, m * (m + 1.0) / sigma]) / sigma**2
-        cov_ms = 2.0 * m * s2 / sigma
-        cov = np.array(
-            [[s2, cov_ms], [cov_ms, 2.0 * s2 * (s2 + 2.0 * m * m) / sigma**2]]
-        ) / sigma**4
-        second = cov + np.outer(mean, mean)
-    elif fam is WEIBULL:
-        # u = ((1 + L (1 - t))/a, (a/b)(1 - t)) with t = (bx)^a, L = ln t;
-        # E[t^j] = r_j, E[t^j L] = r_j d_j, E[t^j L^2] = r_j q_j
-        a, b = p.values
-        shape, rate = 1.0 + c * (a - 1.0) / a, 1.0 + c
-        r = np.array([1.0, shape / rate, shape * (shape + 1.0) / rate**2])
-        d = special.digamma(shape + np.arange(3.0)) - math.log(rate)
-        q = d * d + special.polygamma(1, shape + np.arange(3.0))
-        el, eq = r * d, r * q
-        tail = c / (a * rate)  # 1 - E[t]
-        mean = np.array([(1.0 + el[0] - el[1]) / a, a / b * tail])
-        s_aa = (1.0 + 2.0 * (el[0] - el[1]) + eq[0] - 2.0 * eq[1] + eq[2]) / a**2
-        s_ab = (tail + el[0] - 2.0 * el[1] + el[2]) / b
-        s_bb = (a / b) ** 2 * (shape / rate**2 + tail * tail)
-        second = np.array([[s_aa, s_ab], [s_ab, s_bb]])
-    else:
-        raise DomainError(f"unknown family {fam!r}")
-    return mass, mass * second, mass * mean
+    return (mass, *p.family.moments(p.values, c, mass))
+
+
+def _divergence_terms(fam, v, alpha, x, lnx):
+    """(M, k, g): the per-observation divergence term is M - k g.
+
+    For alpha > 0, g = f^alpha and k = 1 + 1/alpha; at alpha = 0, M = 0,
+    k = 1 and g = ln f. The mass comes first and may raise
+    OverflowError. Both v_alpha and the estimator's objective use this.
+    """
+    if alpha == 0.0:
+        return 0.0, 1.0, fam.logf(v, x, lnx)
+    return fam.mass(v, alpha), 1.0 + 1.0 / alpha, np.exp(alpha * fam.logf(v, x, lnx))
 
 
 def v_alpha(p, alpha, x):
@@ -317,7 +488,7 @@ def v_alpha(p, alpha, x):
     differ by an additive constant by construction, so alpha = 0 is a
     genuinely separate case, not a limit.
     """
-    if alpha == 0.0:
-        return -log_density(p, x)
-    mass = dpd_mass_integral(p, alpha)
-    return mass - (1.0 + 1.0 / alpha) * np.exp(alpha * log_density(p, x))
+    check_dpd_valid(p, alpha)
+    x = _check_x(x)
+    mass, k, g = _divergence_terms(p.family, p.values, alpha, x, np.log(x))
+    return mass - k * g

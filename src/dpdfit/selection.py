@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import sandwich
+from .dataio import open_sink
 from .errors import DpdError, SelectionError
 from .estimator import fit
 from .families import FAMILIES
-from .tuning import COARSE_GRID, _GOLDEN
+from .tuning import COARSE_GRID, _golden_refine
 
 __all__ = ["SelectionRecord", "SelectionReport", "ric", "select_model"]
 
@@ -39,7 +40,7 @@ class SelectionReport:
     ric_table: dict
 
     def table_to_csv(self, path_or_fp):
-        def _write(fh):
+        with open_sink(path_or_fp) as fh:
             writer = csv.writer(fh)
             writer.writerow(["family", "alpha", "ric"])
             for family, alpha in sorted(
@@ -48,12 +49,6 @@ class SelectionReport:
                 writer.writerow(
                     [family.tag, f"{alpha:.10g}", f"{self.ric_table[(family, alpha)]:.12g}"]
                 )
-
-        if hasattr(path_or_fp, "write"):
-            _write(path_or_fp)
-        else:
-            with open(path_or_fp, "w", newline="") as fh:
-                _write(fh)
 
 
 def _ric_from_fit(fit_result):
@@ -88,11 +83,9 @@ def select_model(families, sample, refine=True):
         warm = None
 
         def evaluate(alpha, warm_start=None):
-            if alpha in curve:
-                return curve[alpha]
-            res = fit(family, alpha, sample, warm_start=warm_start, fast=True)
-            value = _ric_from_fit(res)
-            curve[alpha] = (value, res)
+            if alpha not in curve:
+                res = fit(family, alpha, sample, warm_start=warm_start, fast=True)
+                curve[alpha] = (_ric_from_fit(res), res)
             return curve[alpha]
 
         for alpha in COARSE_GRID:
@@ -108,27 +101,13 @@ def select_model(families, sample, refine=True):
             )
             continue
 
-        best_alpha = min(curve, key=lambda al: (curve[al][0], al))
-        grid_sorted = sorted(a for a in COARSE_GRID if a in curve)
-        pos = grid_sorted.index(best_alpha) if best_alpha in grid_sorted else 0
-        a = grid_sorted[max(pos - 1, 0)]
-        b = grid_sorted[min(pos + 1, len(grid_sorted) - 1)]
-        if refine and b > a:
-            c = b - _GOLDEN * (b - a)
-            d = a + _GOLDEN * (b - a)
+        if refine:
+            best_alpha = min(curve, key=lambda al: (curve[al][0], al))
             warm_ref = curve[best_alpha][1].theta_hat
             try:
-                fc = evaluate(c, warm_start=warm_ref)[0]
-                fd = evaluate(d, warm_start=warm_ref)[0]
-                while b - a > 1e-3:
-                    if fc <= fd:
-                        b, d, fd = d, c, fc
-                        c = b - _GOLDEN * (b - a)
-                        fc = evaluate(c, warm_start=warm_ref)[0]
-                    else:
-                        a, c, fc = c, d, fd
-                        d = a + _GOLDEN * (b - a)
-                        fd = evaluate(d, warm_start=warm_ref)[0]
+                _golden_refine(
+                    lambda al: evaluate(al, warm_start=warm_ref)[0], sorted(curve), best_alpha
+                )
             except DpdError:
                 pass
 

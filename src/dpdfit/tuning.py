@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import open_sink
 from .errors import DomainError, DpdError, TuningError
 from .estimator import fit
 from .families import cdf
@@ -37,17 +38,11 @@ class TuningResult:
     fit_star: object
 
     def curve_to_csv(self, path_or_fp):
-        def _write(fh):
+        with open_sink(path_or_fp) as fh:
             writer = csv.writer(fh)
             writer.writerow(["alpha", "cvmd"])
             for alpha in sorted(self.cvmd_curve):
                 writer.writerow([f"{alpha:.10g}", f"{self.cvmd_curve[alpha]:.12g}"])
-
-        if hasattr(path_or_fp, "write"):
-            _write(path_or_fp)
-        else:
-            with open(path_or_fp, "w", newline="") as fh:
-                _write(fh)
 
 
 def _sorted_values(sample, param_count):
@@ -61,6 +56,28 @@ def _sorted_values(sample, param_count):
     # equal values is arbitrary but value-identical, so the distance is
     # unchanged
     return np.sort(vals, kind="stable")
+
+
+def _golden_refine(f, grid, best):
+    """Golden-section search for a minimum of f between the neighbours
+    of `best` in the sorted `grid`, down to width 1e-3. Returns nothing:
+    f records the values it computes."""
+    pos = grid.index(best)
+    a, b = grid[max(pos - 1, 0)], grid[min(pos + 1, len(grid) - 1)]
+    if b <= a:
+        return
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-3:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
 
 
 def cvm_distance(family, alpha, sample):
@@ -108,26 +125,8 @@ def select_alpha(family, sample, refine=True):
 
     for alpha in COARSE_GRID:
         evaluate(alpha)
-    best_idx = min(
-        range(len(COARSE_GRID)), key=lambda k: (curve[COARSE_GRID[k]], COARSE_GRID[k])
-    )
-
     if refine:
-        lo = COARSE_GRID[max(best_idx - 1, 0)]
-        hi = COARSE_GRID[min(best_idx + 1, len(COARSE_GRID) - 1)]
-        a, b = lo, hi
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = evaluate(c), evaluate(d)
-        while b - a > 1e-3:
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = evaluate(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = evaluate(d)
+        _golden_refine(evaluate, COARSE_GRID, min(curve, key=lambda al: (curve[al], al)))
 
     alpha_star = min(curve, key=lambda al: (curve[al], al))
     fit_star = fit(family, alpha_star, sample)

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Sample
+from .dataio import Sample, open_sink
 from .errors import DomainError, DpdError, FitError
 from .estimator import _sample_values, fit
-from .families import ParamVector, quantile
+from .families import ParamVector, _check_family, quantile
 
 __all__ = [
     "BootstrapResult",
@@ -32,8 +32,7 @@ def _stream(seed, r):
 
 def _as_param_vector(family, theta):
     if isinstance(theta, ParamVector):
-        if theta.family is not family:
-            raise DomainError(f"theta is for {theta.family.tag}, expected {family.tag}")
+        _check_family(family, theta)
         return theta
     return ParamVector(family, tuple(theta))
 
@@ -57,18 +56,12 @@ class BootstrapResult:
     def estimates_to_csv(self, path_or_fp):
         names = self.fit.family.param_names
 
-        def _write(fh):
+        with open_sink(path_or_fp) as fh:
             writer = csv.writer(fh)
             writer.writerow(["replicate", "param", "value"])
             for rid, est in zip(self.replicate_ids, self.replicate_estimates):
                 for name, v in zip(names, est):
                     writer.writerow([rid, name, repr(float(v))])
-
-        if hasattr(path_or_fp, "write"):
-            _write(path_or_fp)
-        else:
-            with open(path_or_fp, "w", newline="", encoding="utf-8") as fh:
-                _write(fh)
 
 
 @dataclass(frozen=True)

@@ -91,11 +91,6 @@ class TestUsageErrors:
         rc = main(["are-table", "--family", "exponential", "--alphas", "0.1,2.0"])
         assert rc == 1
 
-    def test_thread_count_must_be_integer(self, tiny_csv, monkeypatch, capsys):
-        monkeypatch.setenv("RF_THREADS", "many")
-        assert main(["report", "--input", tiny_csv, "--fast"]) == 1
-        assert "RF_THREADS" in capsys.readouterr().err
-
 
 class TestExitCodes:
     def test_missing_input_is_data_error(self, tmp_path, capsys):

@@ -130,12 +130,6 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="header"):
             load_csv(path)
 
-    def test_unknown_zero_policy(self, tmp_path):
-        path = tmp_path / "series.csv"
-        write_csv(path, [1.0])
-        with pytest.raises(DomainError, match="zero_policy"):
-            load_csv(path, zero_policy="keep")
-
     def test_sixty_four_year_series(self, tmp_path, rng):
         values = list(np.round(rng.gamma(5.0, 2.0, size=64), 6))
         values[10] = 0.0

@@ -6,13 +6,16 @@ reduction of gamma and Weibull at unit shape to the exponential.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from dpdfit.asymptotics import sandwich
 from dpdfit.errors import DomainError, DpdValidityError
 from dpdfit.families import (
     FAMILIES,
+    Family,
     ParamVector,
     cdf,
     check_dpd_valid,
@@ -39,6 +42,29 @@ def random_param(tag, rng):
     if tag == "lognormal":
         return ParamVector(family, (rng.uniform(-1.0, 2.0), rng.uniform(0.2, 1.5)))
     return ParamVector(family, (rng.uniform(0.6, 6.0), rng.uniform(0.05, 4.0)))
+
+
+class TestFamilyTable:
+    """A Family is identified by its tag and parameter names alone; the
+    functions it carries do not enter equality, hashing or repr."""
+
+    @pytest.mark.parametrize("tag", tuple(FAMILIES))
+    def test_pickle_round_trip(self, tag):
+        family = FAMILIES[tag]
+        copy = pickle.loads(pickle.dumps(family))
+        assert copy == family and hash(copy) == hash(family)
+        pv = ParamVector(copy, (0.5,) * family.param_count)
+        assert log_density(pv, 1.0) == log_density(ParamVector(family, pv.values), 1.0)
+
+    def test_identity_fields(self):
+        assert repr(GAMMA) == "Family(tag='gamma', param_count=2, param_names=('shape', 'rate'))"
+        assert Family("gamma", 2, ("shape", "rate")) == GAMMA
+        assert str(WEIBULL) == "weibull"
+        assert len({EXPONENTIAL, GAMMA, LOGNORMAL, WEIBULL}) == 4
+
+    def test_mismatched_theta_rejected(self):
+        with pytest.raises(DomainError, match="theta is for gamma, expected weibull"):
+            sandwich(WEIBULL, ParamVector(GAMMA, (2.0, 1.0)), 0.5)
 
 
 class TestParamVector:

@@ -1,0 +1,120 @@
+"""Structural guards on the package source.
+
+Each family is defined once, by its entry in the table in families.py;
+code elsewhere asks the family for its behaviour instead of testing
+which family it is. Output files and streams are opened in one place,
+dataio.open_sink. Series run one after another, with no thread pool.
+The package exports a fixed public API.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import dpdfit
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dpdfit"
+MODULES = sorted(PACKAGE.glob("*.py"))
+FAMILY_NAMES = {"EXPONENTIAL", "GAMMA", "LOGNORMAL", "WEIBULL"}
+
+# The package re-exports each module's __all__; this is the public API.
+PUBLIC_API = [
+    "__version__", "AreTable", "BootstrapResult", "BracketingError", "COARSE_GRID",
+    "ContaminationScheme", "DataError", "DomainError", "DpdError", "DpdValidityError",
+    "EXPONENTIAL", "FAMILIES", "Family", "FitError", "FitResult", "GAMMA",
+    "InversionError", "LOGNORMAL", "OutlierSummary", "ParamVector", "REPORT_COLUMNS",
+    "Sample", "SandwichMatrices", "SelectionError", "SelectionRecord",
+    "SelectionReport", "SingularInformationError", "TuningError", "TuningResult",
+    "WEIBULL", "adjusted_median", "are", "asymptotic_se", "bootstrap_se", "cdf",
+    "check_dpd_valid", "cvm_distance", "density", "dpd_mass_integral", "dpd_weights",
+    "estimating_residual", "fit", "if_supremum", "influence_function", "load_csv",
+    "load_panel", "log_density", "objective_h", "outlier_summary", "quantile", "ric",
+    "sample_family", "sandwich", "save_csv", "score", "select_alpha", "select_model",
+    "simulate_contaminated", "v_alpha", "weighted_moments", "write_report_rows",
+]
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _names_family(node):
+    if isinstance(node, ast.Name):
+        return node.id in FAMILY_NAMES
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_family(e) for e in node.elts)
+    return False
+
+
+def _family_tests(tree):
+    """Line numbers of comparisons against a named family (is, ==, in)."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            if any(_names_family(side) for side in [node.left, *node.comparators]):
+                lines.append(node.lineno)
+    return lines
+
+
+def _write_probes(tree):
+    """(line, enclosing function) of every hasattr(..., "write")."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "hasattr"
+            and len(node.args) == 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "write"
+        ):
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def _imports(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return names
+
+
+def test_package_found():
+    assert len(MODULES) >= 9
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "families.py"], ids=lambda p: p.name)
+def test_no_family_identity_branches_outside_families(path):
+    assert _family_tests(_tree(path)) == [], f"{path.name} branches on a named family"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_write_probe_only_in_open_sink(path):
+    stray = [line for line, func in _write_probes(_tree(path)) if func != "open_sink"]
+    assert stray == [], f"{path.name} probes for .write outside open_sink at lines {stray}"
+
+
+def test_open_sink_is_the_one_write_probe():
+    probes = [(p.name, func) for p in MODULES for _, func in _write_probes(_tree(p))]
+    assert probes == [("dataio.py", "open_sink")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_thread_pool(path):
+    assert not any(name.startswith("concurrent") for name in _imports(_tree(path)))
+
+
+def test_public_api():
+    assert dpdfit.__all__ == PUBLIC_API
+    assert all(hasattr(dpdfit, name) for name in PUBLIC_API)

@@ -23,7 +23,7 @@ from .dataio import (
     write_report_rows,
 )
 from .errors import DataError, DomainError, DpdError, FitError
-from .estimator import fit
+from .estimator import _sample_values, fit
 from .families import FAMILIES, ParamVector, density, quantile
 from .selection import _ric_from_fit, select_model
 from .tuning import select_alpha
@@ -206,9 +206,7 @@ def emit_plot_data(fit_result, sample, bins=30):
     """
     if bins < 1:
         raise DomainError(f"need bins >= 1, got {bins}")
-    values = np.asarray(getattr(sample, "values", sample), dtype=float)
-    if values.size == 0:
-        raise DomainError("sample is empty")
+    values = _sample_values(sample)
     theta = fit_result.theta_hat
     counts, edges = np.histogram(values, bins=int(bins), density=True)
     lines = ["bin_left,bin_right,density"]

@@ -16,14 +16,15 @@ from .errors import DomainError, FitError
 from .families import (
     ParamVector,
     _check_family,
+    _check_x,
     _divergence_terms,
+    _shape_floor,
     check_dpd_valid,
     log_density,
     score,
-    v_alpha,
     weighted_moments,
 )
-from .numerics import OptimizerSpec, find_root_bracketed, minimize
+from .numerics import find_root_bracketed, minimize
 
 __all__ = ["FitResult", "objective_h", "estimating_residual", "fit", "dpd_weights"]
 
@@ -40,22 +41,27 @@ class FitResult:
 
 
 def _sample_values(sample):
-    vals = np.atleast_1d(np.asarray(getattr(sample, "values", sample), dtype=float))
-    if vals.size == 0:
-        raise DomainError("sample is empty")
-    if not np.all(np.isfinite(vals)) or not np.all(vals > 0.0):
-        raise DomainError("sample values must be strictly positive and finite")
-    return vals
+    """The sample's values as a 1-d array, checked by families._check_x."""
+    return np.atleast_1d(_check_x(sample))
+
+
+def _h(family, v, alpha, vals, lnx):
+    """H = M - k mean(g) at parameter values v, lnx = log(vals): the one
+    reduction of the divergence terms, for objective_h and fit alike."""
+    m, k, g = _divergence_terms(family, v, alpha, vals, lnx)
+    return m - k * float(np.mean(g))
 
 
 def objective_h(family, theta, alpha, sample):
-    """Empirical divergence H: the mean of the per-observation terms.
+    """Empirical divergence H: the mean of the per-observation terms
+    v_alpha, reduced as M - k mean(g).
 
     At alpha = 0 this is the mean negative log-likelihood.
     """
     _check_family(family, theta)
+    check_dpd_valid(theta, alpha)
     vals = _sample_values(sample)
-    return float(np.mean(v_alpha(theta, alpha, vals)))
+    return _h(family, theta.values, alpha, vals, np.log(vals))
 
 
 def estimating_residual(family, theta, alpha, sample):
@@ -175,7 +181,8 @@ def fit(family, alpha, sample, warm_start=None, fast=False):
     given and from the family's moment start otherwise. The returned
     point is polished against the estimating equation: a bracketed
     root solve where the family gives a scalar U_n (the exponential),
-    Newton steps otherwise.
+    Newton steps otherwise. `theta_hat` is the point whose H is
+    returned as `objective`, so objective == objective_h(theta_hat).
 
     `fast=True` is for sweep drivers (leave-one-out tuning, bootstrap
     replicates) that run thousands of warm-started refits: it skips
@@ -196,17 +203,17 @@ def fit(family, alpha, sample, warm_start=None, fast=False):
             "no interior optimum"
         )
 
+    floor = _shape_floor(alpha)
     if warm_start is not None:
         _check_family(family, warm_start)
         start = np.asarray(warm_start.values, dtype=float)
         if family.shaped:
-            start[0] = max(start[0], alpha / (1.0 + alpha) + 0.05)
+            start[0] = max(start[0], floor + 0.05)
     else:
         start = family.start(vals, alpha)
 
     evals = 0
     lnx = np.log(vals)
-    shape_floor = alpha / (1.0 + alpha)
 
     def obj(z):
         # hot loop: plain tuples and precomputed log(x), no re-validation
@@ -216,44 +223,37 @@ def fit(family, alpha, sample, warm_start=None, fast=False):
             tv = family.unlog(z)
         except OverflowError:
             return np.inf
-        if tv is None or (family.shaped and tv[0] <= shape_floor):
+        if tv is None or (family.shaped and tv[0] <= floor):
             return np.inf
         try:
-            m, k, g = _divergence_terms(family, tv, alpha, vals, lnx)
+            h = _h(family, tv, alpha, vals, lnx)
         except OverflowError:
             return np.inf
-        h = m - k * float(np.mean(g))
         return h if math.isfinite(h) else np.inf
 
-    if fast:
-        spec = OptimizerSpec(param_tolerance=1e-6, restart_count=0)
-    else:
-        spec = OptimizerSpec()
     step = 0.003 if warm_start is not None else None
     z0 = family.to_log(start)
     start_obj = obj(z0)
     if not np.isfinite(start_obj):
         raise FitError(f"objective not finite at the {family.tag} start point")
 
-    theta = h_val = None
-    converged = did_root = False
+    z_hat = None
+    did_root = False
     if family.un is not None and warm_start is not None and fast:
         # sweep fast path: the unique interior root of U_n is the minimizer
         lam = _polish_root(family, float(start[0]), alpha, vals, scan_roots=False)
-        h_root = obj(family.to_log([lam]))
+        z_root = family.to_log([lam])
+        h_root = obj(z_root)
         if h_root <= start_obj:
-            theta, h_val, converged, did_root = (
-                ParamVector(family, (lam,)),
-                h_root,
-                True,
-                True,
-            )
-    if theta is None:
-        z_hat, h_val, converged = minimize(obj, z0, spec, initial_step=step)
-        theta = ParamVector(family, tuple(family.from_log(z_hat)))
+            z_hat, h_val, converged, did_root = z_root, h_root, True, True
+    if z_hat is None:
+        z_hat, h_val, converged = minimize(obj, z0, fast=fast, initial_step=step)
+    # exactly the tuple obj(z_hat) scored, so objective == objective_h(theta)
+    theta = ParamVector(family, family.unlog(z_hat))
 
     # Polishing may trade a sub-tolerance amount of objective for a much
-    # smaller estimating-equation residual, but never worse than the start.
+    # smaller estimating-equation residual; h_val <= start_obj already, so
+    # the result is never worse than the start by more than that amount.
     cand = None
     if family.un is not None and not did_root:
         cand = ParamVector(family, (_polish_root(family, theta.values[0], alpha, vals, polish),))
@@ -261,7 +261,7 @@ def fit(family, alpha, sample, warm_start=None, fast=False):
         cand = _polish_newton(family, theta, alpha, vals)
     if cand is not None:
         h_cand = objective_h(family, cand, alpha, vals)
-        if h_cand <= min(h_val + 1e-12, start_obj):
+        if h_cand <= h_val + 1e-12:
             theta, h_val = cand, h_cand
 
     if not converged:

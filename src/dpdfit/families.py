@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, DpdValidityError
-from .numerics import invert_cdf, reg_incomplete_gamma_lower, std_normal_cdf
+from .numerics import invert_cdf
 
 __all__ = [
     "Family",
@@ -55,12 +55,12 @@ class Family:
     score(v, x) gives the score components; mass(v, alpha) is the
     integral of f^(1+alpha); moments(v, c, mass) gives the integrals of
     u u' f^(1+c) and u f^(1+c); start(xs, alpha) is a moment start
-    point; to_log/from_log map arrays to and from the optimizer's
-    coordinates, and unlog(z) is from_log for the objective's hot loop:
-    a tuple of floats by math.exp, or None outside the parameter space
-    (math.exp and np.exp may differ in the last bit, so they are kept apart);
-    at_zero(v) is the density's limit at x = 0. A one-parameter family
-    may give un(lam, alpha, xs), its estimating function U_n on scalars.
+    point; to_log maps parameter values to the optimizer's coordinates,
+    and unlog(z) maps them back to a tuple of floats, or None outside
+    the parameter space: the objective scores exactly that tuple, and
+    fit returns it. at_zero(v) is the density's limit at x = 0. A
+    one-parameter family may give un(lam, alpha, xs), its estimating
+    function U_n on scalars.
     """
 
     tag: str
@@ -75,7 +75,6 @@ class Family:
     moments: object = _entry()
     start: object = _entry()
     to_log: object = _entry()
-    from_log: object = _entry()
     unlog: object = _entry()
     at_zero: object = _entry()
     un: object = _entry()
@@ -139,7 +138,7 @@ def _gamma_logf(v, x, lnx):
 
 
 def _gamma_cdf(v, x):
-    return reg_incomplete_gamma_lower(v[0], v[1] * x)
+    return special.gammainc(v[0], v[1] * x)
 
 
 def _gamma_ppf(v, q):
@@ -181,7 +180,7 @@ def _gamma_start(xs, alpha):
     var = float(xs.var(ddof=1))
     a0 = mean * mean / var
     b0 = mean / var
-    a0 = max(a0, alpha / (1.0 + alpha) + 0.1)
+    a0 = max(a0, _shape_floor(alpha) + 0.1)
     return np.array([a0, b0])
 
 
@@ -206,7 +205,7 @@ def _lognormal_logf(v, x, lnx):
 
 
 def _lognormal_cdf(v, x):
-    return std_normal_cdf((np.log(x) - v[0]) / v[1])
+    return special.ndtr((np.log(x) - v[0]) / v[1])
 
 
 def _lognormal_ppf(v, q):
@@ -250,10 +249,6 @@ def _lognormal_start(xs, alpha):
 def _lognormal_to_log(v):
     # the log-mean stays a free coordinate
     return np.array([float(v[0]), math.log(v[1])])
-
-
-def _lognormal_from_log(z):
-    return np.array([z[0], math.exp(z[1])])
 
 
 def _lognormal_unlog(z):
@@ -324,7 +319,7 @@ def _weibull_start(xs, alpha):
     z = np.log(np.sort(xs))
     vz = float(((z - z.mean()) ** 2).mean())
     a0 = float(((z - z.mean()) * (y - y.mean())).mean() / vz) if vz > 0 else 1.0
-    a0 = max(a0, alpha / (1.0 + alpha) + 0.1)
+    a0 = max(a0, _shape_floor(alpha) + 0.1)
     b0 = math.exp(special.gammaln(1.0 + 1.0 / a0)) / float(xs.mean())
     return np.array([a0, b0])
 
@@ -333,27 +328,27 @@ EXPONENTIAL = Family(
     "exponential", 1, ("rate",),
     logf=_exp_logf, cdf=_exp_cdf, ppf=_exp_ppf, score=_exp_score, mass=_exp_mass,
     moments=_exp_moments, start=_exp_start, at_zero=_exp_at_zero, un=_exp_un,
-    to_log=np.log, from_log=np.exp, unlog=_positive_unlog,
+    to_log=np.log, unlog=_positive_unlog,
 )
 GAMMA = Family(
     "gamma", 2, ("shape", "rate"), shaped=True,
     logf=_gamma_logf, cdf=_gamma_cdf, ppf=_gamma_ppf, score=_gamma_score, mass=_gamma_mass,
     moments=_gamma_moments, start=_gamma_start, at_zero=_shape_rate_at_zero,
-    to_log=np.log, from_log=np.exp, unlog=_positive_unlog,
+    to_log=np.log, unlog=_positive_unlog,
 )
 LOGNORMAL = Family(
     "lognormal", 2, ("log_mean", "log_sd"),
     logf=_lognormal_logf, cdf=_lognormal_cdf, ppf=_lognormal_ppf, score=_lognormal_score,
     mass=_lognormal_mass, moments=_lognormal_moments, start=_lognormal_start,
     at_zero=_lognormal_at_zero,
-    to_log=_lognormal_to_log, from_log=_lognormal_from_log, unlog=_lognormal_unlog,
+    to_log=_lognormal_to_log, unlog=_lognormal_unlog,
 )
 WEIBULL = Family(
     "weibull", 2, ("shape", "rate"), shaped=True,
     logf=_weibull_logf, cdf=_weibull_cdf, ppf=_weibull_ppf, score=_weibull_score,
     mass=_weibull_mass, moments=_weibull_moments, start=_weibull_start,
     at_zero=_shape_rate_at_zero,
-    to_log=np.log, from_log=np.exp, unlog=_positive_unlog,
+    to_log=np.log, unlog=_positive_unlog,
 )
 
 # Canonical ordering, also the model-selection tie-break order.
@@ -394,21 +389,29 @@ def _check_family(family, theta):
         raise DomainError(f"theta is for {theta.family.tag}, expected {family.tag}")
 
 
+def _shape_floor(alpha):
+    """alpha/(1+alpha): a gamma or Weibull shape must exceed it."""
+    return alpha / (1.0 + alpha)
+
+
 def check_dpd_valid(p, alpha):
     """Gamma/Weibull shape must exceed alpha/(1+alpha) for the DPD terms to exist."""
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
-    if p.family.shaped and p.values[0] <= alpha / (1.0 + alpha):
+    floor = _shape_floor(alpha)
+    if p.family.shaped and p.values[0] <= floor:
         raise DpdValidityError(
             f"{p.family.tag} shape {p.values[0]:g} <= alpha/(1+alpha) "
-            f"= {alpha / (1.0 + alpha):g}; DPD integrals do not exist"
+            f"= {floor:g}; DPD integrals do not exist"
         )
 
 
 def _check_x(x):
-    arr = np.asarray(x, dtype=float)
+    """x, or a sample's .values, as a float array of the same shape;
+    the one check that data are nonempty, strictly positive and finite."""
+    arr = np.asarray(getattr(x, "values", x), dtype=float)
     if arr.size == 0 or not np.all(arr > 0.0) or not np.all(np.isfinite(arr)):
-        raise DomainError("x must be strictly positive and finite")
+        raise DomainError("values must be nonempty, strictly positive and finite")
     return arr
 
 

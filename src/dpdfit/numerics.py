@@ -1,65 +1,21 @@
-"""Shared numerical kernels: special functions, derivative-free
-minimization, bracketed root finding, CDF inversion.
+"""Shared numerical kernels: derivative-free minimization, bracketed
+root finding, CDF inversion.
 
 Everything here is a pure function of its inputs; no module state.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy import optimize, special
+from scipy import optimize
 
 from .errors import BracketingError, DomainError, InversionError
 
-__all__ = [
-    "OptimizerSpec",
-    "log_gamma",
-    "reg_incomplete_gamma_lower",
-    "std_normal_cdf",
-    "minimize",
-    "find_root_bracketed",
-    "invert_cdf",
-]
+__all__ = ["minimize", "find_root_bracketed", "invert_cdf"]
+
+_OBJECTIVE_TOLERANCE = 1e-10
+_MAX_EVALUATIONS = 10000
 
 
-@dataclass(frozen=True)
-class OptimizerSpec:
-    """Settings for the derivative-free minimizer."""
-
-    param_tolerance: float = 1e-8
-    objective_tolerance: float = 1e-10
-    max_evaluations: int = 10000
-    restart_count: int = 2
-
-    def __post_init__(self):
-        if self.param_tolerance <= 0 or self.objective_tolerance <= 0:
-            raise DomainError("optimizer tolerances must be strictly positive")
-        if self.max_evaluations < 1 or self.restart_count < 0:
-            raise DomainError("max_evaluations must be >= 1 and restart_count >= 0")
-
-
-def log_gamma(x):
-    """ln Gamma(x) for x > 0."""
-    if not np.all(np.asarray(x) > 0):
-        raise DomainError("log_gamma requires x > 0")
-    return special.gammaln(x)
-
-
-def reg_incomplete_gamma_lower(a, x):
-    """Regularized lower incomplete gamma P(a, x); the Gamma(a, 1) CDF."""
-    if not np.all(np.asarray(a) > 0):
-        raise DomainError("reg_incomplete_gamma_lower requires a > 0")
-    if not np.all(np.asarray(x) >= 0):
-        raise DomainError("reg_incomplete_gamma_lower requires x >= 0")
-    return special.gammainc(a, x)
-
-
-def std_normal_cdf(z):
-    """Standard normal CDF."""
-    return special.ndtr(z)
-
-
-def _nelder_mead(objective, x0, spec, budget, initial_step=None):
+def _nelder_mead(objective, x0, xtol, budget, initial_step=None):
     """One simplex descent. Returns (x, fx, converged, evals_used).
 
     Standard reflect/expand/contract/shrink coefficients; non-finite
@@ -90,8 +46,8 @@ def _nelder_mead(objective, x0, spec, budget, initial_step=None):
         order = np.argsort(fsim, kind="stable")
         sim, fsim = sim[order], fsim[order]
         if (
-            np.max(np.abs(sim[1:] - sim[0])) <= spec.param_tolerance
-            and np.max(np.abs(fsim[1:] - fsim[0])) <= spec.objective_tolerance
+            np.max(np.abs(sim[1:] - sim[0])) <= xtol
+            and np.max(np.abs(fsim[1:] - fsim[0])) <= _OBJECTIVE_TOLERANCE
         ):
             converged = True
             break
@@ -125,19 +81,21 @@ def _nelder_mead(objective, x0, spec, budget, initial_step=None):
     return sim[best], fsim[best], converged, evals
 
 
-def minimize(objective, start, spec=None, initial_step=None):
+def minimize(objective, start, fast=False, initial_step=None):
     """Derivative-free minimization in one or two variables.
 
-    Runs a simplex search from `start`, then `restart_count` further
-    searches from randomly perturbed copies of the best point so far
-    (fixed internal seed, so results are deterministic). Returns
-    (argmin, value, converged); `converged` reports whether the run
-    that produced the returned point met both tolerances within the
-    evaluation budget. `initial_step` overrides the default simplex
-    edge length; warm-started callers pass something small.
+    Runs a simplex search from `start` to parameter tolerance 1e-8,
+    then 2 further searches from randomly perturbed copies of the best
+    point so far (fixed internal seed, so results are deterministic);
+    `fast=True` runs the first search alone, to tolerance 1e-6. Every
+    search also needs the objective values within 1e-10, and all share
+    a budget of 10000 evaluations. Returns (argmin, value, converged);
+    `converged` reports whether the run that produced the returned
+    point met both tolerances within the budget. `initial_step`
+    overrides the default simplex edge length; warm-started callers
+    pass something small.
     """
-    if spec is None:
-        spec = OptimizerSpec()
+    xtol, restarts = (1e-6, 0) if fast else (1e-8, 2)
     x0 = np.atleast_1d(np.asarray(start, dtype=float))
     k = x0.size
     if k not in (1, 2):
@@ -147,10 +105,10 @@ def minimize(objective, start, spec=None, initial_step=None):
         raise DomainError("objective is non-finite at the start point")
 
     rng = np.random.default_rng(181621)
-    remaining = spec.max_evaluations
+    remaining = _MAX_EVALUATIONS
     best_x, best_f, best_conv = x0, f0, False
     origin = x0
-    for attempt in range(spec.restart_count + 1):
+    for attempt in range(restarts + 1):
         if remaining <= 0:
             break
         if attempt > 0:
@@ -158,7 +116,7 @@ def minimize(objective, start, spec=None, initial_step=None):
             if not np.isfinite(float(objective(origin))):
                 continue
         x, fx, conv, used = _nelder_mead(
-            objective, origin, spec, remaining, initial_step=initial_step
+            objective, origin, xtol, remaining, initial_step=initial_step
         )
         remaining -= used
         if fx < best_f or (fx == best_f and conv and not best_conv):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataio import open_sink
 from .errors import DomainError, DpdError, TuningError
-from .estimator import fit
+from .estimator import _sample_values, fit
 from .families import cdf
 
 __all__ = ["TuningResult", "cvm_distance", "select_alpha", "COARSE_GRID"]
@@ -46,7 +46,7 @@ class TuningResult:
 
 
 def _sorted_values(sample, param_count):
-    vals = np.asarray(getattr(sample, "values", sample), dtype=float)
+    vals = _sample_values(sample)
     if vals.size < param_count + 2:
         raise DomainError(
             f"tuning needs at least {param_count + 2} observations "

@@ -102,6 +102,28 @@ class TestFit:
         assert mu == pytest.approx(4.0 / 3.0, rel=1e-8)
         assert sigma == pytest.approx(math.sqrt(2.0 / 9.0), rel=1e-6)
 
+    def test_lognormal_mle_exact_at_small_scale(self):
+        """At alpha = 0 the lognormal fit is (mean, population sd) of ln x
+        to rounding; the polish that reaches it must not be rejected."""
+        x = np.asarray(sample_family(LOGNORMAL, (0.5, 0.8), 30, 11).values) * 1e-3
+        logs = np.log(x)
+        mu, sigma = fit(LOGNORMAL, 0.0, x).theta_hat.values
+        assert mu == pytest.approx(float(np.mean(logs)), rel=1e-12, abs=0.0)
+        assert sigma == pytest.approx(float(np.std(logs)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["full", "fast"])
+    @pytest.mark.parametrize("tag", list(FAMILIES))
+    def test_objective_is_h_at_theta_hat(self, tag, fast):
+        """The reported objective is H at the returned point, exactly."""
+        family = FAMILIES[tag]
+        for seed in range(25):
+            x = sample_family(family, FIG_SETTINGS[tag], 40, seed).values
+            for alpha in (0.0, 0.3, 0.7):
+                result = fit(family, alpha, x, fast=fast)
+                assert result.objective == objective_h(
+                    family, result.theta_hat, alpha, x
+                ), (seed, alpha)
+
     @pytest.mark.parametrize("tag", list(FAMILIES))
     def test_mle_equivalence(self, tag):
         """alpha = 0 fits solve the likelihood score equations."""

@@ -1,7 +1,7 @@
 """Tests for the shared numerical kernels.
 
-Covers the special functions, the simplex minimizer, bracketed root
-finding, and CDF inversion, including the documented error conditions
+Covers the simplex minimizer, bracketed root finding, and CDF
+inversion, including the documented error conditions
 of each, plus the test suite's own half-line quadrature oracle
 (tests/quadrature.py).
 """
@@ -13,81 +13,9 @@ import pytest
 
 from dpdfit.errors import BracketingError, DomainError, InversionError
 from dpdfit.families import FAMILIES, ParamVector, cdf, density
-from dpdfit.numerics import (
-    OptimizerSpec,
-    find_root_bracketed,
-    invert_cdf,
-    log_gamma,
-    minimize,
-    reg_incomplete_gamma_lower,
-    std_normal_cdf,
-)
+from dpdfit.numerics import find_root_bracketed, invert_cdf, minimize
 from quadrature import QuadratureError, QuadratureSpec, integrate_halfline
 from reference_values import GAMMA_5_1_MEDIAN
-
-
-class TestLogGamma:
-    def test_spot_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-12)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-12)
-
-    def test_relative_error_across_range(self):
-        """Relative error stays below 1e-12 over [1e-3, 1e3]."""
-        xs = np.logspace(-3, 3, 400)
-        ours = np.array([log_gamma(x) for x in xs])
-        truth = np.array([math.lgamma(x) for x in xs])
-        scale = np.maximum(np.abs(truth), 1.0)
-        assert np.max(np.abs(ours - truth) / scale) < 1e-12
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
-        with pytest.raises(DomainError):
-            log_gamma(-2.5)
-
-
-class TestRegIncompleteGammaLower:
-    def test_spot_values(self):
-        assert reg_incomplete_gamma_lower(1.0, 0.0) == 0.0
-        assert reg_incomplete_gamma_lower(1.0, math.log(2.0)) == pytest.approx(
-            0.5, abs=1e-12
-        )
-        assert reg_incomplete_gamma_lower(5.0, GAMMA_5_1_MEDIAN) == pytest.approx(
-            0.5, abs=1e-12
-        )
-
-    def test_monotone_in_x(self, rng):
-        a = 2.7
-        xs = np.sort(rng.uniform(0.0, 20.0, size=200))
-        ps = reg_incomplete_gamma_lower(a, xs)
-        assert np.all(np.diff(ps) >= 0.0)
-        assert np.all((ps >= 0.0) & (ps <= 1.0))
-
-    def test_shape_one_is_exponential_cdf(self):
-        """P(1, x) = 1 - exp(-x) on [0, 30]."""
-        xs = np.linspace(0.0, 30.0, 301)
-        ours = reg_incomplete_gamma_lower(1.0, xs)
-        np.testing.assert_allclose(ours, -np.expm1(-xs), atol=1e-12)
-
-    def test_rejects_invalid(self):
-        with pytest.raises(DomainError):
-            reg_incomplete_gamma_lower(0.0, 1.0)
-        with pytest.raises(DomainError):
-            reg_incomplete_gamma_lower(1.0, -0.1)
-
-
-class TestStdNormalCdf:
-    def test_spot_values(self):
-        assert std_normal_cdf(0.0) == 0.5
-        assert std_normal_cdf(40.0) == pytest.approx(1.0, abs=1e-15)
-        assert std_normal_cdf(1.959964) == pytest.approx(0.975, abs=5e-9)
-
-    def test_symmetry(self, rng):
-        zs = rng.uniform(-8.0, 8.0, size=500)
-        np.testing.assert_allclose(
-            std_normal_cdf(-zs), 1.0 - std_normal_cdf(zs), atol=1e-14
-        )
 
 
 class TestIntegrateHalfline:
@@ -178,8 +106,7 @@ class TestMinimize:
         assert x[1] == pytest.approx(1.0, abs=1e-4)
 
     def test_random_convex_quadratics(self, rng):
-        """Recovers the analytic minimizer within 10x param_tolerance."""
-        spec = OptimizerSpec()
+        """Recovers the analytic minimizer within 10x the 1e-8 parameter tolerance."""
         for _ in range(10):
             target = rng.uniform(-4.0, 4.0, size=2)
             scale = rng.uniform(0.5, 5.0, size=2)
@@ -189,7 +116,7 @@ class TestMinimize:
 
             x, _, converged = minimize(quad, target + rng.uniform(-1, 1, size=2))
             assert converged
-            np.testing.assert_allclose(x, target, atol=10 * spec.param_tolerance)
+            np.testing.assert_allclose(x, target, atol=1e-7)
 
     def test_monotone_improvement(self):
         start = [4.0, -1.0]
@@ -218,12 +145,6 @@ class TestMinimize:
     def test_dimension_guard(self):
         with pytest.raises(DomainError):
             minimize(lambda v: float(np.sum(v * v)), [1.0, 2.0, 3.0])
-
-    def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            OptimizerSpec(param_tolerance=0.0)
-        with pytest.raises(DomainError):
-            OptimizerSpec(max_evaluations=0)
 
 
 class TestFindRootBracketed:

@@ -4,15 +4,20 @@ Each family is defined once, by its entry in the table in families.py;
 code elsewhere asks the family for its behaviour instead of testing
 which family it is. Output files and streams are opened in one place,
 dataio.open_sink. Series run one after another, with no thread pool.
-The package exports a fixed public API.
+The package exports a fixed public API. The optimizer maps back to
+parameters one way only (Family.unlog), numerics holds only the
+numerical kernels the package uses, and the gamma/Weibull shape floor
+alpha/(1+alpha) is spelled once, in families.py.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import dpdfit
+from dpdfit import numerics
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dpdfit"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -80,6 +85,19 @@ def _write_probes(tree):
     return found
 
 
+SHAPE_FLOOR = {"alpha/(1+alpha)", "alpha/(1.0+alpha)", "alpha/(alpha+1)", "alpha/(alpha+1.0)"}
+
+
+def _shape_floors(tree):
+    """Line numbers of the expression alpha / (1 + alpha), in code only."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and ast.unparse(node).replace(" ", "") in SHAPE_FLOOR
+    ]
+
+
 def _imports(tree):
     names = set()
     for node in ast.walk(tree):
@@ -118,3 +136,16 @@ def test_no_thread_pool(path):
 def test_public_api():
     assert dpdfit.__all__ == PUBLIC_API
     assert all(hasattr(dpdfit, name) for name in PUBLIC_API)
+
+
+def test_family_has_one_back_transform():
+    assert "from_log" not in {f.name for f in dataclasses.fields(dpdfit.Family)}
+
+
+def test_numerics_exports_only_the_kernels():
+    assert numerics.__all__ == ["minimize", "find_root_bracketed", "invert_cdf"]
+
+
+def test_shape_floor_spelled_once_in_families():
+    found = [p.name for p in MODULES for _ in _shape_floors(_tree(p))]
+    assert found == ["families.py"]

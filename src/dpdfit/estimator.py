@@ -18,7 +18,9 @@ from .families import (
     _check_family,
     _check_x,
     _divergence_terms,
+    _mat,
     _shape_floor,
+    _vec,
     check_dpd_valid,
     log_density,
     score,
@@ -43,6 +45,11 @@ class FitResult:
 def _sample_values(sample):
     """The sample's values as a 1-d array, checked by families._check_x."""
     return np.atleast_1d(_check_x(sample))
+
+
+def _degenerate(family, vals):
+    """True when vals cannot be fitted: all equal, with two parameters."""
+    return family.param_count == 2 and float(vals.max() - vals.min()) == 0.0
 
 
 def _h(family, v, alpha, vals, lnx):
@@ -173,6 +180,110 @@ def _polish_newton(family, theta, alpha, vals):
     return ParamVector(family, tuple(best))
 
 
+# --- batched Newton on weighted objectives ------------------------------------
+
+_NEWTON_CAP = 50
+_NEWTON_HALVINGS = 10
+_NEWTON_RTOL = 1e-13
+
+
+def _weighted_terms(family, alpha, x, lnx, weights, theta):
+    """H, its gradient and Hessian, and H's rounding scale, at each row of
+    theta (m, p) for the objective sum_j weights[j, r] v_alpha(x_j).
+
+    x and lnx are columns (n, 1) and each column of weights (n, m) sums
+    to one. The gradient of v_j is (1+alpha)(xi - f_j^alpha u_j) and
+    its Hessian (1+alpha)[dxi - f_j^alpha (alpha u_j u_j' + du_j)],
+    with dxi = integral of du f^(1+alpha) + (1+alpha) integral of
+    u u' f^(1+alpha); at alpha = 0 that is Newton on the mean negative
+    log-likelihood, xi and dxi being zero.
+    """
+    v = tuple(theta.T)
+    mass, k, g = _divergence_terms(family, v, alpha, x, lnx)
+    wg = weights * g
+    h = mass - k * wg.sum(axis=0)
+    scale = np.abs(mass) + k * np.abs(wg).sum(axis=0)
+    if alpha == 0.0:
+        wg = weights
+        xi = dxi = 0.0
+    else:
+        uu, xi, du_int = family.moments(v, alpha, mass)
+        dxi = du_int + (1.0 + alpha) * uu
+    u = family.score(v, x)
+    wu = [wg * uq for uq in u]
+    grad = xi - _vec([wuq.sum(axis=0) for wuq in wu])
+    curv = _mat(
+        [
+            [(alpha * wup * uq + wg * dpq).sum(axis=0) for uq, dpq in zip(u, drow)]
+            for wup, drow in zip(wu, family.dscore(v, x))
+        ]
+    )
+    return h, (1.0 + alpha) * grad, (1.0 + alpha) * (dxi - curv), scale
+
+
+def _newton_step(grad, hess):
+    """(Newton step, ok) per row; ok is False where the Hessian is not
+    finite and positive definite."""
+    ok = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
+    eye = np.eye(grad.shape[1])
+    hess = np.where(ok[:, None, None], hess, eye)
+    ok &= np.linalg.eigvalsh(hess)[:, 0] > 0.0
+    hess = np.where(ok[:, None, None], hess, eye)
+    return np.linalg.solve(hess, grad[:, :, None])[:, :, 0], ok
+
+
+def _newton_rows(family, alpha, xs, weights, start):
+    """Minimize sum_j weights[r, j] v_alpha(theta_r, xs[j]) for every row r
+    of weights (m, n), each summing to one, by damped Newton from start.
+
+    A step that leaves the parameter space, crosses the gamma or Weibull
+    shape floor alpha/(1+alpha) or does not lower H (up to rounding) is
+    halved, at most _NEWTON_HALVINGS times in a row. Returns
+    (theta (m, p), solved (m,)): row r is solved when a full Newton step
+    falls below _NEWTON_RTOL of theta within _NEWTON_CAP evaluations,
+    at a finite, positive definite Hessian. A row that breaks any of
+    these stops where it is, unsolved.
+    """
+    x = xs[:, None]
+    lnx = np.log(x)
+    theta = np.tile(np.asarray(start, dtype=float), (weights.shape[0], 1))
+    solved = np.zeros(weights.shape[0], dtype=bool)
+    floor = _shape_floor(alpha)
+    with np.errstate(all="ignore"):
+        h, grad, hess, scale = _weighted_terms(family, alpha, x, lnx, weights.T, theta)
+        step, ok = _newton_step(grad, hess)
+        live, h, scale, step = np.flatnonzero(ok), h[ok], scale[ok], step[ok]
+        halvings = np.zeros(live.size, dtype=int)
+        for _ in range(_NEWTON_CAP):
+            done = np.abs(step).max(axis=1) <= _NEWTON_RTOL * np.abs(theta[live]).max(axis=1)
+            theta[live[done]] -= step[done]
+            solved[live[done]] = True
+            live, h, scale, step, halvings = (
+                a[~done] for a in (live, h, scale, step, halvings)
+            )
+            if live.size == 0:
+                break
+            trial = theta[live] - np.ldexp(step, -halvings[:, None])
+            down = np.isfinite(trial).all(axis=1)
+            if family.shaped:
+                down &= trial[:, 0] > floor
+            h_t, grad, hess, scale_t = _weighted_terms(
+                family, alpha, x, lnx, weights[live[down]].T, trial[down]
+            )
+            lower = h_t <= h[down] + 1e-12 * scale[down]
+            down[down] = lower
+            new_step, ok = _newton_step(grad[lower], hess[lower])
+            theta[live[down]] = trial[down]
+            h[down], scale[down], step[down] = h_t[lower], scale_t[lower], new_step
+            halvings = np.where(down, 0, halvings + 1)
+            keep = halvings <= _NEWTON_HALVINGS
+            keep[down] = ok
+            live, h, scale, step, halvings = (a[keep] for a in (live, h, scale, step, halvings))
+            if live.size == 0:
+                break
+    return theta, solved
+
+
 def fit(family, alpha, sample, warm_start=None, fast=False):
     """Fit one family at a fixed tuning parameter alpha.
 
@@ -184,9 +295,10 @@ def fit(family, alpha, sample, warm_start=None, fast=False):
     Newton steps otherwise. `theta_hat` is the point whose H is
     returned as `objective`, so objective == objective_h(theta_hat).
 
-    `fast=True` is for sweep drivers (leave-one-out tuning, bootstrap
-    replicates) that run thousands of warm-started refits: it skips
-    the polish and restarts and accepts 1e-6 parameter accuracy.
+    `fast=True` is for sweep drivers (bootstrap replicates, the
+    full-sample fit of leave-one-out tuning and its fallback refits)
+    that run many warm-started refits: it skips the polish and
+    restarts and accepts 1e-6 parameter accuracy.
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError("alpha must lie in [0, 1]")
@@ -197,7 +309,7 @@ def fit(family, alpha, sample, warm_start=None, fast=False):
             f"need at least {family.param_count + 1} observations "
             f"to fit {family.tag}, got {vals.size}"
         )
-    if family.param_count == 2 and float(vals.max() - vals.min()) == 0.0:
+    if _degenerate(family, vals):
         raise FitError(
             f"sample is degenerate (all values equal); {family.tag} fit has "
             "no interior optimum"

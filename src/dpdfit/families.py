@@ -45,6 +45,37 @@ def _entry(default=None):
     return field(default=default, compare=False, repr=False)
 
 
+# Parameter values are floats for one point and arrays for a batch of
+# points. On floats the table keeps math's exp and log: numpy's differ
+# from them in the last bit for some arguments.
+
+def _exp(t):
+    return np.exp(t) if isinstance(t, np.ndarray) else math.exp(t)
+
+
+def _log(t):
+    return np.log(t) if isinstance(t, np.ndarray) else math.log(t)
+
+
+def _vec(parts):
+    """Components stacked on a last axis; leading axes are broadcast."""
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+
+
+def _mat(rows):
+    """Rows of entries stacked into (..., p, p)."""
+    return np.stack([_vec(row) for row in rows], axis=-2)
+
+
+def _outer(u):
+    return u[..., :, None] * u[..., None, :]
+
+
+def _times(mass, arr):
+    """mass, one value per parameter point, times a vector or matrix per point."""
+    return np.reshape(mass, np.shape(mass) + (1,) * (arr.ndim - np.ndim(mass))) * arr
+
+
 @dataclass(frozen=True)
 class Family:
     """A model family: its tag and parameter names, plus the functions
@@ -52,15 +83,21 @@ class Family:
 
     The functions take the parameter values v first: logf(v, x, lnx) is
     ln f on validated x with lnx = log x; cdf(v, x); ppf(v, q);
-    score(v, x) gives the score components; mass(v, alpha) is the
-    integral of f^(1+alpha); moments(v, c, mass) gives the integrals of
-    u u' f^(1+c) and u f^(1+c); start(xs, alpha) is a moment start
+    score(v, x) gives the score components u; dscore(v, x) gives the
+    rows of their Jacobian du/dtheta; mass(v, alpha) is the integral of
+    f^(1+alpha); moments(v, c, mass) gives the integrals of u u' f^(1+c),
+    u f^(1+c) and du/dtheta f^(1+c); start(xs, alpha) is a moment start
     point; to_log maps parameter values to the optimizer's coordinates,
     and unlog(z) maps them back to a tuple of floats, or None outside
     the parameter space: the objective scores exactly that tuple, and
     fit returns it. at_zero(v) is the density's limit at x = 0. A
     one-parameter family may give un(lam, alpha, xs), its estimating
     function U_n on scalars.
+
+    logf, cdf, score, dscore, mass and moments also take a batch of
+    parameter points: v holds one array of shape (m,) per parameter,
+    x is a column (n, 1), and per-observation results come out (n, m)
+    while moments come out (m, p, p) and (m, p).
     """
 
     tag: str
@@ -71,6 +108,7 @@ class Family:
     cdf: object = _entry()
     ppf: object = _entry()
     score: object = _entry()
+    dscore: object = _entry()
     mass: object = _entry()
     moments: object = _entry()
     start: object = _entry()
@@ -87,7 +125,7 @@ class Family:
 
 def _exp_logf(v, x, lnx):
     lam = v[0]
-    return math.log(lam) - lam * x
+    return _log(lam) - lam * x
 
 
 def _exp_cdf(v, x):
@@ -102,8 +140,12 @@ def _exp_score(v, x):
     return (1.0 / v[0] - x,)
 
 
+def _exp_dscore(v, x):
+    return ((-1.0 / v[0] ** 2,),)
+
+
 def _exp_mass(v, alpha):
-    return math.exp(alpha * math.log(v[0]) - math.log1p(alpha))
+    return _exp(alpha * _log(v[0]) - math.log1p(alpha))
 
 
 def _exp_xi(lam, c):
@@ -113,7 +155,11 @@ def _exp_xi(lam, c):
 
 def _exp_moments(v, c, mass):
     rate = v[0] * (1.0 + c)
-    return mass * np.array([[(1.0 + c * c) / rate**2]]), np.array([_exp_xi(v[0], c)])
+    return (
+        _times(mass, _mat([[(1.0 + c * c) / rate**2]])),
+        _vec([_exp_xi(v[0], c)]),
+        _times(mass, _mat(_exp_dscore(v, None))),
+    )
 
 
 def _exp_start(xs, alpha):
@@ -134,7 +180,7 @@ def _exp_un(lam, alpha, xs):
 
 def _gamma_logf(v, x, lnx):
     a, b = v
-    return a * math.log(b) + (a - 1.0) * lnx - b * x - special.gammaln(a)
+    return a * _log(b) + (a - 1.0) * lnx - b * x - special.gammaln(a)
 
 
 def _gamma_cdf(v, x):
@@ -149,15 +195,21 @@ def _gamma_ppf(v, q):
 
 def _gamma_score(v, x):
     a, b = v
-    return math.log(b) - special.digamma(a) + np.log(x), a / b - x
+    return _log(b) - special.digamma(a) + np.log(x), a / b - x
+
+
+def _gamma_dscore(v, x):
+    # constant in x
+    a, b = v
+    return (-special.polygamma(1, a), 1.0 / b), (1.0 / b, -a / b**2)
 
 
 def _gamma_mass(v, alpha):
     a, b = v
     aa = (a - 1.0) * (1.0 + alpha) + 1.0
-    return math.exp(
+    return _exp(
         special.gammaln(aa)
-        + alpha * math.log(b)
+        + alpha * _log(b)
         - (1.0 + alpha) * special.gammaln(a)
         - aa * math.log1p(alpha)
     )
@@ -166,13 +218,13 @@ def _gamma_mass(v, alpha):
 def _gamma_moments(v, c, mass):
     a, b = v
     shape, rate = a + c * (a - 1.0), b * (1.0 + c)
-    mean = np.array(
-        [special.digamma(shape) - special.digamma(a) - math.log1p(c), c / rate]
+    mean = _vec([special.digamma(shape) - special.digamma(a) - math.log1p(c), c / rate])
+    cov = _mat([[special.polygamma(1, shape), -1.0 / rate], [-1.0 / rate, shape / rate**2]])
+    return (
+        _times(mass, cov + _outer(mean)),
+        _times(mass, mean),
+        _times(mass, _mat(_gamma_dscore(v, None))),
     )
-    cov = np.array(
-        [[special.polygamma(1, shape), -1.0 / rate], [-1.0 / rate, shape / rate**2]]
-    )
-    return mass * (cov + np.outer(mean, mean)), mass * mean
 
 
 def _gamma_start(xs, alpha):
@@ -201,7 +253,7 @@ def _shape_rate_at_zero(v):
 def _lognormal_logf(v, x, lnx):
     mu, sigma = v
     z = (lnx - mu) / sigma
-    return -_LOG_SQRT_2PI - math.log(sigma) - lnx - 0.5 * z * z
+    return -_LOG_SQRT_2PI - _log(sigma) - lnx - 0.5 * z * z
 
 
 def _lognormal_cdf(v, x):
@@ -218,11 +270,18 @@ def _lognormal_score(v, x):
     return d / sigma**2, (d * d - sigma**2) / sigma**3
 
 
+def _lognormal_dscore(v, x):
+    mu, sigma = v
+    d = np.log(x) - mu
+    cross = -2.0 * d / sigma**3
+    return (-1.0 / sigma**2, cross), (cross, 1.0 / sigma**2 - 3.0 * d * d / sigma**4)
+
+
 def _lognormal_mass(v, alpha):
     mu, sigma = v
-    return math.exp(
+    return _exp(
         -0.5 * math.log1p(alpha)
-        - alpha * (_LOG_SQRT_2PI + math.log(sigma))
+        - alpha * (_LOG_SQRT_2PI + _log(sigma))
         - alpha * mu
         + alpha**2 * sigma**2 / (2.0 * (1.0 + alpha))
     )
@@ -232,12 +291,16 @@ def _lognormal_moments(v, c, mass):
     # w ~ N(m, s2) under f^(1+c)/M
     sigma = v[1]
     m, s2 = -c * sigma**2 / (1.0 + c), sigma**2 / (1.0 + c)
-    mean = np.array([m, m * (m + 1.0) / sigma]) / sigma**2
-    cov_ms = 2.0 * m * s2 / sigma
-    cov = np.array(
-        [[s2, cov_ms], [cov_ms, 2.0 * s2 * (s2 + 2.0 * m * m) / sigma**2]]
-    ) / sigma**4
-    return mass * (cov + np.outer(mean, mean)), mass * mean
+    sig2, sig4 = sigma**2, sigma**4
+    mean = _vec([m / sig2, m * (m + 1.0) / sigma / sig2])
+    cov_ms = 2.0 * m * s2 / sigma / sig4
+    cov = _mat(
+        [[s2 / sig4, cov_ms], [cov_ms, 2.0 * s2 * (s2 + 2.0 * m * m) / sigma**2 / sig4]]
+    )
+    # du/dtheta is quadratic in w, with E[w] = m and E[w^2] = s2 + m^2
+    cross = -2.0 * m / sigma**3
+    dmean = _mat([[-1.0 / sig2, cross], [cross, 1.0 / sig2 - 3.0 * (s2 + m * m) / sig4]])
+    return _times(mass, cov + _outer(mean)), _times(mass, mean), _times(mass, dmean)
 
 
 def _lognormal_start(xs, alpha):
@@ -264,8 +327,9 @@ def _lognormal_at_zero(v):
 
 def _weibull_logf(v, x, lnx):
     a, b = v
-    lbx = math.log(b) + lnx
-    return math.log(a) + math.log(b) + (a - 1.0) * lbx - np.exp(a * lbx)
+    lb = _log(b)
+    lbx = lb + lnx
+    return _log(a) + lb + (a - 1.0) * lbx - np.exp(a * lbx)
 
 
 def _weibull_cdf(v, x):
@@ -284,11 +348,19 @@ def _weibull_score(v, x):
     return 1.0 / a + np.log(b * x) * (1.0 - t), (a / b) * (1.0 - t)
 
 
+def _weibull_dscore(v, x):
+    a, b = v
+    lbx = np.log(b * x)
+    t = np.exp(a * lbx)
+    cross = (1.0 - t - a * lbx * t) / b
+    return (-1.0 / a**2 - lbx * lbx * t, cross), (cross, -(a / b**2) * (1.0 - t + a * t))
+
+
 def _weibull_mass(v, alpha):
     a, b = v
     kap = (a - 1.0) * alpha / a
-    return math.exp(
-        alpha * (math.log(a) + math.log(b))
+    return _exp(
+        alpha * (_log(a) + _log(b))
         + special.gammaln(1.0 + kap)
         - (1.0 + kap) * math.log1p(alpha)
     )
@@ -299,16 +371,24 @@ def _weibull_moments(v, c, mass):
     # E[t^j] = r_j, E[t^j L] = r_j d_j, E[t^j L^2] = r_j q_j
     a, b = v
     shape, rate = 1.0 + c * (a - 1.0) / a, 1.0 + c
-    r = np.array([1.0, shape / rate, shape * (shape + 1.0) / rate**2])
-    d = special.digamma(shape + np.arange(3.0)) - math.log(rate)
-    q = d * d + special.polygamma(1, shape + np.arange(3.0))
-    el, eq = r * d, r * q
+    r = _vec([1.0, shape / rate, shape * (shape + 1.0) / rate**2])
+    shapes = np.reshape(shape, np.shape(shape) + (1,)) + np.arange(3.0)
+    d = special.digamma(shapes) - math.log(rate)
+    q = d * d + special.polygamma(1, shapes)
+    el, eq = np.moveaxis(r * d, -1, 0), np.moveaxis(r * q, -1, 0)
     tail = c / (a * rate)  # 1 - E[t]
-    mean = np.array([(1.0 + el[0] - el[1]) / a, a / b * tail])
+    mean = _vec([(1.0 + el[0] - el[1]) / a, a / b * tail])
     s_aa = (1.0 + 2.0 * (el[0] - el[1]) + eq[0] - 2.0 * eq[1] + eq[2]) / a**2
     s_ab = (tail + el[0] - 2.0 * el[1] + el[2]) / b
     s_bb = (a / b) ** 2 * (shape / rate**2 + tail * tail)
-    return mass * np.array([[s_aa, s_ab], [s_ab, s_bb]]), mass * mean
+    # du/dtheta is linear in t, t L and t L^2
+    cross = (tail - el[1]) / b
+    dmean = _mat([[-(1.0 + eq[1]) / a**2, cross], [cross, -(a / b**2) * (tail + a * (1.0 - tail))]])
+    return (
+        _times(mass, _mat([[s_aa, s_ab], [s_ab, s_bb]])),
+        _times(mass, mean),
+        _times(mass, dmean),
+    )
 
 
 def _weibull_start(xs, alpha):
@@ -326,28 +406,29 @@ def _weibull_start(xs, alpha):
 
 EXPONENTIAL = Family(
     "exponential", 1, ("rate",),
-    logf=_exp_logf, cdf=_exp_cdf, ppf=_exp_ppf, score=_exp_score, mass=_exp_mass,
-    moments=_exp_moments, start=_exp_start, at_zero=_exp_at_zero, un=_exp_un,
+    logf=_exp_logf, cdf=_exp_cdf, ppf=_exp_ppf, score=_exp_score, dscore=_exp_dscore,
+    mass=_exp_mass, moments=_exp_moments, start=_exp_start, at_zero=_exp_at_zero, un=_exp_un,
     to_log=np.log, unlog=_positive_unlog,
 )
 GAMMA = Family(
     "gamma", 2, ("shape", "rate"), shaped=True,
-    logf=_gamma_logf, cdf=_gamma_cdf, ppf=_gamma_ppf, score=_gamma_score, mass=_gamma_mass,
-    moments=_gamma_moments, start=_gamma_start, at_zero=_shape_rate_at_zero,
+    logf=_gamma_logf, cdf=_gamma_cdf, ppf=_gamma_ppf, score=_gamma_score, dscore=_gamma_dscore,
+    mass=_gamma_mass, moments=_gamma_moments, start=_gamma_start,
+    at_zero=_shape_rate_at_zero,
     to_log=np.log, unlog=_positive_unlog,
 )
 LOGNORMAL = Family(
     "lognormal", 2, ("log_mean", "log_sd"),
     logf=_lognormal_logf, cdf=_lognormal_cdf, ppf=_lognormal_ppf, score=_lognormal_score,
-    mass=_lognormal_mass, moments=_lognormal_moments, start=_lognormal_start,
-    at_zero=_lognormal_at_zero,
+    dscore=_lognormal_dscore, mass=_lognormal_mass, moments=_lognormal_moments,
+    start=_lognormal_start, at_zero=_lognormal_at_zero,
     to_log=_lognormal_to_log, unlog=_lognormal_unlog,
 )
 WEIBULL = Family(
     "weibull", 2, ("shape", "rate"), shaped=True,
     logf=_weibull_logf, cdf=_weibull_cdf, ppf=_weibull_ppf, score=_weibull_score,
-    mass=_weibull_mass, moments=_weibull_moments, start=_weibull_start,
-    at_zero=_shape_rate_at_zero,
+    dscore=_weibull_dscore, mass=_weibull_mass, moments=_weibull_moments,
+    start=_weibull_start, at_zero=_shape_rate_at_zero,
     to_log=np.log, unlog=_positive_unlog,
 )
 
@@ -468,7 +549,8 @@ def weighted_moments(p, c):
     from these (Basu, Harris, Hjort & Jones 1998).
     """
     mass = dpd_mass_integral(p, c)
-    return (mass, *p.family.moments(p.values, c, mass))
+    uu, u, _ = p.family.moments(p.values, c, mass)
+    return mass, uu, u
 
 
 def _divergence_terms(fam, v, alpha, x, lnx):

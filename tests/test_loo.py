@@ -1,0 +1,242 @@
+"""Tests for exact leave-one-out by batched Newton.
+
+tuning.cvm_distance solves all n held-out problems together with the
+damped Newton kernel estimator._newton_rows, from the closed-form
+gradient and Hessian of the divergence terms. These tests hold the
+family table's Jacobian entry dscore and the kernel's gradient and
+Hessian to central differences, each held-out point to a full refit,
+and the guard's fallback to the per-point refit route.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from dpdfit import tuning
+from dpdfit.estimator import _weighted_terms, fit, objective_h
+from dpdfit.families import FAMILIES, ParamVector, _mat, log_density, quantile, score
+from dpdfit.tuning import COARSE_GRID, _loo_points, _sorted_values, cvm_distance, select_alpha
+from dpdfit.uncertainty import ContaminationScheme, sample_family, simulate_contaminated
+from quadrature import QuadratureSpec, integrate_halfline
+
+THETA = {
+    "exponential": (0.5,),
+    "gamma": (5.0, 0.05),
+    "lognormal": (2.0, 0.6),
+    "weibull": (1.6, 0.02),
+}
+ALPHAS = (0.0, 0.25, 0.5, 0.9)
+TAGS = sorted(THETA)
+
+
+def contaminated(tag, seed=0, n=30):
+    """Sorted n-point sample with 10% of its points at 10x the 99th percentile."""
+    family = FAMILIES[tag]
+    point = 10.0 * float(quantile(ParamVector(family, THETA[tag]), 0.99))
+    sample = simulate_contaminated(
+        family, THETA[tag], ContaminationScheme(0.1, point, seed=seed), n
+    )
+    return _sorted_values(sample, family.param_count)
+
+
+def held_out_weights(n, i):
+    w = np.full((1, n), 1.0 / (n - 1))
+    w[0, i] = 0.0
+    return w
+
+
+def steps(theta, rel=1e-5):
+    return rel * np.maximum(np.abs(theta), 1e-2)
+
+
+class TestTable:
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_dscore_matches_central_differences_of_score(self, tag):
+        family = FAMILIES[tag]
+        theta = np.array(THETA[tag])
+        xs = contaminated(tag)
+        got = _mat(family.dscore(tuple(theta), xs))
+        for k, h in enumerate(steps(theta)):
+            up, down = theta.copy(), theta.copy()
+            up[k] += h
+            down[k] -= h
+            diff = (
+                score(ParamVector(family, up), xs) - score(ParamVector(family, down), xs)
+            ) / (2.0 * h)
+            col = np.broadcast_to(got[..., :, k], diff.shape)
+            np.testing.assert_allclose(col, diff, rtol=1e-6, atol=1e-8 * np.abs(diff).max())
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_batched_entries_match_one_point_at_a_time(self, tag):
+        """A leading axis of parameter points gives each point's values."""
+        family = FAMILIES[tag]
+        rng = np.random.default_rng(3)
+        points = np.array(THETA[tag]) * rng.uniform(0.8, 1.25, (5, family.param_count))
+        xs = contaminated(tag)
+        x = xs[:, None]
+        v = tuple(points.T)
+        c = 0.4
+        mass = family.mass(v, c)
+        moments = family.moments(v, c, mass)
+        per_x = {
+            "logf": family.logf(v, x, np.log(x)),
+            "score": np.stack(np.broadcast_arrays(*family.score(v, x)), axis=-1),
+            "dscore": np.broadcast_to(
+                _mat(family.dscore(v, x)), x.shape[:1] + mass.shape + (family.param_count,) * 2
+            ),
+        }
+        for r, point in enumerate(points):
+            one = tuple(point)
+            assert mass[r] == pytest.approx(family.mass(one, c), rel=1e-13)
+            for got, want in zip(moments, family.moments(one, c, family.mass(one, c))):
+                np.testing.assert_allclose(got[r], want, rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(
+                per_x["logf"][:, r], family.logf(one, xs, np.log(xs)), rtol=1e-13
+            )
+            np.testing.assert_allclose(
+                per_x["score"][:, r], score(ParamVector(family, one), xs), rtol=1e-12, atol=1e-300
+            )
+            np.testing.assert_allclose(
+                per_x["dscore"][:, r],
+                np.broadcast_to(_mat(family.dscore(one, xs)), per_x["dscore"][:, r].shape),
+                rtol=1e-12,
+                atol=1e-300,
+            )
+
+    @pytest.mark.parametrize("tag", TAGS)
+    @pytest.mark.parametrize("c", [0.0, 0.5, 1.5])
+    def test_tilted_dscore_integral_matches_quadrature(self, tag, c):
+        """The third moments entry is the integral of du/dtheta f^(1+c)."""
+        family = FAMILIES[tag]
+        pv = ParamVector(family, THETA[tag])
+        got = family.moments(pv.values, c, family.mass(pv.values, c))[2]
+        # an entry can vanish (the lognormal's cross term at c = 0), so the
+        # oracle stops at an absolute floor on the scale of the mass
+        mass = family.mass(pv.values, c)
+        spec = QuadratureSpec(abs_tolerance=1e-11 * mass, rel_tolerance=1e-10)
+        p = family.param_count
+        want = np.empty((p, p))
+        for i in range(p):
+            for j in range(p):
+                want[i, j] = integrate_halfline(
+                    lambda x: float(_mat(family.dscore(pv.values, x))[i, j])
+                    * math.exp((1.0 + c) * float(log_density(pv, x))),
+                    spec,
+                )[0]
+        np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9 * np.abs(want).max())
+
+
+class TestKernel:
+    @pytest.mark.parametrize("tag", TAGS)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_gradient_and_hessian_match_central_differences(self, tag, alpha):
+        family = FAMILIES[tag]
+        xs = contaminated(tag)
+        i = xs.size - 1  # hold out the largest point, an outlier
+        rest = np.delete(xs, i)
+        # off the optimum, so that no gradient component vanishes
+        theta = np.array(fit(family, alpha, rest).theta_hat.values) * (1.03, 0.97)[: family.param_count]
+        x = xs[:, None]
+        _, grad, hess, _ = _weighted_terms(
+            family, alpha, x, np.log(x), held_out_weights(xs.size, i).T, theta[None, :]
+        )
+
+        def h_at(t):
+            return objective_h(family, ParamVector(family, t), alpha, rest)
+
+        # steps large enough that H's rounding (1e-16 of its largest
+        # terms, which the outliers make large) stays below 1e-7 of the result
+        p = family.param_count
+        unit = np.eye(p)
+        hg, hh = steps(theta, 1e-4), steps(theta, 1e-3)
+        num_grad = np.array(
+            [(h_at(theta + hg * e) - h_at(theta - hg * e)) / (2.0 * hg @ e) for e in unit]
+        )
+        num_hess = np.array(
+            [
+                [
+                    (
+                        h_at(theta + hh * ea + hh * eb)
+                        - h_at(theta + hh * ea - hh * eb)
+                        - h_at(theta - hh * ea + hh * eb)
+                        + h_at(theta - hh * ea - hh * eb)
+                    )
+                    / (4.0 * (hh @ ea) * (hh @ eb))
+                    for eb in unit
+                ]
+                for ea in unit
+            ]
+        )
+        np.testing.assert_allclose(grad[0], num_grad, rtol=1e-5)
+        np.testing.assert_allclose(hess[0], num_hess, rtol=1e-4, atol=1e-6 * np.abs(num_hess).max())
+
+    @pytest.mark.parametrize("tag", TAGS)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_held_out_points_match_full_refits(self, tag, alpha):
+        family = FAMILIES[tag]
+        xs = contaminated(tag)
+        start = fit(family, alpha, xs, fast=True).theta_hat.values
+        theta, solved = _loo_points(family, alpha, xs, start)
+        assert solved.all()
+        fallbacks = []
+        cvm_distance(family, alpha, xs, fallbacks)
+        assert fallbacks == []
+        for i in range(xs.size):
+            ref = fit(family, alpha, np.delete(xs, i)).theta_hat.values
+            np.testing.assert_allclose(theta[i], ref, rtol=1e-9)
+
+
+def clean(tag):
+    family = FAMILIES[tag]
+    return sample_family(family, ParamVector(family, THETA[tag]), 40, seed=1)
+
+
+class TestGuard:
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_seeded_clean_curve_needs_no_fallback(self, tag):
+        assert select_alpha(FAMILIES[tag], clean(tag), refine=False).loo_fallbacks == 0
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_only_the_full_sample_is_fitted(self, tag, monkeypatch):
+        family = FAMILIES[tag]
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(kwargs.get("warm_start"))
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(tuning, "fit", counting_fit)
+        cvm_distance(family, 0.5, clean(tag))
+        assert calls == [None]
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_rejected_index_takes_the_refit_route(self, tag, monkeypatch):
+        """With the guard rejecting one index, that point is refit warm and
+        the distance equals the per-point route to within the fast fit's
+        1e-6."""
+        family = FAMILIES[tag]
+        alpha, rejected = 0.5, 7
+        xs = contaminated(tag)
+        n = xs.size
+
+        def rejecting(*args):
+            theta, solved = _loo_points(*args)
+            solved[rejected] = False
+            return theta, solved
+
+        monkeypatch.setattr(tuning, "_loo_points", rejecting)
+        fallbacks = []
+        got = cvm_distance(family, alpha, xs, fallbacks)
+        assert fallbacks == [rejected]
+
+        full = fit(family, alpha, xs, fast=True)
+        total = 0.0
+        for i in range(n):
+            loo = fit(family, alpha, np.delete(xs, i), warm_start=full.theta_hat, fast=True)
+            resid = (i + 0.5) / n - float(family.cdf(loo.theta_hat.values, xs[i]))
+            total += resid * resid
+        assert got == pytest.approx(total / n, rel=1e-6)
+
+        result = select_alpha(family, clean(tag), refine=False)
+        assert result.loo_fallbacks == len(COARSE_GRID)

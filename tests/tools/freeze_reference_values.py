@@ -222,8 +222,10 @@ def monte_carlo_gamma(a, b, alpha, n=10_000_000, seed=20260816, chunk=1_000_000)
     rng = np.random.default_rng(seed)
     lga = special.gammaln(a)
     names = ["J_aa", "J_ab", "J_bb", "K_aa", "K_ab", "K_bb", "xi_a", "xi_b"]
-    sums = np.zeros(len(names))
-    sq = np.zeros(len(names))
+    # each chunk is summed exactly (math.fsum), so the totals do not
+    # depend on the order numpy's own sums take
+    sums = [[] for _ in names]
+    sq = [[] for _ in names]
     done = 0
     while done < n:
         m = min(chunk, n - done)
@@ -237,10 +239,11 @@ def monte_carlo_gamma(a, b, alpha, n=10_000_000, seed=20260816, chunk=1_000_000)
                 ua * ua * w2, ua * ub * w2, ub * ub * w2,
                 ua * w1, ub * w1]
         for i, cvals in enumerate(cols):
-            sums[i] += cvals.sum()
-            sq[i] += (cvals * cvals).sum()
+            sums[i].append(math.fsum(cvals))
+            sq[i].append(math.fsum(cvals * cvals))
         done += m
-    mean = sums / n
+    mean = np.array([math.fsum(s) for s in sums]) / n
+    sq = np.array([math.fsum(s) for s in sq])
     var = sq / n - mean ** 2
     sem = np.sqrt(var / n)
     return dict(zip(names, mean)), dict(zip(names, sem))

@@ -8,7 +8,6 @@ __all__ = [
     "DpdError",
     "DomainError",
     "DpdValidityError",
-    "BracketingError",
     "InversionError",
     "FitError",
     "SingularInformationError",
@@ -32,10 +31,6 @@ class DpdValidityError(DomainError):
     The gamma and Weibull per-term integrals only exist when the shape
     satisfies a > alpha/(1+alpha).
     """
-
-
-class BracketingError(DpdError):
-    """A root finder was handed an interval without a sign change."""
 
 
 class InversionError(DpdError):

@@ -26,7 +26,6 @@ from .families import (
     score,
     weighted_moments,
 )
-from .numerics import find_root_bracketed, minimize
 
 __all__ = ["FitResult", "objective_h", "estimating_residual", "fit", "dpd_weights"]
 
@@ -96,94 +95,14 @@ def dpd_weights(family, theta, alpha, sample):
     return np.exp(alpha * log_density(theta, vals))
 
 
-# --- polish steps -----------------------------------------------------------
-
-def _polish_root(family, lam, alpha, vals, scan_roots):
-    """Root of the scalar U_n nearest the minimizer; warn when several roots exist."""
-    un = lambda l: family.un(l, alpha, vals)
-    roots = []
-    if scan_roots:
-        grid = lam * np.exp2(np.linspace(-5.0, 5.0, 41))
-        ug = np.array([un(g) for g in grid])
-        sign = np.sign(ug)
-        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            roots.append(find_root_bracketed(un, grid[i], grid[i + 1]))
-        if len(roots) > 1:
-            warnings.warn(
-                f"estimating equation has {len(roots)} roots; "
-                "using the one closest to the objective minimizer",
-                RuntimeWarning,
-            )
-    if not roots:
-        lo, hi = 0.5 * lam, 2.0 * lam
-        for _ in range(60):
-            if un(lo) * un(hi) <= 0:
-                roots.append(find_root_bracketed(un, lo, hi))
-                break
-            lo *= 0.5
-            hi *= 2.0
-    if not roots:
-        return lam
-    return min(roots, key=lambda r: abs(math.log(r / lam)))
-
-
-def _polish_newton(family, theta, alpha, vals):
-    """A few finite-difference Newton steps on U_n = 0.
-
-    Cheap insurance that the returned point solves the estimating
-    equation to well below the optimizer's own resolution. Any failure
-    (singular step, residual growth) silently keeps the simplex result.
-    """
-    k = family.param_count
-    best = np.asarray(theta.values, dtype=float)
-    try:
-        res = estimating_residual(family, ParamVector(family, tuple(best)), alpha, vals)
-    except (DomainError, OverflowError):
-        return theta
-    best_norm = float(np.max(np.abs(res)))
-    cur = best.copy()
-    for _ in range(4):
-        if best_norm <= 1e-12:
-            break
-        jac = np.empty((k, k))
-        ok = True
-        for j in range(k):
-            h = 1e-6 * (1.0 + abs(cur[j]))
-            stepped = cur.copy()
-            stepped[j] += h
-            try:
-                r2 = estimating_residual(
-                    family, ParamVector(family, tuple(stepped)), alpha, vals
-                )
-            except (DomainError, OverflowError):
-                ok = False
-                break
-            jac[:, j] = (r2 - res) / h
-        if not ok:
-            break
-        try:
-            delta = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            break
-        trial = cur + delta
-        try:
-            new = ParamVector(family, tuple(trial))
-            check_dpd_valid(new, alpha)
-            r_new = estimating_residual(family, new, alpha, vals)
-        except (DomainError, OverflowError):
-            break
-        norm = float(np.max(np.abs(r_new)))
-        if not math.isfinite(norm) or norm >= best_norm:
-            break
-        cur, res, best_norm = trial, r_new, norm
-        best = cur
-    return ParamVector(family, tuple(best))
-
-
 # --- batched Newton on weighted objectives ------------------------------------
 
+# About twice the most evaluations (28) any fit of the test suite or the
+# benchmark inputs needs.
 _NEWTON_CAP = 50
-_NEWTON_HALVINGS = 10
+# 2^-30 < 1e-8: halving can undo the eigenvalue floor's amplification
+# of a step along a direction of negative curvature.
+_NEWTON_HALVINGS = 30
 _NEWTON_RTOL = 1e-13
 
 
@@ -222,44 +141,61 @@ def _weighted_terms(family, alpha, x, lnx, weights, theta):
 
 
 def _newton_step(grad, hess):
-    """(Newton step, ok) per row; ok is False where the Hessian is not
-    finite and positive definite."""
-    ok = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
-    eye = np.eye(grad.shape[1])
-    hess = np.where(ok[:, None, None], hess, eye)
-    ok &= np.linalg.eigvalsh(hess)[:, 0] > 0.0
-    hess = np.where(ok[:, None, None], hess, eye)
-    return np.linalg.solve(hess, grad[:, :, None])[:, :, 0], ok
+    """(Newton step, finite, pd) per row, from the Hessian's eigenvalues.
+
+    Where the Hessian is not positive definite each eigenvalue lambda is
+    replaced by max(|lambda|, 1e-8 max|lambda|), which keeps the step a
+    descent direction; pd marks the rows whose step is the plain Newton
+    step. finite is False where the gradient or Hessian is not finite
+    or the Hessian is zero; those rows' steps are meaningless.
+    """
+    finite = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
+    lam, vec = np.linalg.eigh(np.where(finite[:, None, None], hess, np.eye(grad.shape[1])))
+    top = np.abs(lam).max(axis=1, keepdims=True)
+    finite &= top[:, 0] > 0.0
+    pd = finite & (lam[:, 0] > 0.0)
+    lam = np.where(pd[:, None], lam, np.maximum(np.abs(lam), 1e-8 * top))
+    coef = np.einsum("rij,ri->rj", vec, grad) / lam
+    return np.einsum("rij,rj->ri", vec, coef), finite, pd
 
 
 def _newton_rows(family, alpha, xs, weights, start):
     """Minimize sum_j weights[r, j] v_alpha(theta_r, xs[j]) for every row r
     of weights (m, n), each summing to one, by damped Newton from start.
 
-    A step that leaves the parameter space, crosses the gamma or Weibull
-    shape floor alpha/(1+alpha) or does not lower H (up to rounding) is
-    halved, at most _NEWTON_HALVINGS times in a row. Returns
-    (theta (m, p), solved (m,)): row r is solved when a full Newton step
-    falls below _NEWTON_RTOL of theta within _NEWTON_CAP evaluations,
-    at a finite, positive definite Hessian. A row that breaks any of
-    these stops where it is, unsolved.
+    Where the Hessian is not positive definite the step is the
+    eigenvalue-modified one of _newton_step. A step that leaves the
+    parameter space, crosses the gamma or Weibull shape floor
+    alpha/(1+alpha) or does not lower H (up to rounding) is halved, at
+    most _NEWTON_HALVINGS times in a row. Returns (theta (m, p),
+    solved (m,), evaluations (m,)): row r is solved when a full Newton
+    step at a positive definite Hessian falls below _NEWTON_RTOL of
+    theta within _NEWTON_CAP steps; evaluations counts the points at
+    which its H, gradient and Hessian were taken. A row whose gradient
+    or Hessian is not finite, or that runs out of halvings, stops where
+    it is, unsolved.
     """
     x = xs[:, None]
     lnx = np.log(x)
-    theta = np.tile(np.asarray(start, dtype=float), (weights.shape[0], 1))
-    solved = np.zeros(weights.shape[0], dtype=bool)
+    m = weights.shape[0]
+    theta = np.tile(np.asarray(start, dtype=float), (m, 1))
+    solved = np.zeros(m, dtype=bool)
+    evals = np.ones(m, dtype=int)
     floor = _shape_floor(alpha)
     with np.errstate(all="ignore"):
         h, grad, hess, scale = _weighted_terms(family, alpha, x, lnx, weights.T, theta)
-        step, ok = _newton_step(grad, hess)
-        live, h, scale, step = np.flatnonzero(ok), h[ok], scale[ok], step[ok]
+        step, ok, pd = _newton_step(grad, hess)
+        live = np.flatnonzero(ok)
+        h, scale, step, pd = h[ok], scale[ok], step[ok], pd[ok]
         halvings = np.zeros(live.size, dtype=int)
         for _ in range(_NEWTON_CAP):
-            done = np.abs(step).max(axis=1) <= _NEWTON_RTOL * np.abs(theta[live]).max(axis=1)
+            done = pd & (
+                np.abs(step).max(axis=1) <= _NEWTON_RTOL * np.abs(theta[live]).max(axis=1)
+            )
             theta[live[done]] -= step[done]
             solved[live[done]] = True
-            live, h, scale, step, halvings = (
-                a[~done] for a in (live, h, scale, step, halvings)
+            live, h, scale, step, pd, halvings = (
+                a[~done] for a in (live, h, scale, step, pd, halvings)
             )
             if live.size == 0:
                 break
@@ -270,39 +206,37 @@ def _newton_rows(family, alpha, xs, weights, start):
             h_t, grad, hess, scale_t = _weighted_terms(
                 family, alpha, x, lnx, weights[live[down]].T, trial[down]
             )
+            evals[live[down]] += 1
             lower = h_t <= h[down] + 1e-12 * scale[down]
             down[down] = lower
-            new_step, ok = _newton_step(grad[lower], hess[lower])
+            new_step, ok, new_pd = _newton_step(grad[lower], hess[lower])
             theta[live[down]] = trial[down]
-            h[down], scale[down], step[down] = h_t[lower], scale_t[lower], new_step
+            h[down], scale[down], step[down], pd[down] = (
+                h_t[lower], scale_t[lower], new_step, new_pd
+            )
             halvings = np.where(down, 0, halvings + 1)
             keep = halvings <= _NEWTON_HALVINGS
             keep[down] = ok
-            live, h, scale, step, halvings = (a[keep] for a in (live, h, scale, step, halvings))
+            live, h, scale, step, pd, halvings = (
+                a[keep] for a in (live, h, scale, step, pd, halvings)
+            )
             if live.size == 0:
                 break
-    return theta, solved
+    return theta, solved, evals
 
 
-def fit(family, alpha, sample, warm_start=None, fast=False):
+def fit(family, alpha, sample, warm_start=None):
     """Fit one family at a fixed tuning parameter alpha.
 
-    Minimizes H over log-reparameterized parameters (the lognormal
-    log-mean stays unconstrained), starting from `warm_start` when
-    given and from the family's moment start otherwise. The returned
-    point is polished against the estimating equation: a bracketed
-    root solve where the family gives a scalar U_n (the exponential),
-    Newton steps otherwise. `theta_hat` is the point whose H is
-    returned as `objective`, so objective == objective_h(theta_hat).
-
-    `fast=True` is for sweep drivers (bootstrap replicates, the
-    full-sample fit of leave-one-out tuning and its fallback refits)
-    that run many warm-started refits: it skips the polish and
-    restarts and accepts 1e-6 parameter accuracy.
+    Minimizes H by the damped Newton of _newton_rows, as one row of
+    weight 1/n per observation, from `warm_start` when given (a gamma or
+    Weibull shape is raised to at least its floor plus 0.05) and from
+    the family's moment start otherwise. `converged` reports whether Newton
+    reached rounding at a positive definite Hessian. `objective` is H at
+    the returned `theta_hat`, so objective == objective_h(theta_hat).
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError("alpha must lie in [0, 1]")
-    polish = not fast
     vals = _sample_values(sample)
     if vals.size < family.param_count + 1:
         raise FitError(
@@ -314,68 +248,22 @@ def fit(family, alpha, sample, warm_start=None, fast=False):
             f"sample is degenerate (all values equal); {family.tag} fit has "
             "no interior optimum"
         )
-
-    floor = _shape_floor(alpha)
     if warm_start is not None:
         _check_family(family, warm_start)
         start = np.asarray(warm_start.values, dtype=float)
         if family.shaped:
-            start[0] = max(start[0], floor + 0.05)
+            start[0] = max(start[0], _shape_floor(alpha) + 0.05)
     else:
         start = family.start(vals, alpha)
 
-    evals = 0
-    lnx = np.log(vals)
-
-    def obj(z):
-        # hot loop: plain tuples and precomputed log(x), no re-validation
-        nonlocal evals
-        evals += 1
-        try:
-            tv = family.unlog(z)
-        except OverflowError:
-            return np.inf
-        if tv is None or (family.shaped and tv[0] <= floor):
-            return np.inf
-        try:
-            h = _h(family, tv, alpha, vals, lnx)
-        except OverflowError:
-            return np.inf
-        return h if math.isfinite(h) else np.inf
-
-    step = 0.003 if warm_start is not None else None
-    z0 = family.to_log(start)
-    start_obj = obj(z0)
-    if not np.isfinite(start_obj):
+    weights = np.full((1, vals.size), 1.0 / vals.size)
+    theta, solved, evals = _newton_rows(family, alpha, vals, weights, start)
+    theta = ParamVector(family, tuple(theta[0]))
+    with np.errstate(all="ignore"):
+        h_val = _h(family, theta.values, alpha, vals, np.log(vals))
+    if not math.isfinite(h_val):
         raise FitError(f"objective not finite at the {family.tag} start point")
-
-    z_hat = None
-    did_root = False
-    if family.un is not None and warm_start is not None and fast:
-        # sweep fast path: the unique interior root of U_n is the minimizer
-        lam = _polish_root(family, float(start[0]), alpha, vals, scan_roots=False)
-        z_root = family.to_log([lam])
-        h_root = obj(z_root)
-        if h_root <= start_obj:
-            z_hat, h_val, converged, did_root = z_root, h_root, True, True
-    if z_hat is None:
-        z_hat, h_val, converged = minimize(obj, z0, fast=fast, initial_step=step)
-    # exactly the tuple obj(z_hat) scored, so objective == objective_h(theta)
-    theta = ParamVector(family, family.unlog(z_hat))
-
-    # Polishing may trade a sub-tolerance amount of objective for a much
-    # smaller estimating-equation residual; h_val <= start_obj already, so
-    # the result is never worse than the start by more than that amount.
-    cand = None
-    if family.un is not None and not did_root:
-        cand = ParamVector(family, (_polish_root(family, theta.values[0], alpha, vals, polish),))
-    elif family.un is None and polish:
-        cand = _polish_newton(family, theta, alpha, vals)
-    if cand is not None:
-        h_cand = objective_h(family, cand, alpha, vals)
-        if h_cand <= h_val + 1e-12:
-            theta, h_val = cand, h_cand
-
+    converged = bool(solved[0])
     if not converged:
         warnings.warn(
             f"{family.tag} fit at alpha={alpha:g} did not meet optimizer "
@@ -387,7 +275,7 @@ def fit(family, alpha, sample, warm_start=None, fast=False):
         alpha=float(alpha),
         theta_hat=theta,
         objective=float(h_val),
-        converged=bool(converged),
+        converged=converged,
         n_obs=int(vals.size),
-        evaluations=evals,
+        evaluations=int(evals[0]),
     )

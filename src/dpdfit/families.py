@@ -45,18 +45,6 @@ def _entry(default=None):
     return field(default=default, compare=False, repr=False)
 
 
-# Parameter values are floats for one point and arrays for a batch of
-# points. On floats the table keeps math's exp and log: numpy's differ
-# from them in the last bit for some arguments.
-
-def _exp(t):
-    return np.exp(t) if isinstance(t, np.ndarray) else math.exp(t)
-
-
-def _log(t):
-    return np.log(t) if isinstance(t, np.ndarray) else math.log(t)
-
-
 def _vec(parts):
     """Components stacked on a last axis; leading axes are broadcast."""
     return np.stack(np.broadcast_arrays(*parts), axis=-1)
@@ -87,12 +75,7 @@ class Family:
     rows of their Jacobian du/dtheta; mass(v, alpha) is the integral of
     f^(1+alpha); moments(v, c, mass) gives the integrals of u u' f^(1+c),
     u f^(1+c) and du/dtheta f^(1+c); start(xs, alpha) is a moment start
-    point; to_log maps parameter values to the optimizer's coordinates,
-    and unlog(z) maps them back to a tuple of floats, or None outside
-    the parameter space: the objective scores exactly that tuple, and
-    fit returns it. at_zero(v) is the density's limit at x = 0. A
-    one-parameter family may give un(lam, alpha, xs), its estimating
-    function U_n on scalars.
+    point; at_zero(v) is the density's limit at x = 0.
 
     logf, cdf, score, dscore, mass and moments also take a batch of
     parameter points: v holds one array of shape (m,) per parameter,
@@ -112,10 +95,7 @@ class Family:
     mass: object = _entry()
     moments: object = _entry()
     start: object = _entry()
-    to_log: object = _entry()
-    unlog: object = _entry()
     at_zero: object = _entry()
-    un: object = _entry()
 
     def __str__(self):
         return self.tag
@@ -125,7 +105,7 @@ class Family:
 
 def _exp_logf(v, x, lnx):
     lam = v[0]
-    return _log(lam) - lam * x
+    return np.log(lam) - lam * x
 
 
 def _exp_cdf(v, x):
@@ -145,19 +125,15 @@ def _exp_dscore(v, x):
 
 
 def _exp_mass(v, alpha):
-    return _exp(alpha * _log(v[0]) - math.log1p(alpha))
-
-
-def _exp_xi(lam, c):
-    """integral of u f^(1+c), on scalars so the root polish stays cheap."""
-    return c * lam ** (c - 1.0) / (1.0 + c) ** 2
+    return np.exp(alpha * np.log(v[0]) - math.log1p(alpha))
 
 
 def _exp_moments(v, c, mass):
-    rate = v[0] * (1.0 + c)
+    lam = v[0]
+    rate = lam * (1.0 + c)
     return (
         _times(mass, _mat([[(1.0 + c * c) / rate**2]])),
-        _vec([_exp_xi(v[0], c)]),
+        _vec([c * lam ** (c - 1.0) / (1.0 + c) ** 2]),
         _times(mass, _mat(_exp_dscore(v, None))),
     )
 
@@ -170,17 +146,11 @@ def _exp_at_zero(v):
     return v[0]
 
 
-def _exp_un(lam, alpha, xs):
-    """Closed-form U_n: the weighted mean score minus xi."""
-    w = lam**alpha * np.exp(-alpha * lam * xs)
-    return float(np.mean((1.0 / lam - xs) * w)) - _exp_xi(lam, alpha)
-
-
 # --- gamma: u = (ln x + ln b - digamma(a), a/b - x) ---------------------------
 
 def _gamma_logf(v, x, lnx):
     a, b = v
-    return a * _log(b) + (a - 1.0) * lnx - b * x - special.gammaln(a)
+    return a * np.log(b) + (a - 1.0) * lnx - b * x - special.gammaln(a)
 
 
 def _gamma_cdf(v, x):
@@ -195,7 +165,7 @@ def _gamma_ppf(v, q):
 
 def _gamma_score(v, x):
     a, b = v
-    return _log(b) - special.digamma(a) + np.log(x), a / b - x
+    return np.log(b) - special.digamma(a) + np.log(x), a / b - x
 
 
 def _gamma_dscore(v, x):
@@ -207,9 +177,9 @@ def _gamma_dscore(v, x):
 def _gamma_mass(v, alpha):
     a, b = v
     aa = (a - 1.0) * (1.0 + alpha) + 1.0
-    return _exp(
+    return np.exp(
         special.gammaln(aa)
-        + alpha * _log(b)
+        + alpha * np.log(b)
         - (1.0 + alpha) * special.gammaln(a)
         - aa * math.log1p(alpha)
     )
@@ -236,11 +206,6 @@ def _gamma_start(xs, alpha):
     return np.array([a0, b0])
 
 
-def _positive_unlog(z):
-    v = tuple(map(math.exp, z))
-    return v if all(0.0 < p < math.inf for p in v) else None
-
-
 def _shape_rate_at_zero(v):
     a = v[0]
     if a == 1.0:
@@ -253,7 +218,7 @@ def _shape_rate_at_zero(v):
 def _lognormal_logf(v, x, lnx):
     mu, sigma = v
     z = (lnx - mu) / sigma
-    return -_LOG_SQRT_2PI - _log(sigma) - lnx - 0.5 * z * z
+    return -_LOG_SQRT_2PI - np.log(sigma) - lnx - 0.5 * z * z
 
 
 def _lognormal_cdf(v, x):
@@ -279,9 +244,9 @@ def _lognormal_dscore(v, x):
 
 def _lognormal_mass(v, alpha):
     mu, sigma = v
-    return _exp(
+    return np.exp(
         -0.5 * math.log1p(alpha)
-        - alpha * (_LOG_SQRT_2PI + _log(sigma))
+        - alpha * (_LOG_SQRT_2PI + np.log(sigma))
         - alpha * mu
         + alpha**2 * sigma**2 / (2.0 * (1.0 + alpha))
     )
@@ -309,16 +274,6 @@ def _lognormal_start(xs, alpha):
     return np.array([float(logs.mean()), max(sd, 1e-3)])
 
 
-def _lognormal_to_log(v):
-    # the log-mean stays a free coordinate
-    return np.array([float(v[0]), math.log(v[1])])
-
-
-def _lognormal_unlog(z):
-    v = (float(z[0]), math.exp(z[1]))
-    return v if math.isfinite(v[0]) and v[1] > 0.0 else None
-
-
 def _lognormal_at_zero(v):
     return 0.0
 
@@ -327,9 +282,9 @@ def _lognormal_at_zero(v):
 
 def _weibull_logf(v, x, lnx):
     a, b = v
-    lb = _log(b)
+    lb = np.log(b)
     lbx = lb + lnx
-    return _log(a) + lb + (a - 1.0) * lbx - np.exp(a * lbx)
+    return np.log(a) + lb + (a - 1.0) * lbx - np.exp(a * lbx)
 
 
 def _weibull_cdf(v, x):
@@ -359,8 +314,8 @@ def _weibull_dscore(v, x):
 def _weibull_mass(v, alpha):
     a, b = v
     kap = (a - 1.0) * alpha / a
-    return _exp(
-        alpha * (_log(a) + _log(b))
+    return np.exp(
+        alpha * (np.log(a) + np.log(b))
         + special.gammaln(1.0 + kap)
         - (1.0 + kap) * math.log1p(alpha)
     )
@@ -407,29 +362,25 @@ def _weibull_start(xs, alpha):
 EXPONENTIAL = Family(
     "exponential", 1, ("rate",),
     logf=_exp_logf, cdf=_exp_cdf, ppf=_exp_ppf, score=_exp_score, dscore=_exp_dscore,
-    mass=_exp_mass, moments=_exp_moments, start=_exp_start, at_zero=_exp_at_zero, un=_exp_un,
-    to_log=np.log, unlog=_positive_unlog,
+    mass=_exp_mass, moments=_exp_moments, start=_exp_start, at_zero=_exp_at_zero,
 )
 GAMMA = Family(
     "gamma", 2, ("shape", "rate"), shaped=True,
     logf=_gamma_logf, cdf=_gamma_cdf, ppf=_gamma_ppf, score=_gamma_score, dscore=_gamma_dscore,
     mass=_gamma_mass, moments=_gamma_moments, start=_gamma_start,
     at_zero=_shape_rate_at_zero,
-    to_log=np.log, unlog=_positive_unlog,
 )
 LOGNORMAL = Family(
     "lognormal", 2, ("log_mean", "log_sd"),
     logf=_lognormal_logf, cdf=_lognormal_cdf, ppf=_lognormal_ppf, score=_lognormal_score,
     dscore=_lognormal_dscore, mass=_lognormal_mass, moments=_lognormal_moments,
     start=_lognormal_start, at_zero=_lognormal_at_zero,
-    to_log=_lognormal_to_log, unlog=_lognormal_unlog,
 )
 WEIBULL = Family(
     "weibull", 2, ("shape", "rate"), shaped=True,
     logf=_weibull_logf, cdf=_weibull_cdf, ppf=_weibull_ppf, score=_weibull_score,
     dscore=_weibull_dscore, mass=_weibull_mass, moments=_weibull_moments,
     start=_weibull_start, at_zero=_shape_rate_at_zero,
-    to_log=np.log, unlog=_positive_unlog,
 )
 
 # Canonical ordering, also the model-selection tie-break order.
@@ -557,8 +508,7 @@ def _divergence_terms(fam, v, alpha, x, lnx):
     """(M, k, g): the per-observation divergence term is M - k g.
 
     For alpha > 0, g = f^alpha and k = 1 + 1/alpha; at alpha = 0, M = 0,
-    k = 1 and g = ln f. The mass comes first and may raise
-    OverflowError. Both v_alpha and the estimator's objective use this.
+    k = 1 and g = ln f. Both v_alpha and the estimator's objective use this.
     """
     if alpha == 0.0:
         return 0.0, 1.0, fam.logf(v, x, lnx)

@@ -84,7 +84,7 @@ def select_model(families, sample, refine=True):
 
         def evaluate(alpha, warm_start=None):
             if alpha not in curve:
-                res = fit(family, alpha, sample, warm_start=warm_start, fast=True)
+                res = fit(family, alpha, sample, warm_start=warm_start)
                 curve[alpha] = (_ric_from_fit(res), res)
             return curve[alpha]
 

@@ -10,7 +10,8 @@ fit solves all of them together, to rounding, from the closed-form
 gradient and Hessian of the divergence terms. This is the exact form
 of the one-step leave-one-out of Giordano et al. (2019) and Rad &
 Maleki (2020), iterated to convergence. A point whose Newton solve
-fails its guard is refit by the warm-started simplex instead.
+fails its guard is refit on its own, by the same Newton from that
+held-out sample's moment start.
 
 On clean data the curve is nearly flat in alpha (it varies by a few
 1e-4 at most for n = 250), so its argmin can land anywhere on the
@@ -47,7 +48,7 @@ class TuningResult:
     alpha_star: float
     cvmd_star: float
     fit_star: object
-    loo_fallbacks: int  # held-out points refit by the simplex, over the curve
+    loo_fallbacks: int  # held-out points refit one at a time by fit, over the curve
 
     def curve_to_csv(self, path_or_fp):
         with open_sink(path_or_fp) as fh:
@@ -103,7 +104,7 @@ def _loo_points(family, alpha, xs, start):
         rows = np.arange(lo, min(lo + _LOO_CHUNK, n))
         weights = np.full((rows.size, n), 1.0 / (n - 1))
         weights[np.arange(rows.size), rows] = 0.0
-        theta[rows], solved[rows] = _newton_rows(family, alpha, xs, weights, start)
+        theta[rows], solved[rows], _ = _newton_rows(family, alpha, xs, weights, start)
     # held-out sets that fit() refuses take the refit route, which raises
     solved[0] &= not _degenerate(family, xs[1:])
     solved[-1] &= not _degenerate(family, xs[:-1])
@@ -116,19 +117,19 @@ def cvm_distance(family, alpha, sample, fallbacks=None):
     All n leave-one-out estimates are solved together by Newton steps
     from the full-sample fit, to rounding. A held-out point whose
     Newton solve fails its guard (see estimator._newton_rows) is refit
-    instead, warm-started from the full-sample fit; its index is
+    by fit from the held-out sample's own moment start; its index is
     appended to `fallbacks` when a list is given. Raises a tuning
     error naming the (1-based) order-statistic index if such a refit
     fails.
     """
     xs = _sorted_values(sample, family.param_count)
     n = xs.size
-    full = fit(family, alpha, xs, fast=True)
+    full = fit(family, alpha, xs)
     theta, solved = _loo_points(family, alpha, xs, full.theta_hat.values)
     for i in np.flatnonzero(~solved):
         held_out = np.delete(xs, i)
         try:
-            loo = fit(family, alpha, held_out, warm_start=full.theta_hat, fast=True)
+            loo = fit(family, alpha, held_out)
         except DpdError as exc:
             raise TuningError(
                 f"leave-one-out fit {i + 1} of {n} failed at alpha={alpha:g}: {exc}"

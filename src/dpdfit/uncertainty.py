@@ -157,7 +157,7 @@ def bootstrap_se(family, alpha, sample, B=1000, seed=0):
             # count instead of being emitted B times.
             warnings.simplefilter("ignore", RuntimeWarning)
             try:
-                res = fit(family, alpha, xs[idx], warm_start=full.theta_hat, fast=True)
+                res = fit(family, alpha, xs[idx], warm_start=full.theta_hat)
             except DpdError:
                 failures += 1
                 continue

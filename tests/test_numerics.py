@@ -1,19 +1,16 @@
-"""Tests for the shared numerical kernels.
+"""Tests for the numerical kernels.
 
-Covers the simplex minimizer, bracketed root finding, and CDF
-inversion, including the documented error conditions
-of each, plus the test suite's own half-line quadrature oracle
-(tests/quadrature.py).
+Covers CDF inversion, including its documented error conditions, plus
+the test suite's own half-line quadrature oracle (tests/quadrature.py).
 """
 
 import math
 
-import numpy as np
 import pytest
 
-from dpdfit.errors import BracketingError, DomainError, InversionError
+from dpdfit.errors import DomainError, InversionError
 from dpdfit.families import FAMILIES, ParamVector, cdf, density
-from dpdfit.numerics import find_root_bracketed, invert_cdf, minimize
+from dpdfit.numerics import invert_cdf
 from quadrature import QuadratureError, QuadratureSpec, integrate_halfline
 from reference_values import GAMMA_5_1_MEDIAN
 
@@ -80,94 +77,6 @@ class TestIntegrateHalfline:
             QuadratureSpec(rel_tolerance=-1e-8)
         with pytest.raises(DomainError):
             QuadratureSpec(max_subdivisions=0)
-
-
-class TestMinimize:
-    def test_quadratic_1d(self):
-        x, fx, converged = minimize(lambda v: (v[0] - 3.0) ** 2, [0.0])
-        assert converged
-        assert x[0] == pytest.approx(3.0, abs=1e-6)
-        assert fx == pytest.approx(0.0, abs=1e-10)
-
-    def test_separable_quadratic_2d(self):
-        x, _, converged = minimize(
-            lambda v: (v[0] - 1.0) ** 2 + 10.0 * (v[1] + 2.0) ** 2, [0.0, 0.0]
-        )
-        assert converged
-        assert x[0] == pytest.approx(1.0, abs=1e-5)
-        assert x[1] == pytest.approx(-2.0, abs=1e-5)
-
-    def test_rosenbrock(self):
-        def rosen(v):
-            return (1.0 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2
-
-        x, _, _ = minimize(rosen, [-1.2, 1.0])
-        assert x[0] == pytest.approx(1.0, abs=1e-4)
-        assert x[1] == pytest.approx(1.0, abs=1e-4)
-
-    def test_random_convex_quadratics(self, rng):
-        """Recovers the analytic minimizer within 10x the 1e-8 parameter tolerance."""
-        for _ in range(10):
-            target = rng.uniform(-4.0, 4.0, size=2)
-            scale = rng.uniform(0.5, 5.0, size=2)
-
-            def quad(v):
-                return float(np.sum(scale * (v - target) ** 2))
-
-            x, _, converged = minimize(quad, target + rng.uniform(-1, 1, size=2))
-            assert converged
-            np.testing.assert_allclose(x, target, atol=1e-7)
-
-    def test_monotone_improvement(self):
-        start = [4.0, -1.0]
-
-        def f(v):
-            return float((v[0] + 2.0) ** 2 + (v[1] - 5.0) ** 2)
-
-        _, fx, _ = minimize(f, start)
-        assert fx <= f(np.asarray(start))
-
-    def test_nonfinite_start_rejected(self):
-        with pytest.raises(DomainError):
-            minimize(lambda v: float("nan"), [1.0])
-
-    def test_nonfinite_mid_search_tolerated(self):
-        """Points outside the domain read as +inf and are stepped around."""
-
-        def f(v):
-            if v[0] < 0:
-                return float("inf")
-            return (v[0] - 2.0) ** 2
-
-        x, _, _ = minimize(f, [0.5])
-        assert x[0] == pytest.approx(2.0, abs=1e-6)
-
-    def test_dimension_guard(self):
-        with pytest.raises(DomainError):
-            minimize(lambda v: float(np.sum(v * v)), [1.0, 2.0, 3.0])
-
-
-class TestFindRootBracketed:
-    def test_linear(self):
-        assert find_root_bracketed(lambda x: x - 2.0, 0.0, 5.0) == pytest.approx(
-            2.0, abs=1e-12
-        )
-
-    def test_sqrt_two(self):
-        root = find_root_bracketed(lambda x: x * x - 2.0, 0.0, 2.0)
-        assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
-
-    def test_mean_reciprocal_root(self):
-        """The zero of 1/lam - mean(x) for {1,2,3} sits at lam = 0.5."""
-        root = find_root_bracketed(lambda lam: 1.0 / lam - 2.0, 0.01, 10.0)
-        assert root == pytest.approx(0.5, abs=1e-10)
-
-    def test_endpoint_root(self):
-        assert find_root_bracketed(lambda x: x, 0.0, 1.0) == 0.0
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketingError):
-            find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 class TestInvertCdf:

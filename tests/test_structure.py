@@ -4,9 +4,10 @@ Each family is defined once, by its entry in the table in families.py;
 code elsewhere asks the family for its behaviour instead of testing
 which family it is. Output files and streams are opened in one place,
 dataio.open_sink. Series run one after another, with no thread pool.
-The package exports a fixed public API. The optimizer maps back to
-parameters one way only (Family.unlog), numerics holds only the
-numerical kernels the package uses, and the gamma/Weibull shape floor
+The package exports a fixed public API. Every fit is one row of the
+batched Newton kernel in natural coordinates, so no module imports
+scipy.optimize and a Family carries no reparameterisation; numerics
+holds only CDF inversion, and the gamma/Weibull shape floor
 alpha/(1+alpha) is spelled once, in families.py.
 """
 
@@ -25,7 +26,7 @@ FAMILY_NAMES = {"EXPONENTIAL", "GAMMA", "LOGNORMAL", "WEIBULL"}
 
 # The package re-exports each module's __all__; this is the public API.
 PUBLIC_API = [
-    "__version__", "AreTable", "BootstrapResult", "BracketingError", "COARSE_GRID",
+    "__version__", "AreTable", "BootstrapResult", "COARSE_GRID",
     "ContaminationScheme", "DataError", "DomainError", "DpdError", "DpdValidityError",
     "EXPONENTIAL", "FAMILIES", "Family", "FitError", "FitResult", "GAMMA",
     "InversionError", "LOGNORMAL", "OutlierSummary", "ParamVector", "REPORT_COLUMNS",
@@ -139,11 +140,24 @@ def test_public_api():
 
 
 def test_family_has_one_back_transform():
-    assert "from_log" not in {f.name for f in dataclasses.fields(dpdfit.Family)}
+    fields = {f.name for f in dataclasses.fields(dpdfit.Family)}
+    assert fields.isdisjoint({"from_log", "to_log", "unlog", "un"})
 
 
 def test_numerics_exports_only_the_kernels():
-    assert numerics.__all__ == ["minimize", "find_root_bracketed", "invert_cdf"]
+    assert numerics.__all__ == ["invert_cdf"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_optimize(path):
+    tree = _tree(path)
+    names = _imports(tree) | {
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    }
+    assert not any(n == "scipy.optimize" or n.startswith("scipy.optimize.") for n in names)
 
 
 def test_shape_floor_spelled_once_in_families():

@@ -224,8 +224,8 @@ class TestReducedBias:
         for trial in range(12):
             scheme = ContaminationScheme(0.05, point, seed=trial)
             sample = simulate_contaminated(family, theta0, scheme, 300)
-            mle = fit(family, 0.0, sample, fast=True)
-            robust = fit(family, 0.5, sample, fast=True)
+            mle = fit(family, 0.0, sample)
+            robust = fit(family, 0.5, sample)
             if all(
                 abs(r - t) < abs(m - t)
                 for r, m, t in zip(

@@ -309,7 +309,7 @@ def _cmd_influence(args):
 
 def _cmd_bootstrap(args):
     sample = load_csv(args.input, args.column)
-    res = bootstrap_se(args.family, args.alpha, sample, B=args.B, seed=args.seed or 0)
+    res = bootstrap_se(args.family, args.alpha, sample, B=args.B, seed=args.seed)
     if args.estimates_csv:
         _emit(args.estimates_csv, res.estimates_to_csv)
     out = {

@@ -46,11 +46,6 @@ def _sample_values(sample):
     return np.atleast_1d(_check_x(sample))
 
 
-def _degenerate(family, vals):
-    """True when vals cannot be fitted: all equal, with two parameters."""
-    return family.param_count == 2 and float(vals.max() - vals.min()) == 0.0
-
-
 def _h(family, v, alpha, vals, lnx):
     """H = M - k mean(g) at parameter values v, lnx = log(vals): the one
     reduction of the divergence terms, for objective_h and fit alike."""
@@ -116,25 +111,30 @@ def _weighted_terms(family, alpha, x, lnx, weights, theta):
     with dxi = integral of du f^(1+alpha) + (1+alpha) integral of
     u u' f^(1+alpha); at alpha = 0 that is Newton on the mean negative
     log-likelihood, xi and dxi being zero.
+
+    Sums run along contiguous rows of (m, n) arrays, so no row's result
+    depends on its batch.
     """
-    v = tuple(theta.T)
-    mass, k, g = _divergence_terms(family, v, alpha, x, lnx)
+    x, lnx, weights = x.T, lnx.T, weights.T
+    v, vc = tuple(theta.T), tuple(theta.T[:, :, None])
+    mass, k, g = _divergence_terms(family, vc, alpha, x, lnx)
+    mass = np.ravel(mass)
     wg = weights * g
-    h = mass - k * wg.sum(axis=0)
-    scale = np.abs(mass) + k * np.abs(wg).sum(axis=0)
+    h = mass - k * wg.sum(axis=1)
+    scale = np.abs(mass) + k * np.abs(wg).sum(axis=1)
     if alpha == 0.0:
         wg = weights
         xi = dxi = 0.0
     else:
         uu, xi, du_int = family.moments(v, alpha, mass)
         dxi = du_int + (1.0 + alpha) * uu
-    u = family.score(v, x)
+    u = family.score(vc, x)
     wu = [wg * uq for uq in u]
-    grad = xi - _vec([wuq.sum(axis=0) for wuq in wu])
+    grad = xi - _vec([wuq.sum(axis=1) for wuq in wu])
     curv = _mat(
         [
-            [(alpha * wup * uq + wg * dpq).sum(axis=0) for uq, dpq in zip(u, drow)]
-            for wup, drow in zip(wu, family.dscore(v, x))
+            [(alpha * wup * uq + wg * dpq).sum(axis=1) for uq, dpq in zip(u, drow)]
+            for wup, drow in zip(wu, family.dscore(vc, x))
         ]
     )
     return h, (1.0 + alpha) * grad, (1.0 + alpha) * (dxi - curv), scale
@@ -225,13 +225,35 @@ def _newton_rows(family, alpha, xs, weights, start):
     return theta, solved, evals
 
 
+# Weight entries per Newton batch, which bounds its memory.
+_ROW_BUDGET = 1 << 14
+
+
+def _solve_rows(family, alpha, xs, m, weights_of, start):
+    """_newton_rows' (theta, solved, evaluations) for rows 0..m-1 from start,
+    _ROW_BUDGET // n rows at a time, weights_of(rows) giving a batch's
+    weights (rows.size, n). A two-parameter row whose positively weighted
+    values are all equal is unsolved, as fit refuses such a sample."""
+    chunk = max(_ROW_BUDGET // xs.size, 1)
+    out = []
+    for lo in range(0, m, chunk):
+        weights = weights_of(np.arange(lo, min(lo + chunk, m)))
+        theta, solved, evals = _newton_rows(family, alpha, xs, weights, start)
+        if family.param_count == 2:
+            drawn = weights > 0.0
+            top = np.where(drawn, xs, -np.inf).max(axis=1)
+            solved &= top > np.where(drawn, xs, np.inf).min(axis=1)
+        out.append((theta, solved, evals))
+    return tuple(np.concatenate(part) for part in zip(*out))
+
+
 def fit(family, alpha, sample, warm_start=None):
     """Fit one family at a fixed tuning parameter alpha.
 
-    Minimizes H by the damped Newton of _newton_rows, as one row of
-    weight 1/n per observation, from `warm_start` when given (a gamma or
-    Weibull shape is raised to at least its floor plus 0.05) and from
-    the family's moment start otherwise. `converged` reports whether Newton
+    Minimizes H by damped Newton as the one row of _solve_rows, weight
+    1/n per observation, from `warm_start` when given (a gamma or Weibull
+    shape is raised to at least its floor plus 0.05) and from the
+    family's moment start otherwise. `converged` reports whether Newton
     reached rounding at a positive definite Hessian. `objective` is H at
     the returned `theta_hat`, so objective == objective_h(theta_hat).
     """
@@ -243,7 +265,7 @@ def fit(family, alpha, sample, warm_start=None):
             f"need at least {family.param_count + 1} observations "
             f"to fit {family.tag}, got {vals.size}"
         )
-    if _degenerate(family, vals):
+    if family.param_count == 2 and vals.max() == vals.min():
         raise FitError(
             f"sample is degenerate (all values equal); {family.tag} fit has "
             "no interior optimum"
@@ -256,8 +278,9 @@ def fit(family, alpha, sample, warm_start=None):
     else:
         start = family.start(vals, alpha)
 
-    weights = np.full((1, vals.size), 1.0 / vals.size)
-    theta, solved, evals = _newton_rows(family, alpha, vals, weights, start)
+    theta, solved, evals = _solve_rows(
+        family, alpha, vals, 1, lambda rows: np.full((1, vals.size), 1.0 / vals.size), start
+    )
     theta = ParamVector(family, tuple(theta[0]))
     with np.errstate(all="ignore"):
         h_val = _h(family, theta.values, alpha, vals, np.log(vals))

@@ -114,13 +114,13 @@ def select_model(families, sample, refine=True):
         for al, (value, _res) in curve.items():
             table[(family, al)] = value
         alpha_min = min(curve, key=lambda al: (curve[al][0], al))
-        final = fit(family, alpha_min, sample)
+        ric_min, fit_min = curve[alpha_min]
         records.append(
             SelectionRecord(
                 family=family,
                 alpha_star_ric=float(alpha_min),
-                ric_min=float(curve[alpha_min][0]),
-                fit=final,
+                ric_min=float(ric_min),
+                fit=fit_min,
             )
         )
 

@@ -5,13 +5,13 @@ each order statistic removed, evaluate the held-out point's fitted CDF
 against its plotting position (i - 0.5)/n, and average the squared
 discrepancies.
 
-The n refits are exact: one damped Newton pass from the full-sample
-fit solves all of them together, to rounding, from the closed-form
-gradient and Hessian of the divergence terms. This is the exact form
-of the one-step leave-one-out of Giordano et al. (2019) and Rad &
-Maleki (2020), iterated to convergence. A point whose Newton solve
-fails its guard is refit on its own, by the same Newton from that
-held-out sample's moment start.
+The n refits are exact: held-out point i is row i of
+estimator._solve_rows, as a bootstrap replicate is, solved to rounding
+by damped Newton from the full-sample fit with the closed-form gradient
+and Hessian of the divergence terms. This is the exact form of the
+one-step leave-one-out of Giordano et al. (2019) and Rad & Maleki
+(2020), iterated to convergence. A point whose row is unsolved is refit
+on its own, by fit from that held-out sample's moment start.
 
 On clean data the curve is nearly flat in alpha (it varies by a few
 1e-4 at most for n = 250), so its argmin can land anywhere on the
@@ -27,7 +27,7 @@ import numpy as np
 
 from .dataio import open_sink
 from .errors import DomainError, DpdError, TuningError
-from .estimator import _degenerate, _newton_rows, _sample_values, fit
+from .estimator import _sample_values, _solve_rows, fit
 
 __all__ = ["TuningResult", "cvm_distance", "select_alpha", "COARSE_GRID"]
 
@@ -35,9 +35,6 @@ __all__ = ["TuningResult", "cvm_distance", "select_alpha", "COARSE_GRID"]
 COARSE_GRID = tuple(k / 20.0 for k in range(21))
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Held-out rows solved together by one Newton pass.
-_LOO_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -95,20 +92,12 @@ def _golden_refine(f, grid, best):
 
 def _loo_points(family, alpha, xs, start):
     """Every leave-one-out estimate of the sorted sample xs, by Newton
-    from start, in chunks of _LOO_CHUNK held-out rows so memory stays
-    O(_LOO_CHUNK n). Returns (theta (n, p), solved (n,))."""
+    from start: row i weights every point but xs[i] by 1/(n - 1).
+    Returns (theta (n, p), solved (n,))."""
     n = xs.size
-    theta = np.empty((n, family.param_count))
-    solved = np.empty(n, dtype=bool)
-    for lo in range(0, n, _LOO_CHUNK):
-        rows = np.arange(lo, min(lo + _LOO_CHUNK, n))
-        weights = np.full((rows.size, n), 1.0 / (n - 1))
-        weights[np.arange(rows.size), rows] = 0.0
-        theta[rows], solved[rows], _ = _newton_rows(family, alpha, xs, weights, start)
-    # held-out sets that fit() refuses take the refit route, which raises
-    solved[0] &= not _degenerate(family, xs[1:])
-    solved[-1] &= not _degenerate(family, xs[:-1])
-    return theta, solved
+    return _solve_rows(
+        family, alpha, xs, n, lambda rows: (np.arange(n) != rows[:, None]) / (n - 1), start
+    )[:2]
 
 
 def cvm_distance(family, alpha, sample, fallbacks=None):
@@ -116,7 +105,7 @@ def cvm_distance(family, alpha, sample, fallbacks=None):
 
     All n leave-one-out estimates are solved together by Newton steps
     from the full-sample fit, to rounding. A held-out point whose
-    Newton solve fails its guard (see estimator._newton_rows) is refit
+    Newton solve fails its guard (see estimator._solve_rows) is refit
     by fit from the held-out sample's own moment start; its index is
     appended to `fallbacks` when a list is given. Raises a tuning
     error naming the (1-based) order-statistic index if such a refit

@@ -1,5 +1,7 @@
 """Bootstrap standard errors and seeded sample generation.
 
+A bootstrap replicate is a row of estimator._solve_rows weighted by draw counts / n.
+
 All randomness comes from the counter-based Philox generator. Stream
 r of a seed is Philox(SeedSequence(seed, spawn_key=(r,))), so every
 replicate's draws are fixed by (seed, r) alone and results cannot
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Sample, open_sink
-from .errors import DomainError, DpdError, FitError
-from .estimator import _sample_values, fit
+from .errors import DomainError, FitError
+from .estimator import _sample_values, _solve_rows, fit
 from .families import ParamVector, _check_family, quantile
 
 __all__ = [
@@ -137,40 +139,26 @@ def simulate_contaminated(family, theta, scheme, n):
 def bootstrap_se(family, alpha, sample, B=1000, seed=0):
     """Nonparametric bootstrap around the full-sample fit.
 
-    Each replicate resamples n observations with replacement and
-    refits warm-started at the full-sample estimate; se is the
-    per-parameter standard deviation over converged replicates with
-    divisor B_conv - 1. More than 5% failures attaches a warning.
+    Replicate r resamples n observations by stream r of seed and is
+    solved from the full-sample estimate. se is the standard deviation
+    over solved replicates, divisor B_conv - 1; over 5% unsolved warns.
     """
     if B < 2:
         raise DomainError(f"need B >= 2, got {B}")
     full = fit(family, alpha, sample)
     xs = _sample_values(sample)
     n = xs.size
-    estimates = []
-    ids = []
-    failures = 0
-    for r in range(int(B)):
-        idx = _stream(seed, r).integers(0, n, size=n)
-        with warnings.catch_warnings():
-            # Non-convergence warnings are aggregated into the failure
-            # count instead of being emitted B times.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            try:
-                res = fit(family, alpha, xs[idx], warm_start=full.theta_hat)
-            except DpdError:
-                failures += 1
-                continue
-        if not res.converged:
-            failures += 1
-            continue
-        estimates.append(tuple(float(v) for v in res.theta_hat.values))
-        ids.append(r)
-    if len(estimates) < 2:
-        raise FitError(
-            f"bootstrap needs at least 2 converged replicates, got {len(estimates)} of {B}"
-        )
-    se = np.std(np.asarray(estimates), axis=0, ddof=1)
+
+    def drawn(rows):
+        return np.stack(
+            [np.bincount(_stream(seed, r).integers(0, n, size=n), minlength=n) for r in rows]
+        ) / n
+
+    theta, solved, _ = _solve_rows(family, alpha, xs, int(B), drawn, full.theta_hat.values)
+    ids = np.flatnonzero(solved)
+    failures = int(B) - ids.size
+    if ids.size < 2:
+        raise FitError(f"bootstrap needs at least 2 converged replicates, got {ids.size} of {B}")
     warning = None
     if failures > 0.05 * B:
         warning = f"{failures} of {B} bootstrap replicates failed to converge"
@@ -178,9 +166,9 @@ def bootstrap_se(family, alpha, sample, B=1000, seed=0):
     return BootstrapResult(
         fit=full,
         B=int(B),
-        se=tuple(float(v) for v in se),
-        replicate_estimates=tuple(estimates),
-        replicate_ids=tuple(ids),
+        se=tuple(float(v) for v in np.std(theta[ids], axis=0, ddof=1)),
+        replicate_estimates=tuple(tuple(float(v) for v in row) for row in theta[ids]),
+        replicate_ids=tuple(int(r) for r in ids),
         failures=failures,
         warning=warning,
     )

@@ -8,7 +8,11 @@ The package exports a fixed public API. Every fit is one row of the
 batched Newton kernel in natural coordinates, so no module imports
 scipy.optimize and a Family carries no reparameterisation; numerics
 holds only CDF inversion, and the gamma/Weibull shape floor
-alpha/(1+alpha) is spelled once, in families.py.
+alpha/(1+alpha) is spelled once, in families.py. Full fits,
+leave-one-out fits and bootstrap replicates all reach the kernel
+through estimator._solve_rows, so the kernel is named only in
+estimator.py, and no module silences warnings process-wide with
+warnings.catch_warnings.
 """
 
 import ast
@@ -163,3 +167,27 @@ def test_no_scipy_optimize(path):
 def test_shape_floor_spelled_once_in_families():
     found = [p.name for p in MODULES for _ in _shape_floors(_tree(p))]
     assert found == ["families.py"]
+
+
+def _names(tree):
+    """Every identifier and attribute name used in the tree."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    } | {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_newton_kernel_named_only_in_estimator():
+    found = [p.name for p in MODULES if "_newton_rows" in _names(_tree(p))]
+    assert found == ["estimator.py"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_catch_warnings(path):
+    assert "catch_warnings" not in _names(_tree(path))

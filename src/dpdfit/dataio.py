@@ -83,10 +83,14 @@ class OutlierSummary:
     outlier_proportion: float
 
 
-def _parse_cell(raw, line_num, column):
+def _cell_text(raw, line_num, column):
     if raw is None or not str(raw).strip():
         raise DataError(f"blank or missing '{column}' cell at line {line_num}")
-    text = str(raw).strip()
+    return str(raw).strip()
+
+
+def _parse_cell(raw, line_num, column):
+    text = _cell_text(raw, line_num, column)
     if text.lower() in ("na", "nan", "null", "n/a"):
         raise DataError(f"missing value marker '{text}' at line {line_num}")
     try:
@@ -116,7 +120,9 @@ def _read_rows(path, column, label_column=None):
         rows = []
         for record in reader:
             v = _parse_cell(record.get(column), reader.line_num, column)
-            label = str(record[label_column]).strip() if label_column is not None else None
+            label = None
+            if label_column is not None:
+                label = _cell_text(record.get(label_column), reader.line_num, label_column)
             rows.append((label, v))
     return rows
 

@@ -20,7 +20,7 @@ from .dataio import open_sink
 from .errors import DpdError, SelectionError
 from .estimator import fit
 from .families import FAMILIES
-from .tuning import COARSE_GRID, _golden_refine
+from .tuning import alpha_search
 
 __all__ = ["SelectionRecord", "SelectionReport", "ric", "select_model"]
 
@@ -38,6 +38,7 @@ class SelectionReport:
     records: tuple
     winner: object
     ric_table: dict
+    excluded: tuple  # tags of the families with no alpha scored, in candidate order
 
     def table_to_csv(self, path_or_fp):
         with open_sink(path_or_fp) as fh:
@@ -62,15 +63,24 @@ def ric(family, alpha, sample):
     return _ric_from_fit(fit(family, alpha, sample))
 
 
+def _scored(family, alpha, sample):
+    """(RIC, fit) of a cold fit at alpha; None if either raises a DpdError."""
+    try:
+        res = fit(family, alpha, sample)
+        return _ric_from_fit(res), res
+    except DpdError:
+        return None
+
+
 def select_model(families, sample, refine=True):
     """Pick the family minimizing min-over-alpha RIC.
 
-    The alpha search reuses the tuning scheme: coarse grid then
-    golden-section refinement to width 1e-3, with warm starts chained
-    along the grid; refine=False stops at the grid. Families whose
-    fits fail at every alpha are excluded with a warning; ties across
-    families break toward fewer parameters, then the fixed order
-    exponential, gamma, lognormal, Weibull.
+    Each family's alpha search is tuning.alpha_search over cold fits
+    scored by RIC; refine=False stops at the grid. An alpha whose fit or
+    RIC raises a DpdError is left out, and during refinement ends it.
+    Families with no alpha scored are excluded with a warning and listed
+    in `excluded`; ties across families break toward fewer parameters,
+    then the fixed order exponential, gamma, lognormal, Weibull.
     """
     families = list(families)
     if not families:
@@ -78,51 +88,16 @@ def select_model(families, sample, refine=True):
     order = {tag: i for i, tag in enumerate(FAMILIES)}
     table = {}
     records = []
+    excluded = []
     for family in families:
-        curve = {}
-        warm = None
-
-        def evaluate(alpha, warm_start=None):
-            if alpha not in curve:
-                res = fit(family, alpha, sample, warm_start=warm_start)
-                curve[alpha] = (_ric_from_fit(res), res)
-            return curve[alpha]
-
-        for alpha in COARSE_GRID:
-            try:
-                _, last = evaluate(alpha, warm_start=warm)
-                warm = last.theta_hat
-            except DpdError:
-                continue
+        curve, alpha_min = alpha_search(lambda al: _scored(family, al, sample), refine)
         if not curve:
-            warnings.warn(
-                f"{family.tag}: every fit failed; excluded from selection",
-                RuntimeWarning,
-            )
+            warnings.warn(f"{family.tag}: every fit failed; excluded from selection", RuntimeWarning)
+            excluded.append(family.tag)
             continue
-
-        if refine:
-            best_alpha = min(curve, key=lambda al: (curve[al][0], al))
-            warm_ref = curve[best_alpha][1].theta_hat
-            try:
-                _golden_refine(
-                    lambda al: evaluate(al, warm_start=warm_ref)[0], sorted(curve), best_alpha
-                )
-            except DpdError:
-                pass
-
-        for al, (value, _res) in curve.items():
-            table[(family, al)] = value
-        alpha_min = min(curve, key=lambda al: (curve[al][0], al))
+        table.update({(family, al): value for al, (value, _) in curve.items()})
         ric_min, fit_min = curve[alpha_min]
-        records.append(
-            SelectionRecord(
-                family=family,
-                alpha_star_ric=float(alpha_min),
-                ric_min=float(ric_min),
-                fit=fit_min,
-            )
-        )
+        records.append(SelectionRecord(family, float(alpha_min), float(ric_min), fit_min))
 
     if not records:
         raise SelectionError("all candidate families failed to fit")
@@ -131,5 +106,5 @@ def select_model(families, sample, refine=True):
         key=lambda r: (r.ric_min, r.family.param_count, order.get(r.family.tag, 99)),
     )
     return SelectionReport(
-        records=tuple(records), winner=winner_rec.family, ric_table=table
+        records=tuple(records), winner=winner_rec.family, ric_table=table, excluded=tuple(excluded)
     )

@@ -13,6 +13,9 @@ one-step leave-one-out of Giordano et al. (2019) and Rad & Maleki
 (2020), iterated to convergence. A point whose row is unsolved is refit
 on its own, by fit from that held-out sample's moment start.
 
+alpha_search is the one alpha search: select_alpha scores each alpha's
+full-sample fit by this distance, selection.select_model by RIC.
+
 On clean data the curve is nearly flat in alpha (it varies by a few
 1e-4 at most for n = 250), so its argmin can land anywhere on the
 grid. Contamination makes alpha = 0 clearly worse (many times the
@@ -68,28 +71,6 @@ def _sorted_values(sample, param_count):
     return np.sort(vals, kind="stable")
 
 
-def _golden_refine(f, grid, best):
-    """Golden-section search for a minimum of f between the neighbours
-    of `best` in the sorted `grid`, down to width 1e-3. Returns nothing:
-    f records the values it computes."""
-    pos = grid.index(best)
-    a, b = grid[max(pos - 1, 0)], grid[min(pos + 1, len(grid) - 1)]
-    if b <= a:
-        return
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-3:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-
-
 def _loo_points(family, alpha, xs, start):
     """Every leave-one-out estimate of the sorted sample xs, by Newton
     from start: row i weights every point but xs[i] by 1/(n - 1).
@@ -100,18 +81,51 @@ def _loo_points(family, alpha, xs, start):
     )[:2]
 
 
-def cvm_distance(family, alpha, sample, fallbacks=None):
-    """Leave-one-out CVM distance at one alpha.
+def alpha_search(evaluate, refine):
+    """Minimize evaluate(alpha) -> (value, fit) over alpha in [0, 1].
 
-    All n leave-one-out estimates are solved together by Newton steps
-    from the full-sample fit, to rounding. A held-out point whose
-    Newton solve fails its guard (see estimator._solve_rows) is refit
-    by fit from the held-out sample's own moment start; its index is
-    appended to `fallbacks` when a list is given. Raises a tuning
-    error naming the (1-based) order-statistic index if such a refit
-    fails.
+    COARSE_GRID first, leaving out each alpha for which evaluate returns
+    None, then with `refine` golden section to width 1e-3 between the best
+    alpha's scored neighbours, up to the first alpha it cannot score. Each
+    alpha is evaluated once; ties break toward the smaller alpha. Returns
+    {alpha: (value, fit)} and its argmin (None if empty). Not exported.
     """
-    xs = _sorted_values(sample, family.param_count)
+    curve = {}
+
+    def value(alpha):
+        if alpha not in curve:
+            scored = evaluate(alpha)
+            if scored is None:
+                return None
+            curve[alpha] = scored
+        return curve[alpha][0]
+
+    def argmin():
+        return min(curve, key=lambda al: (curve[al][0], al), default=None)
+
+    for alpha in COARSE_GRID:
+        value(alpha)
+    if refine and curve:
+        grid = sorted(curve)
+        pos = grid.index(argmin())
+        a, b = grid[max(pos - 1, 0)], grid[min(pos + 1, len(grid) - 1)]
+        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        fc = value(c)
+        fd = None if fc is None else value(d)
+        while None not in (fc, fd) and b - a > 1e-3:
+            if fc <= fd:
+                b, d, fd = d, c, fc
+                c = b - _GOLDEN * (b - a)
+                fc = value(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _GOLDEN * (b - a)
+                fd = value(d)
+    return curve, argmin()
+
+
+def _cvm_point(family, alpha, xs, fallbacks):
+    """(cvm_distance, full-sample fit) of the sorted sample xs at alpha."""
     n = xs.size
     full = fit(family, alpha, xs)
     theta, solved = _loo_points(family, alpha, xs, full.theta_hat.values)
@@ -131,38 +145,41 @@ def cvm_distance(family, alpha, sample, fallbacks=None):
         if fallbacks is not None:
             fallbacks.append(int(i))
     resid = (np.arange(n) + 0.5) / n - family.cdf(tuple(theta.T), xs)
-    return float(resid @ resid) / n
+    return float(resid @ resid) / n, full
+
+
+def cvm_distance(family, alpha, sample, fallbacks=None):
+    """Leave-one-out CVM distance at one alpha.
+
+    All n leave-one-out estimates are solved together by Newton steps
+    from the full-sample fit, to rounding. A held-out point whose
+    Newton solve fails its guard (see estimator._solve_rows) is refit
+    by fit from the held-out sample's own moment start; its index is
+    appended to `fallbacks` when a list is given. Raises a tuning
+    error naming the (1-based) order-statistic index if such a refit
+    fails.
+    """
+    return _cvm_point(family, alpha, _sorted_values(sample, family.param_count), fallbacks)[0]
 
 
 def select_alpha(family, sample, refine=True):
-    """Minimize the CVM distance over alpha in [0, 1].
+    """Minimize the CVM distance over alpha in [0, 1] by alpha_search.
 
-    Coarse grid first, then golden-section refinement (to width 1e-3)
-    between the grid minimum's neighbors; `refine=False` stops after
-    the grid. Grid ties break toward smaller alpha. Deterministic:
-    no randomness anywhere in the sweep.
+    Each alpha's full-sample fit, from the moment start, is scored by
+    cvm_distance, and `fit_star` is the fit scored at `alpha_star`; an
+    error at any alpha propagates. `refine=False` stops after the grid.
+    Deterministic: no randomness anywhere in the sweep.
     """
-    curve = {}
+    xs = _sorted_values(sample, family.param_count)
     fallbacks = []
-
-    def evaluate(alpha):
-        if alpha not in curve:
-            curve[alpha] = cvm_distance(family, alpha, sample, fallbacks)
-        return curve[alpha]
-
-    for alpha in COARSE_GRID:
-        evaluate(alpha)
-    if refine:
-        _golden_refine(evaluate, COARSE_GRID, min(curve, key=lambda al: (curve[al], al)))
-
-    alpha_star = min(curve, key=lambda al: (curve[al], al))
-    fit_star = fit(family, alpha_star, sample)
+    curve, alpha_star = alpha_search(lambda al: _cvm_point(family, al, xs, fallbacks), refine)
+    cvmd_star, fit_star = curve[alpha_star]
     return TuningResult(
         family=family,
         alpha_grid=COARSE_GRID,
-        cvmd_curve=dict(curve),
+        cvmd_curve={alpha: value for alpha, (value, _) in curve.items()},
         alpha_star=float(alpha_star),
-        cvmd_star=float(curve[alpha_star]),
+        cvmd_star=float(cvmd_star),
         fit_star=fit_star,
         loo_fallbacks=len(fallbacks),
     )

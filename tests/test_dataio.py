@@ -194,6 +194,21 @@ class TestLoadPanel:
         samples = load_panel(path, label_column="site")
         assert [s.label for s in samples] == ["a", "b"]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "label,value\na,1.0\n,3.0\n",  # blank label cell
+            "label,value\na,1.0\n   ,3.0\n",  # whitespace only
+            "value,label\n1.0,a\n3.0\n",  # short row: no label cell at all
+        ],
+    )
+    def test_blank_or_missing_label_names_line(self, tmp_path, text):
+        """A row without a label is an error, not a series labelled ''."""
+        path = tmp_path / "panel.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="'label' cell at line 3"):
+            load_panel(path)
+
 
 class TestOutlierSummary:
     def test_hand_quartiles_without_outliers(self):

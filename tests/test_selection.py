@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import as_sample
-from dpdfit.errors import SelectionError
+from dpdfit import selection
+from dpdfit.errors import FitError, SelectionError
 from dpdfit.estimator import fit
 from dpdfit.families import FAMILIES, ParamVector, log_density
 from dpdfit.selection import ric, select_model
+from dpdfit.tuning import COARSE_GRID
 from dpdfit.uncertainty import sample_family
 
 EXPONENTIAL = FAMILIES["exponential"]
@@ -116,6 +118,28 @@ class TestSelectModel:
             ]
             assert record.ric_min <= min(family_entries) + 1e-12
             assert record.fit.converged
+        assert report.excluded == ()
+
+    def test_each_alpha_fitted_once_from_the_moment_start(self, monkeypatch):
+        """Every (family, alpha) in the table is one cold fit, and each
+        record holds the fit that was scored: no warm chain, no refit."""
+        fits = []
+
+        def counting_fit(family, alpha, sample, warm_start=None):
+            res = fit(family, alpha, sample)
+            fits.append((family.tag, alpha, warm_start, res))
+            return res
+
+        monkeypatch.setattr(selection, "fit", counting_fit)
+        sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 1.0)), 80, seed=9)
+        report = select_model(ALL_FAMILIES, sample)
+        assert [w for _, _, w, _ in fits] == [None] * len(fits)
+        assert sorted((tag, a) for tag, a, _, _ in fits) == sorted(
+            (f.tag, a) for f, a in report.ric_table
+        )
+        by_key = {(tag, a): res for tag, a, _, res in fits}
+        for record in report.records:
+            assert record.fit is by_key[(record.family.tag, record.alpha_star_ric)]
 
     def test_grid_only_mode_stays_on_grid(self):
         sample = sample_family(EXPONENTIAL, ParamVector(EXPONENTIAL, (1.0,)), 80, seed=2)
@@ -128,6 +152,34 @@ class TestSelectModel:
         with pytest.warns(RuntimeWarning):
             with pytest.raises(SelectionError):
                 select_model([GAMMA], degenerate)
+
+    def test_failed_alpha_is_left_out_and_ends_refinement(self, monkeypatch):
+        """A grid alpha whose fit raises is left out of the curve, and the
+        first refinement alpha whose fit raises ends the refinement."""
+        tried = []
+
+        def failing_fit(family, alpha, sample, warm_start=None):
+            tried.append(alpha)
+            if alpha == 0.5 or alpha not in COARSE_GRID:
+                raise FitError("forced failure")
+            return fit(family, alpha, sample)
+
+        monkeypatch.setattr(selection, "fit", failing_fit)
+        sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 1.0)), 60, seed=2)
+        report = select_model([GAMMA], sample)
+        assert sorted(a for _, a in report.ric_table) == [a for a in COARSE_GRID if a != 0.5]
+        assert len(tried) == len(COARSE_GRID) + 1
+        assert report.records[0].alpha_star_ric in COARSE_GRID
+
+    def test_excluded_families_are_listed(self):
+        """On a constant sample only the one-parameter family can be fitted;
+        the others are excluded with a warning and named in the report."""
+        degenerate = as_sample([2.0, 2.0, 2.0, 2.0])
+        with pytest.warns(RuntimeWarning, match="excluded from selection"):
+            report = select_model(ALL_FAMILIES, degenerate)
+        assert report.excluded == ("gamma", "lognormal", "weibull")
+        assert report.winner is EXPONENTIAL
+        assert [r.family for r in report.records] == [EXPONENTIAL]
 
     def test_empty_candidate_list(self):
         with pytest.raises(SelectionError):

@@ -12,7 +12,9 @@ alpha/(1+alpha) is spelled once, in families.py. Full fits,
 leave-one-out fits and bootstrap replicates all reach the kernel
 through estimator._solve_rows, so the kernel is named only in
 estimator.py, and no module silences warnings process-wide with
-warnings.catch_warnings.
+warnings.catch_warnings. Tuning and model selection share one alpha
+search, tuning.alpha_search, which is not underscored: selection.py
+uses nothing private of tuning's.
 """
 
 import ast
@@ -191,3 +193,22 @@ def test_newton_kernel_named_only_in_estimator():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_catch_warnings(path):
     assert "catch_warnings" not in _names(_tree(path))
+
+
+def test_selection_uses_nothing_private_from_tuning():
+    tree = _tree(PACKAGE / "selection.py")
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("tuning", "dpdfit.tuning")
+        for alias in node.names
+    ]
+    assert imported and not [name for name in imported if name.startswith("_")]
+    attributes = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "tuning"
+    ]
+    assert not [name for name in attributes if name.startswith("_")]

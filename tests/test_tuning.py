@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import as_sample
+from dpdfit import tuning
 from dpdfit.errors import DomainError, TuningError
+from dpdfit.estimator import fit
 from dpdfit.families import FAMILIES, ParamVector, cdf, quantile
 from dpdfit.tuning import COARSE_GRID, cvm_distance, select_alpha
 from dpdfit.uncertainty import ContaminationScheme, sample_family, simulate_contaminated
@@ -115,6 +117,24 @@ class TestSelectAlpha:
         assert result.cvmd_star == min(result.cvmd_curve.values())
         assert result.fit_star.alpha == result.alpha_star
         assert result.fit_star.converged
+
+    def test_each_alpha_fitted_once_from_the_moment_start(self, monkeypatch):
+        """Every curve alpha is one cold full-sample fit, and fit_star is
+        the fit scored at alpha_star, not a refit."""
+        fits = []
+
+        def counting_fit(family, alpha, sample, warm_start=None):
+            res = fit(family, alpha, sample)
+            fits.append((alpha, warm_start, res))
+            return res
+
+        monkeypatch.setattr(tuning, "fit", counting_fit)
+        sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 0.05)), 40, seed=4)
+        result = select_alpha(GAMMA, sample)
+        assert result.loo_fallbacks == 0
+        assert [w for _, w, _ in fits] == [None] * len(fits)
+        assert sorted(a for a, _, _ in fits) == sorted(result.cvmd_curve)
+        assert result.fit_star is dict((a, res) for a, _, res in fits)[result.alpha_star]
 
     def test_star_beats_every_grid_value(self):
         sample = sample_family(EXPONENTIAL, ParamVector(EXPONENTIAL, (1.0,)), 40, seed=4)

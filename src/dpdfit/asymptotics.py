@@ -10,7 +10,6 @@ equivalently integrals of u u' f^(1+alpha) and friends, all taken in
 closed form by families.weighted_moments.
 """
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError, SingularInformationError
-from .dataio import open_sink
-from .families import _check_family, log_density, quantile, score, weighted_moments
+from .dataio import write_rows
+from .estimator import dpd_weights
+from .families import _check_family, quantile, score, weighted_moments
 
 __all__ = [
     "SandwichMatrices",
@@ -54,12 +54,11 @@ class AreTable:
     rows: dict
 
     def to_csv(self, path_or_fp):
-        with open_sink(path_or_fp) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "param", "are"])
-            for alpha in sorted(self.rows):
-                for name, value in zip(self.family.param_names, self.rows[alpha]):
-                    writer.writerow([f"{alpha:g}", name, f"{value:.6f}"])
+        write_rows(path_or_fp, ["alpha", "param", "are"], (
+            [f"{alpha:g}", name, f"{value:.6f}"]
+            for alpha in sorted(self.rows)
+            for name, value in zip(self.family.param_names, self.rows[alpha])
+        ))
 
 
 def _invert_spd(mat, what):
@@ -152,7 +151,7 @@ def influence_function(family, theta0, alpha, y):
     j_inv = _invert_spd(j_mat, f"{family.tag} information matrix J")
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     u = score(theta0, y_arr)
-    w = np.exp(alpha * log_density(theta0, y_arr)) if alpha > 0 else np.ones_like(y_arr)
+    w = dpd_weights(family, theta0, alpha, y_arr)
     vals = (u * w[:, None] - xi) @ j_inv.T
     return vals[0] if np.isscalar(y) or np.asarray(y).ndim == 0 else vals
 

@@ -7,7 +7,6 @@ both to stdout unless --output names a file. Exit codes: 0 success,
 """
 
 import argparse
-import csv
 import json
 import sys
 
@@ -21,6 +20,7 @@ from .dataio import (
     open_sink,
     save_csv,
     write_report_rows,
+    write_rows,
 )
 from .errors import DataError, DomainError, DpdError, FitError
 from .estimator import _sample_values, fit
@@ -138,7 +138,7 @@ def parse_args(argv=None):
         ns.theta = _parse_theta(ns.family, ns.theta)
     if getattr(ns, "alpha", None) is not None and not 0.0 <= ns.alpha <= 1.0:
         raise _UsageError(f"--alpha must lie in [0, 1], got {ns.alpha}")
-    if getattr(ns, "alphas", None):
+    if getattr(ns, "alphas", None) is not None:
         try:
             ns.alphas = tuple(float(s) for s in ns.alphas.split(","))
         except ValueError:
@@ -157,6 +157,8 @@ def parse_args(argv=None):
 
 
 def _validate(args):
+    if getattr(args, "seed", 0) < 0:  # SeedSequence takes nonnegative seeds only
+        raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
     if args.command == "bootstrap" and args.B < 2:
         raise _UsageError(f"need at least 2 replicates, got {args.B}")
     if args.command == "simulate":
@@ -296,15 +298,12 @@ def _cmd_influence(args):
         raise _UsageError(f"need 0 < y-min < y-max, got {lo} and {hi}")
     ys = np.linspace(lo, hi, args.points)
     vals = influence_function(args.family, args.theta, args.alpha, ys)
-
-    def _write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["y", "param", "value"])
-        for y, row in zip(ys, np.atleast_2d(vals)):
-            for name, v in zip(args.family.param_names, row):
-                writer.writerow([f"{y:.12g}", name, f"{v:.12g}"])
-
-    _emit(args.output, _write)
+    rows = (
+        [f"{y:.12g}", name, f"{v:.12g}"]
+        for y, row in zip(ys, np.atleast_2d(vals))
+        for name, v in zip(args.family.param_names, row)
+    )
+    _emit(args.output, lambda fh: write_rows(fh, ["y", "param", "value"], rows))
 
 
 def _cmd_bootstrap(args):
@@ -359,22 +358,9 @@ def _series_row(sample, fast):
     }
 
 
-def _load_series(args):
-    if args.label_column is not None:
-        return load_panel(args.input, args.column, args.label_column)
-    try:
-        with open(args.input, newline="", encoding="utf-8-sig") as fh:
-            header = next(csv.reader(fh), [])
-    except OSError:
-        raise DataError(f"no such file: {args.input}") from None
-    if "label" in header:
-        return load_panel(args.input, args.column, "label")
-    return [load_csv(args.input, args.column)]
-
-
 def _cmd_report(args):
     rows = []
-    for sample in _load_series(args):
+    for sample in load_panel(args.input, args.column, args.label_column):
         try:
             rows.append(_series_row(sample, args.fast))
         except (DpdError, DataError) as e:

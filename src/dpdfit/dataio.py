@@ -1,6 +1,11 @@
 """CSV ingestion for positive-valued series, Tukey-fence outlier
 summaries, and the dry-proportion-adjusted median.
 
+This module is the package's one CSV reader and writer: every input
+is read through _reader and every table written through write_rows,
+in csv's default dialect (header row, \\r\\n row ends, minimal quoting;
+input may carry a UTF-8 byte-order mark).
+
 Zeros are stripped at ingestion and counted, so every downstream fit
 sees wet values only; the dry proportion re-enters through
 adjusted_median and nowhere else.
@@ -10,6 +15,7 @@ import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -104,27 +110,30 @@ def _parse_cell(raw, line_num, column):
     return v
 
 
-def _read_rows(path, column, label_column=None):
-    """Validated (label, value) pairs in file order, header on line 1."""
-    p = Path(path)
-    if not p.is_file():
+@contextmanager
+def _reader(path):
+    """A csv.DictReader over the named file, header on line 1."""
+    if not Path(path).is_file():
         raise DataError(f"no such file: {path}")
-    with open(p, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file, expected a header row")
-        if column not in reader.fieldnames:
-            raise DataError(f"{path}: no column named {column!r}; found {reader.fieldnames}")
-        if label_column is not None and label_column not in reader.fieldnames:
-            raise DataError(f"{path}: no column named {label_column!r}; found {reader.fieldnames}")
-        rows = []
-        for record in reader:
-            v = _parse_cell(record.get(column), reader.line_num, column)
-            label = None
-            if label_column is not None:
-                label = _cell_text(record.get(label_column), reader.line_num, label_column)
-            rows.append((label, v))
-    return rows
+        yield reader
+
+
+def _pairs(reader, path, column, label_column=None):
+    """Validated (label, value) pairs in file order; labels are None
+    without a label column."""
+    for name in (column, label_column):
+        if name is not None and name not in reader.fieldnames:
+            raise DataError(f"{path}: no column named {name!r}; found {reader.fieldnames}")
+    for record in reader:
+        v = _parse_cell(record.get(column), reader.line_num, column)
+        label = None
+        if label_column is not None:
+            label = _cell_text(record.get(label_column), reader.line_num, label_column)
+        yield label, v
 
 
 def _assemble(pairs, label):
@@ -139,16 +148,27 @@ def load_csv(path, column="value", label=None):
     Negative, blank, missing, or non-numeric cells raise DataError
     naming the offending line (header is line 1).
     """
-    rows = _read_rows(path, column)
-    return _assemble([v for _, v in rows], label if label is not None else Path(path).stem)
+    with _reader(path) as reader:
+        values = [v for _, v in _pairs(reader, path, column)]
+    return _assemble(values, label if label is not None else Path(path).stem)
 
 
 def load_panel(path, column="value", label_column="label"):
-    """Multiple series keyed by a label column, first-appearance order."""
-    rows = _read_rows(path, column, label_column=label_column)
-    grouped = {}
-    for label, v in rows:
-        grouped.setdefault(label, []).append(v)
+    """Multiple series keyed by a label column, first-appearance order.
+
+    With label_column=None the header decides, in the one read of the
+    file: a 'label' column keys the series when there is one, else the
+    whole file is one series named by the file stem.
+    """
+    with _reader(path) as reader:
+        if label_column is None and "label" in reader.fieldnames:
+            label_column = "label"
+        pairs = _pairs(reader, path, column, label_column)
+        if label_column is None:
+            return [_assemble([v for _, v in pairs], Path(path).stem)]
+        grouped = {}
+        for label, v in pairs:
+            grouped.setdefault(label, []).append(v)
     return [_assemble(vals, label) for label, vals in grouped.items()]
 
 
@@ -163,20 +183,20 @@ def open_sink(path_or_fp):
             yield fh
 
 
+def write_rows(path_or_fp, header, rows):
+    """The one CSV writer: the header, then the rows as the iterable
+    yields them. Callers format their own cells."""
+    with open_sink(path_or_fp) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_csv(sample, path_or_fp):
     """Write year,value rows; values keep full repr precision so a
     reload is bit-exact. Dry months come last as zero rows."""
-
-    with open_sink(path_or_fp) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["year", "value"])
-        year = 0
-        for v in sample.values:
-            year += 1
-            writer.writerow([year, repr(float(v))])
-        for _ in range(sample.dry_count):
-            year += 1
-            writer.writerow([year, "0.0"])
+    cells = chain((repr(float(v)) for v in sample.values), repeat("0.0", sample.dry_count))
+    write_rows(path_or_fp, ["year", "value"], enumerate(cells, 1))
 
 
 def outlier_summary(sample):
@@ -236,9 +256,8 @@ def _format_field(v):
 
 def write_report_rows(rows, path_or_fp):
     """Report CSV with the fixed REPORT_COLUMNS schema."""
-
-    with open_sink(path_or_fp) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            writer.writerow([_format_field(row.get(col)) for col in REPORT_COLUMNS])
+    write_rows(
+        path_or_fp,
+        REPORT_COLUMNS,
+        ([_format_field(row.get(col)) for col in REPORT_COLUMNS] for row in rows),
+    )

@@ -77,7 +77,7 @@ def estimating_residual(family, theta, alpha, sample):
     if alpha == 0.0:
         # the model expectation of the score is exactly zero here
         return u.mean(axis=0)
-    w = np.exp(alpha * log_density(theta, vals))
+    w = dpd_weights(family, theta, alpha, vals)
     return (u * w[:, None]).mean(axis=0) - weighted_moments(theta, alpha)[2]
 
 

@@ -476,8 +476,7 @@ def quantile(p, q):
 
 def score(p, x):
     """Gradient of ln f_theta(x) in theta; shape x.shape + (param_count,)."""
-    parts = p.family.score(p.values, _check_x(x))
-    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+    return _vec(p.family.score(p.values, _check_x(x)))
 
 
 def dpd_mass_integral(p, alpha):

@@ -9,14 +9,13 @@ the parameter count at the MLE). The winner minimizes RIC over alpha
 within each family, then across families.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .asymptotics import sandwich
-from .dataio import open_sink
+from .dataio import write_rows
 from .errors import DpdError, SelectionError
 from .estimator import fit
 from .families import FAMILIES
@@ -41,15 +40,10 @@ class SelectionReport:
     excluded: tuple  # tags of the families with no alpha scored, in candidate order
 
     def table_to_csv(self, path_or_fp):
-        with open_sink(path_or_fp) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["family", "alpha", "ric"])
-            for family, alpha in sorted(
-                self.ric_table, key=lambda k: (k[0].tag, k[1])
-            ):
-                writer.writerow(
-                    [family.tag, f"{alpha:.10g}", f"{self.ric_table[(family, alpha)]:.12g}"]
-                )
+        write_rows(path_or_fp, ["family", "alpha", "ric"], (
+            [family.tag, f"{alpha:.10g}", f"{self.ric_table[(family, alpha)]:.12g}"]
+            for family, alpha in sorted(self.ric_table, key=lambda k: (k[0].tag, k[1]))
+        ))
 
 
 def _ric_from_fit(fit_result):

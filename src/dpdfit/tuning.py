@@ -23,12 +23,11 @@ curve minimum) and moves the minimum to alpha > 0.
 """
 
 import math
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import open_sink
+from .dataio import write_rows
 from .errors import DomainError, DpdError, TuningError
 from .estimator import _sample_values, _solve_rows, fit
 
@@ -51,11 +50,9 @@ class TuningResult:
     loo_fallbacks: int  # held-out points refit one at a time by fit, over the curve
 
     def curve_to_csv(self, path_or_fp):
-        with open_sink(path_or_fp) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "cvmd"])
-            for alpha in sorted(self.cvmd_curve):
-                writer.writerow([f"{alpha:.10g}", f"{self.cvmd_curve[alpha]:.12g}"])
+        write_rows(path_or_fp, ["alpha", "cvmd"], (
+            [f"{alpha:.10g}", f"{self.cvmd_curve[alpha]:.12g}"] for alpha in sorted(self.cvmd_curve)
+        ))
 
 
 def _sorted_values(sample, param_count):

@@ -8,13 +8,12 @@ replicate's draws are fixed by (seed, r) alone and results cannot
 depend on execution order or thread count.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Sample, open_sink
+from .dataio import Sample, write_rows
 from .errors import DomainError, FitError
 from .estimator import _sample_values, _solve_rows, fit
 from .families import ParamVector, _check_family, quantile
@@ -57,13 +56,11 @@ class BootstrapResult:
 
     def estimates_to_csv(self, path_or_fp):
         names = self.fit.family.param_names
-
-        with open_sink(path_or_fp) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["replicate", "param", "value"])
-            for rid, est in zip(self.replicate_ids, self.replicate_estimates):
-                for name, v in zip(names, est):
-                    writer.writerow([rid, name, repr(float(v))])
+        write_rows(path_or_fp, ["replicate", "param", "value"], (
+            [rid, name, repr(float(v))]
+            for rid, est in zip(self.replicate_ids, self.replicate_estimates)
+            for name, v in zip(names, est)
+        ))
 
 
 @dataclass(frozen=True)

@@ -88,8 +88,17 @@ class TestUsageErrors:
         assert "theta" in capsys.readouterr().err
 
     def test_alphas_must_stay_in_unit_interval(self, capsys):
-        rc = main(["are-table", "--family", "exponential", "--alphas", "0.1,2.0"])
+        for alphas in ("0.1,2.0", ""):
+            rc = main(["are-table", "--family", "exponential", "--alphas", alphas])
+            assert rc == 1
+            assert "--alphas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "bootstrap"])
+    def test_negative_seed(self, command, tiny_csv, capsys):
+        source = ["--n", "10"] if command == "simulate" else ["--input", tiny_csv]
+        rc = main([command, "--family", "exponential", *source, "--seed", "-1"])
         assert rc == 1
+        assert capsys.readouterr().err.startswith("error: usage: --seed")
 
 
 class TestExitCodes:

@@ -4,12 +4,15 @@ Malformed input must fail loudly with the offending line named; clean
 input must survive a save/load roundtrip bit for bit.
 """
 
+import builtins
 import io
 
 import numpy as np
 import pytest
 
 from conftest import as_sample, write_csv
+from dpdfit.asymptotics import AreTable
+from dpdfit.cli import main
 from dpdfit.dataio import (
     REPORT_COLUMNS,
     Sample,
@@ -23,7 +26,10 @@ from dpdfit.dataio import (
 from dpdfit.errors import DataError, DomainError, FitError
 from dpdfit.estimator import FitResult, fit
 from dpdfit.families import FAMILIES, ParamVector, quantile
+from dpdfit.selection import SelectionReport
+from dpdfit.tuning import TuningResult
 from dpdfit.uncertainty import (
+    BootstrapResult,
     ContaminationScheme,
     sample_family,
     simulate_contaminated,
@@ -31,6 +37,7 @@ from dpdfit.uncertainty import (
 
 EXPONENTIAL = FAMILIES["exponential"]
 GAMMA = FAMILIES["gamma"]
+WEIBULL = FAMILIES["weibull"]
 
 
 class TestSample:
@@ -210,6 +217,41 @@ class TestLoadPanel:
             load_panel(path)
 
 
+class TestLoadPanelWithoutLabelColumn:
+    """label_column=None: one read of the header decides how the file
+    splits into series, as the report command reads its input."""
+
+    def test_label_column_groups_when_present(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text("label,value\nsouth,1.0\nnorth,2.0\nsouth,0\n")
+        samples = load_panel(path, label_column=None)
+        assert [(s.label, s.values, s.dry_count) for s in samples] == [
+            ("south", (1.0,), 1),
+            ("north", (2.0,), 0),
+        ]
+
+    def test_without_label_column_the_file_is_one_series(self, tmp_path):
+        path = tmp_path / "ranchi.csv"
+        path.write_text("year,value\n1951,1.0\n1952,0\n")
+        (sample,) = load_panel(path, label_column=None)
+        assert (sample.label, sample.values, sample.dry_count) == ("ranchi", (1.0,), 1)
+
+    def test_report_opens_its_input_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "panel.csv"
+        values = sample_family(GAMMA, (2.0, 1.0), 20, seed=5).values
+        path.write_text("label,value\n" + "".join(f"a,{v!r}\n" for v in values))
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(["report", "--input", str(path), "--fast"]) == 0
+        assert opened.count(str(path)) == 1
+
+
 class TestOutlierSummary:
     def test_hand_quartiles_without_outliers(self):
         summary = outlier_summary(as_sample([1.0, 2.0, 3.0, 4.0, 5.0]))
@@ -339,3 +381,70 @@ class TestWriteReportRows:
         target = tmp_path / "report.csv"
         write_report_rows([], target)
         assert target.read_text().strip() == ",".join(REPORT_COLUMNS)
+
+
+_GAMMA_FIT = FitResult(GAMMA, 0.5, ParamVector(GAMMA, (2.0, 0.5)), 0.0, True, 4, 1)
+
+# Each CSV the package writes, on a small fixed input, with the exact
+# bytes of its file: header row, \r\n row ends, csv's minimal quoting
+# and each writer's own number format.
+WRITER_BYTES = {
+    "AreTable.to_csv": (
+        lambda p: AreTable(GAMMA, None, {0.25: (0.5, 1 / 3), 1.0: (0.125, 0.0625)}).to_csv(p),
+        b"alpha,param,are\r\n0.25,shape,0.500000\r\n0.25,rate,0.333333\r\n"
+        b"1,shape,0.125000\r\n1,rate,0.062500\r\n",
+    ),
+    "TuningResult.curve_to_csv": (
+        lambda p: TuningResult(
+            EXPONENTIAL, None, {0.05: 1 / 7, 0.0: 0.25, 1 / 3: 2e-13}, 0.0, 0.25, None, 0
+        ).curve_to_csv(p),
+        b"alpha,cvmd\r\n0,0.25\r\n0.05,0.142857142857\r\n0.3333333333,2e-13\r\n",
+    ),
+    "SelectionReport.table_to_csv": (
+        lambda p: SelectionReport(
+            None, None, {(WEIBULL, 0.1): -1 / 3, (GAMMA, 0.5): 123456.789, (GAMMA, 0.05): 1e-9}, ()
+        ).table_to_csv(p),
+        b"family,alpha,ric\r\ngamma,0.05,1e-09\r\ngamma,0.5,123456.789\r\n"
+        b"weibull,0.1,-0.333333333333\r\n",
+    ),
+    "BootstrapResult.estimates_to_csv": (
+        lambda p: BootstrapResult(
+            _GAMMA_FIT, 3, None, ((2.0, 0.1), (2.5, 1 / 3)), (1, 3), 1
+        ).estimates_to_csv(p),
+        b"replicate,param,value\r\n1,shape,2.0\r\n1,rate,0.1\r\n"
+        b"3,shape,2.5\r\n3,rate,0.3333333333333333\r\n",
+    ),
+    "save_csv": (
+        lambda p: save_csv(Sample((1.5, 0.1, 1 / 3), dry_count=2), p),
+        b"year,value\r\n1,1.5\r\n2,0.1\r\n3,0.3333333333333333\r\n4,0.0\r\n5,0.0\r\n",
+    ),
+    "write_report_rows": (
+        lambda p: write_report_rows(
+            [
+                {"label": "station 7, north", "family": "exponential", "alpha_star": 0.25,
+                 "param1": 1 / 3, "se1": 0.01, "cvmd": 0.0125, "ric": -1.5,
+                 "median_adjusted": 1.2},
+                {"label": 'say "hi"', "family": "gamma", "alpha_star": 0.0, "param1": 2.0,
+                 "param2": 1e-12, "se1": None, "se2": "", "cvmd": 123456789012.0, "ric": 0.1,
+                 "median_adjusted": 0.0},
+            ],
+            p,
+        ),
+        b"label,family,alpha_star,param1,param2,se1,se2,cvmd,ric,median_adjusted\r\n"
+        b'"station 7, north",exponential,0.25,0.3333333333,,0.01,,0.0125,-1.5,1.2\r\n'
+        b'"say ""hi""",gamma,0,2,1e-12,,,1.23456789e+11,0.1,0\r\n',
+    ),
+    "cli influence": (
+        lambda p: main(["influence", "--family", "exponential", "--alpha", "0.5", "--points", "3",
+                        "--y-min", "1", "--y-max", "2", "--output", str(p)]),
+        b"y,param,value\r\n1,rate,-0.6\r\n1.5,rate,-1.2376948462\r\n2,rate,-1.59327449116\r\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITER_BYTES))
+def test_writer_bytes(writer, tmp_path):
+    write, expected = WRITER_BYTES[writer]
+    target = tmp_path / "out.csv"
+    write(target)
+    assert target.read_bytes() == expected

@@ -2,8 +2,10 @@
 
 Each family is defined once, by its entry in the table in families.py;
 code elsewhere asks the family for its behaviour instead of testing
-which family it is. Output files and streams are opened in one place,
-dataio.open_sink. Series run one after another, with no thread pool.
+which family it is. dataio is the one CSV reader and writer: only it
+imports csv, every table goes through dataio.write_rows, output files
+and streams are opened in one place, dataio.open_sink, and the CLI
+opens no file itself. Series run one after another, with no thread pool.
 The package exports a fixed public API. Every fit is one row of the
 batched Newton kernel in natural coordinates, so no module imports
 scipy.optimize and a Family carries no reparameterisation; numerics
@@ -69,27 +71,37 @@ def _family_tests(tree):
     return lines
 
 
-def _write_probes(tree):
-    """(line, enclosing function) of every hasattr(..., "write")."""
+def _calls(tree):
+    """(call node, enclosing function name) for every call in the tree."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "hasattr"
-            and len(node.args) == 2
-            and isinstance(node.args[1], ast.Constant)
-            and node.args[1].value == "write"
-        ):
-            found.append((node.lineno, func))
+        if isinstance(node, ast.Call):
+            found.append((node, func))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
     visit(tree, None)
     return found
+
+
+def _calls_to(tree, name):
+    """Enclosing function of every call spelled name, e.g. csv.writer or open."""
+    return [func for node, func in _calls(tree) if ast.unparse(node.func) == name]
+
+
+def _write_probes(tree):
+    """(line, enclosing function) of every hasattr(..., "write")."""
+    return [
+        (node.lineno, func)
+        for node, func in _calls(tree)
+        if ast.unparse(node.func) == "hasattr"
+        and len(node.args) == 2
+        and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value == "write"
+    ]
 
 
 SHAPE_FLOOR = {"alpha/(1+alpha)", "alpha/(1.0+alpha)", "alpha/(alpha+1)", "alpha/(alpha+1.0)"}
@@ -133,6 +145,19 @@ def test_write_probe_only_in_open_sink(path):
 def test_open_sink_is_the_one_write_probe():
     probes = [(p.name, func) for p in MODULES for _, func in _write_probes(_tree(p))]
     assert probes == [("dataio.py", "open_sink")]
+
+
+def test_only_dataio_imports_csv():
+    assert [p.name for p in MODULES if "csv" in _imports(_tree(p))] == ["dataio.py"]
+
+
+def test_csv_writer_only_in_write_rows():
+    found = [(p.name, func) for p in MODULES for func in _calls_to(_tree(p), "csv.writer")]
+    assert found == [("dataio.py", "write_rows")]
+
+
+def test_cli_opens_no_file():
+    assert _calls_to(_tree(PACKAGE / "cli.py"), "open") == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

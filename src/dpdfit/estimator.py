@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitError
+from .errors import DomainError, DpdError, FitError
 from .families import (
     ParamVector,
     _check_family,
@@ -27,7 +27,7 @@ from .families import (
     weighted_moments,
 )
 
-__all__ = ["FitResult", "objective_h", "estimating_residual", "fit", "dpd_weights"]
+__all__ = ["FitResult", "objective_h", "estimating_residual", "fit", "fit_alphas", "dpd_weights"]
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,8 @@ _NEWTON_RTOL = 1e-13
 
 def _weighted_terms(family, alpha, x, lnx, weights, theta):
     """H, its gradient and Hessian, and H's rounding scale, at each row of
-    theta (m, p) for the objective sum_j weights[j, r] v_alpha(x_j).
+    theta (m, p) for the objective sum_j weights[j, r] v_alpha(x_j), alpha
+    being one float or one value per row (m,), all zero or all positive.
 
     x and lnx are columns (n, 1) and each column of weights (n, m) sums
     to one. The gradient of v_j is (1+alpha)(xi - f_j^alpha u_j) and
@@ -117,27 +118,29 @@ def _weighted_terms(family, alpha, x, lnx, weights, theta):
     """
     x, lnx, weights = x.T, lnx.T, weights.T
     v, vc = tuple(theta.T), tuple(theta.T[:, :, None])
-    mass, k, g = _divergence_terms(family, vc, alpha, x, lnx)
-    mass = np.ravel(mass)
+    col = alpha if np.ndim(alpha) == 0 else alpha[:, None]
+    lift = np.reshape(1.0 + alpha, (-1, 1))
+    mass, k, g = _divergence_terms(family, vc, col, x, lnx)
+    mass, k = np.ravel(mass), np.ravel(k)
     wg = weights * g
     h = mass - k * wg.sum(axis=1)
     scale = np.abs(mass) + k * np.abs(wg).sum(axis=1)
-    if alpha == 0.0:
+    if not np.any(alpha):
         wg = weights
         xi = dxi = 0.0
     else:
         uu, xi, du_int = family.moments(v, alpha, mass)
-        dxi = du_int + (1.0 + alpha) * uu
+        dxi = du_int + lift[:, :, None] * uu
     u = family.score(vc, x)
     wu = [wg * uq for uq in u]
     grad = xi - _vec([wuq.sum(axis=1) for wuq in wu])
     curv = _mat(
         [
-            [(alpha * wup * uq + wg * dpq).sum(axis=1) for uq, dpq in zip(u, drow)]
+            [(col * wup * uq + wg * dpq).sum(axis=1) for uq, dpq in zip(u, drow)]
             for wup, drow in zip(wu, family.dscore(vc, x))
         ]
     )
-    return h, (1.0 + alpha) * grad, (1.0 + alpha) * (dxi - curv), scale
+    return h, lift * grad, lift[:, :, None] * (dxi - curv), scale
 
 
 def _newton_step(grad, hess):
@@ -159,13 +162,14 @@ def _newton_step(grad, hess):
     return np.einsum("rij,rj->ri", vec, coef), finite, pd
 
 
-def _newton_rows(family, alpha, xs, weights, start):
-    """Minimize sum_j weights[r, j] v_alpha(theta_r, xs[j]) for every row r
-    of weights (m, n), each summing to one, by damped Newton from start.
+def _newton_rows(family, alphas, xs, weights, starts):
+    """Minimize sum_j weights[r, j] v_alpha(theta_r, xs[j]) with alpha =
+    alphas[r] for every row r of weights (m, n), each summing to one, by
+    damped Newton from starts[r]; the alphas are all zero or all positive.
 
     Where the Hessian is not positive definite the step is the
     eigenvalue-modified one of _newton_step. A step that leaves the
-    parameter space, crosses the gamma or Weibull shape floor
+    parameter space, crosses the row's gamma or Weibull shape floor
     alpha/(1+alpha) or does not lower H (up to rounding) is halved, at
     most _NEWTON_HALVINGS times in a row. Returns (theta (m, p),
     solved (m,), evaluations (m,)): row r is solved when a full Newton
@@ -177,11 +181,14 @@ def _newton_rows(family, alpha, xs, weights, start):
     """
     x = xs[:, None]
     lnx = np.log(x)
-    m = weights.shape[0]
-    theta = np.tile(np.asarray(start, dtype=float), (m, 1))
+    theta = np.array(starts, dtype=float)
+    m = theta.shape[0]
     solved = np.zeros(m, dtype=bool)
     evals = np.ones(m, dtype=int)
-    floor = _shape_floor(alpha)
+    floor = _shape_floor(alphas)
+    # Rows at one alpha take it as a float: numpy multiplies an (m, n)
+    # array by a column of alphas about three times slower.
+    alpha = float(alphas[0]) if (alphas == alphas[0]).all() else alphas
     with np.errstate(all="ignore"):
         h, grad, hess, scale = _weighted_terms(family, alpha, x, lnx, weights.T, theta)
         step, ok, pd = _newton_step(grad, hess)
@@ -202,9 +209,10 @@ def _newton_rows(family, alpha, xs, weights, start):
             trial = theta[live] - np.ldexp(step, -halvings[:, None])
             down = np.isfinite(trial).all(axis=1)
             if family.shaped:
-                down &= trial[:, 0] > floor
+                down &= trial[:, 0] > floor[live]
+            at = alpha if np.ndim(alpha) == 0 else alpha[live[down]]
             h_t, grad, hess, scale_t = _weighted_terms(
-                family, alpha, x, lnx, weights[live[down]].T, trial[down]
+                family, at, x, lnx, weights[live[down]].T, trial[down]
             )
             evals[live[down]] += 1
             lower = h_t <= h[down] + 1e-12 * scale[down]
@@ -229,35 +237,38 @@ def _newton_rows(family, alpha, xs, weights, start):
 _ROW_BUDGET = 1 << 14
 
 
-def _solve_rows(family, alpha, xs, m, weights_of, start):
-    """_newton_rows' (theta, solved, evaluations) for rows 0..m-1 from start,
+def _solve_rows(family, alphas, xs, m, weights_of, starts):
+    """_newton_rows' (theta, solved, evaluations) for rows 0..m-1, row r at
+    alphas[r] from starts[r]; alphas (m,) and starts (m, p) may be anything
+    that broadcasts to those shapes. The alpha = 0 rows, whose objective
+    is the log-likelihood, are solved apart from the others, each group
     _ROW_BUDGET // n rows at a time, weights_of(rows) giving a batch's
     weights (rows.size, n). A two-parameter row whose positively weighted
     values are all equal is unsolved, as fit refuses such a sample."""
+    p = family.param_count
+    alphas = np.broadcast_to(np.asarray(alphas, dtype=float), (m,))
+    starts = np.broadcast_to(np.reshape(np.asarray(starts, dtype=float), (-1, p)), (m, p))
+    theta = np.empty((m, p))
+    solved = np.empty(m, dtype=bool)
+    evals = np.empty(m, dtype=int)
     chunk = max(_ROW_BUDGET // xs.size, 1)
-    out = []
-    for lo in range(0, m, chunk):
-        weights = weights_of(np.arange(lo, min(lo + chunk, m)))
-        theta, solved, evals = _newton_rows(family, alpha, xs, weights, start)
-        if family.param_count == 2:
-            drawn = weights > 0.0
-            top = np.where(drawn, xs, -np.inf).max(axis=1)
-            solved &= top > np.where(drawn, xs, np.inf).min(axis=1)
-        out.append((theta, solved, evals))
-    return tuple(np.concatenate(part) for part in zip(*out))
+    for group in (np.flatnonzero(alphas == 0.0), np.flatnonzero(alphas != 0.0)):
+        for lo in range(0, group.size, chunk):
+            rows = group[lo : lo + chunk]
+            weights = weights_of(rows)
+            theta[rows], solved[rows], evals[rows] = _newton_rows(
+                family, alphas[rows], xs, weights, starts[rows]
+            )
+            if p == 2:
+                drawn = weights > 0.0
+                top = np.where(drawn, xs, -np.inf).max(axis=1)
+                solved[rows] &= top > np.where(drawn, xs, np.inf).min(axis=1)
+    return theta, solved, evals
 
 
-def fit(family, alpha, sample, warm_start=None):
-    """Fit one family at a fixed tuning parameter alpha.
-
-    Minimizes H by damped Newton as the one row of _solve_rows, weight
-    1/n per observation, from `warm_start` when given (a gamma or Weibull
-    shape is raised to at least its floor plus 0.05) and from the
-    family's moment start otherwise. `converged` reports whether Newton
-    reached rounding at a positive definite Hessian. `objective` is H at
-    the returned `theta_hat`, so objective == objective_h(theta_hat).
-    """
-    if not 0.0 <= alpha <= 1.0:
+def _checked_values(family, alphas, sample):
+    """The sample's values, after the checks that fail a fit at any alpha."""
+    if not all(0.0 <= alpha <= 1.0 for alpha in alphas):
         raise DomainError("alpha must lie in [0, 1]")
     vals = _sample_values(sample)
     if vals.size < family.param_count + 1:
@@ -270,6 +281,63 @@ def fit(family, alpha, sample, warm_start=None):
             f"sample is degenerate (all values equal); {family.tag} fit has "
             "no interior optimum"
         )
+    return vals
+
+
+def _fit_rows(family, alphas, vals, starts):
+    """fit's result at each alpha from its start, or the DpdError fit
+    raises there, by one _solve_rows call with weight 1/n per value."""
+    n = vals.size
+    theta, solved, evals = _solve_rows(
+        family, alphas, vals, len(alphas), lambda rows: np.full((rows.size, n), 1.0 / n), starts
+    )
+    lnx = np.log(vals)
+    out = []
+    for alpha, row, converged, count in zip(alphas, theta, solved.tolist(), evals.tolist()):
+        try:
+            theta_hat = ParamVector(family, tuple(row))
+            with np.errstate(all="ignore"):
+                h_val = _h(family, theta_hat.values, alpha, vals, lnx)
+            if not math.isfinite(h_val):
+                raise FitError(f"objective not finite at the {family.tag} start point")
+        except DpdError as exc:
+            out.append(exc)
+            continue
+        if not converged:
+            warnings.warn(
+                f"{family.tag} fit at alpha={alpha:g} did not meet optimizer "
+                "tolerances; returning best point found",
+                RuntimeWarning,
+            )
+        out.append(
+            FitResult(
+                family=family,
+                alpha=float(alpha),
+                theta_hat=theta_hat,
+                objective=float(h_val),
+                converged=converged,
+                n_obs=n,
+                evaluations=count,
+            )
+        )
+    return out
+
+
+def fit(family, alpha, sample, warm_start=None):
+    """Fit one family at a fixed tuning parameter alpha.
+
+    Minimizes H by damped Newton as the one row of _solve_rows, weight
+    1/n per observation, from `warm_start` when given (a gamma or Weibull
+    shape is raised to at least its floor plus 0.05) and from the
+    family's moment start otherwise. `converged` reports whether Newton
+    reached rounding at a positive definite Hessian. `objective` is H at
+    the returned `theta_hat`, so objective == objective_h(theta_hat).
+
+    The package's own searches fit through fit_alphas; `warm_start` stays
+    as the per-replicate reference route that the row-solver tests hold
+    every batched refit to.
+    """
+    vals = _checked_values(family, (alpha,), sample)
     if warm_start is not None:
         _check_family(family, warm_start)
         start = np.asarray(warm_start.values, dtype=float)
@@ -277,28 +345,21 @@ def fit(family, alpha, sample, warm_start=None):
             start[0] = max(start[0], _shape_floor(alpha) + 0.05)
     else:
         start = family.start(vals, alpha)
+    (res,) = _fit_rows(family, (alpha,), vals, start)
+    if isinstance(res, DpdError):
+        raise res
+    return res
 
-    theta, solved, evals = _solve_rows(
-        family, alpha, vals, 1, lambda rows: np.full((1, vals.size), 1.0 / vals.size), start
-    )
-    theta = ParamVector(family, tuple(theta[0]))
-    with np.errstate(all="ignore"):
-        h_val = _h(family, theta.values, alpha, vals, np.log(vals))
-    if not math.isfinite(h_val):
-        raise FitError(f"objective not finite at the {family.tag} start point")
-    converged = bool(solved[0])
-    if not converged:
-        warnings.warn(
-            f"{family.tag} fit at alpha={alpha:g} did not meet optimizer "
-            "tolerances; returning best point found",
-            RuntimeWarning,
-        )
-    return FitResult(
-        family=family,
-        alpha=float(alpha),
-        theta_hat=theta,
-        objective=float(h_val),
-        converged=converged,
-        n_obs=int(vals.size),
-        evaluations=int(evals[0]),
-    )
+
+def fit_alphas(family, alphas, sample):
+    """fit(family, alpha, sample) at each alpha of `alphas`, as one Newton
+    solve whose row at alpha starts from the family's moment start there.
+
+    Each entry is the FitResult fit returns at that alpha, bit for bit,
+    or the DpdError fit raises there; a non-converged row warns as its
+    fit does. An alpha outside [0, 1], too few values or, for a
+    two-parameter family, all values equal raise once for the batch.
+    """
+    alphas = [float(alpha) for alpha in alphas]
+    vals = _checked_values(family, alphas, sample)
+    return _fit_rows(family, alphas, vals, [family.start(vals, alpha) for alpha in alphas])

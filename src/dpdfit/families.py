@@ -47,12 +47,30 @@ def _entry(default=None):
 
 def _vec(parts):
     """Components stacked on a last axis; leading axes are broadcast."""
-    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+    out = np.empty(np.broadcast(*parts).shape + (len(parts),))
+    for i, part in enumerate(parts):
+        out[..., i] = part
+    return out
 
 
 def _mat(rows):
     """Rows of entries stacked into (..., p, p)."""
-    return np.stack([_vec(row) for row in rows], axis=-2)
+    out = np.empty(np.broadcast(*(e for row in rows for e in row)).shape + (len(rows),) * 2)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
+
+
+def _each(fn, alpha):
+    """fn(alpha) for a float alpha, or fn of each entry of an array of
+    alphas. math's log1p, log and ** differ from numpy's in the last bit,
+    so a row of a batch at alpha gets the bits a lone fit at alpha gets.
+    A loop over the entries costs no more than np.unique up to about 300
+    rows, and a batch of mixed alphas rarely holds more."""
+    if np.ndim(alpha) == 0:
+        return fn(alpha)
+    return np.reshape([fn(a) for a in np.ravel(alpha).tolist()], np.shape(alpha))
 
 
 def _outer(u):
@@ -80,7 +98,8 @@ class Family:
     logf, cdf, score, dscore, mass and moments also take a batch of
     parameter points: v holds one array of shape (m,) per parameter,
     x is a column (n, 1), and per-observation results come out (n, m)
-    while moments come out (m, p, p) and (m, p).
+    while moments come out (m, p, p) and (m, p). mass and moments take
+    alpha or c as one float or as one value per parameter point.
     """
 
     tag: str
@@ -125,7 +144,7 @@ def _exp_dscore(v, x):
 
 
 def _exp_mass(v, alpha):
-    return np.exp(alpha * np.log(v[0]) - math.log1p(alpha))
+    return np.exp(alpha * np.log(v[0]) - _each(math.log1p, alpha))
 
 
 def _exp_moments(v, c, mass):
@@ -133,7 +152,7 @@ def _exp_moments(v, c, mass):
     rate = lam * (1.0 + c)
     return (
         _times(mass, _mat([[(1.0 + c * c) / rate**2]])),
-        _vec([c * lam ** (c - 1.0) / (1.0 + c) ** 2]),
+        _vec([c * lam ** (c - 1.0) / _each(lambda al: (1.0 + al) ** 2, c)]),
         _times(mass, _mat(_exp_dscore(v, None))),
     )
 
@@ -181,14 +200,14 @@ def _gamma_mass(v, alpha):
         special.gammaln(aa)
         + alpha * np.log(b)
         - (1.0 + alpha) * special.gammaln(a)
-        - aa * math.log1p(alpha)
+        - aa * _each(math.log1p, alpha)
     )
 
 
 def _gamma_moments(v, c, mass):
     a, b = v
     shape, rate = a + c * (a - 1.0), b * (1.0 + c)
-    mean = _vec([special.digamma(shape) - special.digamma(a) - math.log1p(c), c / rate])
+    mean = _vec([special.digamma(shape) - special.digamma(a) - _each(math.log1p, c), c / rate])
     cov = _mat([[special.polygamma(1, shape), -1.0 / rate], [-1.0 / rate, shape / rate**2]])
     return (
         _times(mass, cov + _outer(mean)),
@@ -245,10 +264,10 @@ def _lognormal_dscore(v, x):
 def _lognormal_mass(v, alpha):
     mu, sigma = v
     return np.exp(
-        -0.5 * math.log1p(alpha)
+        -0.5 * _each(math.log1p, alpha)
         - alpha * (_LOG_SQRT_2PI + np.log(sigma))
         - alpha * mu
-        + alpha**2 * sigma**2 / (2.0 * (1.0 + alpha))
+        + _each(lambda al: al**2, alpha) * sigma**2 / (2.0 * (1.0 + alpha))
     )
 
 
@@ -317,7 +336,7 @@ def _weibull_mass(v, alpha):
     return np.exp(
         alpha * (np.log(a) + np.log(b))
         + special.gammaln(1.0 + kap)
-        - (1.0 + kap) * math.log1p(alpha)
+        - (1.0 + kap) * _each(math.log1p, alpha)
     )
 
 
@@ -325,17 +344,17 @@ def _weibull_moments(v, c, mass):
     # t ~ Gamma(shape, rate) under f^(1+c)/M;
     # E[t^j] = r_j, E[t^j L] = r_j d_j, E[t^j L^2] = r_j q_j
     a, b = v
-    shape, rate = 1.0 + c * (a - 1.0) / a, 1.0 + c
-    r = _vec([1.0, shape / rate, shape * (shape + 1.0) / rate**2])
-    shapes = np.reshape(shape, np.shape(shape) + (1,)) + np.arange(3.0)
-    d = special.digamma(shapes) - math.log(rate)
+    shape, rate, rate2 = 1.0 + c * (a - 1.0) / a, 1.0 + c, _each(lambda al: (1.0 + al) ** 2, c)
+    r = _vec([1.0, shape / rate, shape * (shape + 1.0) / rate2])
+    shapes = np.expand_dims(shape, -1) + np.arange(3.0)
+    d = special.digamma(shapes) - np.expand_dims(_each(lambda al: math.log(1.0 + al), c), -1)
     q = d * d + special.polygamma(1, shapes)
     el, eq = np.moveaxis(r * d, -1, 0), np.moveaxis(r * q, -1, 0)
     tail = c / (a * rate)  # 1 - E[t]
     mean = _vec([(1.0 + el[0] - el[1]) / a, a / b * tail])
     s_aa = (1.0 + 2.0 * (el[0] - el[1]) + eq[0] - 2.0 * eq[1] + eq[2]) / a**2
     s_ab = (tail + el[0] - 2.0 * el[1] + el[2]) / b
-    s_bb = (a / b) ** 2 * (shape / rate**2 + tail * tail)
+    s_bb = (a / b) ** 2 * (shape / rate2 + tail * tail)
     # du/dtheta is linear in t, t L and t L^2
     cross = (tail - el[1]) / b
     dmean = _mat([[-(1.0 + eq[1]) / a**2, cross], [cross, -(a / b**2) * (tail + a * (1.0 - tail))]])
@@ -508,8 +527,10 @@ def _divergence_terms(fam, v, alpha, x, lnx):
 
     For alpha > 0, g = f^alpha and k = 1 + 1/alpha; at alpha = 0, M = 0,
     k = 1 and g = ln f. Both v_alpha and the estimator's objective use this.
+    alpha may also be one value per parameter point, all zero or all
+    positive.
     """
-    if alpha == 0.0:
+    if not np.any(alpha):
         return 0.0, 1.0, fam.logf(v, x, lnx)
     return fam.mass(v, alpha), 1.0 + 1.0 / alpha, np.exp(alpha * fam.logf(v, x, lnx))
 

@@ -6,7 +6,10 @@ Each (family, alpha) pair gets an information criterion
 
 whose alpha = 0 case is an affine transform of AIC (the trace equals
 the parameter count at the MLE). The winner minimizes RIC over alpha
-within each family, then across families.
+within each family, then across families. Alpha is a row axis of the
+Newton kernel, so each family's grid is one Newton solve
+(estimator.fit_alphas) followed by one sandwich per fit, and each
+golden-section step a batch of one alpha.
 """
 
 import warnings
@@ -17,7 +20,7 @@ import numpy as np
 from .asymptotics import sandwich
 from .dataio import write_rows
 from .errors import DpdError, SelectionError
-from .estimator import fit
+from .estimator import fit, fit_alphas
 from .families import FAMILIES
 from .tuning import alpha_search
 
@@ -57,21 +60,30 @@ def ric(family, alpha, sample):
     return _ric_from_fit(fit(family, alpha, sample))
 
 
-def _scored(family, alpha, sample):
-    """(RIC, fit) of a cold fit at alpha; None if either raises a DpdError."""
+def _scored(family, alphas, sample):
+    """(RIC, fit) of the cold fit at each alpha, from one fit_alphas call;
+    None where the fit or its RIC raises a DpdError, everywhere if the
+    sample cannot be fitted at all."""
     try:
-        res = fit(family, alpha, sample)
-        return _ric_from_fit(res), res
+        fits = fit_alphas(family, alphas, sample)
     except DpdError:
-        return None
+        return [None] * len(alphas)
+    scored = []
+    for res in fits:
+        try:
+            scored.append(None if isinstance(res, DpdError) else (_ric_from_fit(res), res))
+        except DpdError:
+            scored.append(None)
+    return scored
 
 
 def select_model(families, sample, refine=True):
     """Pick the family minimizing min-over-alpha RIC.
 
     Each family's alpha search is tuning.alpha_search over cold fits
-    scored by RIC; refine=False stops at the grid. An alpha whose fit or
-    RIC raises a DpdError is left out, and during refinement ends it.
+    scored by RIC, the grid being one fit_alphas call; refine=False
+    stops at the grid. An alpha whose fit or RIC raises a DpdError is
+    left out, and during refinement ends it.
     Families with no alpha scored are excluded with a warning and listed
     in `excluded`; ties across families break toward fewer parameters,
     then the fixed order exponential, gamma, lognormal, Weibull.
@@ -84,7 +96,7 @@ def select_model(families, sample, refine=True):
     records = []
     excluded = []
     for family in families:
-        curve, alpha_min = alpha_search(lambda al: _scored(family, al, sample), refine)
+        curve, alpha_min = alpha_search(lambda alphas: _scored(family, alphas, sample), refine)
         if not curve:
             warnings.warn(f"{family.tag}: every fit failed; excluded from selection", RuntimeWarning)
             excluded.append(family.tag)

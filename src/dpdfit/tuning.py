@@ -5,7 +5,7 @@ each order statistic removed, evaluate the held-out point's fitted CDF
 against its plotting position (i - 0.5)/n, and average the squared
 discrepancies.
 
-The n refits are exact: held-out point i is row i of
+The n refits are exact: each held-out point is a row of
 estimator._solve_rows, as a bootstrap replicate is, solved to rounding
 by damped Newton from the full-sample fit with the closed-form gradient
 and Hessian of the divergence terms. This is the exact form of the
@@ -14,7 +14,10 @@ one-step leave-one-out of Giordano et al. (2019) and Rad & Maleki
 on its own, by fit from that held-out sample's moment start.
 
 alpha_search is the one alpha search: select_alpha scores each alpha's
-full-sample fit by this distance, selection.select_model by RIC.
+full-sample fit by this distance, selection.select_model by RIC. Alpha
+is a row axis of the Newton kernel, so the whole grid is one batched
+full-sample fit (estimator.fit_alphas) and one leave-one-out solve of
+all 21 n rows; each golden-section step is a batch of one alpha.
 
 On clean data the curve is nearly flat in alpha (it varies by a few
 1e-4 at most for n = 250), so its argmin can land anywhere on the
@@ -29,7 +32,7 @@ import numpy as np
 
 from .dataio import write_rows
 from .errors import DomainError, DpdError, TuningError
-from .estimator import _sample_values, _solve_rows, fit
+from .estimator import _sample_values, _solve_rows, fit, fit_alphas
 
 __all__ = ["TuningResult", "cvm_distance", "select_alpha", "COARSE_GRID"]
 
@@ -68,30 +71,41 @@ def _sorted_values(sample, param_count):
     return np.sort(vals, kind="stable")
 
 
-def _loo_points(family, alpha, xs, start):
-    """Every leave-one-out estimate of the sorted sample xs, by Newton
-    from start: row i weights every point but xs[i] by 1/(n - 1).
-    Returns (theta (n, p), solved (n,))."""
-    n = xs.size
-    return _solve_rows(
-        family, alpha, xs, n, lambda rows: (np.arange(n) != rows[:, None]) / (n - 1), start
-    )[:2]
+def _loo_points(family, alphas, xs, starts):
+    """Every leave-one-out estimate of the sorted sample xs at each alpha of
+    alphas (k,), by Newton from that alpha's row of starts (k, p): held-out
+    point i weights every point but xs[i] by 1/(n - 1). All n k rows are
+    one _solve_rows call. Returns (theta (n, k, p), solved (n, k))."""
+    n, k = xs.size, len(alphas)
+    theta, solved, _ = _solve_rows(
+        family,
+        np.tile(alphas, n),
+        xs,
+        n * k,
+        lambda rows: (np.arange(n) != rows[:, None] // k) / (n - 1),
+        np.tile(starts, (n, 1)),
+    )
+    return theta.reshape(n, k, -1), solved.reshape(n, k)
 
 
 def alpha_search(evaluate, refine):
-    """Minimize evaluate(alpha) -> (value, fit) over alpha in [0, 1].
+    """Minimize evaluate over alpha in [0, 1].
 
-    COARSE_GRID first, leaving out each alpha for which evaluate returns
-    None, then with `refine` golden section to width 1e-3 between the best
-    alpha's scored neighbours, up to the first alpha it cannot score. Each
-    alpha is evaluated once; ties break toward the smaller alpha. Returns
-    {alpha: (value, fit)} and its argmin (None if empty). Not exported.
+    evaluate(alphas) gives, for each alpha of a tuple, (value, fit) or
+    None where it cannot score that alpha. It is called once for the
+    whole of COARSE_GRID, whose unscored alphas are left out, then with
+    `refine` once per golden-section step, to width 1e-3 between the best
+    alpha's scored neighbours, up to the first alpha it cannot score.
+    Each alpha is evaluated once; ties break toward the smaller alpha.
+    Returns {alpha: (value, fit)} and its argmin (None if empty). Not
+    exported.
     """
-    curve = {}
+    scores = zip(COARSE_GRID, evaluate(COARSE_GRID))
+    curve = {alpha: scored for alpha, scored in scores if scored is not None}
 
     def value(alpha):
         if alpha not in curve:
-            scored = evaluate(alpha)
+            (scored,) = evaluate((alpha,))
             if scored is None:
                 return None
             curve[alpha] = scored
@@ -100,8 +114,6 @@ def alpha_search(evaluate, refine):
     def argmin():
         return min(curve, key=lambda al: (curve[al][0], al), default=None)
 
-    for alpha in COARSE_GRID:
-        value(alpha)
     if refine and curve:
         grid = sorted(curve)
         pos = grid.index(argmin())
@@ -121,28 +133,35 @@ def alpha_search(evaluate, refine):
     return curve, argmin()
 
 
-def _cvm_point(family, alpha, xs, fallbacks):
-    """(cvm_distance, full-sample fit) of the sorted sample xs at alpha."""
+def _cvm_points(family, alphas, xs, fallbacks):
+    """[(cvm_distance, full-sample fit)] of the sorted sample xs at each
+    alpha: one batched full-sample fit, then one leave-one-out solve."""
     n = xs.size
-    full = fit(family, alpha, xs)
-    theta, solved = _loo_points(family, alpha, xs, full.theta_hat.values)
-    for i in np.flatnonzero(~solved):
-        held_out = np.delete(xs, i)
-        try:
-            loo = fit(family, alpha, held_out)
-        except DpdError as exc:
-            raise TuningError(
-                f"leave-one-out fit {i + 1} of {n} failed at alpha={alpha:g}: {exc}"
-            ) from exc
-        if not loo.converged:
-            raise TuningError(
-                f"leave-one-out fit {i + 1} of {n} did not converge at alpha={alpha:g}"
-            )
-        theta[i] = loo.theta_hat.values
-        if fallbacks is not None:
-            fallbacks.append(int(i))
-    resid = (np.arange(n) + 0.5) / n - family.cdf(tuple(theta.T), xs)
-    return float(resid @ resid) / n, full
+    fulls = fit_alphas(family, alphas, xs)
+    for full in fulls:
+        if isinstance(full, DpdError):
+            raise full
+    theta, solved = _loo_points(family, alphas, xs, [full.theta_hat.values for full in fulls])
+    scored = []
+    for j, (alpha, full) in enumerate(zip(alphas, fulls)):
+        for i in np.flatnonzero(~solved[:, j]):
+            held_out = np.delete(xs, i)
+            try:
+                loo = fit(family, alpha, held_out)
+            except DpdError as exc:
+                raise TuningError(
+                    f"leave-one-out fit {i + 1} of {n} failed at alpha={alpha:g}: {exc}"
+                ) from exc
+            if not loo.converged:
+                raise TuningError(
+                    f"leave-one-out fit {i + 1} of {n} did not converge at alpha={alpha:g}"
+                )
+            theta[i, j] = loo.theta_hat.values
+            if fallbacks is not None:
+                fallbacks.append(int(i))
+        resid = (np.arange(n) + 0.5) / n - family.cdf(tuple(theta[:, j].T), xs)
+        scored.append((float(resid @ resid) / n, full))
+    return scored
 
 
 def cvm_distance(family, alpha, sample, fallbacks=None):
@@ -156,7 +175,8 @@ def cvm_distance(family, alpha, sample, fallbacks=None):
     error naming the (1-based) order-statistic index if such a refit
     fails.
     """
-    return _cvm_point(family, alpha, _sorted_values(sample, family.param_count), fallbacks)[0]
+    xs = _sorted_values(sample, family.param_count)
+    return _cvm_points(family, (alpha,), xs, fallbacks)[0][0]
 
 
 def select_alpha(family, sample, refine=True):
@@ -164,12 +184,14 @@ def select_alpha(family, sample, refine=True):
 
     Each alpha's full-sample fit, from the moment start, is scored by
     cvm_distance, and `fit_star` is the fit scored at `alpha_star`; an
-    error at any alpha propagates. `refine=False` stops after the grid.
-    Deterministic: no randomness anywhere in the sweep.
+    error at any alpha propagates. The grid is one fit_alphas call and
+    one leave-one-out solve, each row starting from its alpha's fit.
+    `refine=False` stops after the grid. Deterministic: no randomness
+    anywhere in the sweep.
     """
     xs = _sorted_values(sample, family.param_count)
     fallbacks = []
-    curve, alpha_star = alpha_search(lambda al: _cvm_point(family, al, xs, fallbacks), refine)
+    curve, alpha_star = alpha_search(lambda als: _cvm_points(family, als, xs, fallbacks), refine)
     cvmd_star, fit_star = curve[alpha_star]
     return TuningResult(
         family=family,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dpdfit import tuning
-from dpdfit.estimator import _weighted_terms, fit, objective_h
+from dpdfit.estimator import _weighted_terms, fit, fit_alphas, objective_h
 from dpdfit.families import FAMILIES, ParamVector, _mat, log_density, quantile, score
 from dpdfit.tuning import COARSE_GRID, _loo_points, _sorted_values, cvm_distance, select_alpha
 from dpdfit.uncertainty import ContaminationScheme, sample_family, simulate_contaminated
@@ -177,14 +177,14 @@ class TestKernel:
         family = FAMILIES[tag]
         xs = contaminated(tag)
         start = fit(family, alpha, xs).theta_hat.values
-        theta, solved = _loo_points(family, alpha, xs, start)
+        theta, solved = _loo_points(family, (alpha,), xs, [start])
         assert solved.all()
         fallbacks = []
         cvm_distance(family, alpha, xs, fallbacks)
         assert fallbacks == []
         for i in range(xs.size):
             ref = fit(family, alpha, np.delete(xs, i)).theta_hat.values
-            np.testing.assert_allclose(theta[i], ref, rtol=1e-9)
+            np.testing.assert_allclose(theta[i, 0], ref, rtol=1e-9)
 
 
 def clean(tag):
@@ -200,15 +200,21 @@ class TestGuard:
     @pytest.mark.parametrize("tag", TAGS)
     def test_only_the_full_sample_is_fitted(self, tag, monkeypatch):
         family = FAMILIES[tag]
-        calls = []
+        batches, refits = [], []
+
+        def counting_batch(family, alphas, sample):
+            batches.append(tuple(alphas))
+            return fit_alphas(family, alphas, sample)
 
         def counting_fit(*args, **kwargs):
-            calls.append(kwargs.get("warm_start"))
+            refits.append(args)
             return fit(*args, **kwargs)
 
+        monkeypatch.setattr(tuning, "fit_alphas", counting_batch)
         monkeypatch.setattr(tuning, "fit", counting_fit)
         cvm_distance(family, 0.5, clean(tag))
-        assert calls == [None]
+        assert batches == [(0.5,)]
+        assert refits == []
 
     @pytest.mark.parametrize("tag", TAGS)
     def test_rejected_index_takes_the_refit_route(self, tag, monkeypatch):

@@ -1,13 +1,17 @@
-"""Tests for estimator._solve_rows, the one route of every refit.
+"""Tests for estimator._solve_rows, the one route of every fit.
 
-Leave-one-out fits and bootstrap replicates are both weighted rows of
-the batched Newton kernel, solved in chunks of _ROW_BUDGET // n rows.
-The per-replicate warm refit, fit(family, alpha, resample,
-warm_start=full.theta_hat), is kept here as the reference: each
-bootstrap row matches it, and a row fails exactly where that refit
-raises or does not converge. The chunk size changes no result.
+Full-sample fits, leave-one-out fits and bootstrap replicates are all
+weighted rows of the batched Newton kernel, each row at its own alpha
+from its own start, solved in chunks of _ROW_BUDGET // n rows. The
+one-row fits are kept here as the reference: each row of a grid batch
+(fit_alphas) is bit for bit the fit at its alpha, and each bootstrap row
+matches the per-replicate warm refit, fit(family, alpha, resample,
+warm_start=full.theta_hat), failing exactly where that refit raises or
+does not converge. The chunk size changes no result, and no converged
+gamma or Weibull row sits on or below its alpha's shape floor.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,11 +19,17 @@ import pytest
 
 from conftest import as_sample
 from dpdfit import estimator
-from dpdfit.errors import DpdError
-from dpdfit.estimator import fit
+from dpdfit.errors import DpdError, FitError
+from dpdfit.estimator import fit, fit_alphas
 from dpdfit.families import FAMILIES, ParamVector, quantile
-from dpdfit.tuning import _loo_points, _sorted_values
-from dpdfit.uncertainty import ContaminationScheme, _stream, bootstrap_se, simulate_contaminated
+from dpdfit.tuning import COARSE_GRID, _loo_points, _sorted_values
+from dpdfit.uncertainty import (
+    ContaminationScheme,
+    _stream,
+    bootstrap_se,
+    sample_family,
+    simulate_contaminated,
+)
 
 THETA = {
     "exponential": (0.5,),
@@ -93,18 +103,97 @@ def test_chunk_size_changes_no_result(tag, monkeypatch):
     sample = tied_contamination(tag, n=250)
     xs = _sorted_values(sample, family.param_count)
     start = fit(family, alpha, xs).theta_hat.values
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        starts = [res.theta_hat.values for res in fit_alphas(family, COARSE_GRID, xs)]
 
     def run():
-        loo = _loo_points(family, alpha, xs, start)
+        loo = _loo_points(family, (alpha,), xs, [start])
+        grid = _loo_points(family, COARSE_GRID, xs, starts)
         boot = bootstrap_se(family, alpha, sample, B=40, seed=2)
-        return loo, boot
+        return loo, grid, boot
 
-    (loo_theta, loo_solved), boot = run()
+    (loo_theta, loo_solved), (grid_theta, grid_solved), boot = run()
     for rows in (7, 64):
         monkeypatch.setattr(estimator, "_ROW_BUDGET", rows * xs.size)
-        (theta, solved), other = run()
+        (theta, solved), (other_grid, other_solved), other = run()
         np.testing.assert_array_equal(theta, loo_theta)
         np.testing.assert_array_equal(solved, loo_solved)
+        np.testing.assert_array_equal(other_grid, grid_theta)
+        np.testing.assert_array_equal(other_solved, grid_solved)
         assert other.replicate_ids == boot.replicate_ids
         assert other.replicate_estimates == boot.replicate_estimates
         assert other.se == boot.se
+
+
+def as_record(res):
+    """Every field a row must share with its one-row fit, or the error."""
+    if isinstance(res, DpdError):
+        return repr(res)
+    return res.theta_hat.values, res.objective, res.converged, res.evaluations
+
+
+def one_row_fits(family, sample):
+    out = []
+    for alpha in COARSE_GRID:
+        try:
+            out.append(fit(family, alpha, sample))
+        except DpdError as exc:
+            out.append(exc)
+    return out
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_grid_batch_matches_one_row_fits(tag):
+    """One fit_alphas batch over the grid, alpha = 0 included, is bit for
+    bit the 21 one-row fits: theta, objective, converged, evaluations."""
+    family = FAMILIES[tag]
+    sample = tied_contamination(tag)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        batch = fit_alphas(family, COARSE_GRID, sample)
+        want = one_row_fits(family, sample)
+    assert [as_record(res) for res in batch] == [as_record(res) for res in want]
+
+
+def test_one_failing_row_leaves_the_others_bitwise():
+    """A row whose start overflows the objective fails as its fit would,
+    and the other 20 alphas of the batch are still their one-row fits."""
+    gamma = FAMILIES["gamma"]
+
+    def start(xs, alpha):
+        return np.array([1e308, 1e308]) if alpha == 0.5 else gamma.start(xs, alpha)
+
+    broken = dataclasses.replace(gamma, start=start)
+    sample = tied_contamination("gamma")
+    batch = fit_alphas(broken, COARSE_GRID, sample)
+    want = one_row_fits(gamma, sample)
+    failed = [alpha for alpha, res in zip(COARSE_GRID, batch) if isinstance(res, DpdError)]
+    assert failed == [0.5]
+    assert isinstance(batch[COARSE_GRID.index(0.5)], FitError)
+    with pytest.raises(FitError, match="objective not finite"):
+        fit(broken, 0.5, sample)
+    for alpha, got, res in zip(COARSE_GRID, batch, want):
+        if alpha != 0.5:
+            assert as_record(got) == as_record(res)
+
+
+@pytest.mark.parametrize("tag", ["gamma", "weibull"])
+def test_converged_rows_stay_above_their_shape_floor(tag):
+    """In mixed-alpha batches, full-sample and leave-one-out, no converged
+    row has shape <= alpha/(1+alpha). Shape-0.15 data put the alpha = 1
+    optimum near 0.55, just above that alpha's floor of 0.5."""
+    family = FAMILIES[tag]
+    xs = _sorted_values(sample_family(family, ParamVector(family, (0.15, 1.0)), 60, seed=0), 2)
+    floors = np.array([alpha / (1.0 + alpha) for alpha in COARSE_GRID])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fits = fit_alphas(family, COARSE_GRID, xs)
+    assert fits[-1].theta_hat.values[0] < 0.6
+    shapes = np.array([res.theta_hat.values[0] for res in fits])
+    converged = np.array([res.converged for res in fits])
+    assert converged.any()
+    assert not (converged & (shapes <= floors)).any()
+    theta, solved = _loo_points(family, COARSE_GRID, xs, [res.theta_hat.values for res in fits])
+    assert solved.any()
+    assert not (solved & (theta[:, :, 0] <= floors)).any()

@@ -15,7 +15,7 @@ import pytest
 from conftest import as_sample
 from dpdfit import selection
 from dpdfit.errors import FitError, SelectionError
-from dpdfit.estimator import fit
+from dpdfit.estimator import fit, fit_alphas
 from dpdfit.families import FAMILIES, ParamVector, log_density
 from dpdfit.selection import ric, select_model
 from dpdfit.tuning import COARSE_GRID
@@ -121,23 +121,35 @@ class TestSelectModel:
         assert report.excluded == ()
 
     def test_each_alpha_fitted_once_from_the_moment_start(self, monkeypatch):
-        """Every (family, alpha) in the table is one cold fit, and each
+        """Every (family, alpha) in the table is one cold fit, the grid one
+        batch and each golden-section step a batch of one alpha, and each
         record holds the fit that was scored: no warm chain, no refit."""
-        fits = []
+        batches, fits = [], []
 
-        def counting_fit(family, alpha, sample, warm_start=None):
-            res = fit(family, alpha, sample)
-            fits.append((family.tag, alpha, warm_start, res))
-            return res
+        def counting_batch(family, alphas, sample):
+            results = fit_alphas(family, alphas, sample)
+            batches.append((family.tag, tuple(alphas)))
+            fits.extend((family.tag, a, res) for a, res in zip(alphas, results))
+            return results
 
-        monkeypatch.setattr(selection, "fit", counting_fit)
+        def no_fit(*args, **kwargs):
+            raise AssertionError("select_model fitted outside fit_alphas")
+
+        monkeypatch.setattr(selection, "fit_alphas", counting_batch)
+        monkeypatch.setattr(selection, "fit", no_fit)
         sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 1.0)), 80, seed=9)
         report = select_model(ALL_FAMILIES, sample)
-        assert [w for _, _, w, _ in fits] == [None] * len(fits)
-        assert sorted((tag, a) for tag, a, _, _ in fits) == sorted(
+        for family in ALL_FAMILIES:
+            mine = [alphas for tag, alphas in batches if tag == family.tag]
+            assert mine[0] == COARSE_GRID
+            assert all(len(alphas) == 1 for alphas in mine[1:])
+        assert sorted((tag, a) for tag, a, _ in fits) == sorted(
             (f.tag, a) for f, a in report.ric_table
         )
-        by_key = {(tag, a): res for tag, a, _, res in fits}
+        for tag, a, res in fits:
+            cold = fit(FAMILIES[tag], a, sample)
+            assert (res.theta_hat, res.evaluations) == (cold.theta_hat, cold.evaluations)
+        by_key = {(tag, a): res for tag, a, res in fits}
         for record in report.records:
             assert record.fit is by_key[(record.family.tag, record.alpha_star_ric)]
 
@@ -154,17 +166,18 @@ class TestSelectModel:
                 select_model([GAMMA], degenerate)
 
     def test_failed_alpha_is_left_out_and_ends_refinement(self, monkeypatch):
-        """A grid alpha whose fit raises is left out of the curve, and the
-        first refinement alpha whose fit raises ends the refinement."""
+        """A grid alpha whose fit fails is left out of the curve, and the
+        first refinement alpha whose fit fails ends the refinement."""
         tried = []
 
-        def failing_fit(family, alpha, sample, warm_start=None):
-            tried.append(alpha)
-            if alpha == 0.5 or alpha not in COARSE_GRID:
-                raise FitError("forced failure")
-            return fit(family, alpha, sample)
+        def failing_batch(family, alphas, sample):
+            tried.extend(alphas)
+            return [
+                FitError("forced failure") if alpha == 0.5 or alpha not in COARSE_GRID else res
+                for alpha, res in zip(alphas, fit_alphas(family, alphas, sample))
+            ]
 
-        monkeypatch.setattr(selection, "fit", failing_fit)
+        monkeypatch.setattr(selection, "fit_alphas", failing_batch)
         sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 1.0)), 60, seed=2)
         report = select_model([GAMMA], sample)
         assert sorted(a for _, a in report.ric_table) == [a for a in COARSE_GRID if a != 0.5]

@@ -16,7 +16,10 @@ through estimator._solve_rows, so the kernel is named only in
 estimator.py, and no module silences warnings process-wide with
 warnings.catch_warnings. Tuning and model selection share one alpha
 search, tuning.alpha_search, which is not underscored: selection.py
-uses nothing private of tuning's.
+uses nothing private of tuning's. Alpha is a row axis of the kernel, so
+each family's alpha grid is one Newton solve, estimator.fit_alphas; the
+searches call fit only for RIC at one alpha and for a held-out point
+whose batched row failed.
 """
 
 import ast
@@ -42,7 +45,7 @@ PUBLIC_API = [
     "SelectionReport", "SingularInformationError", "TuningError", "TuningResult",
     "WEIBULL", "adjusted_median", "are", "asymptotic_se", "bootstrap_se", "cdf",
     "check_dpd_valid", "cvm_distance", "density", "dpd_mass_integral", "dpd_weights",
-    "estimating_residual", "fit", "if_supremum", "influence_function", "load_csv",
+    "estimating_residual", "fit", "fit_alphas", "if_supremum", "influence_function", "load_csv",
     "load_panel", "log_density", "objective_h", "outlier_summary", "quantile", "ric",
     "sample_family", "sandwich", "save_csv", "score", "select_alpha", "select_model",
     "simulate_contaminated", "v_alpha", "weighted_moments", "write_report_rows",
@@ -237,3 +240,11 @@ def test_selection_uses_nothing_private_from_tuning():
         and node.value.id == "tuning"
     ]
     assert not [name for name in attributes if name.startswith("_")]
+
+
+def test_searches_fit_through_fit_alphas():
+    found = {
+        name: sorted(set(_calls_to(_tree(PACKAGE / name), "fit")))
+        for name in ("selection.py", "tuning.py")
+    }
+    assert found == {"selection.py": ["ric"], "tuning.py": ["_cvm_points"]}

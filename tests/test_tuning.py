@@ -14,7 +14,7 @@ import pytest
 from conftest import as_sample
 from dpdfit import tuning
 from dpdfit.errors import DomainError, TuningError
-from dpdfit.estimator import fit
+from dpdfit.estimator import fit, fit_alphas
 from dpdfit.families import FAMILIES, ParamVector, cdf, quantile
 from dpdfit.tuning import COARSE_GRID, cvm_distance, select_alpha
 from dpdfit.uncertainty import ContaminationScheme, sample_family, simulate_contaminated
@@ -119,22 +119,32 @@ class TestSelectAlpha:
         assert result.fit_star.converged
 
     def test_each_alpha_fitted_once_from_the_moment_start(self, monkeypatch):
-        """Every curve alpha is one cold full-sample fit, and fit_star is
+        """Every curve alpha is one cold full-sample fit, the grid one batch
+        and each golden-section step a batch of one alpha, and fit_star is
         the fit scored at alpha_star, not a refit."""
-        fits = []
+        batches, fits = [], []
 
-        def counting_fit(family, alpha, sample, warm_start=None):
-            res = fit(family, alpha, sample)
-            fits.append((alpha, warm_start, res))
-            return res
+        def counting_batch(family, alphas, sample):
+            results = fit_alphas(family, alphas, sample)
+            batches.append(tuple(alphas))
+            fits.extend(zip(alphas, results))
+            return results
 
-        monkeypatch.setattr(tuning, "fit", counting_fit)
+        def no_fit(*args, **kwargs):
+            raise AssertionError("select_alpha refitted outside fit_alphas")
+
+        monkeypatch.setattr(tuning, "fit_alphas", counting_batch)
+        monkeypatch.setattr(tuning, "fit", no_fit)
         sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 0.05)), 40, seed=4)
         result = select_alpha(GAMMA, sample)
         assert result.loo_fallbacks == 0
-        assert [w for _, w, _ in fits] == [None] * len(fits)
-        assert sorted(a for a, _, _ in fits) == sorted(result.cvmd_curve)
-        assert result.fit_star is dict((a, res) for a, _, res in fits)[result.alpha_star]
+        assert batches[0] == COARSE_GRID
+        assert all(len(alphas) == 1 for alphas in batches[1:])
+        assert sorted(a for a, _ in fits) == sorted(result.cvmd_curve)
+        for a, res in fits:
+            cold = fit(GAMMA, a, np.sort(sample.values))
+            assert (res.theta_hat, res.evaluations) == (cold.theta_hat, cold.evaluations)
+        assert result.fit_star is dict(fits)[result.alpha_star]
 
     def test_star_beats_every_grid_value(self):
         sample = sample_family(EXPONENTIAL, ParamVector(EXPONENTIAL, (1.0,)), 40, seed=4)

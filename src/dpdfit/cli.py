@@ -172,6 +172,10 @@ def _validate(args):
             raise _UsageError("--epsilon > 0 needs --point or --displaced-family/--displaced-theta")
         if args.point is not None and args.point <= 0.0:
             raise _UsageError(f"--point must be positive, got {args.point}")
+    for flag in ("point", "y_min", "y_max"):
+        value = getattr(args, flag, None)
+        if value is not None and not np.isfinite(value):
+            raise _UsageError(f"--{flag.replace('_', '-')} must be finite, got {value}")
     if args.command == "fit" and args.bins < 1:
         raise _UsageError(f"--bins must be at least 1, got {args.bins}")
     if args.command == "influence" and args.points < 2:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DomainError, FitError
-from .families import ParamVector, quantile
+from .families import quantile
 
 __all__ = [
     "Sample",
@@ -239,11 +239,7 @@ def adjusted_median(fit_result, dry_count, n_wet=None):
     p = dry_count / (dry_count + n_wet)
     if p >= 0.5:
         return 0.0
-    level = (0.5 - p) / (1.0 - p)
-    theta = fit_result.theta_hat
-    if not isinstance(theta, ParamVector):
-        theta = ParamVector(fit_result.family, tuple(theta))
-    return float(quantile(theta, level))
+    return float(quantile(fit_result.theta_hat, (0.5 - p) / (1.0 - p)))
 
 
 def _format_field(v):

@@ -46,7 +46,7 @@ class SingularInformationError(DpdError):
 
 
 class TuningError(DpdError):
-    """A leave-one-out refit inside the tuning sweep failed."""
+    """A held-out row is unsolved at an alpha, or no alpha could be scored."""
 
 
 class SelectionError(DpdError):

@@ -61,19 +61,19 @@ def ric(family, alpha, sample):
 
 
 def _scored(family, alphas, sample):
-    """(RIC, fit) of the cold fit at each alpha, from one fit_alphas call;
-    None where the fit or its RIC raises a DpdError, everywhere if the
-    sample cannot be fitted at all."""
+    """(RIC, fit) of the cold fit at each alpha, from one fit_alphas call,
+    or the DpdError that leaves the alpha unscored: its fit's, its RIC's,
+    or, everywhere, the one for a sample that cannot be fitted at all."""
     try:
         fits = fit_alphas(family, alphas, sample)
-    except DpdError:
-        return [None] * len(alphas)
+    except DpdError as exc:
+        return [exc] * len(alphas)
     scored = []
     for res in fits:
         try:
-            scored.append(None if isinstance(res, DpdError) else (_ric_from_fit(res), res))
-        except DpdError:
-            scored.append(None)
+            scored.append(res if isinstance(res, DpdError) else (_ric_from_fit(res), res))
+        except DpdError as exc:
+            scored.append(exc)
     return scored
 
 

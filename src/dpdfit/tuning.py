@@ -10,14 +10,17 @@ estimator._solve_rows, as a bootstrap replicate is, solved to rounding
 by damped Newton from the full-sample fit with the closed-form gradient
 and Hessian of the divergence terms. This is the exact form of the
 one-step leave-one-out of Giordano et al. (2019) and Rad & Maleki
-(2020), iterated to convergence. A point whose row is unsolved is refit
-on its own, by fit from that held-out sample's moment start.
+(2020), iterated to convergence.
 
 alpha_search is the one alpha search: select_alpha scores each alpha's
 full-sample fit by this distance, selection.select_model by RIC. Alpha
 is a row axis of the Newton kernel, so the whole grid is one batched
 full-sample fit (estimator.fit_alphas) and one leave-one-out solve of
 all 21 n rows; each golden-section step is a batch of one alpha.
+
+Both searches leave out of the curve an alpha they cannot score; for
+CVM, one whose full-sample fit fails or whose held-out rows are not all
+solved. The grid alphas missing from a curve record what was left out.
 
 On clean data the curve is nearly flat in alpha (it varies by a few
 1e-4 at most for n = 250), so its argmin can land anywhere on the
@@ -32,7 +35,7 @@ import numpy as np
 
 from .dataio import write_rows
 from .errors import DomainError, DpdError, TuningError
-from .estimator import _sample_values, _solve_rows, fit, fit_alphas
+from .estimator import _sample_values, _solve_rows, fit_alphas
 
 __all__ = ["TuningResult", "cvm_distance", "select_alpha", "COARSE_GRID"]
 
@@ -50,7 +53,6 @@ class TuningResult:
     alpha_star: float
     cvmd_star: float
     fit_star: object
-    loo_fallbacks: int  # held-out points refit one at a time by fit, over the curve
 
     def curve_to_csv(self, path_or_fp):
         write_rows(path_or_fp, ["alpha", "cvmd"], (
@@ -85,15 +87,16 @@ def _loo_points(family, alphas, xs, starts):
         lambda rows: (np.arange(n) != rows[:, None] // k) / (n - 1),
         np.tile(starts, (n, 1)),
     )
-    return theta.reshape(n, k, -1), solved.reshape(n, k)
+    return theta.reshape(n, k, family.param_count), solved.reshape(n, k)
 
 
 def alpha_search(evaluate, refine):
     """Minimize evaluate over alpha in [0, 1].
 
-    evaluate(alphas) gives, for each alpha of a tuple, (value, fit) or
-    None where it cannot score that alpha. It is called once for the
-    whole of COARSE_GRID, whose unscored alphas are left out, then with
+    evaluate(alphas) gives, for each alpha of a tuple, (value, fit), or
+    the DpdError that leaves that alpha unscored, as fit_alphas marks a
+    failed fit. It is called once for the whole of COARSE_GRID, whose
+    unscored alphas are left out of the curve, then with
     `refine` once per golden-section step, to width 1e-3 between the best
     alpha's scored neighbours, up to the first alpha it cannot score.
     Each alpha is evaluated once; ties break toward the smaller alpha.
@@ -101,12 +104,12 @@ def alpha_search(evaluate, refine):
     exported.
     """
     scores = zip(COARSE_GRID, evaluate(COARSE_GRID))
-    curve = {alpha: scored for alpha, scored in scores if scored is not None}
+    curve = {alpha: scored for alpha, scored in scores if not isinstance(scored, DpdError)}
 
     def value(alpha):
         if alpha not in curve:
             (scored,) = evaluate((alpha,))
-            if scored is None:
+            if isinstance(scored, DpdError):
                 return None
             curve[alpha] = scored
         return curve[alpha][0]
@@ -133,65 +136,67 @@ def alpha_search(evaluate, refine):
     return curve, argmin()
 
 
-def _cvm_points(family, alphas, xs, fallbacks):
-    """[(cvm_distance, full-sample fit)] of the sorted sample xs at each
-    alpha: one batched full-sample fit, then one leave-one-out solve."""
+def _cvm_points(family, alphas, xs):
+    """(cvm_distance, full-sample fit) of the sorted sample xs at each
+    alpha, from one batched full-sample fit and one leave-one-out solve,
+    or the DpdError that leaves the alpha unscored: its full-sample
+    fit's, or a TuningError naming its first unsolved held-out row."""
     n = xs.size
-    fulls = fit_alphas(family, alphas, xs)
-    for full in fulls:
-        if isinstance(full, DpdError):
-            raise full
-    theta, solved = _loo_points(family, alphas, xs, [full.theta_hat.values for full in fulls])
-    scored = []
-    for j, (alpha, full) in enumerate(zip(alphas, fulls)):
-        for i in np.flatnonzero(~solved[:, j]):
-            held_out = np.delete(xs, i)
-            try:
-                loo = fit(family, alpha, held_out)
-            except DpdError as exc:
-                raise TuningError(
-                    f"leave-one-out fit {i + 1} of {n} failed at alpha={alpha:g}: {exc}"
-                ) from exc
-            if not loo.converged:
-                raise TuningError(
-                    f"leave-one-out fit {i + 1} of {n} did not converge at alpha={alpha:g}"
-                )
-            theta[i, j] = loo.theta_hat.values
-            if fallbacks is not None:
-                fallbacks.append(int(i))
-        resid = (np.arange(n) + 0.5) / n - family.cdf(tuple(theta[:, j].T), xs)
-        scored.append((float(resid @ resid) / n, full))
+    try:
+        scored = fit_alphas(family, alphas, xs)
+    except DpdError as exc:
+        return [exc] * len(alphas)
+    fitted = [j for j, full in enumerate(scored) if not isinstance(full, DpdError)]
+    theta, solved = _loo_points(
+        family, [alphas[j] for j in fitted], xs, [scored[j].theta_hat.values for j in fitted]
+    )
+    for k, j in enumerate(fitted):
+        unsolved = np.flatnonzero(~solved[:, k])
+        if unsolved.size:
+            scored[j] = TuningError(
+                f"leave-one-out fit {unsolved[0] + 1} of {n} is unsolved at alpha={alphas[j]:g}"
+            )
+        else:
+            resid = (np.arange(n) + 0.5) / n - family.cdf(tuple(theta[:, k].T), xs)
+            scored[j] = (float(resid @ resid) / n, scored[j])
     return scored
 
 
-def cvm_distance(family, alpha, sample, fallbacks=None):
-    """Leave-one-out CVM distance at one alpha.
-
-    All n leave-one-out estimates are solved together by Newton steps
-    from the full-sample fit, to rounding. A held-out point whose
-    Newton solve fails its guard (see estimator._solve_rows) is refit
-    by fit from the held-out sample's own moment start; its index is
-    appended to `fallbacks` when a list is given. Raises a tuning
-    error naming the (1-based) order-statistic index if such a refit
-    fails.
-    """
+def cvm_distance(family, alpha, sample):
+    """Leave-one-out CVM distance at one alpha, all n held-out estimates
+    solved together by Newton from the full-sample fit, to rounding.
+    Raises the error that leaves the alpha unscored: the full-sample
+    fit's, or a TuningError naming the (1-based) index of the first
+    held-out row that the guard of estimator._solve_rows left unsolved."""
     xs = _sorted_values(sample, family.param_count)
-    return _cvm_points(family, (alpha,), xs, fallbacks)[0][0]
+    (scored,) = _cvm_points(family, (alpha,), xs)
+    if isinstance(scored, DpdError):
+        raise scored
+    return scored[0]
 
 
 def select_alpha(family, sample, refine=True):
     """Minimize the CVM distance over alpha in [0, 1] by alpha_search.
 
     Each alpha's full-sample fit, from the moment start, is scored by
-    cvm_distance, and `fit_star` is the fit scored at `alpha_star`; an
-    error at any alpha propagates. The grid is one fit_alphas call and
-    one leave-one-out solve, each row starting from its alpha's fit.
-    `refine=False` stops after the grid. Deterministic: no randomness
-    anywhere in the sweep.
+    cvm_distance, and `fit_star` is the fit scored at `alpha_star`. The
+    grid is one fit_alphas call and one leave-one-out solve, each row
+    starting from its alpha's fit. An alpha at which cvm_distance would
+    raise is left out of `cvmd_curve`; only when no grid alpha is scored
+    is a TuningError raised, with the error at alpha = 0. `refine=False`
+    stops after the grid. Deterministic: no randomness in the sweep.
     """
     xs = _sorted_values(sample, family.param_count)
-    fallbacks = []
-    curve, alpha_star = alpha_search(lambda als: _cvm_points(family, als, xs, fallbacks), refine)
+    unscored = []
+
+    def evaluate(alphas):
+        scored = _cvm_points(family, alphas, xs)
+        unscored.extend(s for s in scored if isinstance(s, DpdError))
+        return scored
+
+    curve, alpha_star = alpha_search(evaluate, refine)
+    if alpha_star is None:
+        raise TuningError(f"no alpha could be scored for {family.tag}; at alpha=0: {unscored[0]}")
     cvmd_star, fit_star = curve[alpha_star]
     return TuningResult(
         family=family,
@@ -200,5 +205,4 @@ def select_alpha(family, sample, refine=True):
         alpha_star=float(alpha_star),
         cvmd_star=float(cvmd_star),
         fit_star=fit_star,
-        loo_fallbacks=len(fallbacks),
     )

@@ -102,12 +102,7 @@ def sample_family(family, theta, n, seed):
     u = _stream(seed, 0).random(int(n))
     # random() can return exactly 0, which the quantile domain excludes.
     u = np.maximum(u, 1e-300)
-    xs = quantile(p, u)
-    return Sample(
-        values=tuple(float(v) for v in np.atleast_1d(xs)),
-        dry_count=0,
-        label=f"{family.tag}-sim-{seed}",
-    )
+    return Sample(np.atleast_1d(quantile(p, u)), label=f"{family.tag}-sim-{seed}")
 
 
 def simulate_contaminated(family, theta, scheme, n):
@@ -126,11 +121,7 @@ def simulate_contaminated(family, theta, scheme, n):
             xs[marks] = np.atleast_1d(quantile(pod, u))
         else:
             xs[marks] = pod
-    return Sample(
-        values=tuple(float(v) for v in xs),
-        dry_count=0,
-        label=f"{family.tag}-contam-{scheme.seed}",
-    )
+    return Sample(xs, label=f"{family.tag}-contam-{scheme.seed}")
 
 
 def bootstrap_se(family, alpha, sample, B=1000, seed=0):

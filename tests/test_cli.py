@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from dpdfit import tuning
 from dpdfit.cli import emit_plot_data, main
 from dpdfit.dataio import REPORT_COLUMNS, Sample, load_csv
 from dpdfit.errors import DomainError
@@ -99,6 +100,17 @@ class TestUsageErrors:
         rc = main([command, "--family", "exponential", *source, "--seed", "-1"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: usage: --seed")
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--point", "--y-min", "--y-max"])
+    def test_non_finite_values(self, flag, value, capsys):
+        if flag == "--point":
+            argv = ["simulate", "--family", "exponential", "--n", "10", "--seed", "0", "--epsilon", "0.1"]
+        else:
+            argv = ["influence", "--family", "exponential"]
+        rc = main([*argv, flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: usage: {flag} must be finite, got {value}\n"
 
 
 class TestExitCodes:
@@ -393,6 +405,32 @@ class TestReportCommand:
                    "--output", str(target)])
         assert rc == 0
         assert "skipped" in capsys.readouterr().err
+        lines = target.read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("good,")
+
+    def test_series_with_no_scored_alpha_is_skipped(self, tmp_path, capsys, monkeypatch):
+        """A series whose held-out rows are all unsolved has no scored
+        alpha; report skips it and still writes the other series."""
+        panel = tmp_path / "panel.csv"
+        with open(panel, "w", encoding="utf-8") as fh:
+            fh.write("label,value\n")
+            for label, n in (("good", 40), ("bad", 30)):
+                for v in sample_family(EXPONENTIAL, (1.0,), n, seed=6).values:
+                    fh.write(f"{label},{v!r}\n")
+        loo_points = tuning._loo_points
+
+        def unsolved_at_30(family, alphas, xs, starts):
+            theta, solved = loo_points(family, alphas, xs, starts)
+            return theta, solved & (xs.size != 30)
+
+        monkeypatch.setattr(tuning, "_loo_points", unsolved_at_30)
+        target = tmp_path / "report.csv"
+        rc = main(["report", "--input", str(panel), "--fast", "--output", str(target)])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: series 'bad' skipped: no alpha could be scored")
+        assert err.count("\n") == 1
         lines = target.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("good,")

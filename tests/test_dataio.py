@@ -396,7 +396,7 @@ WRITER_BYTES = {
     ),
     "TuningResult.curve_to_csv": (
         lambda p: TuningResult(
-            EXPONENTIAL, None, {0.05: 1 / 7, 0.0: 0.25, 1 / 3: 2e-13}, 0.0, 0.25, None, 0
+            EXPONENTIAL, None, {0.05: 1 / 7, 0.0: 0.25, 1 / 3: 2e-13}, 0.0, 0.25, None
         ).curve_to_csv(p),
         b"alpha,cvmd\r\n0,0.25\r\n0.05,0.142857142857\r\n0.3333333333,2e-13\r\n",
     ),

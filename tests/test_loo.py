@@ -4,16 +4,19 @@ tuning.cvm_distance solves all n held-out problems together with the
 damped Newton kernel estimator._newton_rows, from the closed-form
 gradient and Hessian of the divergence terms. These tests hold the
 family table's Jacobian entry dscore and the kernel's gradient and
-Hessian to central differences, each held-out point to a full refit,
-and the guard's fallback to the per-point refit route.
+Hessian to central differences and each held-out point to a full
+refit. A row the guard leaves unsolved is not refit: it leaves its
+alpha unscored, and the other alphas of the curve do not move.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from dpdfit import tuning
+from dpdfit.errors import FitError, TuningError
 from dpdfit.estimator import _weighted_terms, fit, fit_alphas, objective_h
 from dpdfit.families import FAMILIES, ParamVector, _mat, log_density, quantile, score
 from dpdfit.tuning import COARSE_GRID, _loo_points, _sorted_values, cvm_distance, select_alpha
@@ -179,9 +182,8 @@ class TestKernel:
         start = fit(family, alpha, xs).theta_hat.values
         theta, solved = _loo_points(family, (alpha,), xs, [start])
         assert solved.all()
-        fallbacks = []
-        cvm_distance(family, alpha, xs, fallbacks)
-        assert fallbacks == []
+        resid = (np.arange(xs.size) + 0.5) / xs.size - family.cdf(tuple(theta[:, 0].T), xs)
+        assert cvm_distance(family, alpha, xs) == float(resid @ resid) / xs.size
         for i in range(xs.size):
             ref = fit(family, alpha, np.delete(xs, i)).theta_hat.values
             np.testing.assert_allclose(theta[i, 0], ref, rtol=1e-9)
@@ -192,55 +194,106 @@ def clean(tag):
     return sample_family(family, ParamVector(family, THETA[tag]), 40, seed=1)
 
 
+def unsolving(rows, at=None):
+    """A stand-in for tuning._loo_points that marks the held-out rows
+    `rows` unsolved at the alpha `at`, or at every alpha when at is None."""
+
+    def patched(family, alphas, xs, starts):
+        theta, solved = _loo_points(family, alphas, xs, starts)
+        for k, alpha in enumerate(alphas):
+            if at is None or alpha == at:
+                solved[rows, k] = False
+        return theta, solved
+
+    return patched
+
+
 class TestGuard:
     @pytest.mark.parametrize("tag", TAGS)
     def test_seeded_clean_curve_needs_no_fallback(self, tag):
-        assert select_alpha(FAMILIES[tag], clean(tag), refine=False).loo_fallbacks == 0
+        """Every held-out row is solved, so no grid alpha is left out."""
+        result = select_alpha(FAMILIES[tag], clean(tag), refine=False)
+        assert set(result.cvmd_curve) == set(COARSE_GRID)
 
     @pytest.mark.parametrize("tag", TAGS)
     def test_only_the_full_sample_is_fitted(self, tag, monkeypatch):
         family = FAMILIES[tag]
-        batches, refits = [], []
+        batches = []
 
         def counting_batch(family, alphas, sample):
             batches.append(tuple(alphas))
             return fit_alphas(family, alphas, sample)
 
-        def counting_fit(*args, **kwargs):
-            refits.append(args)
-            return fit(*args, **kwargs)
-
         monkeypatch.setattr(tuning, "fit_alphas", counting_batch)
-        monkeypatch.setattr(tuning, "fit", counting_fit)
         cvm_distance(family, 0.5, clean(tag))
         assert batches == [(0.5,)]
-        assert refits == []
 
     @pytest.mark.parametrize("tag", TAGS)
-    def test_rejected_index_takes_the_refit_route(self, tag, monkeypatch):
-        """With the guard rejecting one index, that point is refit on its
-        own and the distance equals the one from exact per-point fits."""
+    def test_rejected_index_leaves_the_alpha_unscored(self, tag, monkeypatch):
+        """The distance equals the one from exact per-point fits; with the
+        guard rejecting one index, cvm_distance names that index instead
+        of refitting it."""
         family = FAMILIES[tag]
         alpha, rejected = 0.5, 7
         xs = contaminated(tag)
         n = xs.size
-
-        def rejecting(*args):
-            theta, solved = _loo_points(*args)
-            solved[rejected] = False
-            return theta, solved
-
-        monkeypatch.setattr(tuning, "_loo_points", rejecting)
-        fallbacks = []
-        got = cvm_distance(family, alpha, xs, fallbacks)
-        assert fallbacks == [rejected]
 
         total = 0.0
         for i in range(n):
             loo = fit(family, alpha, np.delete(xs, i))
             resid = (i + 0.5) / n - float(family.cdf(loo.theta_hat.values, xs[i]))
             total += resid * resid
-        assert got == pytest.approx(total / n, rel=1e-9)
+        assert cvm_distance(family, alpha, xs) == pytest.approx(total / n, rel=1e-9)
 
-        result = select_alpha(family, clean(tag), refine=False)
-        assert result.loo_fallbacks == len(COARSE_GRID)
+        monkeypatch.setattr(tuning, "_loo_points", unsolving(rejected))
+        with pytest.raises(TuningError, match=f"fit {rejected + 1} of {n} is unsolved at alpha=0.5"):
+            cvm_distance(family, alpha, xs)
+
+
+class TestPartialFailure:
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_unscored_alpha_leaves_the_rest_bitwise(self, tag, monkeypatch):
+        """One unsolved held-out row drops its alpha from the curve; every
+        other value, alpha_star and fit_star are those of the full run."""
+        family = FAMILIES[tag]
+        sample = clean(tag)
+        want = select_alpha(family, sample, refine=False)
+        dropped = 0.5 if want.alpha_star != 0.5 else 0.55
+        monkeypatch.setattr(tuning, "_loo_points", unsolving(3, at=dropped))
+        got = select_alpha(family, sample, refine=False)
+        assert set(got.cvmd_curve) == set(COARSE_GRID) - {dropped}
+        for alpha, value in got.cvmd_curve.items():
+            assert value.hex() == want.cvmd_curve[alpha].hex()
+        assert (got.alpha_star, got.cvmd_star) == (want.alpha_star, want.cvmd_star)
+        assert got.fit_star == want.fit_star
+        with pytest.raises(TuningError, match=f"fit 4 of 40 is unsolved at alpha={dropped:g}"):
+            cvm_distance(family, dropped, sample)
+
+    def test_failed_full_sample_fit_leaves_its_alpha_unscored(self):
+        """A full-sample fit that fails (its start overflows the objective)
+        drops its alpha; the other alphas are scored as before, and with
+        every fit failing no alpha is scored."""
+        gamma = FAMILIES["gamma"]
+        sample = clean("gamma")
+        want = select_alpha(gamma, sample, refine=False)
+
+        def breaking(at):
+            def start(xs, alpha):
+                return np.array([1e308, 1e308]) if at in (None, alpha) else gamma.start(xs, alpha)
+
+            return dataclasses.replace(gamma, start=start)
+
+        got = select_alpha(breaking(0.5), sample, refine=False)
+        assert set(got.cvmd_curve) == set(COARSE_GRID) - {0.5}
+        for alpha, value in got.cvmd_curve.items():
+            assert value.hex() == want.cvmd_curve[alpha].hex()
+        with pytest.raises(FitError, match="objective not finite"):
+            cvm_distance(breaking(0.5), 0.5, sample)
+        with pytest.raises(TuningError, match="no alpha could be scored.*objective not finite"):
+            select_alpha(breaking(None), sample)
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_no_scored_alpha_raises(self, tag, monkeypatch):
+        monkeypatch.setattr(tuning, "_loo_points", unsolving(0))
+        with pytest.raises(TuningError, match="no alpha could be scored.*fit 1 of 40"):
+            select_alpha(FAMILIES[tag], clean(tag))

@@ -7,8 +7,9 @@ one-row fits are kept here as the reference: each row of a grid batch
 (fit_alphas) is bit for bit the fit at its alpha, and each bootstrap row
 matches the per-replicate warm refit, fit(family, alpha, resample,
 warm_start=full.theta_hat), failing exactly where that refit raises or
-does not converge. The chunk size changes no result, and no converged
-gamma or Weibull row sits on or below its alpha's shape floor.
+does not converge. The chunk size changes no result, no converged
+gamma or Weibull row sits on or below its alpha's shape floor, and no
+one-row fit off the grid returns a shape there.
 """
 
 import dataclasses
@@ -181,8 +182,10 @@ def test_one_failing_row_leaves_the_others_bitwise():
 @pytest.mark.parametrize("tag", ["gamma", "weibull"])
 def test_converged_rows_stay_above_their_shape_floor(tag):
     """In mixed-alpha batches, full-sample and leave-one-out, no converged
-    row has shape <= alpha/(1+alpha). Shape-0.15 data put the alpha = 1
-    optimum near 0.55, just above that alpha's floor of 0.5."""
+    row has shape <= alpha/(1+alpha), and a one-row fit at an alpha off
+    the grid returns a shape above its floor, converged or not. Shape-0.15
+    data put the alpha = 1 optimum near 0.55, just above that alpha's
+    floor of 0.5."""
     family = FAMILIES[tag]
     xs = _sorted_values(sample_family(family, ParamVector(family, (0.15, 1.0)), 60, seed=0), 2)
     floors = np.array([alpha / (1.0 + alpha) for alpha in COARSE_GRID])
@@ -197,3 +200,8 @@ def test_converged_rows_stay_above_their_shape_floor(tag):
     theta, solved = _loo_points(family, COARSE_GRID, xs, [res.theta_hat.values for res in fits])
     assert solved.any()
     assert not (solved & (theta[:, :, 0] <= floors)).any()
+    for alpha in (0.37, 0.83):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = fit(family, alpha, xs)
+        assert res.theta_hat.values[0] > alpha / (1.0 + alpha)

@@ -18,8 +18,8 @@ warnings.catch_warnings. Tuning and model selection share one alpha
 search, tuning.alpha_search, which is not underscored: selection.py
 uses nothing private of tuning's. Alpha is a row axis of the kernel, so
 each family's alpha grid is one Newton solve, estimator.fit_alphas; the
-searches call fit only for RIC at one alpha and for a held-out point
-whose batched row failed.
+searches call fit only for RIC at one alpha, and tuning does not import
+it.
 """
 
 import ast
@@ -247,4 +247,5 @@ def test_searches_fit_through_fit_alphas():
         name: sorted(set(_calls_to(_tree(PACKAGE / name), "fit")))
         for name in ("selection.py", "tuning.py")
     }
-    assert found == {"selection.py": ["ric"], "tuning.py": ["_cvm_points"]}
+    assert found == {"selection.py": ["ric"], "tuning.py": []}
+    assert "fit" not in _names(_tree(PACKAGE / "tuning.py"))

@@ -18,7 +18,6 @@ from .families import (
     _check_family,
     _check_x,
     _divergence_terms,
-    _mat,
     _shape_floor,
     _vec,
     check_dpd_valid,
@@ -49,7 +48,7 @@ def _sample_values(sample):
 def _h(family, v, alpha, vals, lnx):
     """H = M - k mean(g) at parameter values v, lnx = log(vals): the one
     reduction of the divergence terms, for objective_h and fit alike."""
-    m, k, g = _divergence_terms(family, v, alpha, vals, lnx)
+    m, k, g = _divergence_terms(family, v, alpha, family.logf(v, vals, lnx))
     return m - k * float(np.mean(g))
 
 
@@ -103,43 +102,52 @@ _NEWTON_RTOL = 1e-13
 
 def _weighted_terms(family, alpha, x, lnx, weights, theta):
     """H, its gradient and Hessian, and H's rounding scale, at each row of
-    theta (m, p) for the objective sum_j weights[j, r] v_alpha(x_j), alpha
-    being one float or one value per row (m,), all zero or all positive.
+    theta (m, p) for the objective sum_j weights[r, j] v_alpha(x[r, j]),
+    alpha being one float or one value per row (m,), all zero or all
+    positive.
 
-    x and lnx are columns (n, 1) and each column of weights (n, m) sums
-    to one. The gradient of v_j is (1+alpha)(xi - f_j^alpha u_j) and
-    its Hessian (1+alpha)[dxi - f_j^alpha (alpha u_j u_j' + du_j)],
-    with dxi = integral of du f^(1+alpha) + (1+alpha) integral of
-    u u' f^(1+alpha); at alpha = 0 that is Newton on the mean negative
-    log-likelihood, xi and dxi being zero.
+    x and lnx = log x are one row (1, n) shared by every row of theta or
+    one row each (m, n), and each row of weights (m, n) sums to one. The
+    gradient of v_j is (1+alpha)(xi - f_j^alpha u_j) and its Hessian
+    (1+alpha)[dxi - f_j^alpha (alpha u_j u_j' + du_j)], with dxi =
+    integral of du f^(1+alpha) + (1+alpha) integral of u u' f^(1+alpha);
+    at alpha = 0 that is Newton on the mean negative log-likelihood, xi
+    and dxi being zero. family.terms gives ln f, u and du once; a du
+    entry constant in x multiplies sum_j weights_j f_j^alpha, and only
+    the Hessian's upper triangle is summed.
 
     Sums run along contiguous rows of (m, n) arrays, so no row's result
     depends on its batch.
     """
-    x, lnx, weights = x.T, lnx.T, weights.T
     v, vc = tuple(theta.T), tuple(theta.T[:, :, None])
     col = alpha if np.ndim(alpha) == 0 else alpha[:, None]
     lift = np.reshape(1.0 + alpha, (-1, 1))
-    mass, k, g = _divergence_terms(family, vc, col, x, lnx)
+    lnf, u, du = family.terms(vc, x, lnx)
+    mass, k, g = _divergence_terms(family, vc, col, lnf)
     mass, k = np.ravel(mass), np.ravel(k)
     wg = weights * g
-    h = mass - k * wg.sum(axis=1)
-    scale = np.abs(mass) + k * np.abs(wg).sum(axis=1)
-    if not np.any(alpha):
-        wg = weights
-        xi = dxi = 0.0
-    else:
+    total = wg.sum(axis=1)
+    h = mass - k * total
+    tilted = bool(np.any(alpha))
+    if tilted:
+        # wg = weights f^alpha >= 0
+        scale = np.abs(mass) + k * total
         uu, xi, du_int = family.moments(v, alpha, mass)
         dxi = du_int + lift[:, :, None] * uu
-    u = family.score(vc, x)
+    else:
+        scale = np.abs(wg).sum(axis=1)
+        wg = weights
+        total = weights.sum(axis=1)
+        xi = dxi = 0.0
     wu = [wg * uq for uq in u]
     grad = xi - _vec([wuq.sum(axis=1) for wuq in wu])
-    curv = _mat(
-        [
-            [(col * wup * uq + wg * dpq).sum(axis=1) for uq, dpq in zip(u, drow)]
-            for wup, drow in zip(wu, family.dscore(vc, x))
-        ]
-    )
+    curv = np.empty((theta.shape[0], len(u), len(u)))
+    for i, j in zip(*np.triu_indices(len(u))):
+        d = du[i][j]
+        entry = total * d[:, 0] if np.shape(d)[-1] == 1 else (wg * d).sum(axis=1)
+        if tilted:
+            entry = entry + alpha * (wu[i] * u[j]).sum(axis=1)
+        curv[:, i, j] = curv[:, j, i] = entry
     return h, lift * grad, lift[:, :, None] * (dxi - curv), scale
 
 
@@ -162,10 +170,12 @@ def _newton_step(grad, hess):
     return np.einsum("rij,rj->ri", vec, coef), finite, pd
 
 
-def _newton_rows(family, alphas, xs, weights, starts):
-    """Minimize sum_j weights[r, j] v_alpha(theta_r, xs[j]) with alpha =
-    alphas[r] for every row r of weights (m, n), each summing to one, by
-    damped Newton from starts[r]; the alphas are all zero or all positive.
+def _newton_rows(family, alphas, values, weights, starts):
+    """Minimize sum_j weights[r, j] v_alpha(theta_r, values[r, j]) with
+    alpha = alphas[r] for every row r of weights (m, n), each summing to
+    one, by damped Newton from starts[r]; values is one row (n,) shared
+    by every row or one row each (m, n), and the alphas are all zero or
+    all positive.
 
     Where the Hessian is not positive definite the step is the
     eigenvalue-modified one of _newton_step. A step that leaves the
@@ -179,8 +189,12 @@ def _newton_rows(family, alphas, xs, weights, starts):
     or Hessian is not finite, or that runs out of halvings, stops where
     it is, unsolved.
     """
-    x = xs[:, None]
+    x = np.atleast_2d(values)
     lnx = np.log(x)
+
+    def at(rows):
+        return (x, lnx) if x.shape[0] == 1 else (x[rows], lnx[rows])
+
     theta = np.array(starts, dtype=float)
     m = theta.shape[0]
     solved = np.zeros(m, dtype=bool)
@@ -190,7 +204,7 @@ def _newton_rows(family, alphas, xs, weights, starts):
     # array by a column of alphas about three times slower.
     alpha = float(alphas[0]) if (alphas == alphas[0]).all() else alphas
     with np.errstate(all="ignore"):
-        h, grad, hess, scale = _weighted_terms(family, alpha, x, lnx, weights.T, theta)
+        h, grad, hess, scale = _weighted_terms(family, alpha, x, lnx, weights, theta)
         step, ok, pd = _newton_step(grad, hess)
         live = np.flatnonzero(ok)
         h, scale, step, pd = h[ok], scale[ok], step[ok], pd[ok]
@@ -210,11 +224,15 @@ def _newton_rows(family, alphas, xs, weights, starts):
             down = np.isfinite(trial).all(axis=1)
             if family.shaped:
                 down &= trial[:, 0] > floor[live]
-            at = alpha if np.ndim(alpha) == 0 else alpha[live[down]]
+            rows = live[down]
             h_t, grad, hess, scale_t = _weighted_terms(
-                family, at, x, lnx, weights[live[down]].T, trial[down]
+                family,
+                alpha if np.ndim(alpha) == 0 else alpha[rows],
+                *at(rows),
+                weights[rows],
+                trial[down],
             )
-            evals[live[down]] += 1
+            evals[rows] += 1
             lower = h_t <= h[down] + 1e-12 * scale[down]
             down[down] = lower
             new_step, ok, new_pd = _newton_step(grad[lower], hess[lower])
@@ -237,32 +255,34 @@ def _newton_rows(family, alphas, xs, weights, starts):
 _ROW_BUDGET = 1 << 14
 
 
-def _solve_rows(family, alphas, xs, m, weights_of, starts):
+def _solve_rows(family, alphas, m, width, weights_of, starts):
     """_newton_rows' (theta, solved, evaluations) for rows 0..m-1, row r at
     alphas[r] from starts[r]; alphas (m,) and starts (m, p) may be anything
     that broadcasts to those shapes. The alpha = 0 rows, whose objective
     is the log-likelihood, are solved apart from the others, each group
-    _ROW_BUDGET // n rows at a time, weights_of(rows) giving a batch's
-    weights (rows.size, n). A two-parameter row whose positively weighted
-    values are all equal is unsolved, as fit refuses such a sample."""
+    _ROW_BUDGET // width rows at a time, weights_of(rows) giving a batch's
+    (values, weights): values (width,) shared by the batch or one row per
+    row (rows.size, width), and weights (rows.size, width). A
+    two-parameter row whose positively weighted values are all equal is
+    unsolved, as fit refuses such a sample."""
     p = family.param_count
     alphas = np.broadcast_to(np.asarray(alphas, dtype=float), (m,))
     starts = np.broadcast_to(np.reshape(np.asarray(starts, dtype=float), (-1, p)), (m, p))
     theta = np.empty((m, p))
     solved = np.empty(m, dtype=bool)
     evals = np.empty(m, dtype=int)
-    chunk = max(_ROW_BUDGET // xs.size, 1)
+    chunk = max(_ROW_BUDGET // width, 1)
     for group in (np.flatnonzero(alphas == 0.0), np.flatnonzero(alphas != 0.0)):
         for lo in range(0, group.size, chunk):
             rows = group[lo : lo + chunk]
-            weights = weights_of(rows)
+            values, weights = weights_of(rows)
             theta[rows], solved[rows], evals[rows] = _newton_rows(
-                family, alphas[rows], xs, weights, starts[rows]
+                family, alphas[rows], values, weights, starts[rows]
             )
             if p == 2:
                 drawn = weights > 0.0
-                top = np.where(drawn, xs, -np.inf).max(axis=1)
-                solved[rows] &= top > np.where(drawn, xs, np.inf).min(axis=1)
+                top = np.where(drawn, values, -np.inf).max(axis=1)
+                solved[rows] &= top > np.where(drawn, values, np.inf).min(axis=1)
     return theta, solved, evals
 
 
@@ -289,7 +309,12 @@ def _fit_rows(family, alphas, vals, starts):
     raises there, by one _solve_rows call with weight 1/n per value."""
     n = vals.size
     theta, solved, evals = _solve_rows(
-        family, alphas, vals, len(alphas), lambda rows: np.full((rows.size, n), 1.0 / n), starts
+        family,
+        alphas,
+        len(alphas),
+        n,
+        lambda rows: (vals, np.full((rows.size, n), 1.0 / n)),
+        starts,
     )
     lnx = np.log(vals)
     out = []
@@ -344,7 +369,7 @@ def fit(family, alpha, sample, warm_start=None):
         if family.shaped:
             start[0] = max(start[0], _shape_floor(alpha) + 0.05)
     else:
-        start = family.start(vals, alpha)
+        start = family.start(vals, (alpha,))
     (res,) = _fit_rows(family, (alpha,), vals, start)
     if isinstance(res, DpdError):
         raise res
@@ -362,4 +387,4 @@ def fit_alphas(family, alphas, sample):
     """
     alphas = [float(alpha) for alpha in alphas]
     vals = _checked_values(family, alphas, sample)
-    return _fit_rows(family, alphas, vals, [family.start(vals, alpha) for alpha in alphas])
+    return _fit_rows(family, alphas, vals, family.start(vals, alphas))

@@ -11,29 +11,42 @@ __all__ = ["invert_cdf"]
 
 
 def invert_cdf(cdf, p):
-    """Solve cdf(x) = p for x > 0 by bracket expansion then bisection."""
-    if not 0.0 < p < 1.0:
+    """Solve cdf(x) = p for x > 0 by bracket expansion then bisection.
+
+    p may be one probability, giving a float, or an array, solved in
+    lockstep: cdf is called on an array of points, and a probability's
+    bracket stops moving once it is solved, so each gets the float a
+    solve of it alone would give.
+    """
+    p = np.asarray(p, dtype=float)
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise DomainError("invert_cdf requires p in (0, 1)")
-    lo = hi = 1.0
-    while cdf(hi) < p:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e308:
-            raise InversionError("bracket expansion exceeded 1e308")
-    while cdf(lo) > p:
-        hi = lo
-        lo /= 2.0
-        if lo < 1e-308:
-            raise InversionError("bracket expansion underflowed")
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        c = cdf(mid)
-        if abs(c - p) <= 1e-10:
-            return mid
-        if c < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= np.finfo(float).eps * mid:
-            break
-    raise InversionError(f"bisection stalled at p={p:g}")
+    lo, hi = np.ones_like(p), np.ones_like(p)
+    out = np.empty_like(p)
+    with np.errstate(all="ignore"):
+        grow = cdf(hi) < p
+        while np.any(grow):
+            lo, hi = np.where(grow, hi, lo), np.where(grow, 2.0 * hi, hi)
+            if np.any(hi > 1e308):
+                raise InversionError("bracket expansion exceeded 1e308")
+            grow = grow & (cdf(hi) < p)
+        shrink = cdf(lo) > p
+        while np.any(shrink):
+            lo, hi = np.where(shrink, 0.5 * lo, lo), np.where(shrink, lo, hi)
+            if np.any(lo < 1e-308):
+                raise InversionError("bracket expansion underflowed")
+            shrink = shrink & (cdf(lo) > p)
+        live = np.ones_like(p, dtype=bool)
+        for _ in range(500):
+            mid = 0.5 * (lo + hi)
+            c = cdf(mid)
+            hit = live & (np.abs(c - p) <= 1e-10)
+            out = np.where(hit, mid, out)
+            live = live & ~hit
+            if not np.any(live):
+                return float(out) if out.ndim == 0 else out
+            below = c < p
+            lo, hi = np.where(live & below, mid, lo), np.where(live & ~below, mid, hi)
+            if np.any(live & (hi - lo <= np.finfo(float).eps * mid)):
+                break
+    raise InversionError(f"bisection stalled at p={np.extract(live, p)[0]:g}")

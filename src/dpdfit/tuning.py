@@ -82,9 +82,9 @@ def _loo_points(family, alphas, xs, starts):
     theta, solved, _ = _solve_rows(
         family,
         np.tile(alphas, n),
-        xs,
         n * k,
-        lambda rows: (np.arange(n) != rows[:, None] // k) / (n - 1),
+        n,
+        lambda rows: (xs, (np.arange(n) != rows[:, None] // k) / (n - 1)),
         np.tile(starts, (n, 1)),
     )
     return theta.reshape(n, k, family.param_count), solved.reshape(n, k)

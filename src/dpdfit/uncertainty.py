@@ -1,6 +1,7 @@
 """Bootstrap standard errors and seeded sample generation.
 
-A bootstrap replicate is a row of estimator._solve_rows weighted by draw counts / n.
+A bootstrap replicate is a row of estimator._solve_rows over the values
+it drew, each weighted by its draw count / n.
 
 All randomness comes from the counter-based Philox generator. Stream
 r of a seed is Philox(SeedSequence(seed, spawn_key=(r,))), so every
@@ -124,25 +125,43 @@ def simulate_contaminated(family, theta, scheme, n):
     return Sample(xs, label=f"{family.tag}-contam-{scheme.seed}")
 
 
+def _replicate_rows(xs, B, seed):
+    """(width, drawn) for B resamples of xs: replicate r draws n indices by
+    stream r of seed, and drawn(rows) gives each replicate's distinct
+    drawn values in sample order, weighted by count / n, as rows
+    (rows.size, width) of (values, weights). width is the largest
+    support among the B replicates; a smaller support is padded with
+    zero weight on values it did not draw."""
+    n = xs.size
+    counts = np.empty((B, n), dtype=np.min_scalar_type(n))
+    for r in range(B):
+        counts[r] = np.bincount(_stream(seed, r).integers(0, n, size=n), minlength=n)
+    width = int(np.count_nonzero(counts, axis=1).max())
+
+    def drawn(rows):
+        picked = counts[rows]
+        order = np.argsort(picked == 0, axis=1, kind="stable")[:, :width]
+        return xs[order], np.take_along_axis(picked, order, axis=1) / n
+
+    return width, drawn
+
+
 def bootstrap_se(family, alpha, sample, B=1000, seed=0):
     """Nonparametric bootstrap around the full-sample fit.
 
     Replicate r resamples n observations by stream r of seed and is
-    solved from the full-sample estimate. se is the standard deviation
-    over solved replicates, divisor B_conv - 1; over 5% unsolved warns.
+    solved from the full-sample estimate, over the values it drew. se is
+    the standard deviation over solved replicates, divisor B_conv - 1;
+    over 5% unsolved warns. A replicate's row is as wide as the largest
+    support among the B replicates, so its estimate may move with B by
+    rounding (1e-14 relative at most in the tests), though its draws
+    never do.
     """
     if B < 2:
         raise DomainError(f"need B >= 2, got {B}")
     full = fit(family, alpha, sample)
-    xs = _sample_values(sample)
-    n = xs.size
-
-    def drawn(rows):
-        return np.stack(
-            [np.bincount(_stream(seed, r).integers(0, n, size=n), minlength=n) for r in rows]
-        ) / n
-
-    theta, solved, _ = _solve_rows(family, alpha, xs, int(B), drawn, full.theta_hat.values)
+    width, drawn = _replicate_rows(_sample_values(sample), int(B), seed)
+    theta, solved, _ = _solve_rows(family, alpha, int(B), width, drawn, full.theta_hat.values)
     ids = np.flatnonzero(solved)
     failures = int(B) - ids.size
     if ids.size < 2:

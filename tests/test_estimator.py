@@ -209,10 +209,10 @@ class TestIndefiniteStart:
         np.testing.assert_allclose(result.theta_hat.values, self.MINIMA[seed], rtol=1e-9)
 
     def test_start_hessian_is_indefinite(self):
-        x = self.sample(12)[:, None]
+        x = self.sample(12)[None, :]
         weights = np.full(x.shape, 1.0 / x.size)
-        start = GAMMA.start(x[:, 0], 1.0)
-        _, _, hess, _ = _weighted_terms(GAMMA, 1.0, x, np.log(x), weights, start[None, :])
+        start = GAMMA.start(x[0], (1.0,))
+        _, _, hess, _ = _weighted_terms(GAMMA, 1.0, x, np.log(x), weights, start)
         assert np.linalg.eigvalsh(hess[0])[0] < 0.0
 
     def test_indefinite_step_descends(self):

@@ -3,10 +3,11 @@
 tuning.cvm_distance solves all n held-out problems together with the
 damped Newton kernel estimator._newton_rows, from the closed-form
 gradient and Hessian of the divergence terms. These tests hold the
-family table's Jacobian entry dscore and the kernel's gradient and
-Hessian to central differences and each held-out point to a full
-refit. A row the guard leaves unsolved is not refit: it leaves its
-alpha unscored, and the other alphas of the curve do not move.
+score Jacobian du/dtheta (dscore) of the family table's terms entry and
+the kernel's gradient and Hessian to central differences and each
+held-out point to a full refit. A row the guard leaves unsolved is not
+refit: it leaves its alpha unscored, and the other alphas of the curve
+do not move.
 """
 
 import dataclasses
@@ -59,7 +60,7 @@ class TestTable:
         family = FAMILIES[tag]
         theta = np.array(THETA[tag])
         xs = contaminated(tag)
-        got = _mat(family.dscore(tuple(theta), xs))
+        got = _mat(family.terms(tuple(theta), xs, np.log(xs))[2])
         for k, h in enumerate(steps(theta)):
             up, down = theta.copy(), theta.copy()
             up[k] += h
@@ -82,11 +83,13 @@ class TestTable:
         c = 0.4
         mass = family.mass(v, c)
         moments = family.moments(v, c, mass)
+        lnf, u, du = family.terms(v, x, np.log(x))
+        np.testing.assert_array_equal(lnf, family.logf(v, x, np.log(x)))
         per_x = {
-            "logf": family.logf(v, x, np.log(x)),
-            "score": np.stack(np.broadcast_arrays(*family.score(v, x)), axis=-1),
+            "logf": lnf,
+            "score": np.stack(np.broadcast_arrays(*u), axis=-1),
             "dscore": np.broadcast_to(
-                _mat(family.dscore(v, x)), x.shape[:1] + mass.shape + (family.param_count,) * 2
+                _mat(du), x.shape[:1] + mass.shape + (family.param_count,) * 2
             ),
         }
         for r, point in enumerate(points):
@@ -102,7 +105,9 @@ class TestTable:
             )
             np.testing.assert_allclose(
                 per_x["dscore"][:, r],
-                np.broadcast_to(_mat(family.dscore(one, xs)), per_x["dscore"][:, r].shape),
+                np.broadcast_to(
+                    _mat(family.terms(one, xs, np.log(xs))[2]), per_x["dscore"][:, r].shape
+                ),
                 rtol=1e-12,
                 atol=1e-300,
             )
@@ -123,7 +128,7 @@ class TestTable:
         for i in range(p):
             for j in range(p):
                 want[i, j] = integrate_halfline(
-                    lambda x: float(_mat(family.dscore(pv.values, x))[i, j])
+                    lambda x: float(_mat(family.terms(pv.values, x, math.log(x))[2])[i, j])
                     * math.exp((1.0 + c) * float(log_density(pv, x))),
                     spec,
                 )[0]
@@ -140,9 +145,9 @@ class TestKernel:
         rest = np.delete(xs, i)
         # off the optimum, so that no gradient component vanishes
         theta = np.array(fit(family, alpha, rest).theta_hat.values) * (1.03, 0.97)[: family.param_count]
-        x = xs[:, None]
+        x = xs[None, :]
         _, grad, hess, _ = _weighted_terms(
-            family, alpha, x, np.log(x), held_out_weights(xs.size, i).T, theta[None, :]
+            family, alpha, x, np.log(x), held_out_weights(xs.size, i), theta[None, :]
         )
 
         def h_at(t):
@@ -278,8 +283,10 @@ class TestPartialFailure:
         want = select_alpha(gamma, sample, refine=False)
 
         def breaking(at):
-            def start(xs, alpha):
-                return np.array([1e308, 1e308]) if at in (None, alpha) else gamma.start(xs, alpha)
+            def start(xs, alphas):
+                out = gamma.start(xs, alphas)
+                out[[at in (None, alpha) for alpha in alphas]] = 1e308
+                return out
 
             return dataclasses.replace(gamma, start=start)
 

@@ -2,10 +2,14 @@
 
 Covers CDF inversion, including its documented error conditions, plus
 the test suite's own half-line quadrature oracle (tests/quadrature.py).
+An array of probabilities is inverted in lockstep; the reference is one
+scalar inversion per probability, which it must match bit for bit.
 """
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from dpdfit.errors import DomainError, InversionError
@@ -112,3 +116,26 @@ class TestInvertCdf:
     def test_unreachable_bracket(self):
         with pytest.raises(InversionError):
             invert_cdf(lambda t: 0.0, 0.5)
+
+    @pytest.mark.parametrize("shape", [0.3, 1.0, 5.0, 40.0])
+    def test_lockstep_matches_one_probability_at_a_time(self, shape):
+        g = ParamVector(FAMILIES["gamma"], (shape, 0.5))
+        q = np.concatenate(
+            [np.random.default_rng(1).random(100), [1e-12, 1e-6, 1 - 1e-6, 1 - 1e-12]]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = invert_cdf(lambda t: cdf(g, t), q)
+        want = [invert_cdf(lambda t: cdf(g, t), float(p)) for p in q]
+        assert [float(x).hex() for x in got] == [x.hex() for x in want]
+        assert isinstance(want[0], float)
+
+    def test_overflowing_bracket_raises_without_numpy_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InversionError):
+                invert_cdf(lambda t: np.zeros_like(t), np.array([0.5, 0.7]))
+
+    def test_one_bad_probability_rejects_the_array(self):
+        with pytest.raises(DomainError):
+            invert_cdf(lambda t: 1.0 - np.exp(-t), np.array([0.2, 1.0, 0.5]))

@@ -5,7 +5,10 @@ DPD objective of c*x at the scaled parameter is c^-alpha times the
 objective of x, so fitting c*x must give rate/c (the lognormal: log
 mean + ln c) and leave every shape alone. Permutation invariance: the
 objective is a mean over observations and the CVM distance sorts them
-first, so the order of the data cannot matter.
+first, so the order of the data cannot matter. The family table's
+per-observation entry terms gives ln f, the score u and its Jacobian
+together: ln f must be log_density and u the score, each the central
+difference of the one before it.
 
 Samples are small (n = 30 for fits, n = 20 for the CVM distance) and
 hypothesis runs derandomized.
@@ -19,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpdfit.estimator import fit
-from dpdfit.families import FAMILIES
+from dpdfit.families import FAMILIES, ParamVector, _mat, log_density, score
 from dpdfit.tuning import cvm_distance
 from dpdfit.uncertainty import sample_family
 
@@ -73,6 +76,35 @@ def test_fit_is_permutation_invariant(tag, alpha, seed):
     xs = _draw(tag, seed, 30)
     shuffled = xs[np.random.default_rng(seed).permutation(xs.size)]
     _assert_close(fit(family, alpha, shuffled).theta_hat.values, fit(family, alpha, xs).theta_hat.values)
+
+
+def _central_differences(fn, theta):
+    """d fn / d theta_k stacked on a last axis, by central differences."""
+    cols = []
+    for k, h in enumerate(1e-5 * np.maximum(np.abs(theta), 1e-2)):
+        up, down = theta.copy(), theta.copy()
+        up[k] += h
+        down[k] -= h
+        cols.append((fn(up) - fn(down)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("tag", tuple(THETA))
+@PROPERTY
+@given(seed=seeds, stretch=st.lists(st.floats(0.5, 2.0), min_size=2, max_size=2))
+def test_terms_are_log_density_score_and_its_jacobian(tag, seed, stretch):
+    family = FAMILIES[tag]
+    theta = np.array(THETA[tag]) * stretch[: family.param_count]
+    pv = ParamVector(family, theta)
+    xs = np.array(sample_family(family, pv, 20, seed).values)
+    lnf, u, du = family.terms(pv.values, xs, np.log(xs))
+    np.testing.assert_array_equal(lnf, log_density(pv, xs))
+    u = np.stack(np.broadcast_arrays(*u), axis=-1)
+    np.testing.assert_array_equal(u, score(pv, xs))
+    for got, of in ((u, log_density), (_mat(du), score)):
+        want = _central_differences(lambda t: of(ParamVector(family, t), xs), theta)
+        got = np.broadcast_to(got, want.shape)
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("tag", tuple(THETA))

@@ -162,8 +162,10 @@ def test_one_failing_row_leaves_the_others_bitwise():
     and the other 20 alphas of the batch are still their one-row fits."""
     gamma = FAMILIES["gamma"]
 
-    def start(xs, alpha):
-        return np.array([1e308, 1e308]) if alpha == 0.5 else gamma.start(xs, alpha)
+    def start(xs, alphas):
+        out = gamma.start(xs, alphas)
+        out[np.asarray(alphas) == 0.5] = 1e308
+        return out
 
     broken = dataclasses.replace(gamma, start=start)
     sample = tied_contamination("gamma")

@@ -3,6 +3,8 @@
 Sampling is checked against distributional facts (moments, reductions
 between families), contamination against its mixture construction, and
 bootstrap standard errors against the asymptotic ones they estimate.
+Each replicate is a row over the values it drew: those rows must carry
+exactly the draw counts of its stream.
 """
 
 import io
@@ -17,6 +19,8 @@ from dpdfit.estimator import fit
 from dpdfit.families import FAMILIES, ParamVector, quantile
 from dpdfit.uncertainty import (
     ContaminationScheme,
+    _replicate_rows,
+    _stream,
     bootstrap_se,
     sample_family,
     simulate_contaminated,
@@ -165,6 +169,51 @@ class TestBootstrapSe:
         assert a.se == b.se
         assert a.replicate_estimates == b.replicate_estimates
         assert a.replicate_ids == b.replicate_ids
+
+    def test_replicate_rows_rebuild_the_draw_counts(self):
+        """Row r holds replicate r's distinct drawn values in sample order,
+        each weighted by its count / n, then zero weight on values it did
+        not draw up to the largest support; any chunk of rows is the same."""
+        xs = np.array(sample_family(GAMMA, (5.0, 1.0), 60, seed=6).values)
+        n, B, seed = xs.size, 30, 4
+        width, drawn = _replicate_rows(xs, B, seed)
+        values, weights = drawn(np.arange(B))
+        assert values.shape == weights.shape == (B, width)
+        index = {float(v): i for i, v in enumerate(xs)}
+        assert len(index) == n
+        supports = []
+        for r in range(B):
+            counts = np.bincount(_stream(seed, r).integers(0, n, size=n), minlength=n)
+            support = np.flatnonzero(counts)
+            supports.append(support.size)
+            k = support.size
+            np.testing.assert_array_equal(values[r, :k], xs[support])
+            assert np.isin(values[r, k:], np.delete(xs, support)).all()
+            np.testing.assert_array_equal(weights[r, k:], 0.0)
+            at = [index[float(v)] for v in values[r]]
+            np.testing.assert_array_equal(
+                np.bincount(at, weights=weights[r], minlength=n), counts / n
+            )
+        assert width == max(supports) < n
+        for rows in (np.array([7]), np.array([3, 4, 29])):
+            chunk = drawn(rows)
+            np.testing.assert_array_equal(chunk[0], values[rows])
+            np.testing.assert_array_equal(chunk[1], weights[rows])
+
+    @pytest.mark.parametrize("tag", sorted(FIG_SETTINGS))
+    def test_shared_replicates_agree_across_B(self, tag):
+        """Replicate r draws the same values whatever B is; only its row
+        width, the largest support among the B draws, may move its last
+        bits: at n = 300 the widths are 198 and 203, and the estimates move
+        by up to 1.1e-14 relative."""
+        family = FAMILIES[tag]
+        sample = sample_family(family, FIG_SETTINGS[tag], 300, seed=8)
+        small = bootstrap_se(family, 0.5, sample, B=40, seed=9)
+        large = bootstrap_se(family, 0.5, sample, B=200, seed=9)
+        estimates = dict(zip(large.replicate_ids, large.replicate_estimates))
+        assert set(small.replicate_ids) == set(estimates) & set(range(40))
+        for rid, est in zip(small.replicate_ids, small.replicate_estimates):
+            np.testing.assert_allclose(est, estimates[rid], rtol=1e-12, atol=0.0)
 
     def test_rejects_single_replicate(self):
         sample = sample_family(EXPONENTIAL, (1.0,), 50, seed=0)

@@ -10,7 +10,6 @@ equivalently integrals of u u' f^(1+alpha) and friends, all taken in
 closed form by families.weighted_moments.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -62,31 +61,22 @@ class AreTable:
 
 
 def _invert_spd(mat, what):
-    """Inverse of a symmetric 1x1 or 2x2 positive definite matrix.
+    """Inverse of a symmetric positive definite matrix from its
+    eigendecomposition V diag(lambda) V'.
 
-    Explicit cofactor formulas; warns when the condition number passes
-    1e10 and refuses matrices that are not positive definite.
+    Refuses a matrix with an eigenvalue not finite or not positive
+    (eigh gives NaN for a non-finite entry), and warns when the condition
+    number passes 1e10.
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape == (1, 1):
-        if mat[0, 0] <= 0 or not math.isfinite(mat[0, 0]):
-            raise SingularInformationError(f"{what} is not positive definite")
-        return np.array([[1.0 / mat[0, 0]]])
-    a, b, d = mat[0, 0], 0.5 * (mat[0, 1] + mat[1, 0]), mat[1, 1]
-    det = a * d - b * b
-    if not math.isfinite(det) or det <= 0 or a <= 0:
+    lam, vec = np.linalg.eigh(np.asarray(mat, dtype=float))
+    if not np.isfinite(lam).all() or lam[0] <= 0.0:
         raise SingularInformationError(f"{what} is not positive definite")
-    # eigenvalues of a symmetric 2x2, for the condition number
-    half_tr = 0.5 * (a + d)
-    disc = math.sqrt(max(half_tr * half_tr - det, 0.0))
-    lo, hi = half_tr - disc, half_tr + disc
-    if lo <= 0 or hi / lo > 1e10:
+    if lam[-1] > 1e10 * lam[0]:
         warnings.warn(
-            f"{what} is ill-conditioned (condition number "
-            f"{hi / max(lo, 1e-300):.2e})",
+            f"{what} is ill-conditioned (condition number {lam[-1] / lam[0]:.2e})",
             RuntimeWarning,
         )
-    return np.array([[d, -b], [-b, a]]) / det
+    return (vec / lam) @ vec.T
 
 
 def sandwich(family, theta, alpha):

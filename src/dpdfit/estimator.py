@@ -103,18 +103,20 @@ _NEWTON_RTOL = 1e-13
 def _weighted_terms(family, alpha, x, lnx, weights, theta):
     """H, its gradient and Hessian, and H's rounding scale, at each row of
     theta (m, p) for the objective sum_j weights[r, j] v_alpha(x[r, j]),
-    alpha being one float or one value per row (m,), all zero or all
-    positive.
+    alpha being one float or one value per row (m,).
 
     x and lnx = log x are one row (1, n) shared by every row of theta or
-    one row each (m, n), and each row of weights (m, n) sums to one. The
-    gradient of v_j is (1+alpha)(xi - f_j^alpha u_j) and its Hessian
-    (1+alpha)[dxi - f_j^alpha (alpha u_j u_j' + du_j)], with dxi =
-    integral of du f^(1+alpha) + (1+alpha) integral of u u' f^(1+alpha);
-    at alpha = 0 that is Newton on the mean negative log-likelihood, xi
-    and dxi being zero. family.terms gives ln f, u and du once; a du
-    entry constant in x multiplies sum_j weights_j f_j^alpha, and only
-    the Hessian's upper triangle is summed.
+    one row each (m, n), and each row of weights (m, n) sums to one. With
+    wg_j = weights_j f_j^alpha, H = M - (1 + 1/alpha) sum_j wg_j, its
+    gradient is (1+alpha)(xi - sum_j wg_j u_j) and its Hessian
+    (1+alpha)[dxi - sum_j wg_j (alpha u_j u_j' + du_j)], with dxi =
+    integral of du f^(1+alpha) + (1+alpha) integral of u u' f^(1+alpha).
+    An alpha = 0 row has wg = weights exactly, so the same formula is
+    Newton on its negative log-likelihood once H and its scale are taken
+    as -sum_j wg_j ln f_j and sum_j |wg_j ln f_j|, and xi and dxi as 0,
+    which their closed forms give only up to rounding. family.terms gives
+    ln f, u and du once; a du entry constant in x multiplies sum_j wg_j,
+    and only the Hessian's upper triangle is summed.
 
     Sums run along contiguous rows of (m, n) arrays, so no row's result
     depends on its batch.
@@ -122,32 +124,29 @@ def _weighted_terms(family, alpha, x, lnx, weights, theta):
     v, vc = tuple(theta.T), tuple(theta.T[:, :, None])
     col = alpha if np.ndim(alpha) == 0 else alpha[:, None]
     lift = np.reshape(1.0 + alpha, (-1, 1))
+    zero = np.broadcast_to(np.equal(alpha, 0.0), theta.shape[:1])
     lnf, u, du = family.terms(vc, x, lnx)
-    mass, k, g = _divergence_terms(family, vc, col, lnf)
-    mass, k = np.ravel(mass), np.ravel(k)
-    wg = weights * g
+    mass = np.ravel(family.mass(vc, col))
+    wg = weights * np.exp(col * lnf)
     total = wg.sum(axis=1)
+    k = 1.0 + 1.0 / np.where(zero, 1.0, alpha)
     h = mass - k * total
-    tilted = bool(np.any(alpha))
-    if tilted:
-        # wg = weights f^alpha >= 0
-        scale = np.abs(mass) + k * total
-        uu, xi, du_int = family.moments(v, alpha, mass)
-        dxi = du_int + lift[:, :, None] * uu
-    else:
-        scale = np.abs(wg).sum(axis=1)
-        wg = weights
-        total = weights.sum(axis=1)
-        xi = dxi = 0.0
+    # wg >= 0
+    scale = np.abs(mass) + k * total
+    uu, xi, du_int = family.moments(v, alpha, mass)
+    xi = np.where(zero[:, None], 0.0, xi)
+    dxi = np.where(zero[:, None, None], 0.0, du_int + lift[:, :, None] * uu)
+    if zero.any():
+        wl = wg[zero] * lnf[zero]
+        h[zero] = -wl.sum(axis=1)
+        scale[zero] = np.abs(wl).sum(axis=1)
     wu = [wg * uq for uq in u]
     grad = xi - _vec([wuq.sum(axis=1) for wuq in wu])
     curv = np.empty((theta.shape[0], len(u), len(u)))
     for i, j in zip(*np.triu_indices(len(u))):
         d = du[i][j]
         entry = total * d[:, 0] if np.shape(d)[-1] == 1 else (wg * d).sum(axis=1)
-        if tilted:
-            entry = entry + alpha * (wu[i] * u[j]).sum(axis=1)
-        curv[:, i, j] = curv[:, j, i] = entry
+        curv[:, i, j] = curv[:, j, i] = entry + alpha * (wu[i] * u[j]).sum(axis=1)
     return h, lift * grad, lift[:, :, None] * (dxi - curv), scale
 
 
@@ -174,8 +173,8 @@ def _newton_rows(family, alphas, values, weights, starts):
     """Minimize sum_j weights[r, j] v_alpha(theta_r, values[r, j]) with
     alpha = alphas[r] for every row r of weights (m, n), each summing to
     one, by damped Newton from starts[r]; values is one row (n,) shared
-    by every row or one row each (m, n), and the alphas are all zero or
-    all positive.
+    by every row or one row each (m, n). alpha = 0 rows, maximum
+    likelihood, are rows like any other.
 
     Where the Hessian is not positive definite the step is the
     eigenvalue-modified one of _newton_step. A step that leaves the
@@ -258,13 +257,12 @@ _ROW_BUDGET = 1 << 14
 def _solve_rows(family, alphas, m, width, weights_of, starts):
     """_newton_rows' (theta, solved, evaluations) for rows 0..m-1, row r at
     alphas[r] from starts[r]; alphas (m,) and starts (m, p) may be anything
-    that broadcasts to those shapes. The alpha = 0 rows, whose objective
-    is the log-likelihood, are solved apart from the others, each group
-    _ROW_BUDGET // width rows at a time, weights_of(rows) giving a batch's
-    (values, weights): values (width,) shared by the batch or one row per
-    row (rows.size, width), and weights (rows.size, width). A
-    two-parameter row whose positively weighted values are all equal is
-    unsolved, as fit refuses such a sample."""
+    that broadcasts to those shapes. Rows are solved in order,
+    _ROW_BUDGET // width at a time whatever their alphas, weights_of(rows)
+    giving a batch's (values, weights): values (width,) shared by the
+    batch or one row per row (rows.size, width), and weights (rows.size,
+    width). A two-parameter row whose positively weighted values are all
+    equal is unsolved, as fit refuses such a sample."""
     p = family.param_count
     alphas = np.broadcast_to(np.asarray(alphas, dtype=float), (m,))
     starts = np.broadcast_to(np.reshape(np.asarray(starts, dtype=float), (-1, p)), (m, p))
@@ -272,17 +270,16 @@ def _solve_rows(family, alphas, m, width, weights_of, starts):
     solved = np.empty(m, dtype=bool)
     evals = np.empty(m, dtype=int)
     chunk = max(_ROW_BUDGET // width, 1)
-    for group in (np.flatnonzero(alphas == 0.0), np.flatnonzero(alphas != 0.0)):
-        for lo in range(0, group.size, chunk):
-            rows = group[lo : lo + chunk]
-            values, weights = weights_of(rows)
-            theta[rows], solved[rows], evals[rows] = _newton_rows(
-                family, alphas[rows], values, weights, starts[rows]
-            )
-            if p == 2:
-                drawn = weights > 0.0
-                top = np.where(drawn, values, -np.inf).max(axis=1)
-                solved[rows] &= top > np.where(drawn, values, np.inf).min(axis=1)
+    for lo in range(0, m, chunk):
+        rows = np.arange(lo, min(lo + chunk, m))
+        values, weights = weights_of(rows)
+        theta[rows], solved[rows], evals[rows] = _newton_rows(
+            family, alphas[rows], values, weights, starts[rows]
+        )
+        if p == 2:
+            drawn = weights > 0.0
+            top = np.where(drawn, values, -np.inf).max(axis=1)
+            solved[rows] &= top > np.where(drawn, values, np.inf).min(axis=1)
     return theta, solved, evals
 
 

@@ -539,11 +539,9 @@ def _divergence_terms(fam, v, alpha, lnf):
     divergence term is M - k g.
 
     For alpha > 0, g = f^alpha and k = 1 + 1/alpha; at alpha = 0, M = 0,
-    k = 1 and g = ln f. Both v_alpha and the estimator's objective use this.
-    alpha may also be one value per parameter point, all zero or all
-    positive.
+    k = 1 and g = ln f. v_alpha and the estimator's objective H use this.
     """
-    if not np.any(alpha):
+    if alpha == 0.0:
         return 0.0, 1.0, lnf
     return fam.mass(v, alpha), 1.0 + 1.0 / alpha, np.exp(alpha * lnf)
 

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from dpdfit.asymptotics import (
+    _invert_spd,
     are,
     asymptotic_se,
     if_supremum,
     influence_function,
     sandwich,
 )
-from dpdfit.errors import DomainError, FitError
+from dpdfit.errors import DomainError, FitError, SingularInformationError
 from dpdfit.estimator import FitResult
 from dpdfit.families import FAMILIES, ParamVector, density, quantile, score
 from quadrature import integrate_halfline
@@ -150,6 +151,28 @@ class TestSandwich:
     def test_validity_guard(self):
         with pytest.raises(Exception):
             sandwich(GAMMA, ParamVector(GAMMA, (0.3, 1.0)), 0.5)
+
+
+class TestInvertSpd:
+    @pytest.mark.parametrize(
+        "mat",
+        [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, math.nan]], [[-1.0]]],
+        ids=["indefinite", "nan", "negative"],
+    )
+    def test_refuses_a_matrix_not_positive_definite(self, mat):
+        with pytest.raises(SingularInformationError, match="J is not positive definite"):
+            _invert_spd(mat, "J")
+
+    def test_warns_when_ill_conditioned(self):
+        mat = np.diag([1.0, 1e11])
+        with pytest.warns(RuntimeWarning, match="J is ill-conditioned .condition number 1.00e"):
+            inv = _invert_spd(mat, "J")
+        np.testing.assert_allclose(inv, np.diag([1.0, 1e-11]), rtol=1e-12)
+
+    def test_matches_the_general_inverse(self, rng):
+        a = rng.standard_normal((3, 3))
+        mat = a @ a.T + 3.0 * np.eye(3)
+        np.testing.assert_allclose(_invert_spd(mat, "J"), np.linalg.inv(mat), rtol=1e-12)
 
 
 class TestAsymptoticSe:

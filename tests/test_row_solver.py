@@ -2,7 +2,8 @@
 
 Full-sample fits, leave-one-out fits and bootstrap replicates are all
 weighted rows of the batched Newton kernel, each row at its own alpha
-from its own start, solved in chunks of _ROW_BUDGET // n rows. The
+(alpha = 0 a row like any other) from its own start, solved in chunks
+of _ROW_BUDGET // n rows, so a grid fit is one kernel call. The
 one-row fits are kept here as the reference: each row of a grid batch
 (fit_alphas) is bit for bit the fit at its alpha, and each bootstrap row
 matches the per-replicate warm refit, fit(family, alpha, resample,
@@ -13,6 +14,7 @@ one-row fit off the grid returns a shape there.
 """
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -155,6 +157,31 @@ def test_grid_batch_matches_one_row_fits(tag):
         batch = fit_alphas(family, COARSE_GRID, sample)
         want = one_row_fits(family, sample)
     assert [as_record(res) for res in batch] == [as_record(res) for res in want]
+
+
+def test_alpha_zero_rows_share_the_kernel_call(monkeypatch):
+    """alpha = 0 rows are ordinary rows: a grid fit is one _newton_rows call
+    of 21 rows, and the leave-one-out grid at n = 60 is as many calls as
+    its 1260 rows fill chunks of _ROW_BUDGET // 60."""
+    calls = []
+    solve = estimator._newton_rows
+
+    def counted(family, alphas, values, weights, starts):
+        calls.append(len(alphas))
+        return solve(family, alphas, values, weights, starts)
+
+    monkeypatch.setattr(estimator, "_newton_rows", counted)
+    family = FAMILIES["gamma"]
+    xs = _sorted_values(tied_contamination("gamma"), family.param_count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fits = fit_alphas(family, COARSE_GRID, xs)
+    assert calls == [len(COARSE_GRID)] == [21]
+    calls.clear()
+    _loo_points(family, COARSE_GRID, xs, [res.theta_hat.values for res in fits])
+    rows = xs.size * len(COARSE_GRID)
+    assert len(calls) == math.ceil(rows / (estimator._ROW_BUDGET // xs.size)) == 5
+    assert sum(calls) == rows
 
 
 def test_one_failing_row_leaves_the_others_bitwise():

@@ -15,10 +15,13 @@ import numpy as np
 from .errors import DomainError, DpdError, FitError
 from .families import (
     ParamVector,
+    _AlphaTerms,
     _check_family,
     _check_x,
     _divergence_terms,
+    _mat,
     _shape_floor,
+    _times,
     _vec,
     check_dpd_valid,
     log_density,
@@ -45,11 +48,15 @@ def _sample_values(sample):
     return np.atleast_1d(_check_x(sample))
 
 
-def _h(family, v, alpha, vals, lnx):
-    """H = M - k mean(g) at parameter values v, lnx = log(vals): the one
-    reduction of the divergence terms, for objective_h and fit alike."""
-    m, k, g = _divergence_terms(family, v, alpha, family.logf(v, vals, lnx))
-    return m - k * float(np.mean(g))
+def _h_rows(family, al, vals, lnx, theta):
+    """H = M - k mean(g) at each row of theta (m, p), row r at the alphas
+    of al (an _AlphaTerms), for the values vals and lnx = log(vals): the
+    one reduction of the divergence terms, for objective_h and fit alike.
+    Each row's mean runs along its own contiguous row, so no row's H
+    depends on the others."""
+    lnf = family.logf(tuple(theta.T[:, :, None]), vals, lnx)
+    m, k, g = _divergence_terms(family, tuple(theta.T), al, lnf)
+    return m - k * g.mean(axis=1)
 
 
 def objective_h(family, theta, alpha, sample):
@@ -61,7 +68,8 @@ def objective_h(family, theta, alpha, sample):
     _check_family(family, theta)
     check_dpd_valid(theta, alpha)
     vals = _sample_values(sample)
-    return _h(family, theta.values, alpha, vals, np.log(vals))
+    h = _h_rows(family, _AlphaTerms(alpha), vals, np.log(vals), np.array([theta.values]))
+    return float(h[0])
 
 
 def estimating_residual(family, theta, alpha, sample):
@@ -100,10 +108,18 @@ _NEWTON_HALVINGS = 30
 _NEWTON_RTOL = 1e-13
 
 
-def _weighted_terms(family, alpha, x, lnx, weights, theta):
+# The Hessian entries summed: its upper triangle, by parameter count.
+_UPPER = {p: tuple((i, j) for i in range(p) for j in range(i, p)) for p in (1, 2)}
+# Below this bound on every |u|, each alpha u u' sum of an alpha = 0
+# batch is finite (|w u_i u_j| <= 2^1000 w and the weights sum to one),
+# so 0 times it is 0 and need not be summed.
+_U_BOUND = 2.0**500
+
+
+def _weighted_terms(family, al, x, lnx, weights, theta):
     """H, its gradient and Hessian, and H's rounding scale, at each row of
     theta (m, p) for the objective sum_j weights[r, j] v_alpha(x[r, j]),
-    alpha being one float or one value per row (m,).
+    al being the _AlphaTerms of one float alpha or of one alpha per row.
 
     x and lnx = log x are one row (1, n) shared by every row of theta or
     one row each (m, n), and each row of weights (m, n) sums to one. With
@@ -114,40 +130,53 @@ def _weighted_terms(family, alpha, x, lnx, weights, theta):
     An alpha = 0 row has wg = weights exactly, so the same formula is
     Newton on its negative log-likelihood once H and its scale are taken
     as -sum_j wg_j ln f_j and sum_j |wg_j ln f_j|, and xi and dxi as 0,
-    which their closed forms give only up to rounding. family.terms gives
-    ln f, u and du once; a du entry constant in x multiplies sum_j wg_j,
-    and only the Hessian's upper triangle is summed.
+    which their closed forms give only up to rounding. A batch all at
+    alpha = 0 therefore skips M, the moments and f^alpha, and the alpha
+    u u' sums while every |u| < _U_BOUND. family.terms gives ln f, u and
+    du once; a du entry constant in x multiplies sum_j wg_j, and its
+    integral is M du; only the Hessian's upper triangle is summed.
 
     Sums run along contiguous rows of (m, n) arrays, so no row's result
     depends on its batch.
     """
     v, vc = tuple(theta.T), tuple(theta.T[:, :, None])
-    col = alpha if np.ndim(alpha) == 0 else alpha[:, None]
-    lift = np.reshape(1.0 + alpha, (-1, 1))
-    zero = np.broadcast_to(np.equal(alpha, 0.0), theta.shape[:1])
     lnf, u, du = family.terms(vc, x, lnx)
-    mass = np.ravel(family.mass(vc, col))
-    wg = weights * np.exp(col * lnf)
+    if al.all_zero:
+        # weights f^0: NaN where ln f is not finite, as exp(0 ln f) gives
+        wg = weights + 0.0 * lnf
+    else:
+        wg = weights * np.exp(al.col * lnf)
     total = wg.sum(axis=1)
-    k = 1.0 + 1.0 / np.where(zero, 1.0, alpha)
-    h = mass - k * total
+    wu = [wg * uq for uq in u]
+    sums = _vec([wuq.sum(axis=1) for wuq in wu])
+    sum_uu = not al.all_zero or not all(np.abs(uq).max() < _U_BOUND for uq in u)
+    curv = np.empty((theta.shape[0], len(u), len(u)))
+    for i, j in _UPPER[len(u)]:
+        d = du[i][j]
+        entry = total * d[:, 0] if np.shape(d)[-1] == 1 else (wg * d).sum(axis=1)
+        if sum_uu:
+            entry = entry + al.alpha * (wu[i] * u[j]).sum(axis=1)
+        curv[:, i, j] = curv[:, j, i] = entry
+    if al.all_zero:
+        wl = wg * lnf
+        return -wl.sum(axis=1), 0.0 - sums, 0.0 - curv, np.abs(wl).sum(axis=1)
+    mass = family.mass(v, al)
+    h = mass - al.k * total
     # wg >= 0
-    scale = np.abs(mass) + k * total
-    uu, xi, du_int = family.moments(v, alpha, mass)
-    xi = np.where(zero[:, None], 0.0, xi)
-    dxi = np.where(zero[:, None, None], 0.0, du_int + lift[:, :, None] * uu)
-    if zero.any():
+    scale = np.abs(mass) + al.k * total
+    uu, xi, du_int = family.moments(v, al, mass)
+    if du_int is None:
+        du_int = _times(mass, np.reshape(_mat(du), uu.shape))
+    lift = np.reshape(al.lift, (-1, 1))
+    dxi = du_int + lift[:, :, None] * uu
+    if al.any_zero:
+        zero = al.zero
+        xi = np.where(zero[:, None], 0.0, xi)
+        dxi = np.where(zero[:, None, None], 0.0, dxi)
         wl = wg[zero] * lnf[zero]
         h[zero] = -wl.sum(axis=1)
         scale[zero] = np.abs(wl).sum(axis=1)
-    wu = [wg * uq for uq in u]
-    grad = xi - _vec([wuq.sum(axis=1) for wuq in wu])
-    curv = np.empty((theta.shape[0], len(u), len(u)))
-    for i, j in zip(*np.triu_indices(len(u))):
-        d = du[i][j]
-        entry = total * d[:, 0] if np.shape(d)[-1] == 1 else (wg * d).sum(axis=1)
-        curv[:, i, j] = curv[:, j, i] = entry + alpha * (wu[i] * u[j]).sum(axis=1)
-    return h, lift * grad, lift[:, :, None] * (dxi - curv), scale
+    return h, lift * (xi - sums), lift[:, :, None] * (dxi - curv), scale
 
 
 def _newton_step(grad, hess):
@@ -160,11 +189,14 @@ def _newton_step(grad, hess):
     or the Hessian is zero; those rows' steps are meaningless.
     """
     finite = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
-    lam, vec = np.linalg.eigh(np.where(finite[:, None, None], hess, np.eye(grad.shape[1])))
+    if not finite.all():
+        hess = np.where(finite[:, None, None], hess, np.eye(grad.shape[1]))
+    lam, vec = np.linalg.eigh(hess)
     top = np.abs(lam).max(axis=1, keepdims=True)
     finite &= top[:, 0] > 0.0
     pd = finite & (lam[:, 0] > 0.0)
-    lam = np.where(pd[:, None], lam, np.maximum(np.abs(lam), 1e-8 * top))
+    if not pd.all():
+        lam = np.where(pd[:, None], lam, np.maximum(np.abs(lam), 1e-8 * top))
     coef = np.einsum("rij,ri->rj", vec, grad) / lam
     return np.einsum("rij,rj->ri", vec, coef), finite, pd
 
@@ -187,66 +219,81 @@ def _newton_rows(family, alphas, values, weights, starts):
     which its H, gradient and Hessian were taken. A row whose gradient
     or Hessian is not finite, or that runs out of halvings, stops where
     it is, unsolved.
+
+    The terms of alpha alone are taken once (_AlphaTerms). The live
+    rows' state and data are gathered again only when a row leaves, and
+    an evaluation takes them as they are when every live row steps.
     """
     x = np.atleast_2d(values)
     lnx = np.log(x)
-
-    def at(rows):
-        return (x, lnx) if x.shape[0] == 1 else (x[rows], lnx[rows])
-
     theta = np.array(starts, dtype=float)
     m = theta.shape[0]
     solved = np.zeros(m, dtype=bool)
     evals = np.ones(m, dtype=int)
-    floor = _shape_floor(alphas)
-    # Rows at one alpha take it as a float: numpy multiplies an (m, n)
-    # array by a column of alphas about three times slower.
-    alpha = float(alphas[0]) if (alphas == alphas[0]).all() else alphas
+    al = _AlphaTerms(alphas)
+    own = x.shape[0] > 1  # one row of values per row
     with np.errstate(all="ignore"):
-        h, grad, hess, scale = _weighted_terms(family, alpha, x, lnx, weights, theta)
-        step, ok, pd = _newton_step(grad, hess)
-        live = np.flatnonzero(ok)
-        h, scale, step, pd = h[ok], scale[ok], step[ok], pd[ok]
-        halvings = np.zeros(live.size, dtype=int)
+        h, grad, hess, scale = _weighted_terms(family, al, x, lnx, weights, theta)
+        step, keep, pd = _newton_step(grad, hess)
+        # the live rows' ids, points, evaluation counts, halvings, shape floors
+        ids, point, count = np.arange(m), theta.copy(), evals.copy()
+        halvings, floor = np.zeros(m, dtype=int), _shape_floor(alphas)
+
+        def leave(keep):
+            """Write out the rows not kept and gather the others."""
+            nonlocal ids, point, count, h, scale, step, pd, halvings, floor, weights, x, lnx, al
+            gone = ~keep
+            theta[ids[gone]], evals[ids[gone]] = point[gone], count[gone]
+            ids, point, count, h, scale, step, pd, halvings, floor, weights = (
+                a[keep] for a in (ids, point, count, h, scale, step, pd, halvings, floor, weights)
+            )
+            if own:
+                x, lnx = x[keep], lnx[keep]
+            al = al.rows(keep)
+            return ids.size > 0
+
+        if not keep.all() and not leave(keep):
+            return theta, solved, evals
         for _ in range(_NEWTON_CAP):
-            done = pd & (
-                np.abs(step).max(axis=1) <= _NEWTON_RTOL * np.abs(theta[live]).max(axis=1)
-            )
-            theta[live[done]] -= step[done]
-            solved[live[done]] = True
-            live, h, scale, step, pd, halvings = (
-                a[~done] for a in (live, h, scale, step, pd, halvings)
-            )
-            if live.size == 0:
-                break
-            trial = theta[live] - np.ldexp(step, -halvings[:, None])
+            done = pd & (np.abs(step).max(axis=1) <= _NEWTON_RTOL * np.abs(point).max(axis=1))
+            if done.any():
+                point[done] -= step[done]
+                solved[ids[done]] = True
+                if not leave(~done):
+                    break
+            trial = point - np.ldexp(step, -halvings[:, None])
             down = np.isfinite(trial).all(axis=1)
             if family.shaped:
-                down &= trial[:, 0] > floor[live]
-            rows = live[down]
+                down &= trial[:, 0] > floor
+            every = down.all()
+            sel = slice(None) if every else down  # a view, not a copy, when every row steps
             h_t, grad, hess, scale_t = _weighted_terms(
                 family,
-                alpha if np.ndim(alpha) == 0 else alpha[rows],
-                *at(rows),
-                weights[rows],
-                trial[down],
+                al if every else al.rows(down),
+                *((x[sel], lnx[sel]) if own else (x, lnx)),
+                weights[sel],
+                trial[sel],
             )
-            evals[rows] += 1
-            lower = h_t <= h[down] + 1e-12 * scale[down]
-            down[down] = lower
-            new_step, ok, new_pd = _newton_step(grad[lower], hess[lower])
-            theta[live[down]] = trial[down]
-            h[down], scale[down], step[down], pd[down] = (
-                h_t[lower], scale_t[lower], new_step, new_pd
-            )
-            halvings = np.where(down, 0, halvings + 1)
-            keep = halvings <= _NEWTON_HALVINGS
-            keep[down] = ok
-            live, h, scale, step, pd, halvings = (
-                a[keep] for a in (live, h, scale, step, pd, halvings)
-            )
-            if live.size == 0:
+            count += down
+            lower = h_t <= h[sel] + 1e-12 * scale[sel]
+            if every and lower.all():
+                point, h, scale = trial, h_t, scale_t
+                step, keep, pd = _newton_step(grad, hess)
+                halvings = np.zeros_like(halvings)
+            else:
+                down[down] = lower
+                new_step, ok, new_pd = _newton_step(grad[lower], hess[lower])
+                point[down] = trial[down]
+                h[down], scale[down], step[down], pd[down] = (
+                    h_t[lower], scale_t[lower], new_step, new_pd
+                )
+                halvings = np.where(down, 0, halvings + 1)
+                keep = halvings <= _NEWTON_HALVINGS
+                keep[down] = ok
+            if not keep.all() and not leave(keep):
                 break
+        else:
+            theta[ids], evals[ids] = point, count
     return theta, solved, evals
 
 
@@ -303,7 +350,8 @@ def _checked_values(family, alphas, sample):
 
 def _fit_rows(family, alphas, vals, starts):
     """fit's result at each alpha from its start, or the DpdError fit
-    raises there, by one _solve_rows call with weight 1/n per value."""
+    raises there, by one _solve_rows call with weight 1/n per value and
+    one _h_rows call for the objectives."""
     n = vals.size
     theta, solved, evals = _solve_rows(
         family,
@@ -313,13 +361,14 @@ def _fit_rows(family, alphas, vals, starts):
         lambda rows: (vals, np.full((rows.size, n), 1.0 / n)),
         starts,
     )
-    lnx = np.log(vals)
+    with np.errstate(all="ignore"):
+        hs = _h_rows(family, _AlphaTerms(np.asarray(alphas)), vals, np.log(vals), theta)
     out = []
-    for alpha, row, converged, count in zip(alphas, theta, solved.tolist(), evals.tolist()):
+    for alpha, row, h_val, converged, count in zip(
+        alphas, theta, hs.tolist(), solved.tolist(), evals.tolist()
+    ):
         try:
             theta_hat = ParamVector(family, tuple(row))
-            with np.errstate(all="ignore"):
-                h_val = _h(family, theta_hat.values, alpha, vals, lnx)
             if not math.isfinite(h_val):
                 raise FitError(f"objective not finite at the {family.tag} start point")
         except DpdError as exc:

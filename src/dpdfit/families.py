@@ -66,11 +66,62 @@ def _each(fn, alpha):
     """fn(alpha) for a float alpha, or fn of each entry of an array of
     alphas. math's log1p, log and ** differ from numpy's in the last bit,
     so a row of a batch at alpha gets the bits a lone fit at alpha gets.
-    A loop over the entries costs no more than np.unique up to about 300
-    rows, and a batch of mixed alphas rarely holds more."""
+    _AlphaTerms calls it once per Newton solve, not per evaluation, so a
+    Python loop over a chunk's alphas (at most a few hundred) costs
+    little."""
     if np.ndim(alpha) == 0:
         return fn(alpha)
     return np.reshape([fn(a) for a in np.ravel(alpha).tolist()], np.shape(alpha))
+
+
+class _AlphaTerms:
+    """The terms of alpha alone that the divergence, its mass and its
+    moments use, computed once for one float alpha or for one alpha per
+    parameter point (m,): `alpha`; `col`, alpha against observations
+    (m, n); the alpha = 0 mask `zero`, `any_zero` and `all_zero`; k =
+    1 + 1/alpha, 1 at alpha = 0; lift = 1 + alpha; log1p = log1p(alpha);
+    log_lift = log(1 + alpha); lift2 = (1 + alpha)^2; sq = alpha^2.
+    Alphas that are all equal are taken as one float: numpy multiplies
+    an (m, n) array by a column of alphas about three times slower.
+    """
+
+    __slots__ = (
+        "alpha", "col", "zero", "k", "lift", "log1p", "log_lift", "lift2", "sq",
+        "any_zero", "all_zero",
+    )
+
+    def __init__(self, alpha):
+        if np.ndim(alpha) and (alpha == alpha[0]).all():
+            alpha = alpha[0]
+        if np.ndim(alpha) == 0:
+            alpha = float(alpha)
+            self.col = alpha
+            self.zero = alpha == 0.0
+            self.k = 1.0 if self.zero else 1.0 + 1.0 / alpha
+        else:
+            self.col = alpha[:, None]
+            self.zero = alpha == 0.0
+            self.k = np.where(self.zero, 1.0, 1.0 + 1.0 / np.where(self.zero, 1.0, alpha))
+        self.alpha = alpha
+        self.lift = 1.0 + alpha
+        self.log1p = _each(math.log1p, alpha)
+        self.log_lift = _each(lambda al: math.log(1.0 + al), alpha)
+        self.lift2 = _each(lambda al: (1.0 + al) ** 2, alpha)
+        self.sq = _each(lambda al: al**2, alpha)
+        self._count_zeros()
+
+    def _count_zeros(self):
+        self.any_zero, self.all_zero = bool(np.any(self.zero)), bool(np.all(self.zero))
+
+    def rows(self, rows):
+        """The terms of the points that rows, a mask or indices, selects."""
+        if np.ndim(self.alpha) == 0:
+            return self
+        out = object.__new__(_AlphaTerms)
+        for name in self.__slots__[:-2]:
+            setattr(out, name, getattr(self, name)[rows])
+        out._count_zeros()
+        return out
 
 
 def _trigamma(a):
@@ -96,21 +147,25 @@ class Family:
     The functions take the parameter values v first: logf(v, x, lnx) is
     ln f on validated x with lnx = log x; terms(v, x, lnx) gives ln f,
     the score components u and the rows of their Jacobian du/dtheta,
-    from shared intermediates; cdf(v, x); ppf(v, q); mass(v, alpha)
-    is the integral of f^(1+alpha); moments(v, c, mass) gives the
-    integrals of u u' f^(1+c), u f^(1+c) and du/dtheta f^(1+c);
-    start(xs, alphas) gives a moment start point per alpha (k, p), the
-    moment or regression work done once; at_zero(v) is the density's
-    limit at x = 0.
+    from shared intermediates; cdf(v, x); ppf(v, q); mass(v, al) is
+    the integral of f^(1+alpha); moments(v, al, mass) gives the
+    integrals of u u' f^(1+c) and u f^(1+c), c being al's alpha, and
+    that of du/dtheta f^(1+c), or None where du is constant in x
+    (exponential, gamma): that integral is mass times terms' du, which
+    the kernel already has. start(xs, alphas) gives a moment start
+    point per alpha (k, p), the moment or regression work done once;
+    at_zero(v) is the density's limit at x = 0.
 
-    logf, terms, cdf, mass and moments also take a batch of parameter
-    points: v holds one array per parameter, broadcasting against x
-    (the kernel passes columns (m, 1) and observations as one row
-    (1, n) or a row per point (m, n)). Per-observation results take
-    the broadcast shape, an entry constant in x the shape of v;
-    moments come out (m, p, p) and (m, p) for v of shape (m,). mass
-    and moments take alpha or c as one float or as one value per
-    parameter point.
+    mass and moments read alpha only through al, an _AlphaTerms of one
+    float or of one alpha per parameter point, whose terms of alpha
+    alone are taken once per Newton solve, not per evaluation. logf,
+    terms, cdf, mass and moments also take a batch of parameter points:
+    v holds one array per parameter, broadcasting against x (the kernel
+    passes columns (m, 1) to logf and terms, with observations as one
+    row (1, n) or a row per point (m, n), and v of shape (m,) to mass
+    and moments). Per-observation results take the broadcast shape, an
+    entry constant in x the shape of v; mass comes out (m,) and the
+    moments (m, p, p) and (m, p) for v of shape (m,).
     """
 
     tag: str
@@ -145,25 +200,22 @@ def _exp_ppf(v, q):
     return -np.log1p(-q) / v[0]
 
 
-def _exp_jacobian(lam):
-    return ((-1.0 / lam**2,),)
-
-
 def _exp_terms(v, x, lnx):
-    return _exp_logf(v, x, lnx), (1.0 / v[0] - x,), _exp_jacobian(v[0])
-
-
-def _exp_mass(v, alpha):
-    return np.exp(alpha * np.log(v[0]) - _each(math.log1p, alpha))
-
-
-def _exp_moments(v, c, mass):
     lam = v[0]
-    rate = lam * (1.0 + c)
+    return _exp_logf(v, x, lnx), (1.0 / lam - x,), ((-1.0 / lam**2,),)
+
+
+def _exp_mass(v, al):
+    return np.exp(al.alpha * np.log(v[0]) - al.log1p)
+
+
+def _exp_moments(v, al, mass):
+    lam, c = v[0], al.alpha
+    rate = lam * al.lift
     return (
         _times(mass, _mat([[(1.0 + c * c) / rate**2]])),
-        _vec([c * lam ** (c - 1.0) / _each(lambda al: (1.0 + al) ** 2, c)]),
-        _times(mass, _mat(_exp_jacobian(lam))),
+        _vec([c * lam ** (c - 1.0) / al.lift2]),
+        None,
     )
 
 
@@ -191,38 +243,31 @@ def _gamma_ppf(v, q):
     return invert_cdf(lambda x: _gamma_cdf(v, x), q)
 
 
-def _gamma_jacobian(a, b):
-    # constant in x
-    return (-_trigamma(a), 1.0 / b), (1.0 / b, -a / b**2)
-
-
 def _gamma_terms(v, x, lnx):
     a, b = v
     u = np.log(b) - special.digamma(a) + lnx, a / b - x
-    return _gamma_logf(v, x, lnx), u, _gamma_jacobian(a, b)
+    # the Jacobian is constant in x
+    return _gamma_logf(v, x, lnx), u, ((-_trigamma(a), 1.0 / b), (1.0 / b, -a / b**2))
 
 
-def _gamma_mass(v, alpha):
+def _gamma_mass(v, al):
     a, b = v
-    aa = (a - 1.0) * (1.0 + alpha) + 1.0
+    aa = (a - 1.0) * al.lift + 1.0
     return np.exp(
         special.gammaln(aa)
-        + alpha * np.log(b)
-        - (1.0 + alpha) * special.gammaln(a)
-        - aa * _each(math.log1p, alpha)
+        + al.alpha * np.log(b)
+        - al.lift * special.gammaln(a)
+        - aa * al.log1p
     )
 
 
-def _gamma_moments(v, c, mass):
+def _gamma_moments(v, al, mass):
     a, b = v
-    shape, rate = a + c * (a - 1.0), b * (1.0 + c)
-    mean = _vec([special.digamma(shape) - special.digamma(a) - _each(math.log1p, c), c / rate])
+    c = al.alpha
+    shape, rate = a + c * (a - 1.0), b * al.lift
+    mean = _vec([special.digamma(shape) - special.digamma(a) - al.log1p, c / rate])
     cov = _mat([[_trigamma(shape), -1.0 / rate], [-1.0 / rate, shape / rate**2]])
-    return (
-        _times(mass, cov + _outer(mean)),
-        _times(mass, mean),
-        _times(mass, _mat(_gamma_jacobian(a, b))),
-    )
+    return _times(mass, cov + _outer(mean)), _times(mass, mean), None
 
 
 def _gamma_start(xs, alphas):
@@ -267,20 +312,20 @@ def _lognormal_terms(v, x, lnx):
     )
 
 
-def _lognormal_mass(v, alpha):
+def _lognormal_mass(v, al):
     mu, sigma = v
     return np.exp(
-        -0.5 * _each(math.log1p, alpha)
-        - alpha * (_LOG_SQRT_2PI + np.log(sigma))
-        - alpha * mu
-        + _each(lambda al: al**2, alpha) * sigma**2 / (2.0 * (1.0 + alpha))
+        -0.5 * al.log1p
+        - al.alpha * (_LOG_SQRT_2PI + np.log(sigma))
+        - al.alpha * mu
+        + al.sq * sigma**2 / (2.0 * al.lift)
     )
 
 
-def _lognormal_moments(v, c, mass):
+def _lognormal_moments(v, al, mass):
     # w ~ N(m, s2) under f^(1+c)/M
     sigma = v[1]
-    m, s2 = -c * sigma**2 / (1.0 + c), sigma**2 / (1.0 + c)
+    m, s2 = -al.alpha * sigma**2 / al.lift, sigma**2 / al.lift
     sig2, sig4 = sigma**2, sigma**4
     mean = _vec([m / sig2, m * (m + 1.0) / sigma / sig2])
     cov_ms = 2.0 * m * s2 / sigma / sig4
@@ -341,24 +386,25 @@ def _weibull_terms(v, x, lnx):
     )
 
 
-def _weibull_mass(v, alpha):
+def _weibull_mass(v, al):
     a, b = v
-    kap = (a - 1.0) * alpha / a
+    kap = (a - 1.0) * al.alpha / a
     return np.exp(
-        alpha * (np.log(a) + np.log(b))
+        al.alpha * (np.log(a) + np.log(b))
         + special.gammaln(1.0 + kap)
-        - (1.0 + kap) * _each(math.log1p, alpha)
+        - (1.0 + kap) * al.log1p
     )
 
 
-def _weibull_moments(v, c, mass):
+def _weibull_moments(v, al, mass):
     # t ~ Gamma(shape, rate) under f^(1+c)/M;
     # E[t^j] = r_j, E[t^j L] = r_j d_j, E[t^j L^2] = r_j q_j
     a, b = v
-    shape, rate, rate2 = 1.0 + c * (a - 1.0) / a, 1.0 + c, _each(lambda al: (1.0 + al) ** 2, c)
+    c = al.alpha
+    shape, rate, rate2 = 1.0 + c * (a - 1.0) / a, al.lift, al.lift2
     r = _vec([1.0, shape / rate, shape * (shape + 1.0) / rate2])
     shapes = np.expand_dims(shape, -1) + np.arange(3.0)
-    d = special.digamma(shapes) - np.expand_dims(_each(lambda al: math.log(1.0 + al), c), -1)
+    d = special.digamma(shapes) - np.expand_dims(al.log_lift, -1)
     q = d * d + _trigamma(shapes)
     el, eq = np.moveaxis(r * d, -1, 0), np.moveaxis(r * q, -1, 0)
     tail = c / (a * rate)  # 1 - E[t]
@@ -494,8 +540,8 @@ def cdf(p, x):
 def quantile(p, q):
     """Inverse CDF, vectorized over q.
 
-    Closed forms except gamma, which is inverted numerically one
-    probability at a time.
+    Closed forms except gamma, whose CDF is inverted numerically, every
+    probability in lockstep.
     """
     arr = np.asarray(q, dtype=float)
     if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
@@ -515,7 +561,7 @@ def dpd_mass_integral(p, alpha):
     check_dpd_valid(p, alpha)
     if alpha == 0.0:
         return 1.0
-    return p.family.mass(p.values, alpha)
+    return p.family.mass(p.values, _AlphaTerms(alpha))
 
 
 def weighted_moments(p, c):
@@ -530,20 +576,24 @@ def weighted_moments(p, c):
     from these (Basu, Harris, Hjort & Jones 1998).
     """
     mass = dpd_mass_integral(p, c)
-    uu, u, _ = p.family.moments(p.values, c, mass)
+    uu, u, _ = p.family.moments(p.values, _AlphaTerms(c), mass)
     return mass, uu, u
 
 
-def _divergence_terms(fam, v, alpha, lnf):
-    """(M, k, g) from lnf = ln f at the observations: the per-observation
-    divergence term is M - k g.
+def _divergence_terms(fam, v, al, lnf):
+    """(M, k, g) at the alphas of al, an _AlphaTerms, from lnf = ln f at
+    the observations: the per-observation divergence term is M - k g.
 
     For alpha > 0, g = f^alpha and k = 1 + 1/alpha; at alpha = 0, M = 0,
-    k = 1 and g = ln f. v_alpha and the estimator's objective H use this.
+    k = 1 and g = ln f. v_alpha and the estimator's objective H use this,
+    H with parameter points (m,) in v and their rows of ln f (m, n).
     """
-    if alpha == 0.0:
+    if al.all_zero:
         return 0.0, 1.0, lnf
-    return fam.mass(v, alpha), 1.0 + 1.0 / alpha, np.exp(alpha * lnf)
+    mass, g = fam.mass(v, al), np.exp(al.col * lnf)
+    if al.any_zero:
+        mass, g = np.where(al.zero, 0.0, mass), np.where(al.zero[:, None], lnf, g)
+    return mass, al.k, g
 
 
 def v_alpha(p, alpha, x):
@@ -557,5 +607,5 @@ def v_alpha(p, alpha, x):
     check_dpd_valid(p, alpha)
     x = _check_x(x)
     lnf = p.family.logf(p.values, x, np.log(x))
-    mass, k, g = _divergence_terms(p.family, p.values, alpha, lnf)
+    mass, k, g = _divergence_terms(p.family, p.values, _AlphaTerms(alpha), lnf)
     return mass - k * g

@@ -22,6 +22,7 @@ from dpdfit.estimator import (
 )
 from dpdfit.families import (
     FAMILIES,
+    _AlphaTerms,
     ParamVector,
     quantile,
     score,
@@ -212,7 +213,7 @@ class TestIndefiniteStart:
         x = self.sample(12)[None, :]
         weights = np.full(x.shape, 1.0 / x.size)
         start = GAMMA.start(x[0], (1.0,))
-        _, _, hess, _ = _weighted_terms(GAMMA, 1.0, x, np.log(x), weights, start)
+        _, _, hess, _ = _weighted_terms(GAMMA, _AlphaTerms(1.0), x, np.log(x), weights, start)
         assert np.linalg.eigvalsh(hess[0])[0] < 0.0
 
     def test_indefinite_step_descends(self):

@@ -19,7 +19,15 @@ import pytest
 from dpdfit import tuning
 from dpdfit.errors import FitError, TuningError
 from dpdfit.estimator import _weighted_terms, fit, fit_alphas, objective_h
-from dpdfit.families import FAMILIES, ParamVector, _mat, log_density, quantile, score
+from dpdfit.families import (
+    FAMILIES,
+    ParamVector,
+    _AlphaTerms,
+    _mat,
+    log_density,
+    quantile,
+    score,
+)
 from dpdfit.tuning import COARSE_GRID, _loo_points, _sorted_values, cvm_distance, select_alpha
 from dpdfit.uncertainty import ContaminationScheme, sample_family, simulate_contaminated
 from quadrature import QuadratureSpec, integrate_halfline
@@ -54,6 +62,17 @@ def steps(theta, rel=1e-5):
     return rel * np.maximum(np.abs(theta), 1e-2)
 
 
+def du_moments(family, v, al, mass):
+    """family.moments, its third entry the integral of du/dtheta f^(1+c):
+    M du, as the kernel takes it, where moments gives None because du is
+    constant in x (exponential, gamma)."""
+    uu, xi, du_int = family.moments(v, al, mass)
+    if du_int is None:
+        du = family.terms(v, 1.0, 0.0)[2]
+        du_int = np.reshape(mass, np.shape(mass) + (1, 1)) * _mat(du)
+    return uu, xi, du_int
+
+
 class TestTable:
     @pytest.mark.parametrize("tag", TAGS)
     def test_dscore_matches_central_differences_of_score(self, tag):
@@ -80,9 +99,9 @@ class TestTable:
         xs = contaminated(tag)
         x = xs[:, None]
         v = tuple(points.T)
-        c = 0.4
-        mass = family.mass(v, c)
-        moments = family.moments(v, c, mass)
+        al = _AlphaTerms(0.4)
+        mass = family.mass(v, al)
+        moments = du_moments(family, v, al, mass)
         lnf, u, du = family.terms(v, x, np.log(x))
         np.testing.assert_array_equal(lnf, family.logf(v, x, np.log(x)))
         per_x = {
@@ -94,8 +113,8 @@ class TestTable:
         }
         for r, point in enumerate(points):
             one = tuple(point)
-            assert mass[r] == pytest.approx(family.mass(one, c), rel=1e-13)
-            for got, want in zip(moments, family.moments(one, c, family.mass(one, c))):
+            assert mass[r] == pytest.approx(family.mass(one, al), rel=1e-13)
+            for got, want in zip(moments, du_moments(family, one, al, family.mass(one, al))):
                 np.testing.assert_allclose(got[r], want, rtol=1e-12, atol=1e-300)
             np.testing.assert_allclose(
                 per_x["logf"][:, r], family.logf(one, xs, np.log(xs)), rtol=1e-13
@@ -115,13 +134,15 @@ class TestTable:
     @pytest.mark.parametrize("tag", TAGS)
     @pytest.mark.parametrize("c", [0.0, 0.5, 1.5])
     def test_tilted_dscore_integral_matches_quadrature(self, tag, c):
-        """The third moments entry is the integral of du/dtheta f^(1+c)."""
+        """The third moments entry, or M du where du is constant in x, is
+        the integral of du/dtheta f^(1+c)."""
         family = FAMILIES[tag]
         pv = ParamVector(family, THETA[tag])
-        got = family.moments(pv.values, c, family.mass(pv.values, c))[2]
+        al = _AlphaTerms(c)
+        mass = family.mass(pv.values, al)
+        got = du_moments(family, pv.values, al, mass)[2]
         # an entry can vanish (the lognormal's cross term at c = 0), so the
         # oracle stops at an absolute floor on the scale of the mass
-        mass = family.mass(pv.values, c)
         spec = QuadratureSpec(abs_tolerance=1e-11 * mass, rel_tolerance=1e-10)
         p = family.param_count
         want = np.empty((p, p))
@@ -147,7 +168,7 @@ class TestKernel:
         theta = np.array(fit(family, alpha, rest).theta_hat.values) * (1.03, 0.97)[: family.param_count]
         x = xs[None, :]
         _, grad, hess, _ = _weighted_terms(
-            family, alpha, x, np.log(x), held_out_weights(xs.size, i), theta[None, :]
+            family, _AlphaTerms(alpha), x, np.log(x), held_out_weights(xs.size, i), theta[None, :]
         )
 
         def h_at(t):

@@ -21,10 +21,10 @@ import numpy as np
 import pytest
 
 from conftest import as_sample
-from dpdfit import estimator
+from dpdfit import estimator, families
 from dpdfit.errors import DpdError, FitError
-from dpdfit.estimator import fit, fit_alphas
-from dpdfit.families import FAMILIES, ParamVector, quantile
+from dpdfit.estimator import _weighted_terms, fit, fit_alphas
+from dpdfit.families import FAMILIES, ParamVector, _AlphaTerms, quantile
 from dpdfit.tuning import COARSE_GRID, _loo_points, _sorted_values
 from dpdfit.uncertainty import (
     ContaminationScheme,
@@ -182,6 +182,87 @@ def test_alpha_zero_rows_share_the_kernel_call(monkeypatch):
     rows = xs.size * len(COARSE_GRID)
     assert len(calls) == math.ceil(rows / (estimator._ROW_BUDGET // xs.size)) == 5
     assert sum(calls) == rows
+
+
+@pytest.mark.parametrize("tag", ["gamma", "weibull"])
+def test_alpha_terms_are_taken_once_per_solve(tag, monkeypatch):
+    """The terms of alpha alone (math's log1p, log and powers, one
+    families._each call each) are taken once per _newton_rows call, not
+    at each of its evaluations: the leave-one-out grid at n = 60 makes at
+    most 4 per call, over more evaluations than that."""
+    family = FAMILIES[tag]
+    xs = _sorted_values(tied_contamination(tag), family.param_count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        starts = [res.theta_hat.values for res in fit_alphas(family, COARSE_GRID, xs)]
+    counts = {"_each": 0, "_newton_rows": 0, "_weighted_terms": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(families, "_each")
+    counted(estimator, "_newton_rows")
+    counted(estimator, "_weighted_terms")
+    _loo_points(family, COARSE_GRID, xs, starts)
+    assert counts["_newton_rows"] == 5
+    assert counts["_each"] <= 4 * counts["_newton_rows"] < counts["_weighted_terms"]
+
+
+# Points where an alpha = 0 row's ln f or its u u' sum is not finite: the
+# first at a moderate point, then u beyond 2^500 with ln f finite, then
+# ln f not finite.
+EDGE_POINTS = {
+    "exponential": [(0.02,), (1e-320,), (1e308,)],
+    "gamma": [(3.0, 0.05), (1.0, 1e-200), (1e307, 1.0)],
+    "lognormal": [(3.0, 0.8), (0.0, 1e-80), (3.0, 1e-300)],
+    "weibull": [(1.5, 0.02), (1.0, 1e-200), (1e300, 1.0)],
+}
+
+
+def same_bits(a, b):
+    """Equal bit for bit, any NaN matching any NaN."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.where(nan, 0.0, a).tobytes() == np.where(
+        nan, 0.0, b
+    ).tobytes()
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_alpha_zero_batch_matches_its_rows_beside_alpha_positive(tag):
+    """A batch all at alpha = 0 skips M, the moments, f^alpha and, while
+    every |u| < 2^500, the alpha u u' sums; each of its rows still gets
+    the bits it gets beside an alpha = 0.5 row, where nothing is skipped,
+    non-finite results included. Each point is tried alone, taking the
+    skips its own |u| allows, and with the others."""
+    family = FAMILIES[tag]
+    x = np.array(tied_contamination(tag).values)[None, :]
+    lnx = np.log(x)
+    points = np.array(EDGE_POINTS[tag])
+    for rows in ([0], [1], [2], [0, 1, 2]):
+        k = len(rows)
+        weights = np.full((k + 1, x.size), 1.0 / x.size)
+        with np.errstate(all="ignore"):
+            alone = _weighted_terms(
+                family, _AlphaTerms(np.zeros(k)), x, lnx, weights[:k], points[rows]
+            )
+            beside = _weighted_terms(
+                family,
+                _AlphaTerms(np.append(np.zeros(k), 0.5)),
+                x,
+                lnx,
+                weights,
+                np.vstack([points[rows], THETA[tag]]),
+            )
+        for got, want in zip(alone, beside):
+            assert same_bits(got, want[:k])
+        hess = alone[2]
+        assert np.isfinite(hess).all(axis=(1, 2)).tolist() == [row == 0 for row in rows]
 
 
 def test_one_failing_row_leaves_the_others_bitwise():

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .asymptotics import are, asymptotic_se, influence_function
+from .asymptotics import _standard_errors, are, influence_function, sandwich
 from .dataio import (
     adjusted_median,
     load_csv,
@@ -25,7 +25,7 @@ from .dataio import (
 from .errors import DataError, DomainError, DpdError, FitError
 from .estimator import _sample_values, fit
 from .families import FAMILIES, ParamVector, density, quantile
-from .selection import _ric_from_fit, select_model
+from .selection import _criterion, select_model
 from .tuning import select_alpha
 from .uncertainty import ContaminationScheme, bootstrap_se, sample_family, simulate_contaminated
 
@@ -196,9 +196,11 @@ def _named(family, values):
     return {name: float(v) for name, v in zip(family.param_names, values)}
 
 
-def _se_or_none(fit_result):
+def _se_or_none(fit_result, sw=None):
+    """Named asymptotic SEs, from sw when the fit's sandwich has been
+    taken, or None where they cannot be had."""
     try:
-        return _named(fit_result.family, asymptotic_se(fit_result))
+        return _named(fit_result.family, _standard_errors(fit_result, sw))
     except DpdError:
         return None
 
@@ -345,7 +347,9 @@ def _series_row(sample, fast):
     winner = rep.winner
     tun = select_alpha(winner, sample, refine=not fast)
     res = tun.fit_star
-    se = _se_or_none(res)
+    # one sandwich for the SEs and the RIC; if it raises, the row is skipped
+    sw = sandwich(res.family, res.theta_hat, res.alpha)
+    se = _se_or_none(res, sw)
     names = winner.param_names
     params = res.theta_hat.values
     return {
@@ -357,7 +361,7 @@ def _series_row(sample, fast):
         "se1": None if se is None else se[names[0]],
         "se2": None if se is None or len(names) < 2 else se[names[1]],
         "cvmd": tun.cvmd_star,
-        "ric": _ric_from_fit(res),
+        "ric": float(_criterion(res.objective, res.alpha, res.n_obs, sw.J, sw.K)),
         "median_adjusted": adjusted_median(res, sample.dry_count, len(sample.values)),
     }
 

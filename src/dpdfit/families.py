@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, DpdValidityError
+from .errors import DomainError, DpdError, DpdValidityError
 from .numerics import invert_cdf
 
 __all__ = [
@@ -66,12 +66,18 @@ def _each(fn, alpha):
     """fn(alpha) for a float alpha, or fn of each entry of an array of
     alphas. math's log1p, log and ** differ from numpy's in the last bit,
     so a row of a batch at alpha gets the bits a lone fit at alpha gets.
-    _AlphaTerms calls it once per Newton solve, not per evaluation, so a
-    Python loop over a chunk's alphas (at most a few hundred) costs
-    little."""
+    _AlphaTerms calls it once per Newton solve, not per evaluation, and
+    on a chunk's distinct alphas only, so the Python loop costs little."""
     if np.ndim(alpha) == 0:
         return fn(alpha)
     return np.reshape([fn(a) for a in np.ravel(alpha).tolist()], np.shape(alpha))
+
+
+# log1p(alpha), log(1 + alpha), (1 + alpha)^2 and alpha^2, by math: _AlphaTerms'
+# log1p, log_lift, lift2 and sq.
+_ALPHA_FNS = (
+    math.log1p, lambda al: math.log(1.0 + al), lambda al: (1.0 + al) ** 2, lambda al: al**2
+)
 
 
 class _AlphaTerms:
@@ -83,6 +89,8 @@ class _AlphaTerms:
     log_lift = log(1 + alpha); lift2 = (1 + alpha)^2; sq = alpha^2.
     Alphas that are all equal are taken as one float: numpy multiplies
     an (m, n) array by a column of alphas about three times slower.
+    Otherwise the math-function terms are taken once per distinct alpha
+    and indexed back out: a leave-one-out chunk repeats the grid's 21.
     """
 
     __slots__ = (
@@ -91,27 +99,29 @@ class _AlphaTerms:
     )
 
     def __init__(self, alpha):
-        if np.ndim(alpha) and (alpha == alpha[0]).all():
+        if np.ndim(alpha) and (alpha.size == 1 or (alpha == alpha[0]).all()):
             alpha = alpha[0]
         if np.ndim(alpha) == 0:
             alpha = float(alpha)
             self.col = alpha
-            self.zero = alpha == 0.0
+            self.zero = self.any_zero = self.all_zero = alpha == 0.0
             self.k = 1.0 if self.zero else 1.0 + 1.0 / alpha
+            terms = (fn(alpha) for fn in _ALPHA_FNS)
         else:
             self.col = alpha[:, None]
             self.zero = alpha == 0.0
             self.k = np.where(self.zero, 1.0, 1.0 + 1.0 / np.where(self.zero, 1.0, alpha))
+            # not np.unique: its sort pages in about 0.4 MB of code
+            distinct = np.array(sorted(set(alpha.tolist())))
+            back = np.searchsorted(distinct, alpha)
+            terms = (_each(fn, distinct)[back] for fn in _ALPHA_FNS)
+            self._count_zeros()
         self.alpha = alpha
         self.lift = 1.0 + alpha
-        self.log1p = _each(math.log1p, alpha)
-        self.log_lift = _each(lambda al: math.log(1.0 + al), alpha)
-        self.lift2 = _each(lambda al: (1.0 + al) ** 2, alpha)
-        self.sq = _each(lambda al: al**2, alpha)
-        self._count_zeros()
+        self.log1p, self.log_lift, self.lift2, self.sq = terms
 
     def _count_zeros(self):
-        self.any_zero, self.all_zero = bool(np.any(self.zero)), bool(np.all(self.zero))
+        self.any_zero, self.all_zero = bool(self.zero.any()), bool(self.zero.all())
 
     def rows(self, rows):
         """The terms of the points that rows, a mask or indices, selects."""
@@ -136,7 +146,8 @@ def _outer(u):
 
 def _times(mass, arr):
     """mass, one value per parameter point, times a vector or matrix per point."""
-    return np.reshape(mass, np.shape(mass) + (1,) * (arr.ndim - np.ndim(mass))) * arr
+    mass = np.asarray(mass)
+    return mass.reshape(mass.shape + (1,) * (arr.ndim - mass.ndim)) * arr
 
 
 @dataclass(frozen=True)
@@ -403,10 +414,11 @@ def _weibull_moments(v, al, mass):
     c = al.alpha
     shape, rate, rate2 = 1.0 + c * (a - 1.0) / a, al.lift, al.lift2
     r = _vec([1.0, shape / rate, shape * (shape + 1.0) / rate2])
-    shapes = np.expand_dims(shape, -1) + np.arange(3.0)
-    d = special.digamma(shapes) - np.expand_dims(al.log_lift, -1)
+    shapes = np.asarray(shape)[..., None] + np.arange(3.0)
+    d = special.digamma(shapes) - np.asarray(al.log_lift)[..., None]
     q = d * d + _trigamma(shapes)
-    el, eq = np.moveaxis(r * d, -1, 0), np.moveaxis(r * q, -1, 0)
+    # a row per power of t (v is 0- or 1-d, so .T moves the last axis first)
+    el, eq = (r * d).T, (r * q).T
     tail = c / (a * rate)  # 1 - E[t]
     mean = _vec([(1.0 + el[0] - el[1]) / a, a / b * tail])
     s_aa = (1.0 + 2.0 * (el[0] - el[1]) + eq[0] - 2.0 * eq[1] + eq[2]) / a**2
@@ -504,12 +516,17 @@ def _shape_floor(alpha):
 
 def check_dpd_valid(p, alpha):
     """Gamma/Weibull shape must exceed alpha/(1+alpha) for the DPD terms to exist."""
+    _check_shape(p.family, p.values[0], alpha)
+
+
+def _check_shape(family, shape, alpha):
+    """check_dpd_valid for a family whose first parameter is `shape`."""
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
     floor = _shape_floor(alpha)
-    if p.family.shaped and p.values[0] <= floor:
+    if family.shaped and shape <= floor:
         raise DpdValidityError(
-            f"{p.family.tag} shape {p.values[0]:g} <= alpha/(1+alpha) "
+            f"{family.tag} shape {shape:g} <= alpha/(1+alpha) "
             f"= {floor:g}; DPD integrals do not exist"
         )
 
@@ -573,11 +590,40 @@ def weighted_moments(p, c):
     is N(-c sigma^2/(1+c), sigma^2/(1+c)); for the Weibull, (bx)^a is
     gamma with shape 1 + c(a-1)/a and rate 1+c. At c = 0 this is
     (1, Fisher information, 0). J, K and xi of the sandwich are built
-    from these (Basu, Harris, Hjort & Jones 1998).
+    from these (Basu, Harris, Hjort & Jones 1998). The one-point case of
+    _moment_rows.
     """
-    mass = dpd_mass_integral(p, c)
-    uu, u, _ = p.family.moments(p.values, _AlphaTerms(c), mass)
-    return mass, uu, u
+    mass, uu, u, (error,) = _moment_rows(p.family, np.array([p.values]), np.array([float(c)]))
+    if error is not None:
+        raise error
+    return mass[0], uu[0], u[0]
+
+
+def _moment_rows(family, theta, c):
+    """weighted_moments at each row of theta (m, p), row r at c[r], from
+    one family.mass and one family.moments call: (M (m,), uu (m, p, p),
+    u (m, p), errors), errors[r] being None or the error check_dpd_valid
+    raises at row r, whose moments are then those at c = 0 and meaningless.
+    M is exactly 1 at c = 0, as dpd_mass_integral gives it. Overflow at
+    extreme parameters gives entries that are not finite, silently; the
+    sandwich refuses such a J.
+    """
+    errors = [None] * c.size
+    for r, (shape, cr) in enumerate(zip(theta[:, 0].tolist(), c.tolist())):
+        try:
+            _check_shape(family, shape, cr)
+        except DpdError as exc:
+            errors[r] = exc
+    if any(errors):
+        c = np.where([e is not None for e in errors], 0.0, c)
+    v = tuple(theta.T)
+    with np.errstate(all="ignore"):
+        al = _AlphaTerms(c)
+        mass = family.mass(v, al)
+        if al.any_zero:
+            mass = np.where(al.zero, 1.0, mass)
+        uu, u, _ = family.moments(v, al, mass)
+    return mass, uu, u, errors
 
 
 def _divergence_terms(fam, v, al, lnf):

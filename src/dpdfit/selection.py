@@ -7,8 +7,9 @@ Each (family, alpha) pair gets an information criterion
 whose alpha = 0 case is an affine transform of AIC (the trace equals
 the parameter count at the MLE). The winner minimizes RIC over alpha
 within each family, then across families. Alpha is a row axis of the
-Newton kernel, so each family's grid is one Newton solve
-(estimator.fit_alphas) followed by one sandwich per fit, and each
+Newton kernel and of the sandwich, so each family's grid is one Newton
+solve (estimator.fit_alphas) and one batched sandwich
+(asymptotics._sandwich_rows) with one batched trace, and each
 golden-section step a batch of one alpha.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import sandwich
+from .asymptotics import _sandwich_rows
 from .dataio import write_rows
 from .errors import DpdError, SelectionError
 from .estimator import fit, fit_alphas
@@ -49,31 +50,59 @@ class SelectionReport:
         ))
 
 
-def _ric_from_fit(fit_result):
-    sw = sandwich(fit_result.family, fit_result.theta_hat, fit_result.alpha)
-    trace = float(np.trace(np.linalg.solve(sw.J, sw.K)))
-    return fit_result.objective + trace / ((1.0 + fit_result.alpha) * fit_result.n_obs)
+def _criterion(objective, alpha, n_obs, j_mat, k_mat):
+    """RIC = H + Tr[J^-1 K] / ((1 + alpha) n), for one fit's J and K (p, p)
+    or elementwise over rows of them (m, p, p)."""
+    trace = np.trace(np.linalg.solve(j_mat, k_mat), axis1=-2, axis2=-1)
+    return objective + trace / ((1.0 + alpha) * n_obs)
+
+
+def _rics(family, fits):
+    """The RIC of each fit of `family`, or the DpdError its sandwich raises,
+    from one _sandwich_rows call and one batched trace."""
+    if not fits:
+        return []
+    alphas = np.array([res.alpha for res in fits])
+    j_mat, k_mat, _, _, errors = _sandwich_rows(
+        family, np.array([res.theta_hat.values for res in fits]), alphas
+    )
+    if any(errors):
+        # the identity and zeros in place of a failed row's J and K
+        failed = np.array([e is not None for e in errors])[:, None, None]
+        j_mat = np.where(failed, np.eye(family.param_count), j_mat)
+        k_mat = np.where(failed, 0.0, k_mat)
+    values = _criterion(
+        np.array([res.objective for res in fits]),
+        alphas,
+        np.array([res.n_obs for res in fits]),
+        j_mat,
+        k_mat,
+    )
+    return [value if error is None else error for value, error in zip(values.tolist(), errors)]
 
 
 def ric(family, alpha, sample):
     """Robust information criterion at one (family, alpha)."""
-    return _ric_from_fit(fit(family, alpha, sample))
+    (value,) = _rics(family, [fit(family, alpha, sample)])
+    if isinstance(value, DpdError):
+        raise value
+    return value
 
 
 def _scored(family, alphas, sample):
-    """(RIC, fit) of the cold fit at each alpha, from one fit_alphas call,
-    or the DpdError that leaves the alpha unscored: its fit's, its RIC's,
-    or, everywhere, the one for a sample that cannot be fitted at all."""
+    """(RIC, fit) of the cold fit at each alpha, from one fit_alphas call
+    and one _rics call, or the DpdError that leaves the alpha unscored:
+    its fit's, its RIC's, or, everywhere, the one for a sample that
+    cannot be fitted at all."""
     try:
         fits = fit_alphas(family, alphas, sample)
     except DpdError as exc:
         return [exc] * len(alphas)
+    rics = iter(_rics(family, [res for res in fits if not isinstance(res, DpdError)]))
     scored = []
     for res in fits:
-        try:
-            scored.append(res if isinstance(res, DpdError) else (_ric_from_fit(res), res))
-        except DpdError as exc:
-            scored.append(exc)
+        value = res if isinstance(res, DpdError) else next(rics)
+        scored.append(value if isinstance(value, DpdError) else (value, res))
     return scored
 
 

@@ -7,19 +7,29 @@ and against spot values computed by hand.
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdfit.asymptotics import (
     _invert_spd,
+    _sandwich_rows,
     are,
     asymptotic_se,
     if_supremum,
     influence_function,
     sandwich,
 )
-from dpdfit.errors import DomainError, FitError, SingularInformationError
+from dpdfit.errors import (
+    DomainError,
+    DpdError,
+    DpdValidityError,
+    FitError,
+    SingularInformationError,
+)
 from dpdfit.estimator import FitResult
 from dpdfit.families import FAMILIES, ParamVector, density, quantile, score
 from quadrature import integrate_halfline
@@ -173,6 +183,90 @@ class TestInvertSpd:
         a = rng.standard_normal((3, 3))
         mat = a @ a.T + 3.0 * np.eye(3)
         np.testing.assert_allclose(_invert_spd(mat, "J"), np.linalg.inv(mat), rtol=1e-12)
+
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+# Per family, ranges for ordinary parameter points; a point whose J has
+# an entry that overflows, so the sandwich refuses it as not positive
+# definite; and, where J can be ill-conditioned at all (two parameters
+# on different scales), a point whose J is.
+ROW_POINTS = {
+    "exponential": ([(0.01, 100.0)], (1e-200,), None),
+    "gamma": ([(0.6, 20.0), (0.01, 10.0)], (3.0, 1e-200), (1e6, 1.0)),
+    "lognormal": ([(-3.0, 5.0), (0.1, 3.0)], (3.0, 1e-300), None),
+    "weibull": ([(0.6, 10.0), (0.01, 10.0)], (3.0, 1e-200), (1e5, 1.0)),
+}
+
+
+@st.composite
+def sandwich_batches(draw, tag):
+    """(rows, kinds): rows of (parameter values, alpha) in a drawn order,
+    and what each special row is: alpha = 0, refused at 2 alpha only,
+    not positive definite or ill-conditioned; ordinary rows are None."""
+    ranges, singular, ill = ROW_POINTS[tag]
+    alphas = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    point = st.tuples(*(st.floats(lo, hi) for lo, hi in ranges))
+    ordinary = draw(st.lists(st.tuples(point, alphas), max_size=5))
+    rows = [(values, alpha, None) for values, alpha in ordinary]
+    rows.append((draw(point), 0.0, "alpha0"))
+    rows.append((singular, draw(alphas), "singular"))
+    if ill is not None:
+        rows.append((ill, draw(alphas), "ill"))
+    if FAMILIES[tag].shaped:
+        # a shape above alpha/(1+alpha) but not above 2 alpha/(1+2 alpha)
+        alpha = draw(st.floats(0.05, 1.0))
+        low, high = alpha / (1.0 + alpha), 2.0 * alpha / (1.0 + 2.0 * alpha)
+        shape = draw(st.floats(low, high, exclude_min=True))
+        rows.append(((shape, draw(point)[1]), alpha, "floor2"))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i][:2] for i in order], [rows[i][2] for i in order]
+
+
+def hexes(arr):
+    return [float(v).hex() for v in np.ravel(arr)]
+
+
+class TestSandwichRows:
+    @pytest.mark.parametrize("tag", sorted(FAMILIES))
+    @PROPERTY
+    @given(data=st.data())
+    def test_each_row_is_the_one_row_sandwich_bit_for_bit(self, tag, data):
+        """Every row of a mixed batch gets, as float.hex, the J, K, xi and
+        avar that sandwich gives its point alone, or the same error; the
+        rows refused at 2 alpha or as not positive definite refuse, and
+        the ill-conditioned row warns, in their own slots only."""
+        family = FAMILIES[tag]
+        rows, kinds = data.draw(sandwich_batches(tag))
+        theta = np.array([values for values, _ in rows])
+        alphas = np.array([alpha for _, alpha in rows])
+        with warnings.catch_warnings(record=True) as batch_warnings:
+            warnings.simplefilter("always")
+            j_mat, k_mat, xi, avar, errors = _sandwich_rows(family, theta, alphas)
+        alone_warnings = []
+        for r, ((values, alpha), kind) in enumerate(zip(rows, kinds)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    sw = sandwich(family, ParamVector(family, values), alpha)
+                except DpdError as exc:
+                    assert type(errors[r]) is type(exc) and str(errors[r]) == str(exc)
+                else:
+                    assert errors[r] is None
+                    for got, want in zip((j_mat, k_mat, xi, avar), (sw.J, sw.K, sw.xi, sw.avar)):
+                        assert hexes(got[r]) == hexes(want)
+            messages = [str(w.message) for w in caught]
+            alone_warnings += messages
+            if kind == "floor2":
+                assert isinstance(errors[r], DpdValidityError)
+                assert f"{2.0 * alpha / (1.0 + 2.0 * alpha):g}" in str(errors[r])
+            elif kind == "singular":
+                assert isinstance(errors[r], SingularInformationError)
+            elif kind == "ill":
+                assert errors[r] is None and len(messages) == 1 and "ill-conditioned" in messages[0]
+            elif kind == "alpha0":
+                assert errors[r] is None and hexes(xi[r]) == hexes(sw.xi)
+        assert [str(w.message) for w in batch_warnings] == alone_warnings
 
 
 class TestAsymptoticSe:

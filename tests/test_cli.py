@@ -435,6 +435,32 @@ class TestReportCommand:
         assert len(lines) == 2
         assert lines[1].startswith("good,")
 
+    def test_one_sandwich_per_row(self, tmp_path, capsys, monkeypatch):
+        """A report row takes its SEs and its RIC from one sandwich of its
+        tuned fit, at its alpha_star."""
+        from dpdfit import asymptotics, cli
+
+        panel = tmp_path / "panel.csv"
+        with open(panel, "w", encoding="utf-8") as fh:
+            fh.write("label,value\n")
+            for v in sample_family(GAMMA, (5.0, 1.0), 60, seed=4).values:
+                fh.write(f"one,{v!r}\n")
+        assert main(["report", "--input", str(panel), "--fast"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        taken, sandwich = [], asymptotics.sandwich
+
+        def counted(family, theta, alpha):
+            taken.append(alpha)
+            return sandwich(family, theta, alpha)
+
+        monkeypatch.setattr(cli, "sandwich", counted)
+        monkeypatch.setattr(asymptotics, "sandwich", lambda *args: pytest.fail("second sandwich"))
+        assert main(["report", "--input", str(panel), "--fast"]) == 0
+        assert len(taken) == 1
+        fields = dict(zip(REPORT_COLUMNS, capsys.readouterr().out.splitlines()[1].split(",")))
+        assert float(fields["alpha_star"]) == taken[0]
+        assert ",".join(fields.values()) == row
+
     def test_all_series_failing_is_numeric_error(self, tmp_path, capsys):
         panel = tmp_path / "hopeless.csv"
         panel.write_text("label,value\nonly,1.0\nonly,2.0\n")

@@ -214,6 +214,33 @@ def test_alpha_terms_are_taken_once_per_solve(tag, monkeypatch):
     assert counts["_each"] <= 4 * counts["_newton_rows"] < counts["_weighted_terms"]
 
 
+def test_alpha_terms_take_each_distinct_alpha_once(monkeypatch):
+    """A leave-one-out chunk (273 rows at n = 60) holds the grid's 21
+    alphas over and over; _AlphaTerms makes one Python call per distinct
+    alpha for each of its math-function terms, and each row still gets
+    the bits its alpha gets alone."""
+    n = 60
+    alphas = np.tile(COARSE_GRID, n)[: estimator._ROW_BUDGET // n]
+    assert alphas.size == 273
+    calls = []
+
+    def counted(i, fn):
+        def wrapper(alpha):
+            calls.append(i)
+            return fn(alpha)
+
+        return wrapper
+
+    fns = families._ALPHA_FNS
+    monkeypatch.setattr(families, "_ALPHA_FNS", tuple(counted(i, fn) for i, fn in enumerate(fns)))
+    al = _AlphaTerms(alphas)
+    assert sorted(calls) == sorted(list(range(len(fns))) * len(COARSE_GRID))
+    monkeypatch.setattr(families, "_ALPHA_FNS", fns)
+    for name in ("log1p", "log_lift", "lift2", "sq"):
+        alone = [getattr(_AlphaTerms(a), name) for a in alphas.tolist()]
+        assert [v.hex() for v in getattr(al, name).tolist()] == [v.hex() for v in alone], name
+
+
 # Points where an alpha = 0 row's ln f or its u u' sum is not finite: the
 # first at a moderate point, then u beyond 2^500 with ln f finite, then
 # ln f not finite.

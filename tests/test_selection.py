@@ -6,6 +6,7 @@ recovered and that nested families differ by at most the parameter
 penalty.
 """
 
+import dataclasses
 import io
 import math
 
@@ -14,7 +15,13 @@ import pytest
 
 from conftest import as_sample
 from dpdfit import selection
-from dpdfit.errors import FitError, SelectionError
+from dpdfit.errors import (
+    DpdError,
+    DpdValidityError,
+    FitError,
+    SelectionError,
+    SingularInformationError,
+)
 from dpdfit.estimator import fit, fit_alphas
 from dpdfit.families import FAMILIES, ParamVector, log_density
 from dpdfit.selection import ric, select_model
@@ -183,6 +190,47 @@ class TestSelectModel:
         assert sorted(a for _, a in report.ric_table) == [a for a in COARSE_GRID if a != 0.5]
         assert len(tried) == len(COARSE_GRID) + 1
         assert report.records[0].alpha_star_ric in COARSE_GRID
+
+    @pytest.mark.parametrize(
+        "point, error",
+        [
+            ((0.4, 1.0), DpdValidityError),
+            ((3.0, 1e-200), SingularInformationError),
+            ((3.0, 1e300), SingularInformationError),
+        ],
+        ids=["floor-at-2-alpha", "J-not-finite", "J-singular"],
+    )
+    def test_failed_ric_leaves_only_its_alpha_out(self, monkeypatch, point, error):
+        """A grid alpha whose fit succeeds but whose RIC raises, here at a
+        point refused at 2 alpha, or whose J overflows or is exactly
+        singular, is the only entry left out of ric_table; every other
+        entry keeps its bits, as the batched sandwich and trace score each
+        row on its own."""
+        sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 1.0)), 60, seed=2)
+        clean = select_model([GAMMA], sample, refine=False)
+        failing = []
+
+        def one_bad_point(family, alphas, sample):
+            results = fit_alphas(family, alphas, sample)
+            return [
+                dataclasses.replace(res, theta_hat=ParamVector(family, point))
+                if alpha == 0.5
+                else res
+                for alpha, res in zip(alphas, results)
+            ]
+
+        def recording(family, fits):
+            scored = rics(family, fits)
+            failing.extend(value for value in scored if isinstance(value, DpdError))
+            return scored
+
+        rics = selection._rics
+        monkeypatch.setattr(selection, "fit_alphas", one_bad_point)
+        monkeypatch.setattr(selection, "_rics", recording)
+        report = select_model([GAMMA], sample, refine=False)
+        assert [type(e) for e in failing] == [error]
+        expected = {key: value.hex() for key, value in clean.ric_table.items() if key[1] != 0.5}
+        assert {key: value.hex() for key, value in report.ric_table.items()} == expected
 
     def test_excluded_families_are_listed(self):
         """On a constant sample only the one-parameter family can be fitted;

@@ -19,7 +19,11 @@ search, tuning.alpha_search, which is not underscored: selection.py
 uses nothing private of tuning's. Alpha is a row axis of the kernel, so
 each family's alpha grid is one Newton solve, estimator.fit_alphas; the
 searches call fit only for RIC at one alpha, and tuning does not import
-it.
+it. Alpha is a row axis of the sandwich too: asymptotics reaches the
+closed-form moments only through families._moment_rows, and its
+sandwich, standard errors and efficiency tables only through
+_sandwich_rows, which selection calls once per alpha batch, never
+sandwich once per fit.
 """
 
 import ast
@@ -249,3 +253,29 @@ def test_searches_fit_through_fit_alphas():
     }
     assert found == {"selection.py": ["ric"], "tuning.py": []}
     assert "fit" not in _names(_tree(PACKAGE / "tuning.py"))
+
+
+def _calls_ending(tree, suffix):
+    """Enclosing function of every call whose callee is spelled ...suffix."""
+    return [func for node, func in _calls(tree) if ast.unparse(node.func).endswith(suffix)]
+
+
+def test_moments_reached_only_through_the_rows_form():
+    tree = _tree(PACKAGE / "asymptotics.py")
+    assert "weighted_moments" not in _names(tree)
+    assert _calls_ending(tree, ".moments") == _calls_ending(tree, ".mass") == []
+    assert sorted(_calls_to(tree, "_moment_rows")) == [
+        "_sandwich_rows", "_sandwich_rows", "influence_function"
+    ]
+    assert sorted(_calls_to(tree, "_sandwich_rows")) == ["are", "sandwich"]
+    found = sorted(
+        (p.name, func) for p in MODULES for func in _calls_ending(_tree(p), "family.moments")
+    )
+    assert found == [("estimator.py", "_weighted_terms"), ("families.py", "_moment_rows")]
+
+
+def test_selection_scores_a_batch_with_one_sandwich_call():
+    tree = _tree(PACKAGE / "selection.py")
+    assert "sandwich" not in _names(tree)
+    assert _calls_to(tree, "_sandwich_rows") == ["_rics"]
+    assert _calls_to(tree, "_rics") == ["ric", "_scored"]

@@ -208,6 +208,8 @@ def if_supremum(family, theta0, alpha, grid_points=2000):
     """
     if alpha <= 0.0:
         raise DomainError("if_supremum requires alpha > 0")
+    if not 2 <= grid_points < np.inf:
+        raise DomainError(f"if_supremum needs grid_points >= 2, got {grid_points}")
     lo = quantile(theta0, 1e-6)
     hi = quantile(theta0, 1.0 - 1e-6) * 1e6
     grid = np.geomspace(lo, hi, grid_points)

@@ -65,7 +65,7 @@ class Sample:
         for v in vals:
             if not math.isfinite(v) or v <= 0.0:
                 raise DataError(f"sample values must be positive and finite, got {v}")
-        if int(self.dry_count) != self.dry_count or self.dry_count < 0:
+        if not 0 <= self.dry_count < math.inf or int(self.dry_count) != self.dry_count:
             raise DataError(f"dry_count must be a nonnegative integer, got {self.dry_count}")
         object.__setattr__(self, "dry_count", int(self.dry_count))
 

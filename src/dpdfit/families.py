@@ -99,7 +99,7 @@ class _AlphaTerms:
     )
 
     def __init__(self, alpha):
-        if np.ndim(alpha) and (alpha.size == 1 or (alpha == alpha[0]).all()):
+        if np.ndim(alpha) and alpha.size and (alpha.size == 1 or (alpha == alpha[0]).all()):
             alpha = alpha[0]
         if np.ndim(alpha) == 0:
             alpha = float(alpha)

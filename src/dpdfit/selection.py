@@ -6,11 +6,12 @@ Each (family, alpha) pair gets an information criterion
 
 whose alpha = 0 case is an affine transform of AIC (the trace equals
 the parameter count at the MLE). The winner minimizes RIC over alpha
-within each family, then across families. Alpha is a row axis of the
-Newton kernel and of the sandwich, so each family's grid is one Newton
-solve (estimator.fit_alphas) and one batched sandwich
-(asymptotics._sandwich_rows) with one batched trace, and each
-golden-section step a batch of one alpha.
+within each family, then across families, by tuning.alpha_search.
+Alpha is a row axis of the Newton kernel and of the sandwich, so each
+batch of alphas that tuning.score_alphas fits, the grid or one
+golden-section step, is scored by one batched sandwich
+(asymptotics._sandwich_rows) and one batched trace; ric is a batch of
+one alpha.
 """
 
 import warnings
@@ -21,9 +22,8 @@ import numpy as np
 from .asymptotics import _sandwich_rows
 from .dataio import write_rows
 from .errors import DpdError, SelectionError
-from .estimator import fit, fit_alphas
 from .families import FAMILIES
-from .tuning import alpha_search
+from .tuning import alpha_search, score_alphas
 
 __all__ = ["SelectionRecord", "SelectionReport", "ric", "select_model"]
 
@@ -83,39 +83,22 @@ def _rics(family, fits):
 
 def ric(family, alpha, sample):
     """Robust information criterion at one (family, alpha)."""
-    (value,) = _rics(family, [fit(family, alpha, sample)])
-    if isinstance(value, DpdError):
-        raise value
-    return value
-
-
-def _scored(family, alphas, sample):
-    """(RIC, fit) of the cold fit at each alpha, from one fit_alphas call
-    and one _rics call, or the DpdError that leaves the alpha unscored:
-    its fit's, its RIC's, or, everywhere, the one for a sample that
-    cannot be fitted at all."""
-    try:
-        fits = fit_alphas(family, alphas, sample)
-    except DpdError as exc:
-        return [exc] * len(alphas)
-    rics = iter(_rics(family, [res for res in fits if not isinstance(res, DpdError)]))
-    scored = []
-    for res in fits:
-        value = res if isinstance(res, DpdError) else next(rics)
-        scored.append(value if isinstance(value, DpdError) else (value, res))
-    return scored
+    (scored,) = score_alphas(family, (alpha,), sample, lambda fits: _rics(family, fits))
+    if isinstance(scored, DpdError):
+        raise scored
+    return scored[0]
 
 
 def select_model(families, sample, refine=True):
     """Pick the family minimizing min-over-alpha RIC.
 
     Each family's alpha search is tuning.alpha_search over cold fits
-    scored by RIC, the grid being one fit_alphas call; refine=False
-    stops at the grid. An alpha whose fit or RIC raises a DpdError is
-    left out, and during refinement ends it.
-    Families with no alpha scored are excluded with a warning and listed
-    in `excluded`; ties across families break toward fewer parameters,
-    then the fixed order exponential, gamma, lognormal, Weibull.
+    scored by RIC, the grid being one batch; refine=False stops at the
+    grid. An alpha whose fit or RIC raises a DpdError is left out, and
+    during refinement ends it. Families with no alpha scored are
+    excluded with a warning and listed in `excluded`; ties across
+    families break toward fewer parameters, then the fixed order
+    exponential, gamma, lognormal, Weibull.
     """
     families = list(families)
     if not families:
@@ -125,7 +108,7 @@ def select_model(families, sample, refine=True):
     records = []
     excluded = []
     for family in families:
-        curve, alpha_min = alpha_search(lambda alphas: _scored(family, alphas, sample), refine)
+        curve, alpha_min = alpha_search(family, sample, lambda fits: _rics(family, fits), refine)
         if not curve:
             warnings.warn(f"{family.tag}: every fit failed; excluded from selection", RuntimeWarning)
             excluded.append(family.tag)

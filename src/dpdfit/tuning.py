@@ -12,11 +12,14 @@ and Hessian of the divergence terms. This is the exact form of the
 one-step leave-one-out of Giordano et al. (2019) and Rad & Maleki
 (2020), iterated to convergence.
 
-alpha_search is the one alpha search: select_alpha scores each alpha's
-full-sample fit by this distance, selection.select_model by RIC. Alpha
-is a row axis of the Newton kernel, so the whole grid is one batched
-full-sample fit (estimator.fit_alphas) and one leave-one-out solve of
-all 21 n rows; each golden-section step is a batch of one alpha.
+score_alphas turns a batch of alphas into scored fits: one batched
+full-sample fit (estimator.fit_alphas), alpha being a row axis of the
+Newton kernel, and one call of a scorer on the fits that succeeded.
+alpha_search, the one alpha search, scores the whole grid as one batch
+and each golden-section step as a batch of one alpha. select_alpha
+scores by this distance, the grid's all 21 n held-out rows being one
+leave-one-out solve, and selection.select_model by RIC; cvm_distance
+and selection.ric are batches of one alpha.
 
 Both searches leave out of the curve an alpha they cannot score; for
 CVM, one whose full-sample fit fails or whose held-out rows are not all
@@ -90,34 +93,47 @@ def _loo_points(family, alphas, xs, starts):
     return theta.reshape(n, k, family.param_count), solved.reshape(n, k)
 
 
-def alpha_search(evaluate, refine):
-    """Minimize evaluate over alpha in [0, 1].
+def score_alphas(family, alphas, values, score):
+    """(value, fit) at each alpha, or the DpdError that leaves it unscored:
+    its fit's, its score's or, everywhere, the one for values that cannot
+    be fitted at all. One fit_alphas call, and one score(fits) call on
+    the fits that succeeded, giving a value or a DpdError for each. Not
+    exported."""
+    try:
+        fits = fit_alphas(family, alphas, values)
+    except DpdError as exc:
+        return [exc] * len(alphas)
+    scores = iter(score([res for res in fits if not isinstance(res, DpdError)]))
+    scored = [res if isinstance(res, DpdError) else next(scores) for res in fits]
+    return [s if isinstance(s, DpdError) else (s, res) for s, res in zip(scored, fits)]
 
-    evaluate(alphas) gives, for each alpha of a tuple, (value, fit), or
-    the DpdError that leaves that alpha unscored, as fit_alphas marks a
-    failed fit. It is called once for the whole of COARSE_GRID, whose
-    unscored alphas are left out of the curve, then with
-    `refine` once per golden-section step, to width 1e-3 between the best
-    alpha's scored neighbours, up to the first alpha it cannot score.
-    Each alpha is evaluated once; ties break toward the smaller alpha.
-    Returns {alpha: (value, fit)} and its argmin (None if empty). Not
-    exported.
+
+def alpha_search(family, values, score, refine):
+    """Minimize score over alpha in [0, 1], by score_alphas batches: the
+    whole of COARSE_GRID, whose unscored alphas are left out of the
+    curve, then with `refine` one alpha per golden-section step, to width
+    1e-3 between the best alpha's scored neighbours, up to the first
+    alpha it cannot score. Each alpha is scored once; ties break toward
+    the smaller alpha. Returns {alpha: (value, fit)} and its argmin, or
+    the error at alpha = 0 when no alpha is scored. Not exported.
     """
-    scores = zip(COARSE_GRID, evaluate(COARSE_GRID))
-    curve = {alpha: scored for alpha, scored in scores if not isinstance(scored, DpdError)}
+    on_grid = score_alphas(family, COARSE_GRID, values, score)
+    curve = {al: s for al, s in zip(COARSE_GRID, on_grid) if not isinstance(s, DpdError)}
+    if not curve:
+        return curve, on_grid[0]
 
     def value(alpha):
         if alpha not in curve:
-            (scored,) = evaluate((alpha,))
+            (scored,) = score_alphas(family, (alpha,), values, score)
             if isinstance(scored, DpdError):
                 return None
             curve[alpha] = scored
         return curve[alpha][0]
 
     def argmin():
-        return min(curve, key=lambda al: (curve[al][0], al), default=None)
+        return min(curve, key=lambda al: (curve[al][0], al))
 
-    if refine and curve:
+    if refine:
         grid = sorted(curve)
         pos = grid.index(argmin())
         a, b = grid[max(pos - 1, 0)], grid[min(pos + 1, len(grid) - 1)]
@@ -136,30 +152,25 @@ def alpha_search(evaluate, refine):
     return curve, argmin()
 
 
-def _cvm_points(family, alphas, xs):
-    """(cvm_distance, full-sample fit) of the sorted sample xs at each
-    alpha, from one batched full-sample fit and one leave-one-out solve,
-    or the DpdError that leaves the alpha unscored: its full-sample
-    fit's, or a TuningError naming its first unsolved held-out row."""
+def _cvm_scores(family, xs, fits):
+    """The leave-one-out CVM distance of each full-sample fit of the sorted
+    sample xs, from one leave-one-out solve, or a TuningError naming its
+    first unsolved held-out row."""
     n = xs.size
-    try:
-        scored = fit_alphas(family, alphas, xs)
-    except DpdError as exc:
-        return [exc] * len(alphas)
-    fitted = [j for j, full in enumerate(scored) if not isinstance(full, DpdError)]
     theta, solved = _loo_points(
-        family, [alphas[j] for j in fitted], xs, [scored[j].theta_hat.values for j in fitted]
+        family, [res.alpha for res in fits], xs, [res.theta_hat.values for res in fits]
     )
-    for k, j in enumerate(fitted):
+    scores = []
+    for k, res in enumerate(fits):
         unsolved = np.flatnonzero(~solved[:, k])
         if unsolved.size:
-            scored[j] = TuningError(
-                f"leave-one-out fit {unsolved[0] + 1} of {n} is unsolved at alpha={alphas[j]:g}"
-            )
+            scores.append(TuningError(
+                f"leave-one-out fit {unsolved[0] + 1} of {n} is unsolved at alpha={res.alpha:g}"
+            ))
         else:
             resid = (np.arange(n) + 0.5) / n - family.cdf(tuple(theta[:, k].T), xs)
-            scored[j] = (float(resid @ resid) / n, scored[j])
-    return scored
+            scores.append(float(resid @ resid) / n)
+    return scores
 
 
 def cvm_distance(family, alpha, sample):
@@ -169,7 +180,7 @@ def cvm_distance(family, alpha, sample):
     fit's, or a TuningError naming the (1-based) index of the first
     held-out row that the guard of estimator._solve_rows left unsolved."""
     xs = _sorted_values(sample, family.param_count)
-    (scored,) = _cvm_points(family, (alpha,), xs)
+    (scored,) = score_alphas(family, (alpha,), xs, lambda fits: _cvm_scores(family, xs, fits))
     if isinstance(scored, DpdError):
         raise scored
     return scored[0]
@@ -187,16 +198,9 @@ def select_alpha(family, sample, refine=True):
     stops after the grid. Deterministic: no randomness in the sweep.
     """
     xs = _sorted_values(sample, family.param_count)
-    unscored = []
-
-    def evaluate(alphas):
-        scored = _cvm_points(family, alphas, xs)
-        unscored.extend(s for s in scored if isinstance(s, DpdError))
-        return scored
-
-    curve, alpha_star = alpha_search(evaluate, refine)
-    if alpha_star is None:
-        raise TuningError(f"no alpha could be scored for {family.tag}; at alpha=0: {unscored[0]}")
+    curve, alpha_star = alpha_search(family, xs, lambda fits: _cvm_scores(family, xs, fits), refine)
+    if isinstance(alpha_star, DpdError):
+        raise TuningError(f"no alpha could be scored for {family.tag}; at alpha=0: {alpha_star}")
     cvmd_star, fit_star = curve[alpha_star]
     return TuningResult(
         family=family,

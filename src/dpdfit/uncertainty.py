@@ -78,8 +78,8 @@ class ContaminationScheme:
 
     def __post_init__(self):
         eps = float(self.epsilon)
-        if not 0.0 <= eps < 0.5:
-            raise DomainError(f"epsilon must lie in [0, 0.5), got {eps}")
+        if not (0.0 <= eps < 0.5 and self.seed >= 0):
+            raise DomainError(f"need epsilon in [0, 0.5) and seed >= 0, got {eps} and {self.seed}")
         object.__setattr__(self, "epsilon", eps)
         pod = self.point_or_dist
         if isinstance(pod, ParamVector):
@@ -98,8 +98,8 @@ class ContaminationScheme:
 def sample_family(family, theta, n, seed):
     """n inverse-CDF draws from the family at theta, fixed by seed."""
     p = _as_param_vector(family, theta)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    if not (1 <= n < np.inf and seed >= 0):
+        raise DomainError(f"need n >= 1 and seed >= 0, got {n} and {seed}")
     u = _stream(seed, 0).random(int(n))
     # random() can return exactly 0, which the quantile domain excludes.
     u = np.maximum(u, 1e-300)
@@ -157,8 +157,8 @@ def bootstrap_se(family, alpha, sample, B=1000, seed=0):
     rounding (1e-14 relative at most in the tests), though its draws
     never do.
     """
-    if B < 2:
-        raise DomainError(f"need B >= 2, got {B}")
+    if not (2 <= B < np.inf and seed >= 0):
+        raise DomainError(f"need B >= 2 and seed >= 0, got {B} and {seed}")
     full = fit(family, alpha, sample)
     width, drawn = _replicate_rows(_sample_values(sample), int(B), seed)
     theta, solved, _ = _solve_rows(family, alpha, int(B), width, drawn, full.theta_hat.values)

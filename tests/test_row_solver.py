@@ -159,6 +159,14 @@ def test_grid_batch_matches_one_row_fits(tag):
     assert [as_record(res) for res in batch] == [as_record(res) for res in want]
 
 
+@pytest.mark.parametrize("tag", TAGS)
+def test_empty_alpha_batch_fits_nothing(tag):
+    """A batch of no alphas is an empty list, whatever its container."""
+    family = FAMILIES[tag]
+    sample = tied_contamination(tag)
+    assert fit_alphas(family, [], sample) == fit_alphas(family, np.array([]), sample) == []
+
+
 def test_alpha_zero_rows_share_the_kernel_call(monkeypatch):
     """alpha = 0 rows are ordinary rows: a grid fit is one _newton_rows call
     of 21 rows, and the leave-one-out grid at n = 60 is as many calls as

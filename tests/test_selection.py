@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import as_sample
-from dpdfit import selection
+from dpdfit import estimator, selection, tuning
 from dpdfit.errors import (
     DpdError,
     DpdValidityError,
@@ -142,8 +142,8 @@ class TestSelectModel:
         def no_fit(*args, **kwargs):
             raise AssertionError("select_model fitted outside fit_alphas")
 
-        monkeypatch.setattr(selection, "fit_alphas", counting_batch)
-        monkeypatch.setattr(selection, "fit", no_fit)
+        monkeypatch.setattr(tuning, "fit_alphas", counting_batch)
+        monkeypatch.setattr(estimator, "fit", no_fit)
         sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 1.0)), 80, seed=9)
         report = select_model(ALL_FAMILIES, sample)
         for family in ALL_FAMILIES:
@@ -184,7 +184,7 @@ class TestSelectModel:
                 for alpha, res in zip(alphas, fit_alphas(family, alphas, sample))
             ]
 
-        monkeypatch.setattr(selection, "fit_alphas", failing_batch)
+        monkeypatch.setattr(tuning, "fit_alphas", failing_batch)
         sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 1.0)), 60, seed=2)
         report = select_model([GAMMA], sample)
         assert sorted(a for _, a in report.ric_table) == [a for a in COARSE_GRID if a != 0.5]
@@ -225,7 +225,7 @@ class TestSelectModel:
             return scored
 
         rics = selection._rics
-        monkeypatch.setattr(selection, "fit_alphas", one_bad_point)
+        monkeypatch.setattr(tuning, "fit_alphas", one_bad_point)
         monkeypatch.setattr(selection, "_rics", recording)
         report = select_model([GAMMA], sample, refine=False)
         assert [type(e) for e in failing] == [error]

@@ -15,15 +15,17 @@ leave-one-out fits and bootstrap replicates all reach the kernel
 through estimator._solve_rows, so the kernel is named only in
 estimator.py, and no module silences warnings process-wide with
 warnings.catch_warnings. Tuning and model selection share one alpha
-search, tuning.alpha_search, which is not underscored: selection.py
-uses nothing private of tuning's. Alpha is a row axis of the kernel, so
-each family's alpha grid is one Newton solve, estimator.fit_alphas; the
-searches call fit only for RIC at one alpha, and tuning does not import
-it. Alpha is a row axis of the sandwich too: asymptotics reaches the
-closed-form moments only through families._moment_rows, and its
-sandwich, standard errors and efficiency tables only through
-_sandwich_rows, which selection calls once per alpha batch, never
-sandwich once per fit.
+search, tuning.alpha_search, and one step that turns a batch of alphas
+into scored fits, tuning.score_alphas; neither is underscored, and
+selection.py uses nothing private of tuning's. Alpha is a row axis of
+the kernel, so each batch is one Newton solve, estimator.fit_alphas,
+which outside estimator.py only score_alphas calls: neither search
+calls fit, and selection.py imports nothing from estimator. Alpha is a
+row axis of the sandwich too: asymptotics reaches the closed-form
+moments only through families._moment_rows, and its sandwich, standard
+errors and efficiency tables only through _sandwich_rows, which
+selection calls once per alpha batch, in _rics, never sandwich once per
+fit; _rics scores the batches of ric and select_model.
 """
 
 import ast
@@ -247,12 +249,23 @@ def test_selection_uses_nothing_private_from_tuning():
 
 
 def test_searches_fit_through_fit_alphas():
-    found = {
-        name: sorted(set(_calls_to(_tree(PACKAGE / name), "fit")))
-        for name in ("selection.py", "tuning.py")
-    }
-    assert found == {"selection.py": ["ric"], "tuning.py": []}
+    found = [
+        (p.name, func)
+        for p in MODULES
+        if p.name != "estimator.py"
+        for func in _calls_ending(_tree(p), "fit_alphas")
+    ]
+    assert found == [("tuning.py", "score_alphas")]
+    for name in ("selection.py", "tuning.py"):
+        tree = _tree(PACKAGE / name)
+        assert _calls_to(tree, "fit") == _calls_ending(tree, ".fit") == []
     assert "fit" not in _names(_tree(PACKAGE / "tuning.py"))
+
+
+def test_selection_imports_nothing_from_estimator():
+    tree = _tree(PACKAGE / "selection.py")
+    assert not {"estimator", "dpdfit.estimator"} & _imports(tree)
+    assert "estimator" not in _names(tree)
 
 
 def _calls_ending(tree, suffix):
@@ -278,4 +291,4 @@ def test_selection_scores_a_batch_with_one_sandwich_call():
     tree = _tree(PACKAGE / "selection.py")
     assert "sandwich" not in _names(tree)
     assert _calls_to(tree, "_sandwich_rows") == ["_rics"]
-    assert _calls_to(tree, "_rics") == ["ric", "_scored"]
+    assert _calls_to(tree, "_rics") == ["ric", "select_model"]

@@ -13,10 +13,11 @@ import pytest
 
 from conftest import as_sample
 from dpdfit import tuning
-from dpdfit.errors import DomainError, TuningError
+from dpdfit.errors import DomainError, FitError, TuningError
 from dpdfit.estimator import fit, fit_alphas
 from dpdfit.families import FAMILIES, ParamVector, cdf, quantile
-from dpdfit.tuning import COARSE_GRID, cvm_distance, select_alpha
+from dpdfit.selection import _rics
+from dpdfit.tuning import COARSE_GRID, _cvm_scores, cvm_distance, score_alphas, select_alpha
 from dpdfit.uncertainty import ContaminationScheme, sample_family, simulate_contaminated
 from reference_values import CVM3_EXPONENTIAL
 
@@ -170,3 +171,45 @@ class TestSelectAlpha:
         assert lines[0] == "alpha,cvmd"
         assert len(lines) == 1 + len(COARSE_GRID)
         assert lines[1].startswith("0,")
+
+
+class TestScoreAlphas:
+    """score_alphas, the one step from a batch of alphas to scored fits
+    for both searches."""
+
+    @pytest.mark.parametrize("tag", sorted(FAMILIES))
+    def test_scorers_give_no_scores_for_no_fits(self, tag):
+        """When every fit of a batch fails, score_alphas hands its scorer
+        an empty list."""
+        xs = np.sort(sample_family(GAMMA, ParamVector(GAMMA, (5.0, 0.05)), 20, seed=1).values)
+        assert _rics(FAMILIES[tag], []) == []
+        assert _cvm_scores(FAMILIES[tag], xs, []) == []
+
+    def test_failures_keep_their_slots(self, monkeypatch):
+        """A failed fit keeps its slot, the scorer gets the other fits in
+        one call, and a score's error takes the slot of its fit."""
+        def failing_batch(family, alphas, values):
+            results = fit_alphas(family, alphas, values)
+            return [FitError("forced") if a == 0.5 else res for a, res in zip(alphas, results)]
+
+        calls = []
+
+        def score(fits):
+            calls.append([res.alpha for res in fits])
+            return [TuningError("refused") if res.alpha == 0.25 else 10 * res.alpha for res in fits]
+
+        monkeypatch.setattr(tuning, "fit_alphas", failing_batch)
+        sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 0.05)), 40, seed=4)
+        scored = score_alphas(GAMMA, (0.0, 0.25, 0.5, 0.75), sample, score)
+        assert calls == [[0.0, 0.25, 0.75]]
+        assert [type(s) for s in scored] == [tuple, TuningError, FitError, tuple]
+        assert [(value, res.alpha) for value, res in (scored[0], scored[3])] == [
+            (0.0, 0.0), (7.5, 0.75)
+        ]
+
+    def test_unfittable_values_leave_every_alpha_unscored(self):
+        def score(fits):
+            pytest.fail("nothing to score")
+
+        scored = score_alphas(GAMMA, (0.0, 0.5), as_sample([2.0, 2.0, 2.0]), score)
+        assert isinstance(scored[0], FitError) and scored == [scored[0]] * 2

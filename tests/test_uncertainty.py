@@ -8,13 +8,15 @@ exactly the draw counts of its stream.
 """
 
 import io
+import math
 
 import numpy as np
 import pytest
 
 from conftest import as_sample
-from dpdfit.asymptotics import asymptotic_se
-from dpdfit.errors import DomainError, FitError
+from dpdfit.asymptotics import asymptotic_se, if_supremum
+from dpdfit.dataio import Sample
+from dpdfit.errors import DataError, DomainError, FitError
 from dpdfit.estimator import fit
 from dpdfit.families import FAMILIES, ParamVector, quantile
 from dpdfit.uncertainty import (
@@ -283,3 +285,35 @@ class TestReducedBias:
             ):
                 wins += 1
         assert wins >= 10
+
+
+GAMMA_2 = ParamVector(GAMMA, (2.0, 0.5))
+SMALL = as_sample([0.8, 1.3, 2.1, 2.9, 3.5, 4.2, 5.8, 7.7])
+
+
+@pytest.mark.parametrize(
+    "call, error, named",
+    [
+        (lambda: Sample((1.0,), dry_count=math.nan), DataError, "dry_count"),
+        (lambda: Sample((1.0,), dry_count=math.inf), DataError, "dry_count"),
+        (lambda: sample_family(GAMMA, GAMMA_2, 10, seed=-1), DomainError, "seed"),
+        (lambda: sample_family(GAMMA, GAMMA_2, math.nan, seed=0), DomainError, "n >= 1"),
+        (lambda: sample_family(GAMMA, GAMMA_2, math.inf, seed=0), DomainError, "n >= 1"),
+        (lambda: ContaminationScheme(0.05, 30.0, seed=-1), DomainError, "seed"),
+        (lambda: bootstrap_se(GAMMA, 0.5, SMALL, B=10, seed=-1), DomainError, "seed"),
+        (lambda: bootstrap_se(GAMMA, 0.5, SMALL, B=math.inf), DomainError, "B >= 2"),
+        (lambda: if_supremum(GAMMA, GAMMA_2, 0.5, grid_points=-1), DomainError, "grid_points"),
+        (lambda: if_supremum(GAMMA, GAMMA_2, 0.5, grid_points=0), DomainError, "grid_points"),
+        (lambda: if_supremum(GAMMA, GAMMA_2, 0.5, grid_points=1), DomainError, "grid_points"),
+    ],
+    ids=[
+        "dry-nan", "dry-inf", "sample-seed", "sample-n-nan", "sample-n-inf", "scheme-seed",
+        "bootstrap-seed", "bootstrap-B-inf", "if-grid--1", "if-grid-0", "if-grid-1",
+    ],
+)
+def test_out_of_range_numbers_raise_dpd_errors(call, error, named):
+    """Every out-of-range number is refused by the public call it is given
+    to, with the package's own error naming it, not one from numpy or
+    int()."""
+    with pytest.raises(error, match=named):
+        call()

@@ -7,6 +7,7 @@ both to stdout unless --output names a file. Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -41,7 +42,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once: a parse keeps no state in it."""
     parser = _Parser(prog="dpdfit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 

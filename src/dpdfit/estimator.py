@@ -20,6 +20,7 @@ from .families import (
     _check_x,
     _divergence_terms,
     _mat,
+    _positive,
     _shape_floor,
     _times,
     _vec,
@@ -149,7 +150,7 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
     total = wg.sum(axis=1)
     wu = [wg * uq for uq in u]
     sums = _vec([wuq.sum(axis=1) for wuq in wu])
-    sum_uu = not al.all_zero or not all(np.abs(uq).max() < _U_BOUND for uq in u)
+    sum_uu = not al.all_zero or not all((np.abs(uq) < _U_BOUND).all() for uq in u)
     curv = np.empty((theta.shape[0], len(u), len(u)))
     for i, j in _UPPER[len(u)]:
         d = du[i][j]
@@ -180,25 +181,38 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
 
 
 def _newton_step(grad, hess):
-    """(Newton step, finite, pd) per row, from the Hessian's eigenvalues.
-
-    Where the Hessian is not positive definite each eigenvalue lambda is
+    """(Newton step, finite, pd) per row, from the Hessian's eigenvalues
+    in closed form: H for one parameter, (a + c)/2 -+ hypot((a - c)/2, b)
+    for H = [[a, b], [b, c]], with eigenvectors turned by atan2(b, (a -
+    c)/2)/2. Where H is not positive definite each eigenvalue lambda is
     replaced by max(|lambda|, 1e-8 max|lambda|), which keeps the step a
     descent direction; pd marks the rows whose step is the plain Newton
-    step. finite is False where the gradient or Hessian is not finite
-    or the Hessian is zero; those rows' steps are meaningless.
-    """
+    step. finite is False where the gradient or Hessian is not finite or
+    the Hessian is zero; those rows' steps are meaningless."""
     finite = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
     if not finite.all():
         hess = np.where(finite[:, None, None], hess, np.eye(grad.shape[1]))
-    lam, vec = np.linalg.eigh(hess)
-    top = np.abs(lam).max(axis=1, keepdims=True)
-    finite &= top[:, 0] > 0.0
-    pd = finite & (lam[:, 0] > 0.0)
+    if grad.shape[1] == 1:
+        lam = hess[:, 0]
+        finite &= lam[:, 0] != 0.0
+        return grad / np.abs(lam), finite, finite & (lam[:, 0] > 0.0)
+    a, b, c = hess[:, 0, 0], hess[:, 1, 0], hess[:, 1, 1]
+    half, mid = 0.5 * a - 0.5 * c, 0.5 * a + 0.5 * c
+    radius = np.hypot(half, b)
+    lo, hi, top = mid - radius, mid + radius, np.abs(mid) + radius
+    finite &= top > 0.0
+    pd = finite & (lo > 0.0)
     if not pd.all():
-        lam = np.where(pd[:, None], lam, np.maximum(np.abs(lam), 1e-8 * top))
-    coef = np.einsum("rij,ri->rj", vec, grad) / lam
-    return np.einsum("rij,rj->ri", vec, coef), finite, pd
+        lo, hi = (np.where(pd, lam, np.maximum(np.abs(lam), 1e-8 * top)) for lam in (lo, hi))
+    # the eigenvectors: (-sin, cos) of lo and (cos, sin) of hi
+    phi = 0.5 * np.arctan2(b, half)
+    cos, sin = np.cos(phi), np.sin(phi)
+    along_lo = (cos * grad[:, 1] - sin * grad[:, 0]) / lo
+    along_hi = (cos * grad[:, 0] + sin * grad[:, 1]) / hi
+    step = np.empty_like(grad)
+    step[:, 0] = cos * along_hi - sin * along_lo
+    step[:, 1] = sin * along_hi + cos * along_lo
+    return step, finite, pd
 
 
 def _newton_rows(family, alphas, values, weights, starts):
@@ -295,6 +309,32 @@ def _newton_rows(family, alphas, values, weights, starts):
         else:
             theta[ids], evals[ids] = point, count
     return theta, solved, evals
+
+
+def _one_step_starts(family, alphas, xs, theta):
+    """One Newton step of each leave-one-out objective of xs (n,) off its
+    fit, row i k + j holding out xs[i] at alphas[j] (k,) from theta[j]:
+    the objective is linear in the weights, so its gradient and Hessian
+    are (n T_j - T_ij)/(n - 1), T_j those of all xs at weight 1/n, T_ij
+    those of xs[i] alone. A row keeps theta[j] where the step is not pd,
+    or the point not finite, outside the parameter space or the floor."""
+    n, k = xs.size, len(alphas)
+    alphas, lnx = np.asarray(alphas, dtype=float), np.log(xs)
+    fits = np.reshape(theta, (k, family.param_count))
+    al, each = _AlphaTerms(alphas), np.tile(np.arange(k), n)
+    with np.errstate(all="ignore"):
+        whole = _weighted_terms(family, al, xs[None], lnx[None], np.full((k, n), 1.0 / n), fits)
+        fits = fits[each]
+        x_i, lnx_i = np.repeat([xs, lnx], k, axis=1)[:, :, None]
+        one = _weighted_terms(family, al.rows(each), x_i, lnx_i, np.ones((n * k, 1)), fits)
+        step, _, pd = _newton_step(
+            *((n * w[each] - w_i) / (n - 1) for w, w_i in zip(whole[1:3], one[1:3]))
+        )
+        start = fits - step
+        ok = pd & np.isfinite(start).all(axis=1) & ((start > 0.0) | ~_positive(family)).all(axis=1)
+        if family.shaped:
+            ok &= start[:, 0] > _shape_floor(alphas[each])
+    return np.where(ok[:, None], start, fits)
 
 
 # Weight entries per Newton batch, which bounds its memory.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, DpdError, DpdValidityError
+from .errors import DomainError, DpdError, DpdValidityError, FitError
 from .numerics import invert_cdf
 
 __all__ = [
@@ -284,6 +284,8 @@ def _gamma_moments(v, al, mass):
 def _gamma_start(xs, alphas):
     mean = float(xs.mean())
     var = float(xs.var(ddof=1))
+    if not var > 0.0:  # distinct values so small that their variance underflows
+        raise FitError(f"gamma moment start needs a positive sample variance, got {var:g}")
     a0 = np.maximum(mean * mean / var, _shape_floor(np.asarray(alphas, dtype=float)) + 0.1)
     return _vec([a0, mean / var])
 
@@ -496,8 +498,8 @@ class ParamVector:
             )
         if not all(math.isfinite(v) for v in vals):
             raise DomainError("parameters must be finite")
-        for name, v in zip(self.family.param_names, vals):
-            if name != "log_mean" and v <= 0.0:
+        for name, v, positive in zip(self.family.param_names, vals, _positive(self.family)):
+            if positive and v <= 0.0:
                 raise DomainError(f"{self.family.tag} {name} must be positive, got {v}")
 
     def __iter__(self):
@@ -507,6 +509,11 @@ class ParamVector:
 def _check_family(family, theta):
     if theta.family != family:
         raise DomainError(f"theta is for {theta.family.tag}, expected {family.tag}")
+
+
+def _positive(family):
+    """Which parameters must be positive: all but the lognormal log-mean."""
+    return np.array([name != "log_mean" for name in family.param_names])
 
 
 def _shape_floor(alpha):

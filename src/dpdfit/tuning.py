@@ -7,10 +7,9 @@ discrepancies.
 
 The n refits are exact: each held-out point is a row of
 estimator._solve_rows, as a bootstrap replicate is, solved to rounding
-by damped Newton from the full-sample fit with the closed-form gradient
-and Hessian of the divergence terms. This is the exact form of the
-one-step leave-one-out of Giordano et al. (2019) and Rad & Maleki
-(2020), iterated to convergence.
+by damped Newton with the closed-form gradient and Hessian of the
+divergence terms, from the one-step leave-one-out estimate of Giordano
+et al. (2019) and Rad & Maleki (2020), estimator._one_step_starts.
 
 score_alphas turns a batch of alphas into scored fits: one batched
 full-sample fit (estimator.fit_alphas), alpha being a row axis of the
@@ -38,7 +37,7 @@ import numpy as np
 
 from .dataio import write_rows
 from .errors import DomainError, DpdError, TuningError
-from .estimator import _sample_values, _solve_rows, fit_alphas
+from .estimator import _one_step_starts, _sample_values, _solve_rows, fit_alphas
 
 __all__ = ["TuningResult", "cvm_distance", "select_alpha", "COARSE_GRID"]
 
@@ -76,11 +75,12 @@ def _sorted_values(sample, param_count):
     return np.sort(vals, kind="stable")
 
 
-def _loo_points(family, alphas, xs, starts):
+def _loo_points(family, alphas, xs, fits):
     """Every leave-one-out estimate of the sorted sample xs at each alpha of
-    alphas (k,), by Newton from that alpha's row of starts (k, p): held-out
-    point i weights every point but xs[i] by 1/(n - 1). All n k rows are
-    one _solve_rows call. Returns (theta (n, k, p), solved (n, k))."""
+    alphas (k,), by Newton from the one-step estimate off that alpha's
+    row of fits (k, p): held-out point i weights every point but xs[i] by
+    1/(n - 1). All n k rows are one _solve_rows call. Returns (theta (n,
+    k, p), solved (n, k))."""
     n, k = xs.size, len(alphas)
     theta, solved, _ = _solve_rows(
         family,
@@ -88,7 +88,7 @@ def _loo_points(family, alphas, xs, starts):
         n * k,
         n,
         lambda rows: (xs, (np.arange(n) != rows[:, None] // k) / (n - 1)),
-        np.tile(starts, (n, 1)),
+        _one_step_starts(family, alphas, xs, fits),
     )
     return theta.reshape(n, k, family.param_count), solved.reshape(n, k)
 
@@ -175,7 +175,7 @@ def _cvm_scores(family, xs, fits):
 
 def cvm_distance(family, alpha, sample):
     """Leave-one-out CVM distance at one alpha, all n held-out estimates
-    solved together by Newton from the full-sample fit, to rounding.
+    solved together by Newton from their one-step estimates, to rounding.
     Raises the error that leaves the alpha unscored: the full-sample
     fit's, or a TuningError naming the (1-based) index of the first
     held-out row that the guard of estimator._solve_rows left unsolved."""
@@ -192,10 +192,11 @@ def select_alpha(family, sample, refine=True):
     Each alpha's full-sample fit, from the moment start, is scored by
     cvm_distance, and `fit_star` is the fit scored at `alpha_star`. The
     grid is one fit_alphas call and one leave-one-out solve, each row
-    starting from its alpha's fit. An alpha at which cvm_distance would
-    raise is left out of `cvmd_curve`; only when no grid alpha is scored
-    is a TuningError raised, with the error at alpha = 0. `refine=False`
-    stops after the grid. Deterministic: no randomness in the sweep.
+    starting one Newton step off its alpha's fit. An alpha at which
+    cvm_distance would raise is left out of `cvmd_curve`; only when no
+    grid alpha is scored is a TuningError raised, with the error at
+    alpha = 0. `refine=False` stops after the grid. Deterministic: no
+    randomness in the sweep.
     """
     xs = _sorted_values(sample, family.param_count)
     curve, alpha_star = alpha_search(family, xs, lambda fits: _cvm_scores(family, xs, fits), refine)

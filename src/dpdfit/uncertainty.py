@@ -9,6 +9,7 @@ replicate's draws are fixed by (seed, r) alone and results cannot
 depend on execution order or thread count.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -78,8 +79,8 @@ class ContaminationScheme:
 
     def __post_init__(self):
         eps = float(self.epsilon)
-        if not (0.0 <= eps < 0.5 and self.seed >= 0):
-            raise DomainError(f"need epsilon in [0, 0.5) and seed >= 0, got {eps} and {self.seed}")
+        if not (0.0 <= eps < 0.5 and isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise DomainError(f"need epsilon in [0, 0.5) and seed >= 0, got {eps}, {self.seed!r}")
         object.__setattr__(self, "epsilon", eps)
         pod = self.point_or_dist
         if isinstance(pod, ParamVector):
@@ -98,9 +99,10 @@ class ContaminationScheme:
 def sample_family(family, theta, n, seed):
     """n inverse-CDF draws from the family at theta, fixed by seed."""
     p = _as_param_vector(family, theta)
-    if not (1 <= n < np.inf and seed >= 0):
-        raise DomainError(f"need n >= 1 and seed >= 0, got {n} and {seed}")
-    u = _stream(seed, 0).random(int(n))
+    # a float, even a whole one, is not a count or a seed
+    if not (all(isinstance(v, numbers.Integral) for v in (n, seed)) and n >= 1 and seed >= 0):
+        raise DomainError(f"need integers n >= 1 and seed >= 0, got {n!r} and {seed!r}")
+    u = _stream(seed, 0).random(n)
     # random() can return exactly 0, which the quantile domain excludes.
     u = np.maximum(u, 1e-300)
     return Sample(np.atleast_1d(quantile(p, u)), label=f"{family.tag}-sim-{seed}")
@@ -157,8 +159,8 @@ def bootstrap_se(family, alpha, sample, B=1000, seed=0):
     rounding (1e-14 relative at most in the tests), though its draws
     never do.
     """
-    if not (2 <= B < np.inf and seed >= 0):
-        raise DomainError(f"need B >= 2 and seed >= 0, got {B} and {seed}")
+    if not (all(isinstance(v, numbers.Integral) for v in (B, seed)) and B >= 2 and seed >= 0):
+        raise DomainError(f"need integers B >= 2 and seed >= 0, got {B!r} and {seed!r}")
     full = fit(family, alpha, sample)
     width, drawn = _replicate_rows(_sample_values(sample), int(B), seed)
     theta, solved, _ = _solve_rows(family, alpha, int(B), width, drawn, full.theta_hat.values)

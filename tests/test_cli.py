@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dpdfit import tuning
-from dpdfit.cli import emit_plot_data, main
+from dpdfit.cli import build_parser, emit_plot_data, main, parse_args
 from dpdfit.dataio import REPORT_COLUMNS, Sample, load_csv
 from dpdfit.errors import DomainError
 from dpdfit.estimator import FitResult
@@ -131,6 +131,22 @@ class TestExitCodes:
         rc = main(["fit", "--family", "gamma", "--input", str(path)])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: numeric:")
+
+
+class TestParser:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_a_parse_leaves_no_state_for_the_next(self, tiny_csv):
+        argv = ["fit", "--family", "exponential", "--input", tiny_csv]
+        assert parse_args(argv + ["--alpha", "0.5", "--bins", "3"]).alpha == 0.5
+        again = parse_args(argv)
+        assert (again.alpha, again.bins, again.plot_data) == (0.0, 30, None)
+        # another command's namespace holds none of fit's options
+        tune = parse_args(["tune", "--family", "gamma", "--input", tiny_csv, "--fast"])
+        assert tune.fast and not hasattr(tune, "alpha")
+        assert parse_args(["select", "--input", tiny_csv]).family is None
+        assert parse_args(["tune", "--family", "gamma", "--input", tiny_csv]).fast is False
 
 
 class TestFitCommand:

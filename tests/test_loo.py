@@ -5,9 +5,12 @@ damped Newton kernel estimator._newton_rows, from the closed-form
 gradient and Hessian of the divergence terms. These tests hold the
 score Jacobian du/dtheta (dscore) of the family table's terms entry and
 the kernel's gradient and Hessian to central differences and each
-held-out point to a full refit. A row the guard leaves unsolved is not
-refit: it leaves its alpha unscored, and the other alphas of the curve
-do not move.
+held-out point to a full refit. Each held-out row starts from its
+one-step estimate (estimator._one_step_starts): one Newton step of the
+held-out objective from the full-sample fit, or that fit itself where
+the step is not usable. A row the guard leaves unsolved is not refit:
+it leaves its alpha unscored, and the other alphas of the curve do not
+move.
 """
 
 import dataclasses
@@ -16,9 +19,16 @@ import math
 import numpy as np
 import pytest
 
-from dpdfit import tuning
+from dpdfit import estimator, tuning
 from dpdfit.errors import FitError, TuningError
-from dpdfit.estimator import _weighted_terms, fit, fit_alphas, objective_h
+from dpdfit.estimator import (
+    _one_step_starts,
+    _solve_rows,
+    _weighted_terms,
+    fit,
+    fit_alphas,
+    objective_h,
+)
 from dpdfit.families import (
     FAMILIES,
     ParamVector,
@@ -213,6 +223,84 @@ class TestKernel:
         for i in range(xs.size):
             ref = fit(family, alpha, np.delete(xs, i)).theta_hat.values
             np.testing.assert_allclose(theta[i, 0], ref, rtol=1e-9)
+
+
+class TestOneStepStarts:
+    @pytest.mark.parametrize("tag", TAGS)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_start_is_one_newton_step_of_the_held_out_objective(self, tag, alpha):
+        """Row i's start is the fit less H^-1 g of the objective without
+        xs[i], both taken at the fit, here with 1/(n - 1) weights and a
+        plain linear solve."""
+        family = FAMILIES[tag]
+        xs = _sorted_values(clean(tag), family.param_count)
+        theta = np.array([fit(family, alpha, xs).theta_hat.values])
+        starts = _one_step_starts(family, [alpha], xs, theta)
+        assert starts.shape == (xs.size, family.param_count)
+        for i in range(xs.size):
+            weights = held_out_weights(xs.size, i)
+            _, grad, hess, _ = _weighted_terms(
+                family, _AlphaTerms(alpha), xs[None], np.log(xs)[None], weights, theta
+            )
+            want = theta[0] - np.linalg.solve(hess[0], grad[0])
+            np.testing.assert_allclose(starts[i], want, rtol=1e-9)
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_grid_takes_at_most_four_evaluations_per_row(self, tag, monkeypatch):
+        """On a clean n = 60 draw every row of the 21-alpha leave-one-out
+        grid is solved within 4 evaluations, its start's included; from
+        the full-sample fits the same rows take up to 5, and more in all."""
+        family = FAMILIES[tag]
+        xs = _sorted_values(
+            sample_family(family, ParamVector(family, THETA[tag]), 60, seed=0), family.param_count
+        )
+        n, k = xs.size, len(COARSE_GRID)
+        fits = np.array([res.theta_hat.values for res in fit_alphas(family, COARSE_GRID, xs)])
+        counts = []
+        solve = estimator._newton_rows
+
+        def counted(*args):
+            out = solve(*args)
+            counts.append(out[2])
+            return out
+
+        monkeypatch.setattr(estimator, "_newton_rows", counted)
+        _, solved = _loo_points(family, COARSE_GRID, xs, fits)
+        one_step = np.concatenate(counts)
+        counts.clear()
+        _, from_fit, _ = _solve_rows(
+            family,
+            np.tile(COARSE_GRID, n),
+            n * k,
+            n,
+            lambda rows: (xs, (np.arange(n) != rows[:, None] // k) / (n - 1)),
+            np.tile(fits, (n, 1)),
+        )
+        from_fit_evals = np.concatenate(counts)
+        assert solved.all() and from_fit.all()
+        assert one_step.size == n * k and one_step.max() <= 4
+        assert one_step.sum() < from_fit_evals.sum()
+
+    def test_invalid_start_falls_back_to_the_fit(self):
+        """From a rate three times the MLE, the alpha = 0 step of the
+        exponential lands at 2 lambda - lambda^2 mean(x without x_i) < 0,
+        outside the parameter space: those rows start at the given point
+        and are still solved, to the held-out MLE, while the alpha = 0.5
+        rows of the same batch start one step away from their fit."""
+        family = FAMILIES["exponential"]
+        xs = _sorted_values(clean("exponential"), 1)
+        bad = 3.0 / xs.mean()
+        good = fit(family, 0.5, xs).theta_hat.values[0]
+        starts = _one_step_starts(family, [0.0, 0.5], xs, [[bad], [good]]).reshape(xs.size, 2)
+        assert (starts[:, 0] == bad).all()
+        assert (starts[:, 1] != good).all()
+        theta, solved = _loo_points(family, (0.0, 0.5), xs, [(bad,), (good,)])
+        assert solved.all()
+        held_out_mle = [1.0 / np.delete(xs, i).mean() for i in range(xs.size)]
+        np.testing.assert_allclose(theta[:, 0, 0], held_out_mle, rtol=1e-12)
+        for i in (0, xs.size - 1):
+            ref = fit(family, 0.5, np.delete(xs, i)).theta_hat.values
+            np.testing.assert_allclose(theta[i, 1], ref, rtol=1e-9)
 
 
 def clean(tag):

@@ -10,7 +10,9 @@ matches the per-replicate warm refit, fit(family, alpha, resample,
 warm_start=full.theta_hat), failing exactly where that refit raises or
 does not converge. The chunk size changes no result, no converged
 gamma or Weibull row sits on or below its alpha's shape floor, and no
-one-row fit off the grid returns a shape there.
+one-row fit off the grid returns a shape there. The kernel's Newton step
+takes its eigenvalues in closed form; LAPACK's eigh, kept here as the
+reference, must give the same flags and the same step to rounding.
 """
 
 import dataclasses
@@ -19,11 +21,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import as_sample
 from dpdfit import estimator, families
 from dpdfit.errors import DpdError, FitError
-from dpdfit.estimator import _weighted_terms, fit, fit_alphas
+from dpdfit.estimator import _newton_step, _weighted_terms, fit, fit_alphas
 from dpdfit.families import FAMILIES, ParamVector, _AlphaTerms, quantile
 from dpdfit.tuning import COARSE_GRID, _loo_points, _sorted_values
 from dpdfit.uncertainty import (
@@ -196,8 +200,9 @@ def test_alpha_zero_rows_share_the_kernel_call(monkeypatch):
 def test_alpha_terms_are_taken_once_per_solve(tag, monkeypatch):
     """The terms of alpha alone (math's log1p, log and powers, one
     families._each call each) are taken once per _newton_rows call, not
-    at each of its evaluations: the leave-one-out grid at n = 60 makes at
-    most 4 per call, over more evaluations than that."""
+    at each of its evaluations, and once for the one-step starts: the
+    leave-one-out grid at n = 60 makes at most 4 per call and 4 for the
+    starts, over more evaluations than that."""
     family = FAMILIES[tag]
     xs = _sorted_values(tied_contamination(tag), family.param_count)
     with warnings.catch_warnings():
@@ -219,7 +224,11 @@ def test_alpha_terms_are_taken_once_per_solve(tag, monkeypatch):
     counted(estimator, "_weighted_terms")
     _loo_points(family, COARSE_GRID, xs, starts)
     assert counts["_newton_rows"] == 5
-    assert counts["_each"] <= 4 * counts["_newton_rows"] < counts["_weighted_terms"]
+    # the one-step starts take the terms once more, for both their
+    # _weighted_terms calls; those calls and the evaluations outnumber the
+    # solves, so terms taken per evaluation would break the bound
+    solves = counts["_newton_rows"] + 1
+    assert counts["_each"] <= 4 * solves and solves < counts["_weighted_terms"]
 
 
 def test_alpha_terms_take_each_distinct_alpha_once(monkeypatch):
@@ -350,3 +359,60 @@ def test_converged_rows_stay_above_their_shape_floor(tag):
             warnings.simplefilter("ignore", RuntimeWarning)
             res = fit(family, alpha, xs)
         assert res.theta_hat.values[0] > alpha / (1.0 + alpha)
+
+
+def eigh_step(grad, hess):
+    """The reference Newton step, from LAPACK's eigendecomposition: each
+    eigenvalue lambda of a Hessian that is not positive definite becomes
+    max(|lambda|, 1e-8 max|lambda|); a non-finite row gets the identity."""
+    finite = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
+    hess = np.where(finite[:, None, None], hess, np.eye(grad.shape[1]))
+    lam, vec = np.linalg.eigh(hess)
+    top = np.abs(lam).max(axis=1, keepdims=True)
+    finite &= top[:, 0] > 0.0
+    pd = finite & (lam[:, 0] > 0.0)
+    lam = np.where(pd[:, None], lam, np.maximum(np.abs(lam), 1e-8 * top))
+    with np.errstate(all="ignore"):
+        coef = np.einsum("rij,ri->rj", vec, grad) / lam
+    return np.einsum("rij,rj->ri", vec, coef), finite, pd
+
+
+# One Hessian row: its kind, eigenvalue magnitudes within a factor 1e3 of
+# each other (away from the pd margin), their signs, its rotation angle,
+# its scale and its gradient.
+HESSIAN_ROWS = st.tuples(
+    st.sampled_from(["eigen", "eigen", "eigen", "zero", "nan", "inf"]),
+    st.lists(st.floats(-3.0, 0.0), min_size=2, max_size=2),
+    st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=2),
+    st.floats(-math.pi, math.pi),
+    st.floats(-100.0, 100.0),
+    st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=st.sampled_from([1, 2]), rows=st.lists(HESSIAN_ROWS, min_size=1, max_size=6))
+def test_closed_form_step_matches_eigh(p, rows):
+    """_newton_step's closed-form eigenvalues give eigh's flags on every
+    row, pd, indefinite, zero or not finite, and its step to 1e-12
+    relative on every finite row."""
+    hess, grad = [], []
+    for kind, logs, signs, phi, log_scale, g in rows:
+        lam = np.array(signs[:p]) * 10.0 ** np.array(logs[:p]) * 10.0**log_scale
+        turn = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])[:p, :p]
+        h = turn @ np.diag(lam) @ turn.T
+        h = 0.5 * (h + h.T)
+        if kind == "zero":
+            h = np.zeros((p, p))
+        elif kind in ("nan", "inf"):
+            h[p - 1, 0] = h[0, p - 1] = math.nan if kind == "nan" else math.inf
+        hess.append(h)
+        grad.append(g[:p])
+    hess, grad = np.array(hess), np.array(grad)
+    with np.errstate(all="ignore"):
+        step, finite, pd = _newton_step(grad, hess)
+    want, want_finite, want_pd = eigh_step(grad, hess)
+    assert finite.tolist() == want_finite.tolist()
+    assert pd.tolist() == want_pd.tolist()
+    for got, ref in zip(step[finite], want[finite]):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

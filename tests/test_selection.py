@@ -9,6 +9,7 @@ penalty.
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,19 @@ class TestSelectModel:
         assert report.excluded == ("gamma", "lognormal", "weibull")
         assert report.winner is EXPONENTIAL
         assert [r.family for r in report.records] == [EXPONENTIAL]
+
+    def test_underflowing_variance_excludes_the_gamma(self):
+        """Distinct values near 1e-300 have a ddof=1 variance of exactly 0,
+        so the gamma's moment start has no shape: its fit raises FitError,
+        and selection excludes the gamma instead of aborting."""
+        tiny = as_sample([1e-300, 2e-300, 3e-300, 5e-300, 7e-300])
+        with pytest.raises(FitError, match="variance"):
+            fit(GAMMA, 0.5, tiny)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = select_model(ALL_FAMILIES, tiny)
+        assert "gamma" in report.excluded
+        assert GAMMA not in [r.family for r in report.records]
 
     def test_empty_candidate_list(self):
         with pytest.raises(SelectionError):

@@ -13,15 +13,17 @@ holds only CDF inversion, and the gamma/Weibull shape floor
 alpha/(1+alpha) is spelled once, in families.py. Full fits,
 leave-one-out fits and bootstrap replicates all reach the kernel
 through estimator._solve_rows, so the kernel is named only in
-estimator.py, and no module silences warnings process-wide with
-warnings.catch_warnings. Tuning and model selection share one alpha
-search, tuning.alpha_search, and one step that turns a batch of alphas
-into scored fits, tuning.score_alphas; neither is underscored, and
-selection.py uses nothing private of tuning's. Alpha is a row axis of
-the kernel, so each batch is one Newton solve, estimator.fit_alphas,
-which outside estimator.py only score_alphas calls: neither search
-calls fit, and selection.py imports nothing from estimator. Alpha is a
-row axis of the sandwich too: asymptotics reaches the closed-form
+estimator.py; its Newton step takes eigenvalues in closed form, so
+estimator.py calls no eigh, and only tuning._loo_points asks
+estimator._one_step_starts for its rows' starts. No module silences
+warnings process-wide with warnings.catch_warnings. Tuning and model
+selection share one alpha search, tuning.alpha_search, and one step
+that turns a batch of alphas into scored fits, tuning.score_alphas;
+neither is underscored, and selection.py uses nothing private of
+tuning's. Alpha is a row axis of the kernel, so each batch is one
+Newton solve, estimator.fit_alphas, which outside estimator.py only
+score_alphas calls: neither search calls fit, and selection.py imports
+nothing from estimator. Alpha is a row axis of the sandwich too: asymptotics reaches the closed-form
 moments only through families._moment_rows, and its sandwich, standard
 errors and efficiency tables only through _sandwich_rows, which
 selection calls once per alpha batch, in _rics, never sandwich once per
@@ -222,6 +224,19 @@ def _names(tree):
 def test_newton_kernel_named_only_in_estimator():
     found = [p.name for p in MODULES if "_newton_rows" in _names(_tree(p))]
     assert found == ["estimator.py"]
+
+
+def test_newton_step_takes_no_eigh():
+    tree = _tree(PACKAGE / "estimator.py")
+    assert "eigh" not in _names(tree)
+    assert _calls_ending(tree, "eigh") == _calls_ending(tree, "eig") == []
+
+
+def test_one_step_starts_only_for_leave_one_out():
+    found = [
+        (p.name, func) for p in MODULES for func in _calls_ending(_tree(p), "_one_step_starts")
+    ]
+    assert found == [("tuning.py", "_loo_points")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

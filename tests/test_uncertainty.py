@@ -317,3 +317,36 @@ def test_out_of_range_numbers_raise_dpd_errors(call, error, named):
     int()."""
     with pytest.raises(error, match=named):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: sample_family(GAMMA, GAMMA_2, 10, seed=3.0), "seed"),
+        (lambda: sample_family(GAMMA, GAMMA_2, 2.5, seed=0), "n >= 1"),
+        (lambda: sample_family(GAMMA, GAMMA_2, 10.0, seed=0), "n >= 1"),
+        (lambda: sample_family(GAMMA, GAMMA_2, "10", seed=0), "n >= 1"),
+        (lambda: ContaminationScheme(0.05, 30.0, seed=3.0), "seed"),
+        (lambda: ContaminationScheme(0.05, 30.0, seed=None), "seed"),
+        (lambda: bootstrap_se(GAMMA, 0.5, SMALL, B=2.5), "B >= 2"),
+        (lambda: bootstrap_se(GAMMA, 0.5, SMALL, B=10.0), "B >= 2"),
+        (lambda: bootstrap_se(GAMMA, 0.5, SMALL, B=10, seed=3.0), "seed"),
+    ],
+    ids=[
+        "sample-seed-float", "sample-n-fraction", "sample-n-float", "sample-n-str",
+        "scheme-seed-float", "scheme-seed-none", "bootstrap-B-fraction", "bootstrap-B-float",
+        "bootstrap-seed-float",
+    ],
+)
+def test_counts_and_seeds_must_be_integers(call, named):
+    """A count or seed that is not an integer is refused, not truncated
+    (2.5 values or replicates) or passed on to numpy's own TypeError."""
+    with pytest.raises(DomainError, match=named):
+        call()
+
+
+def test_numpy_integers_count_and_seed():
+    drawn = sample_family(GAMMA, GAMMA_2, np.int64(12), seed=np.uint32(4))
+    assert drawn.values == sample_family(GAMMA, GAMMA_2, 12, seed=4).values
+    res = bootstrap_se(GAMMA, 0.5, SMALL, B=np.int32(20), seed=np.int64(1))
+    assert res.B == 20 and res.se == bootstrap_se(GAMMA, 0.5, SMALL, B=20, seed=1).se

@@ -181,37 +181,38 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
 
 
 def _newton_step(grad, hess):
-    """(Newton step, finite, pd) per row, from the Hessian's eigenvalues
-    in closed form: H for one parameter, (a + c)/2 -+ hypot((a - c)/2, b)
-    for H = [[a, b], [b, c]], with eigenvectors turned by atan2(b, (a -
-    c)/2)/2. Where H is not positive definite each eigenvalue lambda is
-    replaced by max(|lambda|, 1e-8 max|lambda|), which keeps the step a
-    descent direction; pd marks the rows whose step is the plain Newton
-    step. finite is False where the gradient or Hessian is not finite or
-    the Hessian is zero; those rows' steps are meaningless."""
+    """(Newton step, finite, pd) per row from the Hessian's eigen pairs in
+    closed form, each to its own digits however H is scaled, as LAPACK's
+    dlaev2 takes them: H itself for one parameter; for [[a, b], [b, c]],
+    with m, h = (a +- c)/2 and r = hypot(h, b), m +- r larger in magnitude,
+    det H over it, and eigenvectors (1, tan) of m + sign(h) r and (-tan, 1),
+    tan = b/(h + sign(h) r). Off pd each eigenvalue becomes max(|lambda|,
+    1e-8 max|lambda|), a descent step; pd marks plain Newton steps. finite
+    is False where grad or H is not finite or H is 0 (meaningless steps)."""
     finite = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
     if not finite.all():
         hess = np.where(finite[:, None, None], hess, np.eye(grad.shape[1]))
     if grad.shape[1] == 1:
-        lam = hess[:, 0]
-        finite &= lam[:, 0] != 0.0
-        return grad / np.abs(lam), finite, finite & (lam[:, 0] > 0.0)
+        finite &= hess[:, 0, 0] != 0.0
+        return grad / np.abs(hess[:, 0]), finite, finite & (hess[:, 0, 0] > 0.0)
     a, b, c = hess[:, 0, 0], hess[:, 1, 0], hess[:, 1, 1]
     half, mid = 0.5 * a - 0.5 * c, 0.5 * a + 0.5 * c
     radius = np.hypot(half, b)
-    lo, hi, top = mid - radius, mid + radius, np.abs(mid) + radius
+    big = mid + np.copysign(radius, mid)
+    small = a / big * c - b / big * b  # |a|, |b|, |c| <= |big|: no overflow
+    same = np.signbit(half) == np.signbit(mid)  # one: on half's side of mid
+    one, two, top = np.where(same, big, small), np.where(same, small, big), np.abs(big)
     finite &= top > 0.0
-    pd = finite & (lo > 0.0)
+    pd = finite & (one > 0.0) & (two > 0.0)
     if not pd.all():
-        lo, hi = (np.where(pd, lam, np.maximum(np.abs(lam), 1e-8 * top)) for lam in (lo, hi))
-    # the eigenvectors: (-sin, cos) of lo and (cos, sin) of hi
-    phi = 0.5 * np.arctan2(b, half)
-    cos, sin = np.cos(phi), np.sin(phi)
-    along_lo = (cos * grad[:, 1] - sin * grad[:, 0]) / lo
-    along_hi = (cos * grad[:, 0] + sin * grad[:, 1]) / hi
+        one, two = (np.where(pd, lam, np.maximum(np.abs(lam), 1e-8 * top)) for lam in (one, two))
+    turn = half + np.copysign(radius, half)
+    tan = b / np.where(turn == 0.0, 1.0, turn)  # turn = 0 only where H = a I
+    norm = 1.0 + tan * tan
+    along_one = (grad[:, 0] + tan * grad[:, 1]) / (norm * one)
+    along_two = (grad[:, 1] - tan * grad[:, 0]) / (norm * two)
     step = np.empty_like(grad)
-    step[:, 0] = cos * along_hi - sin * along_lo
-    step[:, 1] = sin * along_hi + cos * along_lo
+    step[:, 0], step[:, 1] = along_one - tan * along_two, tan * along_one + along_two
     return step, finite, pd
 
 
@@ -327,9 +328,8 @@ def _one_step_starts(family, alphas, xs, theta):
         fits = fits[each]
         x_i, lnx_i = np.repeat([xs, lnx], k, axis=1)[:, :, None]
         one = _weighted_terms(family, al.rows(each), x_i, lnx_i, np.ones((n * k, 1)), fits)
-        step, _, pd = _newton_step(
-            *((n * w[each] - w_i) / (n - 1) for w, w_i in zip(whole[1:3], one[1:3]))
-        )
+        grad, hess = ((n * w[each] - w_i) / (n - 1) for w, w_i in zip(whole[1:3], one[1:3]))
+        step, _, pd = _newton_step(grad, hess)
         start = fits - step
         ok = pd & np.isfinite(start).all(axis=1) & ((start > 0.0) | ~_positive(family)).all(axis=1)
         if family.shaped:

@@ -12,7 +12,9 @@ does not converge. The chunk size changes no result, no converged
 gamma or Weibull row sits on or below its alpha's shape floor, and no
 one-row fit off the grid returns a shape there. The kernel's Newton step
 takes its eigenvalues in closed form; LAPACK's eigh, kept here as the
-reference, must give the same flags and the same step to rounding.
+reference, must give the same flags and the same step to rounding,
+however badly the Hessian is scaled, and gamma and Weibull data near
+1e7-1e10 must fit and tune as the same data near 1 do.
 """
 
 import dataclasses
@@ -379,7 +381,10 @@ def eigh_step(grad, hess):
 
 # One Hessian row: its kind, eigenvalue magnitudes within a factor 1e3 of
 # each other (away from the pd margin), their signs, its rotation angle,
-# its scale and its gradient.
+# its scale, its gradient and its skew s. The row is D H D with D =
+# diag(1, 10^s) and its gradient D g, as in a (shape, rate) fit to data
+# of size 10^s: eigenvalues up to 10^16 apart while the step, read in
+# D's units, stays well conditioned.
 HESSIAN_ROWS = st.tuples(
     st.sampled_from(["eigen", "eigen", "eigen", "zero", "nan", "inf"]),
     st.lists(st.floats(-3.0, 0.0), min_size=2, max_size=2),
@@ -387,32 +392,72 @@ HESSIAN_ROWS = st.tuples(
     st.floats(-math.pi, math.pi),
     st.floats(-100.0, 100.0),
     st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+    st.floats(-8.0, 8.0),
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(p=st.sampled_from([1, 2]), rows=st.lists(HESSIAN_ROWS, min_size=1, max_size=6))
 def test_closed_form_step_matches_eigh(p, rows):
     """_newton_step's closed-form eigenvalues give eigh's flags on every
-    row, pd, indefinite, zero or not finite, and its step to 1e-12
-    relative on every finite row."""
-    hess, grad = [], []
-    for kind, logs, signs, phi, log_scale, g in rows:
+    row, pd, indefinite, zero or not finite, however badly scaled, and its
+    step to 1e-12 relative, in D's units, on every finite row."""
+    hess, grad, skew = [], [], []
+    for kind, logs, signs, phi, log_scale, g, log_skew in rows:
         lam = np.array(signs[:p]) * 10.0 ** np.array(logs[:p]) * 10.0**log_scale
         turn = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])[:p, :p]
-        h = turn @ np.diag(lam) @ turn.T
+        d = np.array([1.0, 10.0**log_skew])[:p]
+        h = d[:, None] * (turn @ np.diag(lam) @ turn.T) * d
         h = 0.5 * (h + h.T)
         if kind == "zero":
             h = np.zeros((p, p))
         elif kind in ("nan", "inf"):
             h[p - 1, 0] = h[0, p - 1] = math.nan if kind == "nan" else math.inf
         hess.append(h)
-        grad.append(g[:p])
-    hess, grad = np.array(hess), np.array(grad)
+        grad.append(d * g[:p])
+        skew.append(d)
+    hess, grad, skew = np.array(hess), np.array(grad), np.array(skew)
     with np.errstate(all="ignore"):
         step, finite, pd = _newton_step(grad, hess)
     want, want_finite, want_pd = eigh_step(grad, hess)
     assert finite.tolist() == want_finite.tolist()
     assert pd.tolist() == want_pd.tolist()
-    for got, ref in zip(step[finite], want[finite]):
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    for got, ref, d in zip(step[finite], want[finite], skew[finite]):
+        assert np.abs(d * (got - ref)).max() <= 1e-12 * np.abs(d * ref).max()
+
+
+@pytest.mark.parametrize("corr", [0.5, 0.99, -0.999])
+@pytest.mark.parametrize("skew", [1e7, 1e10])
+def test_closed_form_step_matches_eigh_on_a_skewed_hessian(skew, corr):
+    """H = [[1, b], [b, skew^2]] with b = corr skew, nearly singular as
+    |corr| nears 1: the smaller eigenvalue, 1 - corr^2 to first order,
+    is 1e14 and more below the larger, and must keep its own digits."""
+    hess = np.array([[[1.0, corr * skew], [corr * skew, skew * skew]]])
+    grad = np.array([[1.0, 2.0 * skew]])
+    step, finite, pd = _newton_step(grad, hess)
+    want, _, _ = eigh_step(grad, hess)
+    assert finite.all() and pd.all()
+    d = np.array([1.0, skew])
+    assert np.abs(d * (step - want)).max() <= 1e-9 * np.abs(d * want).max()
+
+
+@pytest.mark.parametrize("size", [1e7, 1e8, 1e10])
+@pytest.mark.parametrize("tag", ["gamma", "weibull"])
+def test_large_data_fits_and_loo_grid_are_solved(tag, size):
+    """Data near 1e7-1e10 give (shape, rate) Hessians whose eigenvalues
+    lie 1e14 and more apart. Every grid fit and every leave-one-out row
+    is still solved, at the unit-scale fit's shape and its rate / size."""
+    family = FAMILIES[tag]
+    xs = _sorted_values(sample_family(family, ParamVector(family, (2.0, 1.0)), 60, seed=1), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        base = fit_alphas(family, COARSE_GRID, xs)
+        fits = fit_alphas(family, COARSE_GRID, size * xs)
+    assert all(res.converged for res in base + fits)
+    for res, ref in zip(fits, base):
+        got = np.array(res.theta_hat.values) * (1.0, size)
+        assert np.allclose(got, ref.theta_hat.values, rtol=1e-10, atol=0.0)
+    theta, solved = _loo_points(family, COARSE_GRID, size * xs, [res.theta_hat.values for res in fits])
+    assert solved.all()
+    ref, _ = _loo_points(family, COARSE_GRID, xs, [res.theta_hat.values for res in base])
+    assert np.allclose(theta * (1.0, size), ref, rtol=1e-10, atol=0.0)

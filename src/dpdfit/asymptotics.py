@@ -17,6 +17,7 @@ of an alpha batch with one call.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -208,8 +209,8 @@ def if_supremum(family, theta0, alpha, grid_points=2000):
     """
     if alpha <= 0.0:
         raise DomainError("if_supremum requires alpha > 0")
-    if not 2 <= grid_points < np.inf:
-        raise DomainError(f"if_supremum needs grid_points >= 2, got {grid_points}")
+    if not (isinstance(grid_points, numbers.Integral) and grid_points >= 2):
+        raise DomainError(f"if_supremum needs an integer grid_points >= 2, got {grid_points!r}")
     lo = quantile(theta0, 1e-6)
     hi = quantile(theta0, 1.0 - 1e-6) * 1e6
     grid = np.geomspace(lo, hi, grid_points)

@@ -9,6 +9,7 @@ both to stdout unless --output names a file. Exit codes: 0 success,
 import argparse
 import functools
 import json
+import numbers
 import sys
 
 import numpy as np
@@ -215,11 +216,11 @@ def emit_plot_data(fit_result, sample, bins=30):
     512 points spanning [0, 1.1 max]. The density at x = 0 is the
     analytic limit, which can be inf for shape < 1.
     """
-    if bins < 1:
-        raise DomainError(f"need bins >= 1, got {bins}")
+    if not (isinstance(bins, numbers.Integral) and bins >= 1):
+        raise DomainError(f"need an integer bins >= 1, got {bins!r}")
     values = _sample_values(sample)
     theta = fit_result.theta_hat
-    counts, edges = np.histogram(values, bins=int(bins), density=True)
+    counts, edges = np.histogram(values, bins=bins, density=True)
     lines = ["bin_left,bin_right,density"]
     for i, c in enumerate(counts):
         lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{float(c)!r}")
@@ -364,7 +365,7 @@ def _series_row(sample, fast):
         "se1": None if se is None else se[names[0]],
         "se2": None if se is None or len(names) < 2 else se[names[1]],
         "cvmd": tun.cvmd_star,
-        "ric": float(_criterion(res.objective, res.alpha, res.n_obs, sw.J, sw.K)),
+        "ric": float(_criterion(res.objective, res.alpha, res.n_obs, sw.J, sw.avar)),
         "median_adjusted": adjusted_median(res, sample.dry_count, len(sample.values)),
     }
 

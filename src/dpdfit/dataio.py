@@ -13,6 +13,7 @@ adjusted_median and nowhere else.
 
 import csv
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DomainError, FitError
-from .families import quantile
+from .families import _check_x, quantile
 
 __all__ = [
     "Sample",
@@ -202,8 +203,9 @@ def save_csv(sample, path_or_fp):
 def outlier_summary(sample):
     """Tukey fences at 1.5 IQR, quartiles by linear interpolation of
     order statistics; the proportion counts strict fence violations
-    among the positive values, as a percentage."""
-    xs = np.asarray(sample.values, dtype=float)
+    among the positive values, as a percentage. Takes a Sample or plain
+    values, checked by families._check_x."""
+    xs = _check_x(sample)
     if xs.size < 4:
         raise DataError(f"outlier summary needs at least 4 values, got {xs.size}")
     q1 = float(np.quantile(xs, 0.25))
@@ -234,8 +236,9 @@ def adjusted_median(fit_result, dry_count, n_wet=None):
         raise FitError("adjusted median requires a converged fit")
     if n_wet is None:
         n_wet = fit_result.n_obs
-    if dry_count < 0 or n_wet < 1:
-        raise DomainError("need dry_count >= 0 and n_wet >= 1")
+    integers = all(isinstance(v, numbers.Integral) for v in (dry_count, n_wet))
+    if not (integers and dry_count >= 0 and n_wet >= 1):
+        raise DomainError(f"need integers dry_count >= 0 and n_wet >= 1, got {dry_count!r} and {n_wet!r}")
     p = dry_count / (dry_count + n_wet)
     if p >= 0.5:
         return 0.0

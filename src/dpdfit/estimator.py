@@ -18,7 +18,7 @@ from .families import (
     _AlphaTerms,
     _check_family,
     _check_x,
-    _divergence_terms,
+    _divergence,
     _mat,
     _positive,
     _shape_floor,
@@ -26,8 +26,6 @@ from .families import (
     _vec,
     check_dpd_valid,
     log_density,
-    score,
-    weighted_moments,
 )
 
 __all__ = ["FitResult", "objective_h", "estimating_residual", "fit", "fit_alphas", "dpd_weights"]
@@ -49,49 +47,45 @@ def _sample_values(sample):
     return np.atleast_1d(_check_x(sample))
 
 
-def _h_rows(family, al, vals, lnx, theta):
-    """H = M - k mean(g) at each row of theta (m, p), row r at the alphas
-    of al (an _AlphaTerms), for the values vals and lnx = log(vals): the
-    one reduction of the divergence terms, for objective_h and fit alike.
-    Each row's mean runs along its own contiguous row, so no row's H
-    depends on the others."""
-    lnf = family.logf(tuple(theta.T[:, :, None]), vals, lnx)
-    m, k, g = _divergence_terms(family, tuple(theta.T), al, lnf)
-    return m - k * g.mean(axis=1)
+def _h_rows(family, al, vals, theta):
+    """H at each row of theta (m, p) at the alphas of al, weight 1/n per
+    value, as _divergence reduces it for fit's Newton steps. Each row sums
+    along its own contiguous row, so no row's H depends on the others."""
+    lnf = family.logf(tuple(theta.T[:, :, None]), vals, np.log(vals))
+    return _divergence(family, al, tuple(theta.T), lnf, 1.0 / vals.size)[3]
 
 
 def objective_h(family, theta, alpha, sample):
     """Empirical divergence H: the mean of the per-observation terms
-    v_alpha, reduced as M - k mean(g).
+    v_alpha, reduced as M - (1 + 1/alpha) sum_j f_j^alpha / n.
 
     At alpha = 0 this is the mean negative log-likelihood.
     """
     _check_family(family, theta)
     check_dpd_valid(theta, alpha)
-    vals = _sample_values(sample)
-    h = _h_rows(family, _AlphaTerms(alpha), vals, np.log(vals), np.array([theta.values]))
+    h = _h_rows(family, _AlphaTerms(alpha), _sample_values(sample), np.array([theta.values]))
     return float(h[0])
 
 
 def estimating_residual(family, theta, alpha, sample):
-    """U_n(theta): weighted mean score minus its model expectation.
-
-    Vanishes at the estimate; proportional to -grad H.
+    """U_n(theta): weighted mean score minus its model expectation, that
+    is -grad H / (1 + alpha), from the kernel, _weighted_terms, at weight
+    1/n. Vanishes at the estimate.
     """
     _check_family(family, theta)
     check_dpd_valid(theta, alpha)
-    vals = _sample_values(sample)
-    u = score(theta, vals)
-    if alpha == 0.0:
-        # the model expectation of the score is exactly zero here
-        return u.mean(axis=0)
-    w = dpd_weights(family, theta, alpha, vals)
-    return (u * w[:, None]).mean(axis=0) - weighted_moments(theta, alpha)[2]
+    x = _sample_values(sample)[None]
+    _, grad, _, _ = _weighted_terms(
+        family, _AlphaTerms(alpha), x, np.log(x), 1.0 / x.size, np.array([theta.values])
+    )
+    return -grad[0] / (1.0 + alpha)
 
 
 def dpd_weights(family, theta, alpha, sample):
-    """Per-observation weights f_theta^alpha; identically 1 at alpha = 0."""
+    """Per-observation weights f_theta^alpha; identically 1 at alpha = 0.
+    alpha and theta must pass check_dpd_valid."""
     _check_family(family, theta)
+    check_dpd_valid(theta, alpha)
     vals = _sample_values(sample)
     if alpha == 0.0:
         return np.ones_like(vals)
@@ -123,15 +117,15 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
     al being the _AlphaTerms of one float alpha or of one alpha per row.
 
     x and lnx = log x are one row (1, n) shared by every row of theta or
-    one row each (m, n), and each row of weights (m, n) sums to one. With
-    wg_j = weights_j f_j^alpha, H = M - (1 + 1/alpha) sum_j wg_j, its
-    gradient is (1+alpha)(xi - sum_j wg_j u_j) and its Hessian
-    (1+alpha)[dxi - sum_j wg_j (alpha u_j u_j' + du_j)], with dxi =
-    integral of du f^(1+alpha) + (1+alpha) integral of u u' f^(1+alpha).
-    An alpha = 0 row has wg = weights exactly, so the same formula is
-    Newton on its negative log-likelihood once H and its scale are taken
-    as -sum_j wg_j ln f_j and sum_j |wg_j ln f_j|, and xi and dxi as 0,
-    which their closed forms give only up to rounding. A batch all at
+    one row each (m, n), and each row of weights (m, n), or what
+    broadcasts to it, sums to one. H, its scale, wg_j = weights_j
+    f_j^alpha and M come from families._divergence. H's gradient is
+    (1+alpha)(xi - sum_j wg_j u_j) and its Hessian (1+alpha)[dxi - sum_j
+    wg_j (alpha u_j u_j' + du_j)], with dxi = integral of du f^(1+alpha)
+    + (1+alpha) integral of u u' f^(1+alpha). An alpha = 0 row has wg =
+    weights exactly, so the same formula is Newton on its negative
+    log-likelihood, _divergence's H there, once xi and dxi are taken as
+    0, which their closed forms give only up to rounding. A batch all at
     alpha = 0 therefore skips M, the moments and f^alpha, and the alpha
     u u' sums while every |u| < _U_BOUND. family.terms gives ln f, u and
     du once; a du entry constant in x multiplies sum_j wg_j, and its
@@ -142,12 +136,7 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
     """
     v, vc = tuple(theta.T), tuple(theta.T[:, :, None])
     lnf, u, du = family.terms(vc, x, lnx)
-    if al.all_zero:
-        # weights f^0: NaN where ln f is not finite, as exp(0 ln f) gives
-        wg = weights + 0.0 * lnf
-    else:
-        wg = weights * np.exp(al.col * lnf)
-    total = wg.sum(axis=1)
+    wg, total, mass, h, scale = _divergence(family, al, v, lnf, weights)
     wu = [wg * uq for uq in u]
     sums = _vec([wuq.sum(axis=1) for wuq in wu])
     sum_uu = not al.all_zero or not all((np.abs(uq) < _U_BOUND).all() for uq in u)
@@ -159,24 +148,15 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
             entry = entry + al.alpha * (wu[i] * u[j]).sum(axis=1)
         curv[:, i, j] = curv[:, j, i] = entry
     if al.all_zero:
-        wl = wg * lnf
-        return -wl.sum(axis=1), 0.0 - sums, 0.0 - curv, np.abs(wl).sum(axis=1)
-    mass = family.mass(v, al)
-    h = mass - al.k * total
-    # wg >= 0
-    scale = np.abs(mass) + al.k * total
+        return h, 0.0 - sums, 0.0 - curv, scale
     uu, xi, du_int = family.moments(v, al, mass)
     if du_int is None:
         du_int = _times(mass, np.reshape(_mat(du), uu.shape))
     lift = np.reshape(al.lift, (-1, 1))
     dxi = du_int + lift[:, :, None] * uu
     if al.any_zero:
-        zero = al.zero
-        xi = np.where(zero[:, None], 0.0, xi)
-        dxi = np.where(zero[:, None, None], 0.0, dxi)
-        wl = wg[zero] * lnf[zero]
-        h[zero] = -wl.sum(axis=1)
-        scale[zero] = np.abs(wl).sum(axis=1)
+        xi = np.where(al.zero[:, None], 0.0, xi)
+        dxi = np.where(al.zero[:, None, None], 0.0, dxi)
     return h, lift * (xi - sums), lift[:, :, None] * (dxi - curv), scale
 
 
@@ -402,7 +382,7 @@ def _fit_rows(family, alphas, vals, starts):
         starts,
     )
     with np.errstate(all="ignore"):
-        hs = _h_rows(family, _AlphaTerms(np.asarray(alphas)), vals, np.log(vals), theta)
+        hs = _h_rows(family, _AlphaTerms(np.asarray(alphas)), vals, theta)
     out = []
     for alpha, row, h_val, converged, count in zip(
         alphas, theta, hs.tolist(), solved.tolist(), evals.tolist()

@@ -527,9 +527,10 @@ def check_dpd_valid(p, alpha):
 
 
 def _check_shape(family, shape, alpha):
-    """check_dpd_valid for a family whose first parameter is `shape`."""
-    if alpha < 0:
-        raise DomainError("alpha must be nonnegative")
+    """check_dpd_valid for a family whose first parameter is `shape`; the
+    one check of alpha. alpha > 1 passes: the sandwich checks 2 alpha."""
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError(f"alpha must be finite and nonnegative, got {alpha}")
     floor = _shape_floor(alpha)
     if family.shaped and shape <= floor:
         raise DpdValidityError(
@@ -581,11 +582,9 @@ def score(p, x):
 
 
 def dpd_mass_integral(p, alpha):
-    """Closed form of the mass term M(theta) = integral of f_theta^(1+alpha)."""
-    check_dpd_valid(p, alpha)
-    if alpha == 0.0:
-        return 1.0
-    return p.family.mass(p.values, _AlphaTerms(alpha))
+    """Closed form of the mass term M(theta) = integral of f_theta^(1+alpha):
+    weighted_moments' M, exactly 1 at alpha = 0."""
+    return weighted_moments(p, alpha)[0]
 
 
 def weighted_moments(p, c):
@@ -633,20 +632,28 @@ def _moment_rows(family, theta, c):
     return mass, uu, u, errors
 
 
-def _divergence_terms(fam, v, al, lnf):
-    """(M, k, g) at the alphas of al, an _AlphaTerms, from lnf = ln f at
-    the observations: the per-observation divergence term is M - k g.
-
-    For alpha > 0, g = f^alpha and k = 1 + 1/alpha; at alpha = 0, M = 0,
-    k = 1 and g = ln f. v_alpha and the estimator's objective H use this,
-    H with parameter points (m,) in v and their rows of ln f (m, n).
+def _divergence(family, al, v, lnf, weights):
+    """The one reduction of the objective H = sum_j weights_j v_alpha(x_j)
+    at each row of lnf (m, n), ln f at the observations, row r at point r
+    of v and al's alpha there; weights broadcasts against lnf. Returns wg
+    = weights f^alpha, total = its row sums, M, H = M - (1 + 1/alpha)
+    total and H's rounding scale |M| + (1 + 1/alpha) total. At alpha = 0,
+    H is the negative log-likelihood -sum_j wg_j ln f_j, its scale sum_j
+    |wg_j ln f_j|, and a batch all at alpha = 0 takes no M (it reads 1).
     """
     if al.all_zero:
-        return 0.0, 1.0, lnf
-    mass, g = fam.mass(v, al), np.exp(al.col * lnf)
+        # weights f^0: NaN where ln f is not finite, as exp(0 ln f) gives
+        wg, mass = weights + 0.0 * lnf, 1.0
+    else:
+        wg, mass = weights * np.exp(al.col * lnf), family.mass(v, al)
+    total = wg.sum(axis=1)
+    # wg >= 0
+    h, scale = mass - al.k * total, np.abs(mass) + al.k * total
     if al.any_zero:
-        mass, g = np.where(al.zero, 0.0, mass), np.where(al.zero[:, None], lnf, g)
-    return mass, al.k, g
+        zero = al.zero if np.ndim(al.zero) else slice(None)
+        wl = wg[zero] * lnf[zero]
+        h[zero], scale[zero] = -wl.sum(axis=1), np.abs(wl).sum(axis=1)
+    return wg, total, mass, h, scale
 
 
 def v_alpha(p, alpha, x):
@@ -655,10 +662,11 @@ def v_alpha(p, alpha, x):
     For alpha > 0 this is M(theta) - (1 + 1/alpha) f_theta(x)^alpha; the
     alpha = 0 branch is the negative log likelihood. The two branches
     differ by an additive constant by construction, so alpha = 0 is a
-    genuinely separate case, not a limit.
+    genuinely separate case, not a limit. _divergence's H, one
+    observation per row at weight 1.
     """
     check_dpd_valid(p, alpha)
     x = _check_x(x)
     lnf = p.family.logf(p.values, x, np.log(x))
-    mass, k, g = _divergence_terms(p.family, p.values, _AlphaTerms(alpha), lnf)
-    return mass - k * g
+    h = _divergence(p.family, _AlphaTerms(alpha), p.values, lnf.reshape(-1, 1), 1.0)[3]
+    return h.reshape(x.shape)[()]  # [()]: a scalar for a scalar x

@@ -10,8 +10,8 @@ within each family, then across families, by tuning.alpha_search.
 Alpha is a row axis of the Newton kernel and of the sandwich, so each
 batch of alphas that tuning.score_alphas fits, the grid or one
 golden-section step, is scored by one batched sandwich
-(asymptotics._sandwich_rows) and one batched trace; ric is a batch of
-one alpha.
+(asymptotics._sandwich_rows), whose one inversion of J also gives the
+trace, and ric is a batch of one alpha.
 """
 
 import warnings
@@ -50,10 +50,12 @@ class SelectionReport:
         ))
 
 
-def _criterion(objective, alpha, n_obs, j_mat, k_mat):
-    """RIC = H + Tr[J^-1 K] / ((1 + alpha) n), for one fit's J and K (p, p)
-    or elementwise over rows of them (m, p, p)."""
-    trace = np.trace(np.linalg.solve(j_mat, k_mat), axis1=-2, axis2=-1)
+def _criterion(objective, alpha, n_obs, j_mat, avar):
+    """RIC = H + Tr[J^-1 K] / ((1 + alpha) n), for one fit's J and sandwich
+    variance avar = J^-1 K J^-1 (p, p) or elementwise over rows of them
+    (m, p, p). J is symmetric, so Tr[J^-1 K] = Tr[avar J] is the sum of
+    avar * J, from the one inversion of J, the sandwich's."""
+    trace = (avar * j_mat).sum(axis=(-2, -1))
     return objective + trace / ((1.0 + alpha) * n_obs)
 
 
@@ -63,21 +65,18 @@ def _rics(family, fits):
     if not fits:
         return []
     alphas = np.array([res.alpha for res in fits])
-    j_mat, k_mat, _, _, errors = _sandwich_rows(
+    j_mat, _, _, avar, errors = _sandwich_rows(
         family, np.array([res.theta_hat.values for res in fits]), alphas
     )
-    if any(errors):
-        # the identity and zeros in place of a failed row's J and K
-        failed = np.array([e is not None for e in errors])[:, None, None]
-        j_mat = np.where(failed, np.eye(family.param_count), j_mat)
-        k_mat = np.where(failed, 0.0, k_mat)
-    values = _criterion(
-        np.array([res.objective for res in fits]),
-        alphas,
-        np.array([res.n_obs for res in fits]),
-        j_mat,
-        k_mat,
-    )
+    # a failed row's value, whatever it is, is replaced by its error
+    with np.errstate(all="ignore"):
+        values = _criterion(
+            np.array([res.objective for res in fits]),
+            alphas,
+            np.array([res.n_obs for res in fits]),
+            j_mat,
+            avar,
+        )
     return [value if error is None else error for value, error in zip(values.tolist(), errors)]
 
 

@@ -6,6 +6,7 @@ input must survive a save/load roundtrip bit for bit.
 
 import builtins
 import io
+import math
 
 import numpy as np
 import pytest
@@ -278,6 +279,14 @@ class TestOutlierSummary:
     def test_needs_four_values(self):
         with pytest.raises(DataError, match="at least 4"):
             outlier_summary(as_sample([1.0, 2.0, 3.0]))
+
+    def test_takes_plain_values(self):
+        values = [1.0, 2.0, 3.0, 4.0]
+        assert outlier_summary(values) == outlier_summary(as_sample(values))
+
+    def test_rejects_values_not_finite(self):
+        with pytest.raises(DomainError, match="finite"):
+            outlier_summary([1.0, 2.0, math.nan, 4.0])
 
     def test_flags_injected_contamination_fraction(self):
         # 10% point contamination far beyond the fences should be

@@ -83,11 +83,17 @@ class TestEstimatingResidual:
         )
         assert resid[0] == pytest.approx(-2.0 / 9.0, rel=1e-10)
 
-    def test_small_at_fitted_gamma(self):
-        sample = sample_family(GAMMA, ParamVector(GAMMA, (3.0, 2.0)), 120, seed=11)
-        result = fit(GAMMA, 0.3, sample)
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+    @pytest.mark.parametrize("tag", list(FAMILIES))
+    def test_small_at_the_fit(self, tag, alpha):
+        family = FAMILIES[tag]
+        theta = {
+            "exponential": (2.0,), "gamma": (3.0, 2.0), "lognormal": (0.5, 0.8), "weibull": (1.5, 2.0)
+        }[tag]
+        sample = sample_family(family, theta, 120, seed=11)
+        result = fit(family, alpha, sample)
         assert result.converged
-        resid = estimating_residual(GAMMA, result.theta_hat, 0.3, sample)
+        resid = estimating_residual(family, result.theta_hat, alpha, sample)
         assert np.max(np.abs(resid)) < 1e-5
 
 

@@ -11,8 +11,9 @@ import pickle
 import numpy as np
 import pytest
 
-from dpdfit.asymptotics import sandwich
+from dpdfit.asymptotics import influence_function, sandwich
 from dpdfit.errors import DomainError, DpdValidityError
+from dpdfit.estimator import dpd_weights, estimating_residual, objective_h
 from dpdfit.families import (
     FAMILIES,
     Family,
@@ -25,6 +26,7 @@ from dpdfit.families import (
     quantile,
     score,
     v_alpha,
+    weighted_moments,
 )
 from quadrature import integrate_halfline
 from reference_values import GAMMA_5_1_MEDIAN, LOGNORMAL_V_HALF_AT_1
@@ -114,6 +116,31 @@ class TestParamVector:
             check_dpd_valid(ParamVector(WEIBULL, (0.25, 1.0)), 0.5)
         check_dpd_valid(ParamVector(GAMMA, (0.34, 1.0)), 0.5)
         check_dpd_valid(ParamVector(LOGNORMAL, (0.0, 0.3)), 1.0)
+
+
+GAMMA_2 = ParamVector(GAMMA, (2.0, 0.5))
+X = np.array([0.8, 1.3, 2.1, 2.9, 3.5])
+ALPHA_CALLS = {
+    "objective_h": lambda a: objective_h(GAMMA, GAMMA_2, a, X),
+    "v_alpha": lambda a: v_alpha(GAMMA_2, a, X),
+    "dpd_mass_integral": lambda a: dpd_mass_integral(GAMMA_2, a),
+    "weighted_moments": lambda a: weighted_moments(GAMMA_2, a),
+    "estimating_residual": lambda a: estimating_residual(GAMMA, GAMMA_2, a, X),
+    "sandwich": lambda a: sandwich(GAMMA, GAMMA_2, a),
+    "influence_function": lambda a: influence_function(GAMMA, GAMMA_2, a, 1.0),
+    "dpd_weights": lambda a: dpd_weights(GAMMA, GAMMA_2, a, X),
+}
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("name", list(ALPHA_CALLS))
+def test_alpha_must_be_finite_and_nonnegative(name, alpha):
+    """A NaN, infinite or negative alpha is refused by the one check of
+    alpha, not carried on as NaN or reported as a singular J; alpha > 1
+    passes it, as the sandwich checks 2 alpha."""
+    with pytest.raises(DomainError, match="alpha must be finite and nonnegative"):
+        ALPHA_CALLS[name](alpha)
+    ALPHA_CALLS[name](1.5)
 
 
 class TestDensity:

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import as_sample
 from dpdfit import estimator, selection, tuning
+from dpdfit.asymptotics import sandwich
 from dpdfit.errors import (
     DpdError,
     DpdValidityError,
@@ -88,6 +89,18 @@ class TestRic:
             sw = sandwich(family, result.theta_hat, 0.0)
             trace = float(np.trace(np.linalg.solve(sw.J, sw.K)))
             assert trace == pytest.approx(family.param_count, abs=1e-4), family.tag
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("family, values", GENERATORS, ids=[f.tag for f, _ in GENERATORS])
+    def test_matches_the_solve_reference(self, family, values, alpha):
+        """RIC's trace is the sum of avar * J, from the sandwich's one
+        inversion of J; solving J against K gives the same criterion."""
+        sample = sample_family(family, ParamVector(family, values), 80, seed=7)
+        result = fit(family, alpha, sample)
+        sw = sandwich(family, result.theta_hat, alpha)
+        trace = np.trace(np.linalg.solve(sw.J, sw.K))
+        reference = result.objective + trace / ((1.0 + alpha) * result.n_obs)
+        assert ric(family, alpha, sample) == pytest.approx(reference, rel=1e-12)
 
     def test_correct_model_wins_at_moderate_alpha(self):
         """On lognormal data the lognormal criterion beats the gamma."""

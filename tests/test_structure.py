@@ -27,7 +27,10 @@ nothing from estimator. Alpha is a row axis of the sandwich too: asymptotics rea
 moments only through families._moment_rows, and its sandwich, standard
 errors and efficiency tables only through _sandwich_rows, which
 selection calls once per alpha batch, in _rics, never sandwich once per
-fit; _rics scores the batches of ric and select_model.
+fit; _rics scores the batches of ric and select_model. The divergence H
+is reduced in one place, families._divergence, which with _moment_rows
+alone takes a family's mass, and J is inverted once, by the sandwich:
+RIC's trace comes from its avar, so no module solves a linear system.
 """
 
 import ast
@@ -307,3 +310,16 @@ def test_selection_scores_a_batch_with_one_sandwich_call():
     assert "sandwich" not in _names(tree)
     assert _calls_to(tree, "_sandwich_rows") == ["_rics"]
     assert _calls_to(tree, "_rics") == ["ric", "select_model"]
+
+
+def test_divergence_reduced_once():
+    assert not [p.name for p in MODULES if "_divergence_terms" in _names(_tree(p))]
+    found = sorted((p.name, func) for p in MODULES for func in _calls_ending(_tree(p), ".mass"))
+    assert found == [("families.py", "_divergence"), ("families.py", "_moment_rows")]
+
+
+def test_information_matrix_inverted_once():
+    assert [p.name for p in MODULES if "linalg.solve" in p.read_text(encoding="utf-8")] == []
+    assert _calls_ending(_tree(PACKAGE / "asymptotics.py"), "_invert_spd_rows") == [
+        "_invert_spd", "_sandwich_rows"
+    ]

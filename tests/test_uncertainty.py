@@ -15,7 +15,8 @@ import pytest
 
 from conftest import as_sample
 from dpdfit.asymptotics import asymptotic_se, if_supremum
-from dpdfit.dataio import Sample
+from dpdfit.cli import emit_plot_data
+from dpdfit.dataio import Sample, adjusted_median
 from dpdfit.errors import DataError, DomainError, FitError
 from dpdfit.estimator import fit
 from dpdfit.families import FAMILIES, ParamVector, quantile
@@ -331,16 +332,23 @@ def test_out_of_range_numbers_raise_dpd_errors(call, error, named):
         (lambda: bootstrap_se(GAMMA, 0.5, SMALL, B=2.5), "B >= 2"),
         (lambda: bootstrap_se(GAMMA, 0.5, SMALL, B=10.0), "B >= 2"),
         (lambda: bootstrap_se(GAMMA, 0.5, SMALL, B=10, seed=3.0), "seed"),
+        (lambda: if_supremum(GAMMA, GAMMA_2, 0.5, grid_points=2.5), "grid_points"),
+        (lambda: emit_plot_data(fit(GAMMA, 0.5, SMALL), SMALL, bins=2.5), "bins"),
+        (lambda: adjusted_median(fit(GAMMA, 0.5, SMALL), dry_count=2.5), "dry_count"),
+        (lambda: adjusted_median(fit(GAMMA, 0.5, SMALL), dry_count=math.nan), "dry_count"),
+        (lambda: adjusted_median(fit(GAMMA, 0.5, SMALL), dry_count=1, n_wet=2.5), "n_wet"),
     ],
     ids=[
         "sample-seed-float", "sample-n-fraction", "sample-n-float", "sample-n-str",
         "scheme-seed-float", "scheme-seed-none", "bootstrap-B-fraction", "bootstrap-B-float",
-        "bootstrap-seed-float",
+        "bootstrap-seed-float", "if-grid-fraction", "plot-bins-fraction", "median-dry-fraction",
+        "median-dry-nan", "median-wet-fraction",
     ],
 )
 def test_counts_and_seeds_must_be_integers(call, named):
     """A count or seed that is not an integer is refused, not truncated
-    (2.5 values or replicates) or passed on to numpy's own TypeError."""
+    (2.5 values, replicates, grid points or bins) or passed on to numpy's
+    own TypeError or to the quantile's refusal."""
     with pytest.raises(DomainError, match=named):
         call()
 
@@ -350,3 +358,7 @@ def test_numpy_integers_count_and_seed():
     assert drawn.values == sample_family(GAMMA, GAMMA_2, 12, seed=4).values
     res = bootstrap_se(GAMMA, 0.5, SMALL, B=np.int32(20), seed=np.int64(1))
     assert res.B == 20 and res.se == bootstrap_se(GAMMA, 0.5, SMALL, B=20, seed=1).se
+    fitted, sup = fit(GAMMA, 0.5, SMALL), if_supremum(GAMMA, GAMMA_2, 0.5, grid_points=50)
+    assert adjusted_median(fitted, np.int64(1), np.int32(8)) == adjusted_median(fitted, 1, 8)
+    assert if_supremum(GAMMA, GAMMA_2, 0.5, grid_points=np.int64(50)) == sup
+    assert emit_plot_data(fitted, SMALL, bins=np.int64(3)) == emit_plot_data(fitted, SMALL, bins=3)

@@ -61,33 +61,42 @@ def build_parser():
     def add_family(p, required=True):
         p.add_argument("--family", required=required, choices=tuple(FAMILIES))
 
+    def add_theta(p):
+        p.add_argument("--theta", default=None, help="comma-separated parameters (exponential defaults to 1)")
+
+    def add_alpha(p):
+        p.add_argument("--alpha", type=float, default=0.0)
+
+    def add_fast(p):
+        p.add_argument("--fast", action="store_true", help="coarse grid only, skip refinement")
+
     p = cmd("fit", "fit one family at a fixed alpha")
     add_family(p)
     add_input(p)
-    p.add_argument("--alpha", type=float, default=0.0)
+    add_alpha(p)
     p.add_argument("--plot-data", default=None, help="also write histogram and density curve CSV here")
     p.add_argument("--bins", type=int, default=30)
 
     p = cmd("tune", "pick alpha by the leave-one-out CVM distance")
     add_family(p)
     add_input(p)
-    p.add_argument("--fast", action="store_true", help="coarse grid only, skip refinement")
+    add_fast(p)
     p.add_argument("--curve-csv", default=None, help="write the alpha vs cvmd curve here")
 
     p = cmd("select", "rank all four families by minimized RIC")
     add_input(p)
-    p.add_argument("--fast", action="store_true", help="coarse grid only, skip refinement")
+    add_fast(p)
     p.add_argument("--table-csv", default=None, help="write the family,alpha,ric table here")
 
     p = cmd("are-table", "asymptotic relative efficiency table for one family")
     add_family(p)
-    p.add_argument("--theta", default=None, help="comma-separated parameters (exponential defaults to 1)")
+    add_theta(p)
     p.add_argument("--alphas", default=None, help="comma-separated alpha values")
 
     p = cmd("influence", "influence function curve over a y grid")
     add_family(p)
-    p.add_argument("--theta", default=None, help="comma-separated parameters (exponential defaults to 1)")
-    p.add_argument("--alpha", type=float, default=0.0)
+    add_theta(p)
+    add_alpha(p)
     p.add_argument("--points", type=int, default=512)
     p.add_argument("--y-min", type=float, default=None)
     p.add_argument("--y-max", type=float, default=None)
@@ -95,14 +104,14 @@ def build_parser():
     p = cmd("bootstrap", "bootstrap standard errors at a fixed alpha")
     add_family(p)
     add_input(p)
-    p.add_argument("--alpha", type=float, default=0.0)
+    add_alpha(p)
     p.add_argument("-B", "--replicates", type=int, default=1000, dest="B")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--estimates-csv", default=None, help="write replicate,param,value rows here")
 
     p = cmd("simulate", "draw a seeded, optionally contaminated sample")
     add_family(p)
-    p.add_argument("--theta", default=None, help="comma-separated parameters (exponential defaults to 1)")
+    add_theta(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=0.0)
@@ -113,7 +122,7 @@ def build_parser():
     p = cmd("report", "full pipeline per series: select family, tune alpha, adjusted median")
     add_input(p)
     p.add_argument("--label-column", default=None, help="series id column (default: 'label' when present)")
-    p.add_argument("--fast", action="store_true", help="coarse grid only, skip refinement")
+    add_fast(p)
 
     return parser
 

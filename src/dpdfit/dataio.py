@@ -66,8 +66,8 @@ class Sample:
         for v in vals:
             if not math.isfinite(v) or v <= 0.0:
                 raise DataError(f"sample values must be positive and finite, got {v}")
-        if not 0 <= self.dry_count < math.inf or int(self.dry_count) != self.dry_count:
-            raise DataError(f"dry_count must be a nonnegative integer, got {self.dry_count}")
+        if not (isinstance(self.dry_count, numbers.Integral) and self.dry_count >= 0):
+            raise DataError(f"dry_count must be a nonnegative integer, got {self.dry_count!r}")
         object.__setattr__(self, "dry_count", int(self.dry_count))
 
     @property

@@ -51,15 +51,17 @@ def _h_rows(family, al, vals, theta):
     """H at each row of theta (m, p) at the alphas of al, weight 1/n per
     value, as _divergence reduces it for fit's Newton steps. Each row sums
     along its own contiguous row, so no row's H depends on the others."""
-    lnf = family.logf(tuple(theta.T[:, :, None]), vals, np.log(vals))
-    return _divergence(family, al, tuple(theta.T), lnf, 1.0 / vals.size)[3]
+    with np.errstate(all="ignore"):
+        lnf = family.logf(tuple(theta.T[:, :, None]), vals, np.log(vals))
+        return _divergence(family, al, tuple(theta.T), lnf, 1.0 / vals.size)[3]
 
 
 def objective_h(family, theta, alpha, sample):
     """Empirical divergence H: the mean of the per-observation terms
     v_alpha, reduced as M - (1 + 1/alpha) sum_j f_j^alpha / n.
 
-    At alpha = 0 this is the mean negative log-likelihood.
+    At alpha = 0 this is the mean negative log-likelihood, +inf where a
+    density underflows to 0.
     """
     _check_family(family, theta)
     check_dpd_valid(theta, alpha)
@@ -75,9 +77,10 @@ def estimating_residual(family, theta, alpha, sample):
     _check_family(family, theta)
     check_dpd_valid(theta, alpha)
     x = _sample_values(sample)[None]
-    _, grad, _, _ = _weighted_terms(
-        family, _AlphaTerms(alpha), x, np.log(x), 1.0 / x.size, np.array([theta.values])
-    )
+    with np.errstate(all="ignore"):
+        _, grad, _, _ = _weighted_terms(
+            family, _AlphaTerms(alpha), x, np.log(x), 1.0 / x.size, np.array([theta.values])
+        )
     return -grad[0] / (1.0 + alpha)
 
 
@@ -114,7 +117,7 @@ _U_BOUND = 2.0**500
 def _weighted_terms(family, al, x, lnx, weights, theta):
     """H, its gradient and Hessian, and H's rounding scale, at each row of
     theta (m, p) for the objective sum_j weights[r, j] v_alpha(x[r, j]),
-    al being the _AlphaTerms of one float alpha or of one alpha per row.
+    al being the _AlphaTerms of one alpha per row.
 
     x and lnx = log x are one row (1, n) shared by every row of theta or
     one row each (m, n), and each row of weights (m, n), or what
@@ -152,7 +155,7 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
     uu, xi, du_int = family.moments(v, al, mass)
     if du_int is None:
         du_int = _times(mass, np.reshape(_mat(du), uu.shape))
-    lift = np.reshape(al.lift, (-1, 1))
+    lift = al.lift[:, None]
     dxi = du_int + lift[:, :, None] * uu
     if al.any_zero:
         xi = np.where(al.zero[:, None], 0.0, xi)
@@ -215,9 +218,9 @@ def _newton_rows(family, alphas, values, weights, starts):
     or Hessian is not finite, or that runs out of halvings, stops where
     it is, unsolved.
 
-    The terms of alpha alone are taken once (_AlphaTerms). The live
-    rows' state and data are gathered again only when a row leaves, and
-    an evaluation takes them as they are when every live row steps.
+    The terms of alpha alone (_AlphaTerms) go with the live rows' state
+    and data, gathered again only when a row leaves; an evaluation takes
+    them as they are when every live row steps.
     """
     x = np.atleast_2d(values)
     lnx = np.log(x)
@@ -230,17 +233,17 @@ def _newton_rows(family, alphas, values, weights, starts):
     with np.errstate(all="ignore"):
         h, grad, hess, scale = _weighted_terms(family, al, x, lnx, weights, theta)
         step, keep, pd = _newton_step(grad, hess)
-        # the live rows' ids, points, evaluation counts, halvings, shape floors
+        # the live rows' ids, points, evaluation counts and halvings
         ids, point, count = np.arange(m), theta.copy(), evals.copy()
-        halvings, floor = np.zeros(m, dtype=int), _shape_floor(alphas)
+        halvings = np.zeros(m, dtype=int)
 
         def leave(keep):
             """Write out the rows not kept and gather the others."""
-            nonlocal ids, point, count, h, scale, step, pd, halvings, floor, weights, x, lnx, al
+            nonlocal ids, point, count, h, scale, step, pd, halvings, weights, x, lnx, al
             gone = ~keep
             theta[ids[gone]], evals[ids[gone]] = point[gone], count[gone]
-            ids, point, count, h, scale, step, pd, halvings, floor, weights = (
-                a[keep] for a in (ids, point, count, h, scale, step, pd, halvings, floor, weights)
+            ids, point, count, h, scale, step, pd, halvings, weights = (
+                a[keep] for a in (ids, point, count, h, scale, step, pd, halvings, weights)
             )
             if own:
                 x, lnx = x[keep], lnx[keep]
@@ -259,7 +262,7 @@ def _newton_rows(family, alphas, values, weights, starts):
             trial = point - np.ldexp(step, -halvings[:, None])
             down = np.isfinite(trial).all(axis=1)
             if family.shaped:
-                down &= trial[:, 0] > floor
+                down &= trial[:, 0] > _shape_floor(al.alpha)
             every = down.all()
             sel = slice(None) if every else down  # a view, not a copy, when every row steps
             h_t, grad, hess, scale_t = _weighted_terms(
@@ -381,8 +384,7 @@ def _fit_rows(family, alphas, vals, starts):
         lambda rows: (vals, np.full((rows.size, n), 1.0 / n)),
         starts,
     )
-    with np.errstate(all="ignore"):
-        hs = _h_rows(family, _AlphaTerms(np.asarray(alphas)), vals, theta)
+    hs = _h_rows(family, _AlphaTerms(alphas), vals, theta)
     out = []
     for alpha, row, h_val, converged, count in zip(
         alphas, theta, hs.tolist(), solved.tolist(), evals.tolist()

@@ -62,76 +62,30 @@ def _mat(rows):
     return out
 
 
-def _each(fn, alpha):
-    """fn(alpha) for a float alpha, or fn of each entry of an array of
-    alphas. math's log1p, log and ** differ from numpy's in the last bit,
-    so a row of a batch at alpha gets the bits a lone fit at alpha gets.
-    _AlphaTerms calls it once per Newton solve, not per evaluation, and
-    on a chunk's distinct alphas only, so the Python loop costs little."""
-    if np.ndim(alpha) == 0:
-        return fn(alpha)
-    return np.reshape([fn(a) for a in np.ravel(alpha).tolist()], np.shape(alpha))
-
-
-# log1p(alpha), log(1 + alpha), (1 + alpha)^2 and alpha^2, by math: _AlphaTerms'
-# log1p, log_lift, lift2 and sq.
-_ALPHA_FNS = (
-    math.log1p, lambda al: math.log(1.0 + al), lambda al: (1.0 + al) ** 2, lambda al: al**2
-)
-
-
 class _AlphaTerms:
     """The terms of alpha alone that the divergence, its mass and its
-    moments use, computed once for one float alpha or for one alpha per
-    parameter point (m,): `alpha`; `col`, alpha against observations
-    (m, n); the alpha = 0 mask `zero`, `any_zero` and `all_zero`; k =
-    1 + 1/alpha, 1 at alpha = 0; lift = 1 + alpha; log1p = log1p(alpha);
-    log_lift = log(1 + alpha); lift2 = (1 + alpha)^2; sq = alpha^2.
-    Alphas that are all equal are taken as one float: numpy multiplies
-    an (m, n) array by a column of alphas about three times slower.
-    Otherwise the math-function terms are taken once per distinct alpha
-    and indexed back out: a leave-one-out chunk repeats the grid's 21.
+    moments use, as numpy arrays with one entry per parameter point (m,),
+    a float alpha being one point: `alpha`; the alpha = 0 mask `zero`,
+    `any_zero` and `all_zero`; k = 1 + 1/alpha, 1 at alpha = 0; lift = 1
+    + alpha; log1p = log1p(alpha); and `col`, alpha against observations
+    (m, n), one float when every point shares it: numpy multiplies an
+    (m, n) array by a column about three times slower.
     """
 
-    __slots__ = (
-        "alpha", "col", "zero", "k", "lift", "log1p", "log_lift", "lift2", "sq",
-        "any_zero", "all_zero",
-    )
+    __slots__ = ("alpha", "col", "zero", "k", "lift", "log1p", "any_zero", "all_zero")
 
     def __init__(self, alpha):
-        if np.ndim(alpha) and alpha.size and (alpha.size == 1 or (alpha == alpha[0]).all()):
-            alpha = alpha[0]
-        if np.ndim(alpha) == 0:
-            alpha = float(alpha)
-            self.col = alpha
-            self.zero = self.any_zero = self.all_zero = alpha == 0.0
-            self.k = 1.0 if self.zero else 1.0 + 1.0 / alpha
-            terms = (fn(alpha) for fn in _ALPHA_FNS)
-        else:
-            self.col = alpha[:, None]
-            self.zero = alpha == 0.0
-            self.k = np.where(self.zero, 1.0, 1.0 + 1.0 / np.where(self.zero, 1.0, alpha))
-            # not np.unique: its sort pages in about 0.4 MB of code
-            distinct = np.array(sorted(set(alpha.tolist())))
-            back = np.searchsorted(distinct, alpha)
-            terms = (_each(fn, distinct)[back] for fn in _ALPHA_FNS)
-            self._count_zeros()
-        self.alpha = alpha
-        self.lift = 1.0 + alpha
-        self.log1p, self.log_lift, self.lift2, self.sq = terms
-
-    def _count_zeros(self):
+        self.alpha = alpha = np.asarray(alpha, dtype=float).reshape(-1)
+        self.col = float(alpha[0]) if alpha.size and (alpha == alpha[0]).all() else alpha[:, None]
+        self.zero = alpha == 0.0
         self.any_zero, self.all_zero = bool(self.zero.any()), bool(self.zero.all())
+        self.k = 1.0 + 1.0 / np.where(self.zero, np.inf, alpha)
+        self.lift = 1.0 + alpha
+        self.log1p = np.log1p(alpha)
 
     def rows(self, rows):
         """The terms of the points that rows, a mask or indices, selects."""
-        if np.ndim(self.alpha) == 0:
-            return self
-        out = object.__new__(_AlphaTerms)
-        for name in self.__slots__[:-2]:
-            setattr(out, name, getattr(self, name)[rows])
-        out._count_zeros()
-        return out
+        return _AlphaTerms(self.alpha[rows])
 
 
 def _trigamma(a):
@@ -167,16 +121,15 @@ class Family:
     point per alpha (k, p), the moment or regression work done once;
     at_zero(v) is the density's limit at x = 0.
 
-    mass and moments read alpha only through al, an _AlphaTerms of one
-    float or of one alpha per parameter point, whose terms of alpha
-    alone are taken once per Newton solve, not per evaluation. logf,
-    terms, cdf, mass and moments also take a batch of parameter points:
-    v holds one array per parameter, broadcasting against x (the kernel
-    passes columns (m, 1) to logf and terms, with observations as one
-    row (1, n) or a row per point (m, n), and v of shape (m,) to mass
-    and moments). Per-observation results take the broadcast shape, an
-    entry constant in x the shape of v; mass comes out (m,) and the
-    moments (m, p, p) and (m, p) for v of shape (m,).
+    mass and moments read alpha only through al, the _AlphaTerms of one
+    alpha per parameter point. logf, terms, cdf, mass and moments also
+    take a batch of parameter points: v holds one array per parameter,
+    broadcasting against x (the kernel passes columns (m, 1) to logf and
+    terms, with observations as one row (1, n) or a row per point (m,
+    n), and v of shape (m,) to mass and moments). Per-observation
+    results take the broadcast shape, an entry constant in x the shape
+    of v; mass comes out (m,) and the moments (m, p, p) and (m, p) for
+    al of m points, v of shape (m,) or one float per parameter.
     """
 
     tag: str
@@ -225,7 +178,7 @@ def _exp_moments(v, al, mass):
     rate = lam * al.lift
     return (
         _times(mass, _mat([[(1.0 + c * c) / rate**2]])),
-        _vec([c * lam ** (c - 1.0) / al.lift2]),
+        _vec([c * lam ** (c - 1.0) / (al.lift * al.lift)]),
         None,
     )
 
@@ -331,7 +284,7 @@ def _lognormal_mass(v, al):
         -0.5 * al.log1p
         - al.alpha * (_LOG_SQRT_2PI + np.log(sigma))
         - al.alpha * mu
-        + al.sq * sigma**2 / (2.0 * al.lift)
+        + al.alpha * al.alpha * sigma**2 / (2.0 * al.lift)
     )
 
 
@@ -414,10 +367,10 @@ def _weibull_moments(v, al, mass):
     # E[t^j] = r_j, E[t^j L] = r_j d_j, E[t^j L^2] = r_j q_j
     a, b = v
     c = al.alpha
-    shape, rate, rate2 = 1.0 + c * (a - 1.0) / a, al.lift, al.lift2
+    shape, rate, rate2 = 1.0 + c * (a - 1.0) / a, al.lift, al.lift * al.lift
     r = _vec([1.0, shape / rate, shape * (shape + 1.0) / rate2])
     shapes = np.asarray(shape)[..., None] + np.arange(3.0)
-    d = special.digamma(shapes) - np.asarray(al.log_lift)[..., None]
+    d = special.digamma(shapes) - al.log1p[..., None]
     q = d * d + _trigamma(shapes)
     # a row per power of t (v is 0- or 1-d, so .T moves the last axis first)
     el, eq = (r * d).T, (r * q).T
@@ -445,7 +398,7 @@ def _weibull_start(xs, alphas):
     vz = float(((z - z.mean()) ** 2).mean())
     a0 = float(((z - z.mean()) * (y - y.mean())).mean() / vz) if vz > 0 else 1.0
     a0 = np.maximum(a0, _shape_floor(np.asarray(alphas, dtype=float)) + 0.1)
-    b0 = _each(math.exp, special.gammaln(1.0 + 1.0 / a0)) / float(xs.mean())
+    b0 = np.exp(special.gammaln(1.0 + 1.0 / a0)) / float(xs.mean())
     return _vec([a0, b0])
 
 
@@ -576,9 +529,12 @@ def quantile(p, q):
 
 
 def score(p, x):
-    """Gradient of ln f_theta(x) in theta; shape x.shape + (param_count,)."""
+    """Gradient of ln f_theta(x) in theta; shape x.shape + (param_count,).
+    The terms are taken in float64 as the kernel takes them, so that the
+    Jacobian they also give, and discard here, may overflow to inf."""
     x = _check_x(x)
-    return _vec(p.family.terms(p.values, x, np.log(x))[1])
+    with np.errstate(all="ignore"):
+        return _vec(p.family.terms(np.array(p.values), x, np.log(x))[1])
 
 
 def dpd_mass_integral(p, alpha):
@@ -638,8 +594,10 @@ def _divergence(family, al, v, lnf, weights):
     of v and al's alpha there; weights broadcasts against lnf. Returns wg
     = weights f^alpha, total = its row sums, M, H = M - (1 + 1/alpha)
     total and H's rounding scale |M| + (1 + 1/alpha) total. At alpha = 0,
-    H is the negative log-likelihood -sum_j wg_j ln f_j, its scale sum_j
-    |wg_j ln f_j|, and a batch all at alpha = 0 takes no M (it reads 1).
+    H is the negative log-likelihood -sum_j weights_j ln f_j over the
+    positively weighted values, NaN rather than -inf (a ln f of +inf or
+    NaN among them), its scale sum_j |weights_j ln f_j|, and a batch all
+    at alpha = 0 takes no M (it reads 1).
     """
     if al.all_zero:
         # weights f^0: NaN where ln f is not finite, as exp(0 ln f) gives
@@ -650,9 +608,10 @@ def _divergence(family, al, v, lnf, weights):
     # wg >= 0
     h, scale = mass - al.k * total, np.abs(mass) + al.k * total
     if al.any_zero:
-        zero = al.zero if np.ndim(al.zero) else slice(None)
-        wl = wg[zero] * lnf[zero]
-        h[zero], scale[zero] = -wl.sum(axis=1), np.abs(wl).sum(axis=1)
+        w, lnf = np.broadcast_to(weights, lnf.shape)[al.zero], lnf[al.zero]
+        wl = np.where(w > 0.0, w * lnf, 0.0)
+        nll = -wl.sum(axis=1)
+        h[al.zero], scale[al.zero] = np.where(nll > -np.inf, nll, np.nan), np.abs(wl).sum(axis=1)
     return wg, total, mass, h, scale
 
 
@@ -667,6 +626,8 @@ def v_alpha(p, alpha, x):
     """
     check_dpd_valid(p, alpha)
     x = _check_x(x)
-    lnf = p.family.logf(p.values, x, np.log(x))
-    h = _divergence(p.family, _AlphaTerms(alpha), p.values, lnf.reshape(-1, 1), 1.0)[3]
+    al = _AlphaTerms(np.full(x.size, float(alpha)))
+    with np.errstate(all="ignore"):
+        lnf = p.family.logf(p.values, x, np.log(x))
+        h = _divergence(p.family, al, p.values, lnf.reshape(-1, 1), 1.0)[3]
     return h.reshape(x.shape)[()]  # [()]: a scalar for a scalar x

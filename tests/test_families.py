@@ -10,6 +10,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy import special
 
 from dpdfit.asymptotics import influence_function, sandwich
 from dpdfit.errors import DomainError, DpdValidityError
@@ -18,6 +19,8 @@ from dpdfit.families import (
     FAMILIES,
     Family,
     ParamVector,
+    _AlphaTerms,
+    _divergence,
     cdf,
     check_dpd_valid,
     density,
@@ -272,6 +275,25 @@ class TestScore:
         with pytest.raises(DomainError):
             score(ParamVector(GAMMA, (2.0, 1.0)), 0.0)
 
+    @pytest.mark.parametrize("tag, values", [
+        ("exponential", (1e200,)), ("gamma", (2.5, 1e200)), ("weibull", (1.5, 1e200)),
+    ])
+    def test_closed_form_at_rate_1e200(self, tag, values):
+        """A fit to data near 1e-201 can give a rate past 1e154, whose
+        square, in the Jacobian the terms also give, overflows; the score
+        is still its closed form, with no error or warning."""
+        x = np.array([1e-201, 4e-201, 2.5e-200])
+        got = score(ParamVector(FAMILIES[tag], values), x)
+        b, a = values[-1], values[0]
+        if tag == "exponential":
+            want = [[1.0 / b - xi] for xi in x]
+        elif tag == "gamma":
+            want = [[math.log(b) - special.digamma(a) + math.log(xi), a / b - xi] for xi in x]
+        else:
+            rest = [(lb, 1.0 - math.exp(a * lb)) for lb in (math.log(b) + math.log(xi) for xi in x)]
+            want = [[1.0 / a + lb * r, a / b * r] for lb, r in rest]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
 
 class TestDpdMassIntegral:
     def test_alpha_zero_is_unit_mass(self, rng):
@@ -345,6 +367,29 @@ class TestVAlpha:
     def test_rejects_nonpositive_x(self):
         with pytest.raises(DomainError):
             v_alpha(ParamVector(EXPONENTIAL, (1.0,)), 0.5, 0.0)
+
+    def test_alpha_zero_density_underflow_is_infinite(self):
+        """At alpha = 0 a density that underflows in log space, ln f =
+        -inf, gives the negative log-likelihood +inf, not NaN."""
+        p = ParamVector(EXPONENTIAL, (1e300,))
+        x = [1e10, 1e-300]
+        assert objective_h(EXPONENTIAL, p, 0.0, x) == math.inf
+        got = v_alpha(p, 0.0, x)
+        assert got[0] == math.inf
+        assert got[1] == pytest.approx(1.0 - math.log(1e300), rel=1e-15)
+
+    def test_alpha_zero_rule_never_reads_minus_infinity(self):
+        """_divergence's alpha = 0 rule sums -w ln f over the positively
+        weighted values only: ln f = -inf there reads +inf, at weight 0
+        nothing, and ln f = +inf or NaN there reads NaN, never -inf, which
+        the Newton kernel's descent test would accept."""
+        inf, nan = math.inf, math.nan
+        lnf = np.array([[-inf, -1.0], [-1.0, -inf], [inf, -1.0], [nan, -1.0], [inf, -inf]])
+        weights = np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
+        with np.errstate(invalid="ignore"):  # weights f^0 is NaN where ln f is infinite
+            h = _divergence(EXPONENTIAL, _AlphaTerms(np.zeros(5)), None, lnf, weights)[3]
+        assert h[0] == inf and h[1] == 1.0
+        assert np.isnan(h[2:]).all()
 
 
 class TestUnitShapeReductions:

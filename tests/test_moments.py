@@ -18,7 +18,14 @@ from scipy import special
 
 from dpdfit.asymptotics import are, influence_function, sandwich
 from dpdfit.estimator import fit
-from dpdfit.families import FAMILIES, ParamVector, log_density, score, weighted_moments
+from dpdfit.families import (
+    FAMILIES,
+    ParamVector,
+    _moment_rows,
+    log_density,
+    score,
+    weighted_moments,
+)
 from dpdfit.selection import select_model
 from dpdfit.uncertainty import sample_family
 from quadrature import QuadratureSpec, integrate_halfline
@@ -172,3 +179,21 @@ def test_library_never_integrates_numerically(tag, monkeypatch):
     influence_function(family, theta, 0.5, sample.values[:5])
     report = select_model(list(FAMILIES.values()), sample, refine=False)
     assert len(report.records) == len(FAMILIES)
+
+
+@pytest.mark.parametrize("c", [1.5, 3.0])
+def test_lone_moments_are_their_row_of_a_batch(c):
+    """weighted_moments at one point is, bit for bit, that point's row of
+    a _moment_rows batch whose other rows sit at other c. Where c is one
+    float, numpy takes lam ** (c - 1) by its fast path for a scalar
+    exponent (a square root at c = 1.5, a square at c = 3), which rounds
+    differently from the batch's elementwise power."""
+    rng = np.random.default_rng(11)
+    rates = np.exp(rng.uniform(-5.0, 5.0, 200))
+    theta = np.repeat(rates, 2)[:, None]
+    cs = np.column_stack([np.full(rates.size, c), rng.uniform(0.0, 3.0, rates.size)]).ravel()
+    batch = _moment_rows(EXPONENTIAL, theta, cs)[:3]
+    for r, rate in enumerate(rates.tolist()):
+        alone = weighted_moments(ParamVector(EXPONENTIAL, (rate,)), c)
+        for got, want in zip(batch, alone):
+            assert np.asarray(got[2 * r]).tobytes() == np.asarray(want).tobytes()

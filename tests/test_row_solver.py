@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import as_sample
-from dpdfit import estimator, families
+from dpdfit import estimator
 from dpdfit.errors import DpdError, FitError
 from dpdfit.estimator import _newton_step, _weighted_terms, fit, fit_alphas
 from dpdfit.families import FAMILIES, ParamVector, _AlphaTerms, quantile
@@ -200,17 +200,17 @@ def test_alpha_zero_rows_share_the_kernel_call(monkeypatch):
 
 @pytest.mark.parametrize("tag", ["gamma", "weibull"])
 def test_alpha_terms_are_taken_once_per_solve(tag, monkeypatch):
-    """The terms of alpha alone (math's log1p, log and powers, one
-    families._each call each) are taken once per _newton_rows call, not
-    at each of its evaluations, and once for the one-step starts: the
-    leave-one-out grid at n = 60 makes at most 4 per call and 4 for the
-    starts, over more evaluations than that."""
+    """The terms of alpha alone are taken from the alphas (an _AlphaTerms
+    built in the estimator) once per _newton_rows call, not at each of
+    its evaluations, and once for the one-step starts: the leave-one-out
+    grid at n = 60 makes 5 solves, over more evaluations than that. Rows
+    are then only selected from them (_AlphaTerms.rows)."""
     family = FAMILIES[tag]
     xs = _sorted_values(tied_contamination(tag), family.param_count)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         starts = [res.theta_hat.values for res in fit_alphas(family, COARSE_GRID, xs)]
-    counts = {"_each": 0, "_newton_rows": 0, "_weighted_terms": 0}
+    counts = {"_AlphaTerms": 0, "_newton_rows": 0, "_weighted_terms": 0}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -221,43 +221,31 @@ def test_alpha_terms_are_taken_once_per_solve(tag, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(families, "_each")
+    counted(estimator, "_AlphaTerms")
     counted(estimator, "_newton_rows")
     counted(estimator, "_weighted_terms")
     _loo_points(family, COARSE_GRID, xs, starts)
     assert counts["_newton_rows"] == 5
     # the one-step starts take the terms once more, for both their
     # _weighted_terms calls; those calls and the evaluations outnumber the
-    # solves, so terms taken per evaluation would break the bound
+    # solves, so terms taken per evaluation would break the count
     solves = counts["_newton_rows"] + 1
-    assert counts["_each"] <= 4 * solves and solves < counts["_weighted_terms"]
+    assert counts["_AlphaTerms"] == solves < counts["_weighted_terms"]
 
 
-def test_alpha_terms_take_each_distinct_alpha_once(monkeypatch):
+def test_alpha_terms_take_each_distinct_alpha_once():
     """A leave-one-out chunk (273 rows at n = 60) holds the grid's 21
-    alphas over and over; _AlphaTerms makes one Python call per distinct
-    alpha for each of its math-function terms, and each row still gets
-    the bits its alpha gets alone."""
+    alphas over and over; each row gets the log1p, k and lift bits its
+    alpha gets alone, and its rows() selection the bits of the chunk."""
     n = 60
     alphas = np.tile(COARSE_GRID, n)[: estimator._ROW_BUDGET // n]
     assert alphas.size == 273
-    calls = []
-
-    def counted(i, fn):
-        def wrapper(alpha):
-            calls.append(i)
-            return fn(alpha)
-
-        return wrapper
-
-    fns = families._ALPHA_FNS
-    monkeypatch.setattr(families, "_ALPHA_FNS", tuple(counted(i, fn) for i, fn in enumerate(fns)))
     al = _AlphaTerms(alphas)
-    assert sorted(calls) == sorted(list(range(len(fns))) * len(COARSE_GRID))
-    monkeypatch.setattr(families, "_ALPHA_FNS", fns)
-    for name in ("log1p", "log_lift", "lift2", "sq"):
-        alone = [getattr(_AlphaTerms(a), name) for a in alphas.tolist()]
+    picked = al.rows(np.arange(0, alphas.size, 2))
+    for name in ("log1p", "k", "lift"):
+        alone = [getattr(_AlphaTerms(a), name)[0] for a in alphas.tolist()]
         assert [v.hex() for v in getattr(al, name).tolist()] == [v.hex() for v in alone], name
+        assert getattr(picked, name).tobytes() == getattr(al, name)[::2].tobytes(), name
 
 
 # Points where an alpha = 0 row's ln f or its u u' sum is not finite: the

@@ -31,6 +31,9 @@ fit; _rics scores the batches of ric and select_model. The divergence H
 is reduced in one place, families._divergence, which with _moment_rows
 alone takes a family's mass, and J is inverted once, by the sandwich:
 RIC's trace comes from its avar, so no module solves a linear system.
+The terms of alpha alone have one form, numpy arrays with an entry per
+point, and no table of math functions; the CLI defines each flag that
+several commands share once.
 """
 
 import ast
@@ -323,3 +326,19 @@ def test_information_matrix_inverted_once():
     assert _calls_ending(_tree(PACKAGE / "asymptotics.py"), "_invert_spd_rows") == [
         "_invert_spd", "_sandwich_rows"
     ]
+
+
+def test_alpha_terms_have_one_form():
+    """The terms of alpha alone are numpy arrays, one entry per point,
+    with no table of math functions to take them entry by entry."""
+    gone = {"_each", "_ALPHA_FNS"}
+    assert not [p.name for p in MODULES if gone & _names(_tree(p))]
+    assert not [name for name in gone if hasattr(dpdfit.families, name)]
+    assert dpdfit.families._AlphaTerms.__slots__ == (
+        "alpha", "col", "zero", "k", "lift", "log1p", "any_zero", "all_zero"
+    )
+
+
+def test_shared_cli_flags_defined_once():
+    text = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert [text.count(f'"{flag}"') for flag in ("--fast", "--theta", "--alpha")] == [1, 1, 1]

@@ -297,6 +297,8 @@ SMALL = as_sample([0.8, 1.3, 2.1, 2.9, 3.5, 4.2, 5.8, 7.7])
     [
         (lambda: Sample((1.0,), dry_count=math.nan), DataError, "dry_count"),
         (lambda: Sample((1.0,), dry_count=math.inf), DataError, "dry_count"),
+        (lambda: Sample((1.0,), dry_count="3"), DataError, "dry_count"),
+        (lambda: Sample((1.0,), dry_count=None), DataError, "dry_count"),
         (lambda: sample_family(GAMMA, GAMMA_2, 10, seed=-1), DomainError, "seed"),
         (lambda: sample_family(GAMMA, GAMMA_2, math.nan, seed=0), DomainError, "n >= 1"),
         (lambda: sample_family(GAMMA, GAMMA_2, math.inf, seed=0), DomainError, "n >= 1"),
@@ -308,8 +310,8 @@ SMALL = as_sample([0.8, 1.3, 2.1, 2.9, 3.5, 4.2, 5.8, 7.7])
         (lambda: if_supremum(GAMMA, GAMMA_2, 0.5, grid_points=1), DomainError, "grid_points"),
     ],
     ids=[
-        "dry-nan", "dry-inf", "sample-seed", "sample-n-nan", "sample-n-inf", "scheme-seed",
-        "bootstrap-seed", "bootstrap-B-inf", "if-grid--1", "if-grid-0", "if-grid-1",
+        "dry-nan", "dry-inf", "dry-str", "dry-none", "sample-seed", "sample-n-nan", "sample-n-inf",
+        "scheme-seed", "bootstrap-seed", "bootstrap-B-inf", "if-grid--1", "if-grid-0", "if-grid-1",
     ],
 )
 def test_out_of_range_numbers_raise_dpd_errors(call, error, named):

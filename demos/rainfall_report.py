@@ -3,9 +3,10 @@ A monthly-rainfall-shaped pipeline, end to end
 ==============================================
 
 Monthly series of positive amounts with some dry (zero) months:
-ingest, summarize outliers, pick the family, tune alpha, and report a
-median adjusted for the dry proportion. Everything here also runs as
-`dpdfit report --input panel.csv`.
+ingest, summarize outliers, pick the family by its RIC at one alpha,
+tune alpha on the coarse grid, and report a median adjusted for the dry
+proportion. Everything here also runs as `dpdfit report --input
+panel.csv --fast`.
 """
 
 import csv
@@ -51,7 +52,7 @@ for series in load_panel("/tmp/panel_demo.csv", "value", "label"):
     print(f"  quartiles ({o.q1:.1f}, {o.q3:.1f}), fences ({o.lower_fence:.1f}, "
           f"{o.upper_fence:.1f}), {o.outlier_proportion:.1f}% flagged")
 
-    winner = select_model(list(FAMILIES.values()), series, refine=False).winner
+    winner = select_model(list(FAMILIES.values()), series).winner
     tuned = select_alpha(winner, series, refine=False)
     res = tuned.fit_star
     se = asymptotic_se(res)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, FitError, SingularInformationError
 from .dataio import write_rows
 from .estimator import dpd_weights
-from .families import _check_family, _moment_rows, quantile, score
+from .families import _check_family, _checked_alpha, _moment_rows, quantile, score
 
 __all__ = [
     "SandwichMatrices",
@@ -125,7 +125,7 @@ def sandwich(family, theta, alpha):
     """J, K, xi and the sandwich variance J^-1 K J^-1 at theta: the
     one-point case of _sandwich_rows."""
     _check_family(family, theta)
-    alpha = float(alpha)
+    alpha = _checked_alpha(alpha)
     (j_mat,), (k_mat,), (xi,), (avar,), (error,) = _sandwich_rows(
         family, np.array([theta.values]), np.array([alpha])
     )
@@ -163,7 +163,7 @@ def are(family, theta, alphas=_TABLE_ALPHAS):
     first error in table order is raised.
     """
     for a in alphas:
-        if not 0.0 <= a <= 1.0:
+        if _checked_alpha(a) > 1.0:
             raise DomainError("ARE tuning parameters must lie in [0, 1]")
     _check_family(family, theta)
     table = np.array([0.0, *alphas], dtype=float)
@@ -187,7 +187,7 @@ def influence_function(family, theta0, alpha, y):
     """
     _check_family(family, theta0)
     _, (j_mat,), (xi,), (error,) = _moment_rows(
-        family, np.array([theta0.values]), np.array([float(alpha)])
+        family, np.array([theta0.values]), np.array([_checked_alpha(alpha)])
     )
     if error is not None:
         raise error
@@ -207,7 +207,7 @@ def if_supremum(family, theta0, alpha, grid_points=2000):
     alpha > 0 it stabilizes under refinement because the true IF is
     bounded.
     """
-    if alpha <= 0.0:
+    if _checked_alpha(alpha) <= 0.0:
         raise DomainError("if_supremum requires alpha > 0")
     if not (isinstance(grid_points, numbers.Integral) and grid_points >= 2):
         raise DomainError(f"if_supremum needs an integer grid_points >= 2, got {grid_points!r}")

@@ -83,9 +83,8 @@ def build_parser():
     add_fast(p)
     p.add_argument("--curve-csv", default=None, help="write the alpha vs cvmd curve here")
 
-    p = cmd("select", "rank all four families by minimized RIC")
+    p = cmd("select", "rank all four families by their RIC at one alpha")
     add_input(p)
-    add_fast(p)
     p.add_argument("--table-csv", default=None, help="write the family,alpha,ric table here")
 
     p = cmd("are-table", "asymptotic relative efficiency table for one family")
@@ -285,7 +284,7 @@ def _cmd_tune(args):
 
 def _cmd_select(args):
     sample = load_csv(args.input, args.column)
-    rep = select_model(list(FAMILIES.values()), sample, refine=not args.fast)
+    rep = select_model(list(FAMILIES.values()), sample)
     if args.table_csv:
         _emit(args.table_csv, rep.table_to_csv)
     out = {
@@ -294,8 +293,8 @@ def _cmd_select(args):
         "families": [
             {
                 "family": r.family.tag,
-                "alpha": r.alpha_star_ric,
-                "ric": r.ric_min,
+                "alpha": r.fit.alpha,
+                "ric": r.ric,
                 "params": _named(r.family, r.fit.theta_hat.values),
                 "converged": r.fit.converged,
             }
@@ -355,9 +354,9 @@ def _cmd_simulate(args):
 
 
 def _series_row(sample, fast):
-    """One report row: RIC-selected family, CVM-tuned alpha, adjusted median."""
-    rep = select_model(list(FAMILIES.values()), sample, refine=not fast)
-    winner = rep.winner
+    """One report row: the family of least RIC at selection.RANK_ALPHA,
+    its CVM-tuned alpha, and the adjusted median."""
+    winner = select_model(list(FAMILIES.values()), sample).winner
     tun = select_alpha(winner, sample, refine=not fast)
     res = tun.fit_star
     # one sandwich for the SEs and the RIC; if it raises, the row is skipped
@@ -384,7 +383,7 @@ def _cmd_report(args):
     for sample in load_panel(args.input, args.column, args.label_column):
         try:
             rows.append(_series_row(sample, args.fast))
-        except (DpdError, DataError) as e:
+        except DpdError as e:
             print(f"error: series {sample.label!r} skipped: {e}", file=sys.stderr)
     if not rows:
         raise FitError("every series failed")

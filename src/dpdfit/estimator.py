@@ -18,6 +18,7 @@ from .families import (
     _AlphaTerms,
     _check_family,
     _check_x,
+    _checked_alpha,
     _divergence,
     _mat,
     _positive,
@@ -355,7 +356,7 @@ def _solve_rows(family, alphas, m, width, weights_of, starts):
 
 def _checked_values(family, alphas, sample):
     """The sample's values, after the checks that fail a fit at any alpha."""
-    if not all(0.0 <= alpha <= 1.0 for alpha in alphas):
+    if not all(_checked_alpha(alpha) <= 1.0 for alpha in alphas):
         raise DomainError("alpha must lie in [0, 1]")
     vals = _sample_values(sample)
     if vals.size < family.param_count + 1:
@@ -426,9 +427,9 @@ def fit(family, alpha, sample, warm_start=None):
     reached rounding at a positive definite Hessian. `objective` is H at
     the returned `theta_hat`, so objective == objective_h(theta_hat).
 
-    The package's own searches fit through fit_alphas; `warm_start` stays
-    as the per-replicate reference route that the row-solver tests hold
-    every batched refit to.
+    The package's own alpha search and model selection fit through
+    fit_alphas; `warm_start` stays as the per-replicate reference route
+    that the row-solver tests hold every batched refit to.
     """
     vals = _checked_values(family, (alpha,), sample)
     if warm_start is not None:
@@ -453,6 +454,6 @@ def fit_alphas(family, alphas, sample):
     fit does. An alpha outside [0, 1], too few values or, for a
     two-parameter family, all values equal raise once for the batch.
     """
-    alphas = [float(alpha) for alpha in alphas]
+    alphas = [_checked_alpha(alpha) for alpha in alphas]
     vals = _checked_values(family, alphas, sample)
     return _fit_rows(family, alphas, vals, family.start(vals, alphas))

@@ -11,6 +11,7 @@ that define it, and the public functions below only dispatch to them.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -479,12 +480,17 @@ def check_dpd_valid(p, alpha):
     _check_shape(p.family, p.values[0], alpha)
 
 
+def _checked_alpha(alpha):
+    """alpha as a float, after the one check of alpha: a finite nonnegative
+    real. alpha > 1 passes: the sandwich checks 2 alpha."""
+    if not (isinstance(alpha, numbers.Real) and 0.0 <= alpha < math.inf):
+        raise DomainError(f"alpha must be finite and nonnegative real, got {alpha!r}")
+    return float(alpha)
+
+
 def _check_shape(family, shape, alpha):
-    """check_dpd_valid for a family whose first parameter is `shape`; the
-    one check of alpha. alpha > 1 passes: the sandwich checks 2 alpha."""
-    if not 0.0 <= alpha < math.inf:
-        raise DomainError(f"alpha must be finite and nonnegative, got {alpha}")
-    floor = _shape_floor(alpha)
+    """check_dpd_valid for a family whose first parameter is `shape`."""
+    floor = _shape_floor(_checked_alpha(alpha))
     if family.shaped and shape <= floor:
         raise DpdValidityError(
             f"{family.tag} shape {shape:g} <= alpha/(1+alpha) "
@@ -555,7 +561,7 @@ def weighted_moments(p, c):
     from these (Basu, Harris, Hjort & Jones 1998). The one-point case of
     _moment_rows.
     """
-    mass, uu, u, (error,) = _moment_rows(p.family, np.array([p.values]), np.array([float(c)]))
+    mass, uu, u, (error,) = _moment_rows(p.family, np.array([p.values]), np.array([_checked_alpha(c)]))
     if error is not None:
         raise error
     return mass[0], uu[0], u[0]

@@ -14,15 +14,14 @@ et al. (2019) and Rad & Maleki (2020), estimator._one_step_starts.
 score_alphas turns a batch of alphas into scored fits: one batched
 full-sample fit (estimator.fit_alphas), alpha being a row axis of the
 Newton kernel, and one call of a scorer on the fits that succeeded.
-alpha_search, the one alpha search, scores the whole grid as one batch
-and each golden-section step as a batch of one alpha. select_alpha
-scores by this distance, the grid's all 21 n held-out rows being one
-leave-one-out solve, and selection.select_model by RIC; cvm_distance
-and selection.ric are batches of one alpha.
+alpha_search, the one alpha search, select_alpha's, scores the whole
+grid as one batch, its 21 n held-out rows being one leave-one-out
+solve, and each golden-section step as a batch of one alpha.
+cvm_distance is a batch of one alpha, and so are selection.select_model
+and selection.ric, scored by RIC.
 
-Both searches leave out of the curve an alpha they cannot score; for
-CVM, one whose full-sample fit fails or whose held-out rows are not all
-solved. The grid alphas missing from a curve record what was left out.
+The search leaves out an alpha whose full-sample fit fails or whose
+held-out rows are not all solved; the curve records it by its absence.
 
 On clean data the curve is nearly flat in alpha (it varies by a few
 1e-4 at most for n = 250), so its argmin can land anywhere on the

@@ -330,14 +330,23 @@ class TestSelectCommand:
         path = tmp_path / "series.csv"
         write_series(path, sample_family(GAMMA, (5.0, 1.0), 80, seed=2).values)
         target = tmp_path / "table.csv"
-        rc = main(["select", "--input", str(path), "--fast",
-                   "--table-csv", str(target)])
+        rc = main(["select", "--input", str(path), "--table-csv", str(target)])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["winner"] in FAMILIES
         assert len(out["families"]) == 4
         assert {r["family"] for r in out["families"]} == set(FAMILIES)
-        assert target.read_text().splitlines()[0] == "family,alpha,ric"
+        assert {r["alpha"] for r in out["families"]} == {0.05}
+        lines = target.read_text().splitlines()
+        assert lines[0] == "family,alpha,ric"
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
+            f"{r['family']},0.05" for r in out["families"]
+        ]
+
+    def test_fast_is_not_an_option(self, tiny_csv, capsys):
+        """Families are ranked at one alpha, so there is nothing to refine."""
+        assert main(["select", "--input", tiny_csv, "--fast"]) == 1
+        assert "--fast" in capsys.readouterr().err
 
 
 class TestBootstrapCommand:
@@ -404,6 +413,24 @@ class TestReportCommand:
                 assert fields["se2"] == ""
             else:
                 assert fields["param2"] != ""
+
+    def test_both_modes_pick_the_same_family(self, tmp_path):
+        """report and report --fast rank the families alike, at one alpha:
+        only the tuning of the winner's alpha differs between them."""
+        panel = tmp_path / "panel.csv"
+        with open(panel, "w", encoding="utf-8") as fh:
+            fh.write("label,value\n")
+            for tag, theta, seed in (("gamma", (4.0, 0.05), 13), ("weibull", (1.6, 0.02), 121)):
+                for v in sample_family(FAMILIES[tag], theta, 60, seed=seed).values:
+                    fh.write(f"{tag}-series,{v!r}\n")
+        families = []
+        for extra in ([], ["--fast"]):
+            target = tmp_path / f"report{len(extra)}.csv"
+            assert main(["report", "--input", str(panel), "--output", str(target), *extra]) == 0
+            rows = [dict(zip(REPORT_COLUMNS, line.split(","))) for line in target.read_text().splitlines()[1:]]
+            families.append([(row["label"], row["family"]) for row in rows])
+        assert len(families[0]) == 2
+        assert families[0] == families[1]
 
     def test_thread_count_does_not_change_output(self, panel_reports):
         text1, text2 = panel_reports

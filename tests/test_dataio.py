@@ -27,7 +27,7 @@ from dpdfit.dataio import (
 from dpdfit.errors import DataError, DomainError, FitError
 from dpdfit.estimator import FitResult, fit
 from dpdfit.families import FAMILIES, ParamVector, quantile
-from dpdfit.selection import SelectionReport
+from dpdfit.selection import SelectionRecord, SelectionReport
 from dpdfit.tuning import TuningResult
 from dpdfit.uncertainty import (
     BootstrapResult,
@@ -38,6 +38,7 @@ from dpdfit.uncertainty import (
 
 EXPONENTIAL = FAMILIES["exponential"]
 GAMMA = FAMILIES["gamma"]
+LOGNORMAL = FAMILIES["lognormal"]
 WEIBULL = FAMILIES["weibull"]
 
 
@@ -411,10 +412,16 @@ WRITER_BYTES = {
     ),
     "SelectionReport.table_to_csv": (
         lambda p: SelectionReport(
-            None, None, {(WEIBULL, 0.1): -1 / 3, (GAMMA, 0.5): 123456.789, (GAMMA, 0.05): 1e-9}, ()
+            (
+                SelectionRecord(GAMMA, 1e-9, FitResult(GAMMA, 0.05, None, 0.0, True, 4, 1)),
+                SelectionRecord(LOGNORMAL, 123456.789, FitResult(LOGNORMAL, 0.5, None, 0.0, True, 4, 1)),
+                SelectionRecord(WEIBULL, -1 / 3, FitResult(WEIBULL, 1 / 3, None, 0.0, True, 4, 1)),
+            ),
+            None,
+            (),
         ).table_to_csv(p),
-        b"family,alpha,ric\r\ngamma,0.05,1e-09\r\ngamma,0.5,123456.789\r\n"
-        b"weibull,0.1,-0.333333333333\r\n",
+        b"family,alpha,ric\r\ngamma,0.05,1e-09\r\nlognormal,0.5,123456.789\r\n"
+        b"weibull,0.3333333333,-0.333333333333\r\n",
     ),
     "BootstrapResult.estimates_to_csv": (
         lambda p: BootstrapResult(

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from dpdfit.asymptotics import influence_function, sandwich
+from dpdfit.asymptotics import are, if_supremum, influence_function, sandwich
 from dpdfit.errors import DomainError, DpdValidityError
-from dpdfit.estimator import dpd_weights, estimating_residual, objective_h
+from dpdfit.estimator import dpd_weights, estimating_residual, fit, fit_alphas, objective_h
 from dpdfit.families import (
     FAMILIES,
     Family,
@@ -31,6 +31,9 @@ from dpdfit.families import (
     v_alpha,
     weighted_moments,
 )
+from dpdfit.selection import ric
+from dpdfit.tuning import cvm_distance
+from dpdfit.uncertainty import bootstrap_se
 from quadrature import integrate_halfline
 from reference_values import GAMMA_5_1_MEDIAN, LOGNORMAL_V_HALF_AT_1
 
@@ -144,6 +147,29 @@ def test_alpha_must_be_finite_and_nonnegative(name, alpha):
     with pytest.raises(DomainError, match="alpha must be finite and nonnegative"):
         ALPHA_CALLS[name](alpha)
     ALPHA_CALLS[name](1.5)
+
+
+EVERY_ALPHA_CALL = {
+    **ALPHA_CALLS,
+    "check_dpd_valid": lambda a: check_dpd_valid(GAMMA_2, a),
+    "fit": lambda a: fit(GAMMA, a, X),
+    "fit_alphas": lambda a: fit_alphas(GAMMA, [a], X),
+    "are": lambda a: are(GAMMA, GAMMA_2, (a,)),
+    "if_supremum": lambda a: if_supremum(GAMMA, GAMMA_2, a),
+    "bootstrap_se": lambda a: bootstrap_se(GAMMA, a, X, B=2),
+    "ric": lambda a: ric(GAMMA, a, X),
+    "cvm_distance": lambda a: cvm_distance(GAMMA, a, X),
+}
+
+
+@pytest.mark.parametrize("alpha", [None, "0.5"], ids=["None", "str"])
+@pytest.mark.parametrize("name", list(EVERY_ALPHA_CALL))
+def test_alpha_must_be_a_real_number(name, alpha):
+    """An alpha that is not a real number is refused by the one check of
+    alpha, before any comparison or float() could raise a bare TypeError
+    or read a string as a number."""
+    with pytest.raises(DomainError, match="alpha must be finite and nonnegative real"):
+        EVERY_ALPHA_CALL[name](alpha)
 
 
 class TestDensity:

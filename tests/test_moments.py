@@ -177,7 +177,7 @@ def test_library_never_integrates_numerically(tag, monkeypatch):
     assert np.all(np.isfinite(sw.avar))
     are(family, theta, alphas=(0.5,))
     influence_function(family, theta, 0.5, sample.values[:5])
-    report = select_model(list(FAMILIES.values()), sample, refine=False)
+    report = select_model(list(FAMILIES.values()), sample)
     assert len(report.records) == len(FAMILIES)
 
 

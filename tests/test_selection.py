@@ -26,8 +26,7 @@ from dpdfit.errors import (
 )
 from dpdfit.estimator import fit, fit_alphas
 from dpdfit.families import FAMILIES, ParamVector, log_density
-from dpdfit.selection import ric, select_model
-from dpdfit.tuning import COARSE_GRID
+from dpdfit.selection import RANK_ALPHA, ric, select_model
 from dpdfit.uncertainty import sample_family
 
 EXPONENTIAL = FAMILIES["exponential"]
@@ -108,6 +107,43 @@ class TestRic:
         assert ric(LOGNORMAL, 0.25, sample) < ric(GAMMA, 0.25, sample)
 
 
+class TestOneAlpha:
+    """Why families are ranked at one alpha: RIC is no criterion to
+    minimize over alpha. alpha H -> -1 as alpha -> 0+, so RIC(alpha) ~
+    -1/alpha and its minimum is the smallest alpha tried; at one alpha,
+    RIC(x/s) = s^alpha RIC(x), so the ranking does not depend on units."""
+
+    @staticmethod
+    def seeded(family, values):
+        return sample_family(family, ParamVector(family, values), 80, seed=7)
+
+    @pytest.mark.parametrize("family, values", GENERATORS, ids=[f.tag for f, _ in GENERATORS])
+    def test_alpha_h_tends_to_minus_one(self, family, values):
+        sample = self.seeded(family, values)
+        gaps = [abs(a * fit(family, a, sample).objective + 1.0) for a in (1e-3, 1e-4, 1e-5)]
+        assert gaps[0] > gaps[1] > gaps[2]
+
+    @pytest.mark.parametrize("scale", [25.4, 2.0**10])
+    @pytest.mark.parametrize("family, values", GENERATORS, ids=[f.tag for f, _ in GENERATORS])
+    def test_scale_law(self, family, values, scale):
+        """RIC(x/s) = s^alpha RIC(x) for alpha > 0; at alpha = 0, H is a
+        mean negative log density, so RIC(x/s) = RIC(x) - ln s."""
+        x = np.array(self.seeded(family, values).values)
+        small = as_sample(x / scale)
+        for alpha in (0.3, 0.7):
+            want = scale**alpha * ric(family, alpha, as_sample(x))
+            assert ric(family, alpha, small) == pytest.approx(want, rel=1e-12)
+        want = ric(family, 0.0, as_sample(x)) - math.log(scale)
+        assert ric(family, 0.0, small) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("family, values", GENERATORS, ids=[f.tag for f, _ in GENERATORS])
+    def test_winner_does_not_depend_on_units(self, family, values):
+        x = np.array(self.seeded(family, values).values)
+        winner = select_model(ALL_FAMILIES, as_sample(x)).winner
+        for scale in (25.4, 2.0**10):
+            assert select_model(ALL_FAMILIES, as_sample(scale * x)).winner is winner
+
+
 class TestSelectModel:
     def test_singleton_candidate(self):
         sample = sample_family(EXPONENTIAL, ParamVector(EXPONENTIAL, (1.0,)), 50, seed=1)
@@ -125,32 +161,33 @@ class TestSelectModel:
         criterion by at most the extra-parameter penalty 2/n."""
         sample = sample_family(GAMMA, ParamVector(GAMMA, (1.0, 2.0)), 300, seed=0)
         report = select_model([EXPONENTIAL, GAMMA], sample)
-        by_tag = {r.family.tag: r.ric_min for r in report.records}
+        by_tag = {r.family.tag: r.ric for r in report.records}
         assert abs(by_tag["exponential"] - by_tag["gamma"]) <= 2.0 / 300.0
 
     def test_report_invariants(self):
+        """Each record is its family's ric at RANK_ALPHA, bit for bit, from
+        a converged fit at that alpha, and the winner's is the least."""
         sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 1.0)), 150, seed=9)
         report = select_model(ALL_FAMILIES, sample)
-        winner_min = min(r.ric_min for r in report.records)
+        winner_min = min(r.ric for r in report.records)
+        assert [r.family for r in report.records] == ALL_FAMILIES
         for record in report.records:
-            assert winner_min <= record.ric_min + 1e-12
-            family_entries = [
-                v for (f, _a), v in report.ric_table.items() if f is record.family
-            ]
-            assert record.ric_min <= min(family_entries) + 1e-12
+            assert winner_min <= record.ric + 1e-12
+            assert record.ric.hex() == ric(record.family, RANK_ALPHA, sample).hex()
+            assert record.fit.alpha == RANK_ALPHA
             assert record.fit.converged
+        assert next(r.ric for r in report.records if r.family is report.winner) == winner_min
         assert report.excluded == ()
 
     def test_each_alpha_fitted_once_from_the_moment_start(self, monkeypatch):
-        """Every (family, alpha) in the table is one cold fit, the grid one
-        batch and each golden-section step a batch of one alpha, and each
-        record holds the fit that was scored: no warm chain, no refit."""
-        batches, fits = [], []
+        """Each family is one fit_alphas batch of (RANK_ALPHA,), and its
+        record holds the fit that batch gave, bit for bit fit()'s from the
+        moment start: no warm chain, no refit."""
+        batches = []
 
         def counting_batch(family, alphas, sample):
             results = fit_alphas(family, alphas, sample)
-            batches.append((family.tag, tuple(alphas)))
-            fits.extend((family.tag, a, res) for a, res in zip(alphas, results))
+            batches.append((family.tag, tuple(alphas), results))
             return results
 
         def no_fit(*args, **kwargs):
@@ -160,25 +197,15 @@ class TestSelectModel:
         monkeypatch.setattr(estimator, "fit", no_fit)
         sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 1.0)), 80, seed=9)
         report = select_model(ALL_FAMILIES, sample)
-        for family in ALL_FAMILIES:
-            mine = [alphas for tag, alphas in batches if tag == family.tag]
-            assert mine[0] == COARSE_GRID
-            assert all(len(alphas) == 1 for alphas in mine[1:])
-        assert sorted((tag, a) for tag, a, _ in fits) == sorted(
-            (f.tag, a) for f, a in report.ric_table
-        )
-        for tag, a, res in fits:
-            cold = fit(FAMILIES[tag], a, sample)
-            assert (res.theta_hat, res.evaluations) == (cold.theta_hat, cold.evaluations)
-        by_key = {(tag, a): res for tag, a, res in fits}
-        for record in report.records:
-            assert record.fit is by_key[(record.family.tag, record.alpha_star_ric)]
-
-    def test_grid_only_mode_stays_on_grid(self):
-        sample = sample_family(EXPONENTIAL, ParamVector(EXPONENTIAL, (1.0,)), 80, seed=2)
-        report = select_model(ALL_FAMILIES, sample, refine=False)
-        for record in report.records:
-            assert record.alpha_star_ric in set(k / 20.0 for k in range(21))
+        assert [(tag, alphas) for tag, alphas, _ in batches] == [
+            (f.tag, (RANK_ALPHA,)) for f in ALL_FAMILIES
+        ]
+        for record, (_, _, (res,)) in zip(report.records, batches):
+            assert record.fit is res
+            cold = fit(record.family, RANK_ALPHA, sample)
+            assert (res.theta_hat, res.objective, res.evaluations) == (
+                cold.theta_hat, cold.objective, cold.evaluations
+            )
 
     def test_all_candidates_failing(self):
         degenerate = as_sample([2.0, 2.0, 2.0, 2.0])
@@ -186,52 +213,47 @@ class TestSelectModel:
             with pytest.raises(SelectionError):
                 select_model([GAMMA], degenerate)
 
-    def test_failed_alpha_is_left_out_and_ends_refinement(self, monkeypatch):
-        """A grid alpha whose fit fails is left out of the curve, and the
-        first refinement alpha whose fit fails ends the refinement."""
-        tried = []
+    def test_failed_fit_excludes_and_names_the_family(self, monkeypatch):
+        """A family whose fit fails at RANK_ALPHA is excluded, with a
+        warning naming its error, and the others are ranked as before."""
+        sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 1.0)), 60, seed=2)
+        clean = select_model(ALL_FAMILIES, sample)
 
         def failing_batch(family, alphas, sample):
-            tried.extend(alphas)
-            return [
-                FitError("forced failure") if alpha == 0.5 or alpha not in COARSE_GRID else res
-                for alpha, res in zip(alphas, fit_alphas(family, alphas, sample))
-            ]
+            results = fit_alphas(family, alphas, sample)
+            return [FitError("forced failure") if family is GAMMA else res for res in results]
 
         monkeypatch.setattr(tuning, "fit_alphas", failing_batch)
-        sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 1.0)), 60, seed=2)
-        report = select_model([GAMMA], sample)
-        assert sorted(a for _, a in report.ric_table) == [a for a in COARSE_GRID if a != 0.5]
-        assert len(tried) == len(COARSE_GRID) + 1
-        assert report.records[0].alpha_star_ric in COARSE_GRID
+        with pytest.warns(RuntimeWarning, match="gamma: FitError: forced failure; excluded"):
+            report = select_model(ALL_FAMILIES, sample)
+        assert report.excluded == ("gamma",)
+        assert [(r.family, r.ric.hex()) for r in report.records] == [
+            (r.family, r.ric.hex()) for r in clean.records if r.family is not GAMMA
+        ]
 
     @pytest.mark.parametrize(
         "point, error",
         [
-            ((0.4, 1.0), DpdValidityError),
+            ((0.07, 1.0), DpdValidityError),
             ((3.0, 1e-200), SingularInformationError),
             ((3.0, 1e300), SingularInformationError),
         ],
         ids=["floor-at-2-alpha", "J-not-finite", "J-singular"],
     )
     def test_failed_ric_leaves_only_its_alpha_out(self, monkeypatch, point, error):
-        """A grid alpha whose fit succeeds but whose RIC raises, here at a
-        point refused at 2 alpha, or whose J overflows or is exactly
-        singular, is the only entry left out of ric_table; every other
-        entry keeps its bits, as the batched sandwich and trace score each
-        row on its own."""
+        """A family whose fit succeeds but whose RIC raises, here at a point
+        refused at 2 alpha, or whose J overflows or is exactly singular, is
+        excluded with that error named; every other family keeps its bits,
+        as the batched sandwich and trace score each row on its own."""
         sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 1.0)), 60, seed=2)
-        clean = select_model([GAMMA], sample, refine=False)
+        clean = select_model(ALL_FAMILIES, sample)
         failing = []
 
         def one_bad_point(family, alphas, sample):
             results = fit_alphas(family, alphas, sample)
-            return [
-                dataclasses.replace(res, theta_hat=ParamVector(family, point))
-                if alpha == 0.5
-                else res
-                for alpha, res in zip(alphas, results)
-            ]
+            if family is not GAMMA:
+                return results
+            return [dataclasses.replace(res, theta_hat=ParamVector(family, point)) for res in results]
 
         def recording(family, fits):
             scored = rics(family, fits)
@@ -241,10 +263,13 @@ class TestSelectModel:
         rics = selection._rics
         monkeypatch.setattr(tuning, "fit_alphas", one_bad_point)
         monkeypatch.setattr(selection, "_rics", recording)
-        report = select_model([GAMMA], sample, refine=False)
+        with pytest.warns(RuntimeWarning, match=f"gamma: {error.__name__}: .*; excluded"):
+            report = select_model(ALL_FAMILIES, sample)
         assert [type(e) for e in failing] == [error]
-        expected = {key: value.hex() for key, value in clean.ric_table.items() if key[1] != 0.5}
-        assert {key: value.hex() for key, value in report.ric_table.items()} == expected
+        assert report.excluded == ("gamma",)
+        assert [(r.family, r.ric.hex(), r.fit.theta_hat) for r in report.records] == [
+            (r.family, r.ric.hex(), r.fit.theta_hat) for r in clean.records if r.family is not GAMMA
+        ]
 
     def test_excluded_families_are_listed(self):
         """On a constant sample only the one-parameter family can be fitted;
@@ -274,11 +299,14 @@ class TestSelectModel:
             select_model([], as_sample([1.0, 2.0]))
 
     def test_table_csv(self):
+        """One row per scored family, at RANK_ALPHA."""
         sample = sample_family(EXPONENTIAL, ParamVector(EXPONENTIAL, (1.0,)), 40, seed=3)
-        report = select_model([EXPONENTIAL, GAMMA], sample, refine=False)
+        report = select_model([EXPONENTIAL, GAMMA], sample)
         buf = io.StringIO()
         report.table_to_csv(buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "family,alpha,ric"
-        assert any(line.startswith("exponential,") for line in lines[1:])
-        assert any(line.startswith("gamma,") for line in lines[1:])
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == ["exponential,0.05", "gamma,0.05"]
+        assert [float(line.rsplit(",", 1)[1]) for line in lines[1:]] == pytest.approx(
+            [r.ric for r in report.records], rel=1e-11
+        )

@@ -17,17 +17,21 @@ estimator.py; its Newton step takes eigenvalues in closed form, so
 estimator.py calls no eigh, and only tuning._loo_points asks
 estimator._one_step_starts for its rows' starts. No module silences
 warnings process-wide with warnings.catch_warnings. Tuning and model
-selection share one alpha search, tuning.alpha_search, and one step
-that turns a batch of alphas into scored fits, tuning.score_alphas;
-neither is underscored, and selection.py uses nothing private of
-tuning's. Alpha is a row axis of the kernel, so each batch is one
-Newton solve, estimator.fit_alphas, which outside estimator.py only
-score_alphas calls: neither search calls fit, and selection.py imports
-nothing from estimator. Alpha is a row axis of the sandwich too: asymptotics reaches the closed-form
-moments only through families._moment_rows, and its sandwich, standard
-errors and efficiency tables only through _sandwich_rows, which
-selection calls once per alpha batch, in _rics, never sandwich once per
-fit; _rics scores the batches of ric and select_model. The divergence H
+selection share one step that turns a batch of alphas into scored fits,
+tuning.score_alphas, which is not underscored, and selection.py uses
+nothing private of tuning's. Model selection ranks the families at one
+alpha: selection.py names neither the one alpha search,
+tuning.alpha_search, nor the coarse grid, select_model makes one
+score_alphas call, and the select command has no --fast. Alpha is a
+row axis of the kernel, so each batch is one Newton solve,
+estimator.fit_alphas, which outside estimator.py only score_alphas
+calls: neither tuning nor selection calls fit, and selection.py imports
+nothing from estimator. Alpha is a row axis of the sandwich too:
+asymptotics reaches the closed-form moments only through
+families._moment_rows, and its sandwich, standard errors and efficiency
+tables only through _sandwich_rows, which selection calls once per
+alpha batch, in _rics, never sandwich once per fit; _rics scores the
+batches of ric and select_model. The divergence H
 is reduced in one place, families._divergence, which with _moment_rows
 alone takes a family's mass, and J is inverted once, by the sandwich:
 RIC's trace comes from its avar, so no module solves a linear system.
@@ -44,6 +48,7 @@ import pytest
 
 import dpdfit
 from dpdfit import numerics
+from dpdfit.cli import parse_args
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dpdfit"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -281,6 +286,13 @@ def test_searches_fit_through_fit_alphas():
         tree = _tree(PACKAGE / name)
         assert _calls_to(tree, "fit") == _calls_ending(tree, ".fit") == []
     assert "fit" not in _names(_tree(PACKAGE / "tuning.py"))
+
+
+def test_selection_ranks_at_one_alpha():
+    tree = _tree(PACKAGE / "selection.py")
+    assert not {"alpha_search", "COARSE_GRID"} & _names(tree)
+    assert _calls_to(tree, "score_alphas") == ["ric", "select_model"]
+    assert not hasattr(parse_args(["select", "--input", "series.csv"]), "fast")
 
 
 def test_selection_imports_nothing_from_estimator():

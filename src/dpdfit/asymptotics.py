@@ -92,14 +92,6 @@ def _invert_spd_rows(mats, what):
     return (vec / lam[:, None, :]) @ vec.transpose(0, 2, 1), errors
 
 
-def _invert_spd(mat, what):
-    """The one-matrix case of _invert_spd_rows: the inverse, or its error raised."""
-    (inv,), (error,) = _invert_spd_rows(np.asarray(mat, dtype=float)[None], what)
-    if error is not None:
-        raise error
-    return inv
-
-
 def _sandwich_rows(family, theta, alphas):
     """J, K, xi and the sandwich variance avar = J^-1 K J^-1 at each row of
     theta (m, p), row r at alphas[r] (m,), with errors (m,): None, or the
@@ -186,12 +178,14 @@ def influence_function(family, theta0, alpha, y):
     (len(y), p)). Bounded in y exactly when alpha > 0.
     """
     _check_family(family, theta0)
-    _, (j_mat,), (xi,), (error,) = _moment_rows(
+    _, j_mat, (xi,), (error,) = _moment_rows(
         family, np.array([theta0.values]), np.array([_checked_alpha(alpha)])
     )
     if error is not None:
         raise error
-    j_inv = _invert_spd(j_mat, f"{family.tag} information matrix J")
+    (j_inv,), (error,) = _invert_spd_rows(j_mat, f"{family.tag} information matrix J")
+    if error is not None:
+        raise error
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     u = score(theta0, y_arr)
     w = dpd_weights(family, theta0, alpha, y_arr)

@@ -16,9 +16,10 @@ full-sample fit (estimator.fit_alphas), alpha being a row axis of the
 Newton kernel, and one call of a scorer on the fits that succeeded.
 alpha_search, the one alpha search, select_alpha's, scores the whole
 grid as one batch, its 21 n held-out rows being one leave-one-out
-solve, and each golden-section step as a batch of one alpha.
-cvm_distance is a batch of one alpha, and so are selection.select_model
-and selection.ric, scored by RIC.
+solve, and refines by two more such batches: the points k/200, then
+k/1000, between the best alpha's scored neighbours. cvm_distance is a
+batch of one alpha, and so are selection.select_model and
+selection.ric, scored by RIC.
 
 The search leaves out an alpha whose full-sample fit fails or whose
 held-out rows are not all solved; the curve records it by its absence.
@@ -29,7 +30,6 @@ grid. Contamination makes alpha = 0 clearly worse (many times the
 curve minimum) and moves the minimum to alpha > 0.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +43,9 @@ __all__ = ["TuningResult", "cvm_distance", "select_alpha", "COARSE_GRID"]
 # Coarse search grid {0, 0.05, ..., 1.0}.
 COARSE_GRID = tuple(k / 20.0 for k in range(21))
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Lattice steps of the refinement rounds, alphas k/200 then k/1000: the
+# last resolves alpha_star to 1e-3.
+_REFINE_STEPS = (200, 1000)
 
 
 @dataclass(frozen=True)
@@ -108,46 +110,34 @@ def score_alphas(family, alphas, values, score):
 
 
 def alpha_search(family, values, score, refine):
-    """Minimize score over alpha in [0, 1], by score_alphas batches: the
-    whole of COARSE_GRID, whose unscored alphas are left out of the
-    curve, then with `refine` one alpha per golden-section step, to width
-    1e-3 between the best alpha's scored neighbours, up to the first
-    alpha it cannot score. Each alpha is scored once; ties break toward
-    the smaller alpha. Returns {alpha: (value, fit)} and its argmin, or
-    the error at alpha = 0 when no alpha is scored. Not exported.
+    """Minimize score over alpha in [0, 1] by rounds of lattice points, each
+    round one score_alphas batch: the whole of COARSE_GRID, then with
+    `refine` every point k/200, then every point k/1000, that lies
+    strictly between the best alpha's scored neighbours and was not tried
+    before. Unscored alphas are left out of the curve and never tried
+    again; ties break toward the smaller alpha. Returns {alpha: (value,
+    fit)} and its argmin, or the error at alpha = 0 when no grid alpha is
+    scored. Not exported.
     """
     on_grid = score_alphas(family, COARSE_GRID, values, score)
     curve = {al: s for al, s in zip(COARSE_GRID, on_grid) if not isinstance(s, DpdError)}
     if not curve:
         return curve, on_grid[0]
 
-    def value(alpha):
-        if alpha not in curve:
-            (scored,) = score_alphas(family, (alpha,), values, score)
-            if isinstance(scored, DpdError):
-                return None
-            curve[alpha] = scored
-        return curve[alpha][0]
-
     def argmin():
         return min(curve, key=lambda al: (curve[al][0], al))
 
-    if refine:
+    # k/20 == 10k/200 == 50k/1000 as floats, so one set holds every lattice
+    tried = set(COARSE_GRID)
+    for step in _REFINE_STEPS if refine else ():
         grid = sorted(curve)
         pos = grid.index(argmin())
-        a, b = grid[max(pos - 1, 0)], grid[min(pos + 1, len(grid) - 1)]
-        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-        fc = value(c)
-        fd = None if fc is None else value(d)
-        while None not in (fc, fd) and b - a > 1e-3:
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = value(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = value(d)
+        lo, hi = grid[max(pos - 1, 0)], grid[min(pos + 1, len(grid) - 1)]
+        inside = (k / step for k in range(round(lo * step) + 1, round(hi * step)))
+        batch = tuple(al for al in inside if al not in tried)
+        tried.update(batch)
+        scored = score_alphas(family, batch, values, score)
+        curve.update((al, s) for al, s in zip(batch, scored) if not isinstance(s, DpdError))
     return curve, argmin()
 
 
@@ -190,11 +180,12 @@ def select_alpha(family, sample, refine=True):
 
     Each alpha's full-sample fit, from the moment start, is scored by
     cvm_distance, and `fit_star` is the fit scored at `alpha_star`. The
-    grid is one fit_alphas call and one leave-one-out solve, each row
-    starting one Newton step off its alpha's fit. An alpha at which
-    cvm_distance would raise is left out of `cvmd_curve`; only when no
-    grid alpha is scored is a TuningError raised, with the error at
-    alpha = 0. `refine=False` stops after the grid. Deterministic: no
+    grid and each of the two refinement rounds (k/200, then k/1000) is
+    one fit_alphas call and one leave-one-out solve, each row starting
+    one Newton step off its alpha's fit. An alpha at which cvm_distance
+    would raise is left out of `cvmd_curve` and not tried again; only
+    when no grid alpha is scored is a TuningError raised, with the error
+    at alpha = 0. `refine=False` stops after the grid. Deterministic: no
     randomness in the sweep.
     """
     xs = _sorted_values(sample, family.param_count)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpdfit.asymptotics import (
-    _invert_spd,
+    _invert_spd_rows,
     _sandwich_rows,
     are,
     asymptotic_se,
@@ -170,19 +170,23 @@ class TestInvertSpd:
         ids=["indefinite", "nan", "negative"],
     )
     def test_refuses_a_matrix_not_positive_definite(self, mat):
+        _, (error,) = _invert_spd_rows(np.array([mat]), "J")
         with pytest.raises(SingularInformationError, match="J is not positive definite"):
-            _invert_spd(mat, "J")
+            raise error
 
     def test_warns_when_ill_conditioned(self):
         mat = np.diag([1.0, 1e11])
         with pytest.warns(RuntimeWarning, match="J is ill-conditioned .condition number 1.00e"):
-            inv = _invert_spd(mat, "J")
+            (inv,), (error,) = _invert_spd_rows(mat[None], "J")
+        assert error is None
         np.testing.assert_allclose(inv, np.diag([1.0, 1e-11]), rtol=1e-12)
 
     def test_matches_the_general_inverse(self, rng):
         a = rng.standard_normal((3, 3))
         mat = a @ a.T + 3.0 * np.eye(3)
-        np.testing.assert_allclose(_invert_spd(mat, "J"), np.linalg.inv(mat), rtol=1e-12)
+        (inv,), (error,) = _invert_spd_rows(mat[None], "J")
+        assert error is None
+        np.testing.assert_allclose(inv, np.linalg.inv(mat), rtol=1e-12)
 
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)

@@ -385,6 +385,33 @@ class TestPartialFailure:
         with pytest.raises(TuningError, match=f"fit 4 of 40 is unsolved at alpha={dropped:g}"):
             cvm_distance(family, dropped, sample)
 
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_unscored_refinement_alpha_is_tried_once(self, tag, monkeypatch):
+        """An alpha of the k/200 round that cannot be scored is left out of
+        the curve and never fitted again; the grid does not move and the
+        k/1000 round still runs."""
+        family = FAMILIES[tag]
+        sample = clean(tag)
+        want = select_alpha(family, sample, refine=False)
+        k = round(want.alpha_star * 200)
+        dropped = (k + 1 if k < 200 else k - 1) / 200
+        batches = []
+
+        def counting_batch(family, alphas, sample):
+            batches.append(tuple(alphas))
+            return fit_alphas(family, alphas, sample)
+
+        monkeypatch.setattr(tuning, "fit_alphas", counting_batch)
+        monkeypatch.setattr(tuning, "_loo_points", unsolving(3, at=dropped))
+        got = select_alpha(family, sample)
+        tried = [alpha for alphas in batches for alpha in alphas]
+        assert tried.count(dropped) == 1 and dropped in batches[1]
+        assert set(got.cvmd_curve) == set(tried) - {dropped}
+        for alpha in COARSE_GRID:
+            assert got.cvmd_curve[alpha].hex() == want.cvmd_curve[alpha].hex()
+        assert len(batches) == 3 and batches[2]
+        assert all(round(a * 1000) / 1000 == a != round(a * 200) / 200 for a in batches[2])
+
     def test_failed_full_sample_fit_leaves_its_alpha_unscored(self):
         """A full-sample fit that fails (its start overflows the objective)
         drops its alpha; the other alphas are scored as before, and with

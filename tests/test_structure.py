@@ -33,11 +33,16 @@ tables only through _sandwich_rows, which selection calls once per
 alpha batch, in _rics, never sandwich once per fit; _rics scores the
 batches of ric and select_model. The divergence H
 is reduced in one place, families._divergence, which with _moment_rows
-alone takes a family's mass, and J is inverted once, by the sandwich:
-RIC's trace comes from its avar, so no module solves a linear system.
+alone takes a family's mass, and J is inverted by one function,
+_invert_spd_rows, which only the sandwich and influence_function call:
+RIC's trace comes from the sandwich's avar, so no module solves a
+linear system.
 The terms of alpha alone have one form, numpy arrays with an entry per
 point, and no table of math functions; the CLI defines each flag that
-several commands share once.
+several commands share once. The one alpha search refines by grid
+rounds, not by a golden-section walk: tuning.py has no _GOLDEN and no
+while loop, and a refined select_alpha is at most three score_alphas
+batches, the coarse grid and one round each at k/200 and k/1000.
 """
 
 import ast
@@ -47,8 +52,9 @@ from pathlib import Path
 import pytest
 
 import dpdfit
-from dpdfit import numerics
+from dpdfit import numerics, tuning
 from dpdfit.cli import parse_args
+from dpdfit.tuning import score_alphas
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dpdfit"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -295,6 +301,24 @@ def test_selection_ranks_at_one_alpha():
     assert not hasattr(parse_args(["select", "--input", "series.csv"]), "fast")
 
 
+def test_alpha_refined_by_grid_rounds(monkeypatch):
+    """A refined tune is the coarse grid and two finer lattice rounds, one
+    score_alphas batch each, with no golden-section search."""
+    tree = _tree(PACKAGE / "tuning.py")
+    assert "_GOLDEN" not in _names(tree)
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.While)]
+    batches = []
+
+    def counting(family, alphas, values, score):
+        batches.append(tuple(alphas))
+        return score_alphas(family, alphas, values, score)
+
+    monkeypatch.setattr(tuning, "score_alphas", counting)
+    dpdfit.select_alpha(dpdfit.GAMMA, dpdfit.sample_family(dpdfit.GAMMA, (5.0, 0.05), 40, 4))
+    assert batches[0] == dpdfit.COARSE_GRID
+    assert len(batches) <= 1 + 2
+
+
 def test_selection_imports_nothing_from_estimator():
     tree = _tree(PACKAGE / "selection.py")
     assert not {"estimator", "dpdfit.estimator"} & _imports(tree)
@@ -336,7 +360,7 @@ def test_divergence_reduced_once():
 def test_information_matrix_inverted_once():
     assert [p.name for p in MODULES if "linalg.solve" in p.read_text(encoding="utf-8")] == []
     assert _calls_ending(_tree(PACKAGE / "asymptotics.py"), "_invert_spd_rows") == [
-        "_invert_spd", "_sandwich_rows"
+        "_sandwich_rows", "influence_function"
     ]
 
 

@@ -120,9 +120,11 @@ class TestSelectAlpha:
         assert result.fit_star.converged
 
     def test_each_alpha_fitted_once_from_the_moment_start(self, monkeypatch):
-        """Every curve alpha is one cold full-sample fit, the grid one batch
-        and each golden-section step a batch of one alpha, and fit_star is
-        the fit scored at alpha_star, not a refit."""
+        """Every curve alpha is one cold full-sample fit. The grid is the
+        first batch; each of the two later batches is every point of its
+        own lattice, k/200 then k/1000, strictly inside the best alpha's
+        scored neighbours and not tried before. fit_star is the fit scored
+        at alpha_star, not a refit."""
         batches, fits = [], []
 
         def counting_batch(family, alphas, sample):
@@ -135,7 +137,17 @@ class TestSelectAlpha:
         sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 0.05)), 40, seed=4)
         result = select_alpha(GAMMA, sample)
         assert batches[0] == COARSE_GRID
-        assert all(len(alphas) == 1 for alphas in batches[1:])
+        assert len(batches) == 3
+        tried = [a for alphas in batches for a in alphas]
+        assert len(tried) == len(set(tried))
+        for j, step in ((1, 200), (2, 1000)):
+            seen = [a for alphas in batches[:j] for a in alphas]
+            curve = sorted(a for a in seen if a in result.cvmd_curve)
+            pos = curve.index(min(curve, key=lambda a: (result.cvmd_curve[a], a)))
+            lo, hi = curve[max(pos - 1, 0)], curve[min(pos + 1, len(curve) - 1)]
+            lattice = (k / step for k in range(step + 1))
+            assert batches[j] == tuple(a for a in lattice if lo < a < hi and a not in seen)
+            assert batches[j]
         assert sorted(a for a, _ in fits) == sorted(result.cvmd_curve)
         for a, res in fits:
             cold = fit(GAMMA, a, np.sort(sample.values))

@@ -12,8 +12,7 @@ closed form by families._moment_rows, weighted_moments over rows.
 _sandwich_rows is the one sandwich: J, K, xi and avar at one alpha per
 parameter point, from one moments call at the alphas and one at twice
 them and one batched inversion of J. sandwich, asymptotic_se and are
-are its one-point and one-table cases, and selection scores every RIC
-of an alpha batch with one call.
+are its one-point and one-table cases.
 """
 
 import math

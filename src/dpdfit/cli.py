@@ -243,8 +243,15 @@ def emit_plot_data(fit_result, sample, bins=30):
     return "\n".join(lines) + "\n"
 
 
+def _wet(sample):
+    """sample, or a DataError when it has no wet (nonzero) values to fit."""
+    if not sample.values:
+        raise DataError(f"no wet values to fit ({sample.dry_count} dry)")
+    return sample
+
+
 def _cmd_fit(args):
-    sample = load_csv(args.input, args.column)
+    sample = _wet(load_csv(args.input, args.column))
     res = fit(args.family, args.alpha, sample)
     out = {
         "command": "fit",
@@ -264,7 +271,7 @@ def _cmd_fit(args):
 
 
 def _cmd_tune(args):
-    sample = load_csv(args.input, args.column)
+    sample = _wet(load_csv(args.input, args.column))
     tun = select_alpha(args.family, sample, refine=not args.fast)
     if args.curve_csv:
         _emit(args.curve_csv, tun.curve_to_csv)
@@ -283,13 +290,14 @@ def _cmd_tune(args):
 
 
 def _cmd_select(args):
-    sample = load_csv(args.input, args.column)
+    sample = _wet(load_csv(args.input, args.column))
     rep = select_model(list(FAMILIES.values()), sample)
     if args.table_csv:
         _emit(args.table_csv, rep.table_to_csv)
     out = {
         "command": "select",
         "winner": rep.winner.tag,
+        "excluded": list(rep.excluded),
         "families": [
             {
                 "family": r.family.tag,
@@ -325,7 +333,7 @@ def _cmd_influence(args):
 
 
 def _cmd_bootstrap(args):
-    sample = load_csv(args.input, args.column)
+    sample = _wet(load_csv(args.input, args.column))
     res = bootstrap_se(args.family, args.alpha, sample, B=args.B, seed=args.seed)
     if args.estimates_csv:
         _emit(args.estimates_csv, res.estimates_to_csv)
@@ -356,7 +364,7 @@ def _cmd_simulate(args):
 def _series_row(sample, fast):
     """One report row: the family of least RIC at selection.RANK_ALPHA,
     its CVM-tuned alpha, and the adjusted median."""
-    winner = select_model(list(FAMILIES.values()), sample).winner
+    winner = select_model(list(FAMILIES.values()), _wet(sample)).winner
     tun = select_alpha(winner, sample, refine=not fast)
     res = tun.fit_star
     # one sandwich for the SEs and the RIC; if it raises, the row is skipped
@@ -373,7 +381,7 @@ def _series_row(sample, fast):
         "se1": None if se is None else se[names[0]],
         "se2": None if se is None or len(names) < 2 else se[names[1]],
         "cvmd": tun.cvmd_star,
-        "ric": float(_criterion(res.objective, res.alpha, res.n_obs, sw.J, sw.avar)),
+        "ric": _criterion(res, sw),
         "median_adjusted": adjusted_median(res, sample.dry_count, len(sample.values)),
     }
 

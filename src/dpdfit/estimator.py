@@ -427,7 +427,7 @@ def fit(family, alpha, sample, warm_start=None):
     reached rounding at a positive definite Hessian. `objective` is H at
     the returned `theta_hat`, so objective == objective_h(theta_hat).
 
-    The package's own alpha search and model selection fit through
+    Model selection fits through here and the alpha search through
     fit_alphas; `warm_start` stays as the per-replicate reference route
     that the row-solver tests hold every batched refit to.
     """

@@ -493,8 +493,8 @@ def _check_shape(family, shape, alpha):
     floor = _shape_floor(_checked_alpha(alpha))
     if family.shaped and shape <= floor:
         raise DpdValidityError(
-            f"{family.tag} shape {shape:g} <= alpha/(1+alpha) "
-            f"= {floor:g}; DPD integrals do not exist"
+            f"{family.tag} shape {shape:g} <= alpha/(1+alpha) = {floor:g} "
+            f"at alpha = {alpha:g}; DPD integrals do not exist"
         )
 
 

@@ -11,15 +11,13 @@ by damped Newton with the closed-form gradient and Hessian of the
 divergence terms, from the one-step leave-one-out estimate of Giordano
 et al. (2019) and Rad & Maleki (2020), estimator._one_step_starts.
 
-score_alphas turns a batch of alphas into scored fits: one batched
+_score_alphas turns a batch of alphas into scored fits: one batched
 full-sample fit (estimator.fit_alphas), alpha being a row axis of the
-Newton kernel, and one call of a scorer on the fits that succeeded.
-alpha_search, the one alpha search, select_alpha's, scores the whole
-grid as one batch, its 21 n held-out rows being one leave-one-out
-solve, and refines by two more such batches: the points k/200, then
-k/1000, between the best alpha's scored neighbours. cvm_distance is a
-batch of one alpha, and so are selection.select_model and
-selection.ric, scored by RIC.
+Newton kernel, and one leave-one-out solve of the fits that succeeded.
+select_alpha scores the whole grid as one batch, its 21 n held-out rows
+being one solve, and refines by two more such batches: the points
+k/200, then k/1000, between the best alpha's scored neighbours.
+cvm_distance is a batch of one alpha.
 
 The search leaves out an alpha whose full-sample fit fails or whose
 held-out rows are not all solved; the curve records it by its absence.
@@ -94,35 +92,68 @@ def _loo_points(family, alphas, xs, fits):
     return theta.reshape(n, k, family.param_count), solved.reshape(n, k)
 
 
-def score_alphas(family, alphas, values, score):
-    """(value, fit) at each alpha, or the DpdError that leaves it unscored:
-    its fit's, its score's or, everywhere, the one for values that cannot
-    be fitted at all. One fit_alphas call, and one score(fits) call on
-    the fits that succeeded, giving a value or a DpdError for each. Not
-    exported."""
+def _score_alphas(family, alphas, xs):
+    """(CVM distance, fit) of the sorted sample xs at each alpha, or the
+    DpdError that leaves it unscored: its fit's, a TuningError naming its
+    first unsolved held-out row or, everywhere, the one for values that
+    cannot be fitted at all. One fit_alphas call and one leave-one-out
+    solve of the fits that succeeded."""
     try:
-        fits = fit_alphas(family, alphas, values)
+        fits = fit_alphas(family, alphas, xs)
     except DpdError as exc:
         return [exc] * len(alphas)
-    scores = iter(score([res for res in fits if not isinstance(res, DpdError)]))
-    scored = [res if isinstance(res, DpdError) else next(scores) for res in fits]
-    return [s if isinstance(s, DpdError) else (s, res) for s, res in zip(scored, fits)]
+    ok = [res for res in fits if not isinstance(res, DpdError)]
+    theta, solved = _loo_points(
+        family, [res.alpha for res in ok], xs, [res.theta_hat.values for res in ok]
+    )
+    n = xs.size
+    scores = []
+    for k, res in enumerate(ok):
+        unsolved = np.flatnonzero(~solved[:, k])
+        if unsolved.size:
+            scores.append(TuningError(
+                f"leave-one-out fit {unsolved[0] + 1} of {n} is unsolved at alpha={res.alpha:g}"
+            ))
+        else:
+            resid = (np.arange(n) + 0.5) / n - family.cdf(tuple(theta[:, k].T), xs)
+            scores.append((float(resid @ resid) / n, res))
+    scores = iter(scores)
+    return [res if isinstance(res, DpdError) else next(scores) for res in fits]
 
 
-def alpha_search(family, values, score, refine):
-    """Minimize score over alpha in [0, 1] by rounds of lattice points, each
-    round one score_alphas batch: the whole of COARSE_GRID, then with
-    `refine` every point k/200, then every point k/1000, that lies
-    strictly between the best alpha's scored neighbours and was not tried
-    before. Unscored alphas are left out of the curve and never tried
-    again; ties break toward the smaller alpha. Returns {alpha: (value,
-    fit)} and its argmin, or the error at alpha = 0 when no grid alpha is
-    scored. Not exported.
+def cvm_distance(family, alpha, sample):
+    """Leave-one-out CVM distance at one alpha, all n held-out estimates
+    solved together by Newton from their one-step estimates, to rounding.
+    Raises the error that leaves the alpha unscored: the full-sample
+    fit's, or a TuningError naming the (1-based) index of the first
+    held-out row that the guard of estimator._solve_rows left unsolved."""
+    xs = _sorted_values(sample, family.param_count)
+    (scored,) = _score_alphas(family, (alpha,), xs)
+    if isinstance(scored, DpdError):
+        raise scored
+    return scored[0]
+
+
+def select_alpha(family, sample, refine=True):
+    """Minimize the CVM distance over alpha in [0, 1] by rounds of lattice
+    points, each round one _score_alphas batch: one fit_alphas call and
+    one leave-one-out solve, each held-out row starting one Newton step
+    off its alpha's fit.
+
+    The first round is the whole of COARSE_GRID; with `refine`, the next
+    are every point k/200, then every point k/1000, that lies strictly
+    between the best alpha's scored neighbours and was not tried before.
+    An alpha at which cvm_distance would raise is left out of
+    `cvmd_curve` and not tried again; only when no grid alpha is scored
+    is a TuningError raised, with the error at alpha = 0. Ties break
+    toward the smaller alpha, and `fit_star` is the fit scored at
+    `alpha_star`. Deterministic: no randomness in the sweep.
     """
-    on_grid = score_alphas(family, COARSE_GRID, values, score)
+    xs = _sorted_values(sample, family.param_count)
+    on_grid = _score_alphas(family, COARSE_GRID, xs)
     curve = {al: s for al, s in zip(COARSE_GRID, on_grid) if not isinstance(s, DpdError)}
     if not curve:
-        return curve, on_grid[0]
+        raise TuningError(f"no alpha could be scored for {family.tag}; at alpha=0: {on_grid[0]}")
 
     def argmin():
         return min(curve, key=lambda al: (curve[al][0], al))
@@ -136,62 +167,9 @@ def alpha_search(family, values, score, refine):
         inside = (k / step for k in range(round(lo * step) + 1, round(hi * step)))
         batch = tuple(al for al in inside if al not in tried)
         tried.update(batch)
-        scored = score_alphas(family, batch, values, score)
+        scored = _score_alphas(family, batch, xs)
         curve.update((al, s) for al, s in zip(batch, scored) if not isinstance(s, DpdError))
-    return curve, argmin()
-
-
-def _cvm_scores(family, xs, fits):
-    """The leave-one-out CVM distance of each full-sample fit of the sorted
-    sample xs, from one leave-one-out solve, or a TuningError naming its
-    first unsolved held-out row."""
-    n = xs.size
-    theta, solved = _loo_points(
-        family, [res.alpha for res in fits], xs, [res.theta_hat.values for res in fits]
-    )
-    scores = []
-    for k, res in enumerate(fits):
-        unsolved = np.flatnonzero(~solved[:, k])
-        if unsolved.size:
-            scores.append(TuningError(
-                f"leave-one-out fit {unsolved[0] + 1} of {n} is unsolved at alpha={res.alpha:g}"
-            ))
-        else:
-            resid = (np.arange(n) + 0.5) / n - family.cdf(tuple(theta[:, k].T), xs)
-            scores.append(float(resid @ resid) / n)
-    return scores
-
-
-def cvm_distance(family, alpha, sample):
-    """Leave-one-out CVM distance at one alpha, all n held-out estimates
-    solved together by Newton from their one-step estimates, to rounding.
-    Raises the error that leaves the alpha unscored: the full-sample
-    fit's, or a TuningError naming the (1-based) index of the first
-    held-out row that the guard of estimator._solve_rows left unsolved."""
-    xs = _sorted_values(sample, family.param_count)
-    (scored,) = score_alphas(family, (alpha,), xs, lambda fits: _cvm_scores(family, xs, fits))
-    if isinstance(scored, DpdError):
-        raise scored
-    return scored[0]
-
-
-def select_alpha(family, sample, refine=True):
-    """Minimize the CVM distance over alpha in [0, 1] by alpha_search.
-
-    Each alpha's full-sample fit, from the moment start, is scored by
-    cvm_distance, and `fit_star` is the fit scored at `alpha_star`. The
-    grid and each of the two refinement rounds (k/200, then k/1000) is
-    one fit_alphas call and one leave-one-out solve, each row starting
-    one Newton step off its alpha's fit. An alpha at which cvm_distance
-    would raise is left out of `cvmd_curve` and not tried again; only
-    when no grid alpha is scored is a TuningError raised, with the error
-    at alpha = 0. `refine=False` stops after the grid. Deterministic: no
-    randomness in the sweep.
-    """
-    xs = _sorted_values(sample, family.param_count)
-    curve, alpha_star = alpha_search(family, xs, lambda fits: _cvm_scores(family, xs, fits), refine)
-    if isinstance(alpha_star, DpdError):
-        raise TuningError(f"no alpha could be scored for {family.tag}; at alpha=0: {alpha_star}")
+    alpha_star = argmin()
     cvmd_star, fit_star = curve[alpha_star]
     return TuningResult(
         family=family,

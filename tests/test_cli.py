@@ -125,6 +125,18 @@ class TestExitCodes:
         rc = main(["fit", "--family", "exponential", "--input", str(path)])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        [["fit", "--family", "gamma"], ["tune", "--family", "gamma"], ["select"],
+         ["bootstrap", "--family", "gamma", "-B", "10"]],
+        ids=lambda command: command[0],
+    )
+    def test_input_with_no_wet_values_is_data_error(self, tmp_path, capsys, command):
+        path = tmp_path / "dry.csv"
+        write_series(path, [0.0, 0.0, 0.0])
+        assert main([*command, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: data: no wet values to fit (3 dry)\n"
+
     def test_degenerate_sample_is_numeric_error(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         write_series(path, [2.0, 2.0, 2.0, 2.0])
@@ -334,6 +346,7 @@ class TestSelectCommand:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["winner"] in FAMILIES
+        assert out["excluded"] == []
         assert len(out["families"]) == 4
         assert {r["family"] for r in out["families"]} == set(FAMILIES)
         assert {r["alpha"] for r in out["families"]} == {0.05}
@@ -342,6 +355,18 @@ class TestSelectCommand:
         assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
             f"{r['family']},0.05" for r in out["families"]
         ]
+
+    def test_lists_the_excluded_families(self, tmp_path, capsys):
+        """On a constant sample only the exponential can be scored; the
+        others are named in candidate order."""
+        path = tmp_path / "flat.csv"
+        write_series(path, [2.0, 2.0, 2.0, 2.0])
+        with pytest.warns(RuntimeWarning, match="excluded from selection"):
+            assert main(["select", "--input", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["excluded"] == ["gamma", "lognormal", "weibull"]
+        assert out["winner"] == "exponential"
+        assert [r["family"] for r in out["families"]] == ["exponential"]
 
     def test_fast_is_not_an_option(self, tiny_csv, capsys):
         """Families are ranked at one alpha, so there is nothing to refine."""
@@ -448,6 +473,23 @@ class TestReportCommand:
                    "--output", str(target)])
         assert rc == 0
         assert "skipped" in capsys.readouterr().err
+        lines = target.read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("good,")
+
+    def test_series_with_no_wet_values_is_skipped(self, tmp_path, capsys, recwarn):
+        """An all-dry series is skipped with one line saying so, before any
+        family is tried; the other series is still written."""
+        panel = tmp_path / "panel.csv"
+        with open(panel, "w", encoding="utf-8") as fh:
+            fh.write("label,value\n")
+            for v in sample_family(EXPONENTIAL, (1.0,), 40, seed=6).values:
+                fh.write(f"good,{v!r}\n")
+            fh.write("dry,0.0\ndry,0.0\n")
+        target = tmp_path / "report.csv"
+        assert main(["report", "--input", str(panel), "--fast", "--output", str(target)]) == 0
+        assert capsys.readouterr().err == "error: series 'dry' skipped: no wet values to fit (2 dry)\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         lines = target.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("good,")

@@ -33,7 +33,7 @@ from dpdfit.families import (
 )
 from dpdfit.selection import ric
 from dpdfit.tuning import cvm_distance
-from dpdfit.uncertainty import bootstrap_se
+from dpdfit.uncertainty import bootstrap_se, sample_family
 from quadrature import integrate_halfline
 from reference_values import GAMMA_5_1_MEDIAN, LOGNORMAL_V_HALF_AT_1
 
@@ -122,6 +122,15 @@ class TestParamVector:
             check_dpd_valid(ParamVector(WEIBULL, (0.25, 1.0)), 0.5)
         check_dpd_valid(ParamVector(GAMMA, (0.34, 1.0)), 0.5)
         check_dpd_valid(ParamVector(LOGNORMAL, (0.0, 0.3)), 1.0)
+
+    def test_dpd_validity_names_the_alpha_checked(self):
+        """The sandwich checks the floor at 2 alpha; its refusal names that
+        alpha, not the one the criterion was asked at."""
+        sample = sample_family(GAMMA, ParamVector(GAMMA, (0.5, 1.0)), 200, 3)
+        with pytest.raises(DpdValidityError, match=r"= 0\.615385 at alpha = 1\.6;"):
+            ric(GAMMA, 0.8, sample)
+        with pytest.raises(DpdValidityError, match=r"gamma shape 0\.2 <= .* at alpha = 0\.5;"):
+            check_dpd_valid(ParamVector(GAMMA, (0.2, 1.0)), 0.5)
 
 
 GAMMA_2 = ParamVector(GAMMA, (2.0, 0.5))

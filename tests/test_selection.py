@@ -15,16 +15,17 @@ import numpy as np
 import pytest
 
 from conftest import as_sample
-from dpdfit import estimator, selection, tuning
+from dpdfit import selection
 from dpdfit.asymptotics import sandwich
 from dpdfit.errors import (
+    DomainError,
     DpdError,
     DpdValidityError,
     FitError,
     SelectionError,
     SingularInformationError,
 )
-from dpdfit.estimator import fit, fit_alphas
+from dpdfit.estimator import fit
 from dpdfit.families import FAMILIES, ParamVector, log_density
 from dpdfit.selection import RANK_ALPHA, ric, select_model
 from dpdfit.uncertainty import sample_family
@@ -100,6 +101,24 @@ class TestRic:
         trace = np.trace(np.linalg.solve(sw.J, sw.K))
         reference = result.objective + trace / ((1.0 + alpha) * result.n_obs)
         assert ric(family, alpha, sample) == pytest.approx(reference, rel=1e-12)
+
+    def test_refuses_alpha_above_one(self):
+        sample = sample_family(GAMMA, ParamVector(GAMMA, (3.0, 1.0)), 60, seed=5)
+        with pytest.raises(DomainError, match=r"alpha must lie in \[0, 1\]"):
+            ric(GAMMA, 1.5, sample)
+
+    def test_sandwich_refusal_at_twice_alpha(self):
+        """At alpha = 0.8 the gamma fit's shape clears the floor at alpha
+        but not at 2 alpha, where the sandwich checks it."""
+        sample = sample_family(GAMMA, ParamVector(GAMMA, (0.5, 1.0)), 200, 3)
+        res = fit(GAMMA, 0.8, sample)
+        assert 0.8 / 1.8 < res.theta_hat.values[0] <= 1.6 / 2.6
+        with pytest.raises(DpdValidityError):
+            ric(GAMMA, 0.8, sample)
+
+    def test_constant_sample_cannot_be_fitted(self):
+        with pytest.raises(FitError, match="degenerate"):
+            ric(GAMMA, 0.3, as_sample([2.0, 2.0, 2.0, 2.0]))
 
     def test_correct_model_wins_at_moderate_alpha(self):
         """On lognormal data the lognormal criterion beats the gamma."""
@@ -180,27 +199,30 @@ class TestSelectModel:
         assert report.excluded == ()
 
     def test_each_alpha_fitted_once_from_the_moment_start(self, monkeypatch):
-        """Each family is one fit_alphas batch of (RANK_ALPHA,), and its
-        record holds the fit that batch gave, bit for bit fit()'s from the
-        moment start: no warm chain, no refit."""
-        batches = []
+        """Each family is one fit at RANK_ALPHA, from the moment start, and
+        one sandwich at its estimate; the record holds that fit, bit for
+        bit a cold fit()'s: no warm chain, no refit."""
+        fits, sandwiches = [], []
 
-        def counting_batch(family, alphas, sample):
-            results = fit_alphas(family, alphas, sample)
-            batches.append((family.tag, tuple(alphas), results))
-            return results
+        def counting_fit(family, alpha, sample, warm_start=None):
+            assert warm_start is None
+            res = fit(family, alpha, sample)
+            fits.append((family.tag, alpha, res))
+            return res
 
-        def no_fit(*args, **kwargs):
-            raise AssertionError("select_model fitted outside fit_alphas")
+        def counting_sandwich(family, theta, alpha):
+            sandwiches.append((family.tag, theta, alpha))
+            return sandwich(family, theta, alpha)
 
-        monkeypatch.setattr(tuning, "fit_alphas", counting_batch)
-        monkeypatch.setattr(estimator, "fit", no_fit)
+        monkeypatch.setattr(selection, "fit", counting_fit)
+        monkeypatch.setattr(selection, "sandwich", counting_sandwich)
         sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 1.0)), 80, seed=9)
         report = select_model(ALL_FAMILIES, sample)
-        assert [(tag, alphas) for tag, alphas, _ in batches] == [
-            (f.tag, (RANK_ALPHA,)) for f in ALL_FAMILIES
+        assert [(tag, alpha) for tag, alpha, _ in fits] == [
+            (f.tag, RANK_ALPHA) for f in ALL_FAMILIES
         ]
-        for record, (_, _, (res,)) in zip(report.records, batches):
+        assert sandwiches == [(tag, res.theta_hat, RANK_ALPHA) for tag, _, res in fits]
+        for record, (_, _, res) in zip(report.records, fits):
             assert record.fit is res
             cold = fit(record.family, RANK_ALPHA, sample)
             assert (res.theta_hat, res.objective, res.evaluations) == (
@@ -219,11 +241,12 @@ class TestSelectModel:
         sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 1.0)), 60, seed=2)
         clean = select_model(ALL_FAMILIES, sample)
 
-        def failing_batch(family, alphas, sample):
-            results = fit_alphas(family, alphas, sample)
-            return [FitError("forced failure") if family is GAMMA else res for res in results]
+        def failing_fit(family, alpha, sample):
+            if family is GAMMA:
+                raise FitError("forced failure")
+            return fit(family, alpha, sample)
 
-        monkeypatch.setattr(tuning, "fit_alphas", failing_batch)
+        monkeypatch.setattr(selection, "fit", failing_fit)
         with pytest.warns(RuntimeWarning, match="gamma: FitError: forced failure; excluded"):
             report = select_model(ALL_FAMILIES, sample)
         assert report.excluded == ("gamma",)
@@ -241,28 +264,29 @@ class TestSelectModel:
         ids=["floor-at-2-alpha", "J-not-finite", "J-singular"],
     )
     def test_failed_ric_leaves_only_its_alpha_out(self, monkeypatch, point, error):
-        """A family whose fit succeeds but whose RIC raises, here at a point
-        refused at 2 alpha, or whose J overflows or is exactly singular, is
-        excluded with that error named; every other family keeps its bits,
-        as the batched sandwich and trace score each row on its own."""
+        """A family whose fit succeeds but whose sandwich raises, here at a
+        point refused at 2 alpha, or whose J overflows or is exactly
+        singular, is excluded with that error named; every other family
+        keeps its bits."""
         sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 1.0)), 60, seed=2)
         clean = select_model(ALL_FAMILIES, sample)
         failing = []
 
-        def one_bad_point(family, alphas, sample):
-            results = fit_alphas(family, alphas, sample)
+        def one_bad_point(family, alpha, sample):
+            res = fit(family, alpha, sample)
             if family is not GAMMA:
-                return results
-            return [dataclasses.replace(res, theta_hat=ParamVector(family, point)) for res in results]
+                return res
+            return dataclasses.replace(res, theta_hat=ParamVector(family, point))
 
-        def recording(family, fits):
-            scored = rics(family, fits)
-            failing.extend(value for value in scored if isinstance(value, DpdError))
-            return scored
+        def recording(family, theta, alpha):
+            try:
+                return sandwich(family, theta, alpha)
+            except DpdError as exc:
+                failing.append(exc)
+                raise
 
-        rics = selection._rics
-        monkeypatch.setattr(tuning, "fit_alphas", one_bad_point)
-        monkeypatch.setattr(selection, "_rics", recording)
+        monkeypatch.setattr(selection, "fit", one_bad_point)
+        monkeypatch.setattr(selection, "sandwich", recording)
         with pytest.warns(RuntimeWarning, match=f"gamma: {error.__name__}: .*; excluded"):
             report = select_model(ALL_FAMILIES, sample)
         assert [type(e) for e in failing] == [error]

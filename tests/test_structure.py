@@ -16,22 +16,20 @@ through estimator._solve_rows, so the kernel is named only in
 estimator.py; its Newton step takes eigenvalues in closed form, so
 estimator.py calls no eigh, and only tuning._loo_points asks
 estimator._one_step_starts for its rows' starts. No module silences
-warnings process-wide with warnings.catch_warnings. Tuning and model
-selection share one step that turns a batch of alphas into scored fits,
-tuning.score_alphas, which is not underscored, and selection.py uses
-nothing private of tuning's. Model selection ranks the families at one
-alpha: selection.py names neither the one alpha search,
-tuning.alpha_search, nor the coarse grid, select_model makes one
-score_alphas call, and the select command has no --fast. Alpha is a
-row axis of the kernel, so each batch is one Newton solve,
-estimator.fit_alphas, which outside estimator.py only score_alphas
-calls: neither tuning nor selection calls fit, and selection.py imports
-nothing from estimator. Alpha is a row axis of the sandwich too:
-asymptotics reaches the closed-form moments only through
-families._moment_rows, and its sandwich, standard errors and efficiency
-tables only through _sandwich_rows, which selection calls once per
-alpha batch, in _rics, never sandwich once per fit; _rics scores the
-batches of ric and select_model. The divergence H
+warnings process-wide with warnings.catch_warnings. Model selection
+scores a family with one fit and one sandwich, and imports nothing from
+tuning; the alpha-batch scorer, tuning._score_alphas, is tuning's own,
+its score the CVM distance, with no scorer callback. Model selection
+ranks the families at one alpha: selection.py names neither the coarse
+grid nor the scorer, and the select command has no --fast. Alpha is a
+row axis of the kernel, so
+each batch of the alpha search is one Newton solve,
+estimator.fit_alphas, which outside estimator.py only _score_alphas
+calls: tuning calls no fit, and selection.py imports only fit from
+estimator. Alpha is a row axis of the sandwich too: asymptotics reaches
+the closed-form moments only through families._moment_rows, and its
+sandwich, standard errors and efficiency tables only through
+_sandwich_rows; selection takes one sandwich per family. The divergence H
 is reduced in one place, families._divergence, which with _moment_rows
 alone takes a family's mass, and J is inverted by one function,
 _invert_spd_rows, which only the sandwich and influence_function call:
@@ -41,20 +39,21 @@ The terms of alpha alone have one form, numpy arrays with an entry per
 point, and no table of math functions; the CLI defines each flag that
 several commands share once. The one alpha search refines by grid
 rounds, not by a golden-section walk: tuning.py has no _GOLDEN and no
-while loop, and a refined select_alpha is at most three score_alphas
+while loop, and a refined select_alpha is at most three _score_alphas
 batches, the coarse grid and one round each at k/200 and k/1000.
 """
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
 
 import dpdfit
-from dpdfit import numerics, tuning
+from dpdfit import numerics, selection, tuning
 from dpdfit.cli import parse_args
-from dpdfit.tuning import score_alphas
+from dpdfit.tuning import _score_alphas
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dpdfit"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -262,22 +261,10 @@ def test_no_catch_warnings(path):
 
 
 def test_selection_uses_nothing_private_from_tuning():
+    """selection.py imports nothing from tuning at all."""
     tree = _tree(PACKAGE / "selection.py")
-    imported = [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module in ("tuning", "dpdfit.tuning")
-        for alias in node.names
-    ]
-    assert imported and not [name for name in imported if name.startswith("_")]
-    attributes = [
-        node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "tuning"
-    ]
-    assert not [name for name in attributes if name.startswith("_")]
+    assert not {"tuning", "dpdfit.tuning"} & _imports(tree)
+    assert "tuning" not in _names(tree)
 
 
 def test_searches_fit_through_fit_alphas():
@@ -287,42 +274,56 @@ def test_searches_fit_through_fit_alphas():
         if p.name != "estimator.py"
         for func in _calls_ending(_tree(p), "fit_alphas")
     ]
-    assert found == [("tuning.py", "score_alphas")]
-    for name in ("selection.py", "tuning.py"):
-        tree = _tree(PACKAGE / name)
-        assert _calls_to(tree, "fit") == _calls_ending(tree, ".fit") == []
-    assert "fit" not in _names(_tree(PACKAGE / "tuning.py"))
+    assert found == [("tuning.py", "_score_alphas")]
+    tree = _tree(PACKAGE / "tuning.py")
+    assert _calls_to(tree, "fit") == _calls_ending(tree, ".fit") == []
+    assert "fit" not in _names(tree)
 
 
 def test_selection_ranks_at_one_alpha():
     tree = _tree(PACKAGE / "selection.py")
-    assert not {"alpha_search", "COARSE_GRID"} & _names(tree)
-    assert _calls_to(tree, "score_alphas") == ["ric", "select_model"]
+    assert not {"COARSE_GRID", "_score_alphas", "fit_alphas"} & _names(tree)
     assert not hasattr(parse_args(["select", "--input", "series.csv"]), "fast")
 
 
 def test_alpha_refined_by_grid_rounds(monkeypatch):
     """A refined tune is the coarse grid and two finer lattice rounds, one
-    score_alphas batch each, with no golden-section search."""
+    _score_alphas batch each, with no golden-section search."""
     tree = _tree(PACKAGE / "tuning.py")
     assert "_GOLDEN" not in _names(tree)
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.While)]
     batches = []
 
-    def counting(family, alphas, values, score):
+    def counting(family, alphas, xs):
         batches.append(tuple(alphas))
-        return score_alphas(family, alphas, values, score)
+        return _score_alphas(family, alphas, xs)
 
-    monkeypatch.setattr(tuning, "score_alphas", counting)
+    monkeypatch.setattr(tuning, "_score_alphas", counting)
     dpdfit.select_alpha(dpdfit.GAMMA, dpdfit.sample_family(dpdfit.GAMMA, (5.0, 0.05), 40, 4))
     assert batches[0] == dpdfit.COARSE_GRID
     assert len(batches) <= 1 + 2
 
 
-def test_selection_imports_nothing_from_estimator():
+def test_selection_imports_only_fit_from_estimator():
     tree = _tree(PACKAGE / "selection.py")
-    assert not {"estimator", "dpdfit.estimator"} & _imports(tree)
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("estimator", "dpdfit.estimator")
+        for alias in node.names
+    ]
+    assert imported == ["fit"]
     assert "estimator" not in _names(tree)
+
+
+def test_alpha_batch_scorer_is_tunings_own():
+    """The one scorer of an alpha batch is the CVM distance's, private to
+    tuning: no alpha_search, no public score_alphas and no score callback,
+    and selection has no batch RIC."""
+    gone = {"_rics", "alpha_search", "score_alphas", "_cvm_scores"}
+    assert not [p.name for p in MODULES if gone & _names(_tree(p))]
+    assert not [name for name in gone if hasattr(tuning, name) or hasattr(selection, name)]
+    assert list(inspect.signature(_score_alphas).parameters) == ["family", "alphas", "xs"]
 
 
 def _calls_ending(tree, suffix):
@@ -344,11 +345,25 @@ def test_moments_reached_only_through_the_rows_form():
     assert found == [("estimator.py", "_weighted_terms"), ("families.py", "_moment_rows")]
 
 
-def test_selection_scores_a_batch_with_one_sandwich_call():
+def test_selection_scores_a_family_with_one_fit_and_one_sandwich(monkeypatch):
     tree = _tree(PACKAGE / "selection.py")
-    assert "sandwich" not in _names(tree)
-    assert _calls_to(tree, "_sandwich_rows") == ["_rics"]
-    assert _calls_to(tree, "_rics") == ["ric", "select_model"]
+    assert "_sandwich_rows" not in _names(tree)
+    assert _calls_to(tree, "fit") == _calls_to(tree, "sandwich") == ["ric", "select_model"]
+    assert _calls_to(tree, "_criterion") == ["ric", "select_model"]
+    calls = []
+
+    def counting(func):
+        def wrapped(family, *args):
+            calls.append((func.__name__, family.tag))
+            return func(family, *args)
+        return wrapped
+
+    monkeypatch.setattr(selection, "fit", counting(selection.fit))
+    monkeypatch.setattr(selection, "sandwich", counting(selection.sandwich))
+    families = list(dpdfit.FAMILIES.values())
+    sample = dpdfit.sample_family(dpdfit.GAMMA, (5.0, 1.0), 60, 2)
+    dpdfit.select_model(families, sample)
+    assert calls == [(name, f.tag) for f in families for name in ("fit", "sandwich")]
 
 
 def test_divergence_reduced_once():

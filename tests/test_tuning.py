@@ -16,8 +16,7 @@ from dpdfit import tuning
 from dpdfit.errors import DomainError, FitError, TuningError
 from dpdfit.estimator import fit, fit_alphas
 from dpdfit.families import FAMILIES, ParamVector, cdf, quantile
-from dpdfit.selection import _rics
-from dpdfit.tuning import COARSE_GRID, _cvm_scores, cvm_distance, score_alphas, select_alpha
+from dpdfit.tuning import COARSE_GRID, _score_alphas, cvm_distance, select_alpha
 from dpdfit.uncertainty import ContaminationScheme, sample_family, simulate_contaminated
 from reference_values import CVM3_EXPONENTIAL
 
@@ -186,42 +185,63 @@ class TestSelectAlpha:
 
 
 class TestScoreAlphas:
-    """score_alphas, the one step from a batch of alphas to scored fits
-    for both searches."""
+    """_score_alphas, the one step from a batch of alphas to CVM-scored
+    fits, the alpha search's and cvm_distance's."""
 
     @pytest.mark.parametrize("tag", sorted(FAMILIES))
-    def test_scorers_give_no_scores_for_no_fits(self, tag):
-        """When every fit of a batch fails, score_alphas hands its scorer
-        an empty list."""
+    def test_scorers_give_no_scores_for_no_fits(self, tag, monkeypatch):
+        """When every fit of a batch fails, each alpha keeps its fit's
+        error and the leave-one-out solve is handed no rows."""
         xs = np.sort(sample_family(GAMMA, ParamVector(GAMMA, (5.0, 0.05)), 20, seed=1).values)
-        assert _rics(FAMILIES[tag], []) == []
-        assert _cvm_scores(FAMILIES[tag], xs, []) == []
+        solved = []
+
+        def failing_batch(family, alphas, values):
+            return [FitError(f"forced at {a}") for a in alphas]
+
+        def recording(family, alphas, xs, fits):
+            solved.append(list(alphas))
+            return loo_points(family, alphas, xs, fits)
+
+        loo_points = tuning._loo_points
+        monkeypatch.setattr(tuning, "fit_alphas", failing_batch)
+        monkeypatch.setattr(tuning, "_loo_points", recording)
+        scored = _score_alphas(FAMILIES[tag], (0.0, 0.5), xs)
+        assert [str(e) for e in scored] == ["forced at 0.0", "forced at 0.5"]
+        assert solved in ([], [[]])
 
     def test_failures_keep_their_slots(self, monkeypatch):
-        """A failed fit keeps its slot, the scorer gets the other fits in
-        one call, and a score's error takes the slot of its fit."""
+        """A failed fit keeps its slot, the other fits are solved in one
+        leave-one-out call, and an unsolved held-out row's TuningError
+        takes the slot of its fit."""
         def failing_batch(family, alphas, values):
             results = fit_alphas(family, alphas, values)
             return [FitError("forced") if a == 0.5 else res for a, res in zip(alphas, results)]
 
         calls = []
 
-        def score(fits):
-            calls.append([res.alpha for res in fits])
-            return [TuningError("refused") if res.alpha == 0.25 else 10 * res.alpha for res in fits]
+        def unsolved_at_quarter(family, alphas, xs, fits):
+            calls.append(list(alphas))
+            theta, solved = loo_points(family, alphas, xs, fits)
+            solved[3, [a == 0.25 for a in alphas]] = False
+            return theta, solved
 
+        loo_points = tuning._loo_points
         monkeypatch.setattr(tuning, "fit_alphas", failing_batch)
+        monkeypatch.setattr(tuning, "_loo_points", unsolved_at_quarter)
         sample = sample_family(GAMMA, ParamVector(GAMMA, (5.0, 0.05)), 40, seed=4)
-        scored = score_alphas(GAMMA, (0.0, 0.25, 0.5, 0.75), sample, score)
+        xs = np.sort(sample.values)
+        scored = _score_alphas(GAMMA, (0.0, 0.25, 0.5, 0.75), xs)
         assert calls == [[0.0, 0.25, 0.75]]
         assert [type(s) for s in scored] == [tuple, TuningError, FitError, tuple]
-        assert [(value, res.alpha) for value, res in (scored[0], scored[3])] == [
-            (0.0, 0.0), (7.5, 0.75)
-        ]
+        assert str(scored[1]) == "leave-one-out fit 4 of 40 is unsolved at alpha=0.25"
+        monkeypatch.undo()
+        for value, res in (scored[0], scored[3]):
+            assert value.hex() == cvm_distance(GAMMA, res.alpha, sample).hex()
 
-    def test_unfittable_values_leave_every_alpha_unscored(self):
-        def score(fits):
-            pytest.fail("nothing to score")
+    def test_unfittable_values_leave_every_alpha_unscored(self, monkeypatch):
+        def no_solve(*args):
+            pytest.fail("nothing to solve")
 
-        scored = score_alphas(GAMMA, (0.0, 0.5), as_sample([2.0, 2.0, 2.0]), score)
+        monkeypatch.setattr(tuning, "_loo_points", no_solve)
+        scored = _score_alphas(GAMMA, (0.0, 0.5), np.array([2.0, 2.0, 2.0]))
         assert isinstance(scored[0], FitError) and scored == [scored[0]] * 2

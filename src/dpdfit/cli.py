@@ -387,14 +387,15 @@ def _series_row(sample, fast):
 
 
 def _cmd_report(args):
-    rows = []
+    rows, data_only = [], True
     for sample in load_panel(args.input, args.column, args.label_column):
         try:
             rows.append(_series_row(sample, args.fast))
         except DpdError as e:
+            data_only = data_only and isinstance(e, DataError)
             print(f"error: series {sample.label!r} skipped: {e}", file=sys.stderr)
     if not rows:
-        raise FitError("every series failed")
+        raise (DataError if data_only else FitError)("every series failed")
     _emit(args.output, lambda fh: write_report_rows(rows, fh))
 
 

@@ -53,7 +53,7 @@ def _h_rows(family, al, vals, theta):
     value, as _divergence reduces it for fit's Newton steps. Each row sums
     along its own contiguous row, so no row's H depends on the others."""
     with np.errstate(all="ignore"):
-        lnf = family.logf(tuple(theta.T[:, :, None]), vals, np.log(vals))
+        lnf = family.terms(tuple(theta.T[:, :, None]), vals, np.log(vals))[0]
         return _divergence(family, al, tuple(theta.T), lnf, 1.0 / vals.size)[3]
 
 
@@ -109,10 +109,6 @@ _NEWTON_RTOL = 1e-13
 
 # The Hessian entries summed: its upper triangle, by parameter count.
 _UPPER = {p: tuple((i, j) for i in range(p) for j in range(i, p)) for p in (1, 2)}
-# Below this bound on every |u|, each alpha u u' sum of an alpha = 0
-# batch is finite (|w u_i u_j| <= 2^1000 w and the weights sum to one),
-# so 0 times it is 0 and need not be summed.
-_U_BOUND = 2.0**500
 
 
 def _weighted_terms(family, al, x, lnx, weights, theta):
@@ -129,11 +125,13 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
     + (1+alpha) integral of u u' f^(1+alpha). An alpha = 0 row has wg =
     weights exactly, so the same formula is Newton on its negative
     log-likelihood, _divergence's H there, once xi and dxi are taken as
-    0, which their closed forms give only up to rounding. A batch all at
-    alpha = 0 therefore skips M, the moments and f^alpha, and the alpha
-    u u' sums while every |u| < _U_BOUND. family.terms gives ln f, u and
-    du once; a du entry constant in x multiplies sum_j wg_j, and its
-    integral is M du; only the Hessian's upper triangle is summed.
+    0, which their closed forms give only up to rounding, and its alpha u
+    u' sum as 0, which 0 times an overflowed sum is not. A batch all at
+    alpha = 0 therefore skips M, the moments, f^alpha and the alpha u u'
+    sums, and a mixed batch masks its alpha = 0 rows out of those sums.
+    family.terms gives ln f, u and du once; a du entry constant in x
+    multiplies sum_j wg_j, and its integral is M du; only the Hessian's
+    upper triangle is summed.
 
     Sums run along contiguous rows of (m, n) arrays, so no row's result
     depends on its batch.
@@ -143,13 +141,13 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
     wg, total, mass, h, scale = _divergence(family, al, v, lnf, weights)
     wu = [wg * uq for uq in u]
     sums = _vec([wuq.sum(axis=1) for wuq in wu])
-    sum_uu = not al.all_zero or not all((np.abs(uq) < _U_BOUND).all() for uq in u)
     curv = np.empty((theta.shape[0], len(u), len(u)))
     for i, j in _UPPER[len(u)]:
         d = du[i][j]
         entry = total * d[:, 0] if np.shape(d)[-1] == 1 else (wg * d).sum(axis=1)
-        if sum_uu:
-            entry = entry + al.alpha * (wu[i] * u[j]).sum(axis=1)
+        if not al.all_zero:
+            uu = al.alpha * (wu[i] * u[j]).sum(axis=1)
+            entry = entry + (np.where(al.zero, 0.0, uu) if al.any_zero else uu)
         curv[:, i, j] = curv[:, j, i] = entry
     if al.all_zero:
         return h, 0.0 - sums, 0.0 - curv, scale
@@ -275,20 +273,15 @@ def _newton_rows(family, alphas, values, weights, starts):
             )
             count += down
             lower = h_t <= h[sel] + 1e-12 * scale[sel]
-            if every and lower.all():
-                point, h, scale = trial, h_t, scale_t
-                step, keep, pd = _newton_step(grad, hess)
-                halvings = np.zeros_like(halvings)
-            else:
-                down[down] = lower
-                new_step, ok, new_pd = _newton_step(grad[lower], hess[lower])
-                point[down] = trial[down]
-                h[down], scale[down], step[down], pd[down] = (
-                    h_t[lower], scale_t[lower], new_step, new_pd
-                )
-                halvings = np.where(down, 0, halvings + 1)
-                keep = halvings <= _NEWTON_HALVINGS
-                keep[down] = ok
+            down[down] = lower
+            # the accepted rows, of those evaluated and of the live: slices when all are
+            low, moved = (slice(None), sel) if lower.all() else (lower, down)
+            step_t, ok, pd_t = _newton_step(grad[low], hess[low])
+            point[moved] = trial[moved]
+            h[moved], scale[moved], step[moved], pd[moved] = h_t[low], scale_t[low], step_t, pd_t
+            halvings = np.where(down, 0, halvings + 1)
+            keep = halvings <= _NEWTON_HALVINGS
+            keep[moved] = ok
             if not keep.all() and not leave(keep):
                 break
         else:

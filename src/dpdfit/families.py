@@ -110,10 +110,10 @@ class Family:
     """A model family: its tag and parameter names, plus the functions
     that define it. Equality, hashing and repr use the first three only.
 
-    The functions take the parameter values v first: logf(v, x, lnx) is
-    ln f on validated x with lnx = log x; terms(v, x, lnx) gives ln f,
-    the score components u and the rows of their Jacobian du/dtheta,
-    from shared intermediates; cdf(v, x); ppf(v, q); mass(v, al) is
+    The functions take the parameter values v first: terms(v, x, lnx),
+    on validated x with lnx = log x, gives ln f, the score components u
+    and the rows of their Jacobian du/dtheta, from shared intermediates,
+    and is the one form of ln f; cdf(v, x); ppf(v, q); mass(v, al) is
     the integral of f^(1+alpha); moments(v, al, mass) gives the
     integrals of u u' f^(1+c) and u f^(1+c), c being al's alpha, and
     that of du/dtheta f^(1+c), or None where du is constant in x
@@ -123,21 +123,20 @@ class Family:
     at_zero(v) is the density's limit at x = 0.
 
     mass and moments read alpha only through al, the _AlphaTerms of one
-    alpha per parameter point. logf, terms, cdf, mass and moments also
-    take a batch of parameter points: v holds one array per parameter,
-    broadcasting against x (the kernel passes columns (m, 1) to logf and
-    terms, with observations as one row (1, n) or a row per point (m,
-    n), and v of shape (m,) to mass and moments). Per-observation
-    results take the broadcast shape, an entry constant in x the shape
-    of v; mass comes out (m,) and the moments (m, p, p) and (m, p) for
-    al of m points, v of shape (m,) or one float per parameter.
+    alpha per parameter point. terms, cdf, mass and moments also take a
+    batch of parameter points: v holds one array per parameter,
+    broadcasting against x (the kernel passes columns (m, 1) to terms,
+    with observations as one row (1, n) or a row per point (m, n), and v
+    of shape (m,) to mass and moments). Per-observation results take the
+    broadcast shape, an entry constant in x the shape of v; mass comes
+    out (m,) and the moments (m, p, p) and (m, p) for al of m points, v
+    of shape (m,) or one float per parameter.
     """
 
     tag: str
     param_count: int
     param_names: tuple
     shaped: bool = _entry(False)  # the first parameter is a shape a > alpha/(1+alpha)
-    logf: object = _entry()
     cdf: object = _entry()
     ppf: object = _entry()
     terms: object = _entry()
@@ -152,11 +151,6 @@ class Family:
 
 # --- exponential: u = 1/lambda - x -------------------------------------------
 
-def _exp_logf(v, x, lnx):
-    lam = v[0]
-    return np.log(lam) - lam * x
-
-
 def _exp_cdf(v, x):
     return -np.expm1(-v[0] * x)
 
@@ -167,7 +161,7 @@ def _exp_ppf(v, q):
 
 def _exp_terms(v, x, lnx):
     lam = v[0]
-    return _exp_logf(v, x, lnx), (1.0 / lam - x,), ((-1.0 / lam**2,),)
+    return np.log(lam) - lam * x, (1.0 / lam - x,), ((-1.0 / lam**2,),)
 
 
 def _exp_mass(v, al):
@@ -194,11 +188,6 @@ def _exp_at_zero(v):
 
 # --- gamma: u = (ln x + ln b - digamma(a), a/b - x) ---------------------------
 
-def _gamma_logf(v, x, lnx):
-    a, b = v
-    return a * np.log(b) + (a - 1.0) * lnx - b * x - special.gammaln(a)
-
-
 def _gamma_cdf(v, x):
     return special.gammainc(v[0], v[1] * x)
 
@@ -210,9 +199,11 @@ def _gamma_ppf(v, q):
 
 def _gamma_terms(v, x, lnx):
     a, b = v
-    u = np.log(b) - special.digamma(a) + lnx, a / b - x
+    lb = np.log(b)
+    lnf = a * lb + (a - 1.0) * lnx - b * x - special.gammaln(a)
+    u = lb - special.digamma(a) + lnx, a / b - x
     # the Jacobian is constant in x
-    return _gamma_logf(v, x, lnx), u, ((-_trigamma(a), 1.0 / b), (1.0 / b, -a / b**2))
+    return lnf, u, ((-_trigamma(a), 1.0 / b), (1.0 / b, -a / b**2))
 
 
 def _gamma_mass(v, al):
@@ -253,12 +244,6 @@ def _shape_rate_at_zero(v):
 
 # --- lognormal: u = (w, (w^2 - sigma^2)/sigma) / sigma^2, w = ln x - mu -------
 
-def _lognormal_logf(v, x, lnx):
-    mu, sigma = v
-    z = (lnx - mu) / sigma
-    return -_LOG_SQRT_2PI - np.log(sigma) - lnx - 0.5 * z * z
-
-
 def _lognormal_cdf(v, x):
     return special.ndtr((np.log(x) - v[0]) / v[1])
 
@@ -270,10 +255,10 @@ def _lognormal_ppf(v, q):
 def _lognormal_terms(v, x, lnx):
     mu, sigma = v
     d = lnx - mu
-    dd = d * d
+    z, dd = d / sigma, d * d
     cross = -2.0 * d / sigma**3
     return (
-        _lognormal_logf(v, x, lnx),
+        -_LOG_SQRT_2PI - np.log(sigma) - lnx - 0.5 * z * z,
         (d / sigma**2, (dd - sigma**2) / sigma**3),
         ((-1.0 / sigma**2, cross), (cross, 1.0 / sigma**2 - 3.0 * dd / sigma**4)),
     )
@@ -317,19 +302,6 @@ def _lognormal_at_zero(v):
 
 # --- Weibull: u = ((1 + L (1 - t))/a, (a/b)(1 - t)), t = (bx)^a, L = ln t -----
 
-def _weibull_parts(v, lnx):
-    """(ln bx, t = (bx)^a, ln f)."""
-    a, b = v
-    lb = np.log(b)
-    lbx = lb + lnx
-    t = np.exp(a * lbx)
-    return lbx, t, np.log(a) + lb + (a - 1.0) * lbx - t
-
-
-def _weibull_logf(v, x, lnx):
-    return _weibull_parts(v, lnx)[2]
-
-
 def _weibull_cdf(v, x):
     a, b = v
     return -np.expm1(-((b * x) ** a))
@@ -342,12 +314,14 @@ def _weibull_ppf(v, q):
 
 def _weibull_terms(v, x, lnx):
     a, b = v
-    lbx, t, lnf = _weibull_parts(v, lnx)
+    lb = np.log(b)
+    lbx = lb + lnx
+    t = np.exp(a * lbx)
     rest = 1.0 - t
     lt = lbx * t
     cross = (rest - a * lt) / b
     return (
-        lnf,
+        np.log(a) + lb + (a - 1.0) * lbx - t,
         (1.0 / a + lbx * rest, (a / b) * rest),
         ((-1.0 / a**2 - lbx * lt, cross), (cross, -(a / b**2) * (rest + a * t))),
     )
@@ -405,24 +379,24 @@ def _weibull_start(xs, alphas):
 
 EXPONENTIAL = Family(
     "exponential", 1, ("rate",),
-    logf=_exp_logf, cdf=_exp_cdf, ppf=_exp_ppf, terms=_exp_terms, mass=_exp_mass,
+    cdf=_exp_cdf, ppf=_exp_ppf, terms=_exp_terms, mass=_exp_mass,
     moments=_exp_moments, start=_exp_start, at_zero=_exp_at_zero,
 )
 GAMMA = Family(
     "gamma", 2, ("shape", "rate"), shaped=True,
-    logf=_gamma_logf, cdf=_gamma_cdf, ppf=_gamma_ppf, terms=_gamma_terms,
+    cdf=_gamma_cdf, ppf=_gamma_ppf, terms=_gamma_terms,
     mass=_gamma_mass, moments=_gamma_moments, start=_gamma_start,
     at_zero=_shape_rate_at_zero,
 )
 LOGNORMAL = Family(
     "lognormal", 2, ("log_mean", "log_sd"),
-    logf=_lognormal_logf, cdf=_lognormal_cdf, ppf=_lognormal_ppf, terms=_lognormal_terms,
+    cdf=_lognormal_cdf, ppf=_lognormal_ppf, terms=_lognormal_terms,
     mass=_lognormal_mass, moments=_lognormal_moments, start=_lognormal_start,
     at_zero=_lognormal_at_zero,
 )
 WEIBULL = Family(
     "weibull", 2, ("shape", "rate"), shaped=True,
-    logf=_weibull_logf, cdf=_weibull_cdf, ppf=_weibull_ppf, terms=_weibull_terms,
+    cdf=_weibull_cdf, ppf=_weibull_ppf, terms=_weibull_terms,
     mass=_weibull_mass, moments=_weibull_moments, start=_weibull_start,
     at_zero=_shape_rate_at_zero,
 )
@@ -508,9 +482,10 @@ def _check_x(x):
 
 
 def log_density(p, x):
-    """ln f_theta(x), vectorized over x."""
+    """ln f_theta(x), vectorized over x: terms' ln f, taken as score takes them."""
     x = _check_x(x)
-    return p.family.logf(p.values, x, np.log(x))
+    with np.errstate(all="ignore"):
+        return p.family.terms(np.array(p.values), x, np.log(x))[0]
 
 
 def density(p, x):
@@ -633,7 +608,8 @@ def v_alpha(p, alpha, x):
     check_dpd_valid(p, alpha)
     x = _check_x(x)
     al = _AlphaTerms(np.full(x.size, float(alpha)))
+    v = np.array(p.values)
     with np.errstate(all="ignore"):
-        lnf = p.family.logf(p.values, x, np.log(x))
-        h = _divergence(p.family, al, p.values, lnf.reshape(-1, 1), 1.0)[3]
+        lnf = p.family.terms(v, x, np.log(x))[0]
+        h = _divergence(p.family, al, v, lnf.reshape(-1, 1), 1.0)[3]
     return h.reshape(x.shape)[()]  # [()]: a scalar for a scalar x

@@ -553,6 +553,17 @@ class TestReportCommand:
         assert rc == 3
         assert "every series failed" in capsys.readouterr().err
 
+    def test_all_series_without_wet_values_is_data_error(self, tmp_path, capsys):
+        """Every series failing for a data reason is a data error, as the
+        same input is for fit, tune, select and bootstrap."""
+        panel = tmp_path / "dry.csv"
+        panel.write_text("label,value\ndry,0.0\ndry,0.0\ndry,0.0\n")
+        assert main(["report", "--input", str(panel), "--fast"]) == 2
+        assert capsys.readouterr().err == (
+            "error: series 'dry' skipped: no wet values to fit (3 dry)\n"
+            "error: data: every series failed\n"
+        )
+
     def test_missing_panel_is_data_error(self, tmp_path):
         rc = main(["report", "--input", str(tmp_path / "none.csv")])
         assert rc == 2

@@ -7,6 +7,7 @@ reduction of gamma and Weibull at unit shape to the exponential.
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,12 @@ class TestDensity:
         assert density(g, 1.0) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
         ln = ParamVector(LOGNORMAL, (0.0, 1.0))
         assert density(ln, 1.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
+        w = ParamVector(WEIBULL, (2.0, 0.5))
+        assert density(w, 1.0) == pytest.approx(0.5 * math.exp(-0.25), rel=1e-12)
+        # Gamma(2.5, 1.5) at 2: b^a x^(a-1) e^(-bx) / Gamma(a), Gamma(2.5) = 0.75 sqrt(pi)
+        g = ParamVector(GAMMA, (2.5, 1.5))
+        want = 1.5**2.5 * 2.0**1.5 * math.exp(-3.0) / (0.75 * math.sqrt(math.pi))
+        assert density(g, 2.0) == pytest.approx(want, rel=1e-12)
 
     def test_rejects_nonpositive_x(self):
         e1 = ParamVector(EXPONENTIAL, (1.0,))
@@ -315,19 +322,42 @@ class TestScore:
     ])
     def test_closed_form_at_rate_1e200(self, tag, values):
         """A fit to data near 1e-201 can give a rate past 1e154, whose
-        square, in the Jacobian the terms also give, overflows; the score
-        is still its closed form, with no error or warning."""
+        square, in the Jacobian the terms also give, overflows; the score,
+        ln f and v_alpha, all read from the terms, are still their closed
+        forms, with no error or warning."""
         x = np.array([1e-201, 4e-201, 2.5e-200])
-        got = score(ParamVector(FAMILIES[tag], values), x)
+        p = ParamVector(FAMILIES[tag], values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = score(p, x)
+            lnf = log_density(p, x)
+            v0, v_half = v_alpha(p, 0.0, x), v_alpha(p, 0.5, x)
         b, a = values[-1], values[0]
+        lb = [math.log(b) + math.log(xi) for xi in x]
         if tag == "exponential":
             want = [[1.0 / b - xi] for xi in x]
+            want_lnf = [math.log(b) - b * xi for xi in x]
+            mass = math.sqrt(b) / 1.5
         elif tag == "gamma":
             want = [[math.log(b) - special.digamma(a) + math.log(xi), a / b - xi] for xi in x]
+            want_lnf = [a * lbx - math.log(xi) - b * xi - math.lgamma(a) for lbx, xi in zip(lb, x)]
+            shape = 1.5 * (a - 1.0) + 1.0
+            mass = math.exp(
+                math.lgamma(shape) + 0.5 * math.log(b) - 1.5 * math.lgamma(a) - shape * math.log(1.5)
+            )
         else:
-            rest = [(lb, 1.0 - math.exp(a * lb)) for lb in (math.log(b) + math.log(xi) for xi in x)]
-            want = [[1.0 / a + lb * r, a / b * r] for lb, r in rest]
+            rest = [(lbx, 1.0 - math.exp(a * lbx)) for lbx in lb]
+            want = [[1.0 / a + lbx * r, a / b * r] for lbx, r in rest]
+            want_lnf = [math.log(a * b) + (a - 1.0) * lbx - math.exp(a * lbx) for lbx in lb]
+            kap = 0.5 * (a - 1.0) / a
+            mass = math.sqrt(a * b) * math.gamma(1.0 + kap) / 1.5 ** (1.0 + kap)
         np.testing.assert_allclose(got, want, rtol=1e-12)
+        np.testing.assert_allclose(lnf, want_lnf, rtol=1e-12)
+        np.testing.assert_allclose(v0, -np.array(want_lnf), rtol=1e-12)
+        # M - 3 f^(1/2) cancels: its rounding is relative to M
+        np.testing.assert_allclose(
+            v_half, mass - 3.0 * np.exp(0.5 * np.array(want_lnf)), rtol=1e-12, atol=1e-12 * mass
+        )
 
 
 class TestDpdMassIntegral:
@@ -412,6 +442,15 @@ class TestVAlpha:
         got = v_alpha(p, 0.0, x)
         assert got[0] == math.inf
         assert got[1] == pytest.approx(1.0 - math.log(1e300), rel=1e-15)
+
+    def test_mass_overflow_is_infinite(self):
+        """A lognormal log-sd of 1e200 overflows the sigma^2 term of M:
+        v_alpha is +inf, its closed form in floats, with no error or
+        warning."""
+        p = ParamVector(LOGNORMAL, (0.0, 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert v_alpha(p, 0.5, [1.0, 2.0]).tolist() == [math.inf, math.inf]
 
     def test_alpha_zero_rule_never_reads_minus_infinity(self):
         """_divergence's alpha = 0 rule sums -w ln f over the positively

@@ -248,15 +248,17 @@ def test_alpha_terms_take_each_distinct_alpha_once():
         assert getattr(picked, name).tobytes() == getattr(al, name)[::2].tobytes(), name
 
 
-# Points where an alpha = 0 row's ln f or its u u' sum is not finite: the
-# first at a moderate point, then u beyond 2^500 with ln f finite, then
-# ln f not finite.
+# Points of an alpha = 0 row whose Hessian is finite (the leading
+# FINITE_HESSIAN[tag] of them) or not: a moderate point; for the gamma,
+# u_2 = a/b - x past 1e155 with du finite, so that u u' sums overflow;
+# u or du overflowing with ln f finite; and ln f not finite.
 EDGE_POINTS = {
     "exponential": [(0.02,), (1e-320,), (1e308,)],
-    "gamma": [(3.0, 0.05), (1.0, 1e-200), (1e307, 1.0)],
+    "gamma": [(3.0, 0.05), (1e11, 1e-144), (1.0, 1e-200), (1e307, 1.0)],
     "lognormal": [(3.0, 0.8), (0.0, 1e-80), (3.0, 1e-300)],
     "weibull": [(1.5, 0.02), (1.0, 1e-200), (1e300, 1.0)],
 }
+FINITE_HESSIAN = {"exponential": 1, "gamma": 2, "lognormal": 1, "weibull": 1}
 
 
 def same_bits(a, b):
@@ -269,16 +271,18 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("tag", TAGS)
 def test_alpha_zero_batch_matches_its_rows_beside_alpha_positive(tag):
-    """A batch all at alpha = 0 skips M, the moments, f^alpha and, while
-    every |u| < 2^500, the alpha u u' sums; each of its rows still gets
-    the bits it gets beside an alpha = 0.5 row, where nothing is skipped,
-    non-finite results included. Each point is tried alone, taking the
-    skips its own |u| allows, and with the others."""
+    """A batch all at alpha = 0 skips M, the moments, f^alpha and the
+    alpha u u' sums; each of its rows still gets the bits it gets beside
+    an alpha = 0.5 row, where its u u' sums are masked out, non-finite
+    results included. An overflowing u u' sum, which 0 times would make
+    NaN, leaves an alpha = 0 Hessian finite. Each point is tried alone
+    and with the others."""
     family = FAMILIES[tag]
     x = np.array(tied_contamination(tag).values)[None, :]
     lnx = np.log(x)
     points = np.array(EDGE_POINTS[tag])
-    for rows in ([0], [1], [2], [0, 1, 2]):
+    every = list(range(len(points)))
+    for rows in [[row] for row in every] + [every]:
         k = len(rows)
         weights = np.full((k + 1, x.size), 1.0 / x.size)
         with np.errstate(all="ignore"):
@@ -296,7 +300,9 @@ def test_alpha_zero_batch_matches_its_rows_beside_alpha_positive(tag):
         for got, want in zip(alone, beside):
             assert same_bits(got, want[:k])
         hess = alone[2]
-        assert np.isfinite(hess).all(axis=(1, 2)).tolist() == [row == 0 for row in rows]
+        assert np.isfinite(hess).all(axis=(1, 2)).tolist() == [
+            row < FINITE_HESSIAN[tag] for row in rows
+        ]
 
 
 def test_one_failing_row_leaves_the_others_bitwise():

@@ -8,9 +8,10 @@ and streams are opened in one place, dataio.open_sink, and the CLI
 opens no file itself. Series run one after another, with no thread pool.
 The package exports a fixed public API. Every fit is one row of the
 batched Newton kernel in natural coordinates, so no module imports
-scipy.optimize and a Family carries no reparameterisation; numerics
-holds only CDF inversion, and the gamma/Weibull shape floor
-alpha/(1+alpha) is spelled once, in families.py. Full fits,
+scipy.optimize and a Family carries no reparameterisation and one form
+of ln f, its terms; numerics holds only CDF inversion, and the
+gamma/Weibull shape floor alpha/(1+alpha) is spelled once, in
+families.py. Full fits,
 leave-one-out fits and bootstrap replicates all reach the kernel
 through estimator._solve_rows, so the kernel is named only in
 estimator.py; its Newton step takes eigenvalues in closed form, so
@@ -51,7 +52,7 @@ from pathlib import Path
 import pytest
 
 import dpdfit
-from dpdfit import numerics, selection, tuning
+from dpdfit import estimator, numerics, selection, tuning
 from dpdfit.cli import parse_args
 from dpdfit.tuning import _score_alphas
 
@@ -198,8 +199,12 @@ def test_public_api():
 
 
 def test_family_has_one_back_transform():
-    fields = {f.name for f in dataclasses.fields(dpdfit.Family)}
-    assert fields.isdisjoint({"from_log", "to_log", "unlog", "un"})
+    """A Family's fields are pinned: no reparameterisation, and ln f has
+    one entry, its terms."""
+    assert [f.name for f in dataclasses.fields(dpdfit.Family)] == [
+        "tag", "param_count", "param_names", "shaped",
+        "cdf", "ppf", "terms", "mass", "moments", "start", "at_zero",
+    ]
 
 
 def test_numerics_exports_only_the_kernels():
@@ -381,10 +386,13 @@ def test_information_matrix_inverted_once():
 
 def test_alpha_terms_have_one_form():
     """The terms of alpha alone are numpy arrays, one entry per point,
-    with no table of math functions to take them entry by entry."""
-    gone = {"_each", "_ALPHA_FNS"}
+    with no table of math functions to take them entry by entry, no
+    second form of ln f and no |u| bound guarding the alpha u u' sums."""
+    gone = {"_each", "_ALPHA_FNS", "logf", "_weibull_parts", "_U_BOUND"}
     assert not [p.name for p in MODULES if gone & _names(_tree(p))]
-    assert not [name for name in gone if hasattr(dpdfit.families, name)]
+    assert not [
+        name for name in gone if hasattr(dpdfit.families, name) or hasattr(estimator, name)
+    ]
     assert dpdfit.families._AlphaTerms.__slots__ == (
         "alpha", "col", "zero", "k", "lift", "log1p", "any_zero", "all_zero"
     )

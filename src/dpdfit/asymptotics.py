@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import DomainError, FitError, SingularInformationError
 from .dataio import write_rows
-from .estimator import dpd_weights
-from .families import _check_family, _checked_alpha, _moment_rows, quantile, score
+from .families import _check_family, _check_x, _checked_alpha, _moment_rows, _vec, quantile
 
 __all__ = [
     "SandwichMatrices",
@@ -177,18 +176,19 @@ def influence_function(family, theta0, alpha, y):
     (len(y), p)). Bounded in y exactly when alpha > 0.
     """
     _check_family(family, theta0)
-    _, j_mat, (xi,), (error,) = _moment_rows(
-        family, np.array([theta0.values]), np.array([_checked_alpha(alpha)])
-    )
+    alpha = _checked_alpha(alpha)
+    _, j_mat, (xi,), (error,) = _moment_rows(family, np.array([theta0.values]), np.array([alpha]))
     if error is not None:
         raise error
     (j_inv,), (error,) = _invert_spd_rows(j_mat, f"{family.tag} information matrix J")
     if error is not None:
         raise error
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    u = score(theta0, y_arr)
-    w = dpd_weights(family, theta0, alpha, y_arr)
-    vals = (u * w[:, None] - xi) @ j_inv.T
+    y_arr = np.atleast_1d(_check_x(y))
+    with np.errstate(all="ignore"):
+        lnf, u, _ = family.terms(np.array(theta0.values), y_arr, np.log(y_arr))
+    # the weights f^alpha, identically 1 at alpha = 0
+    w = np.ones_like(y_arr) if alpha == 0.0 else np.exp(alpha * lnf)
+    vals = (_vec(u) * w[:, None] - xi) @ j_inv.T
     return vals[0] if np.isscalar(y) or np.asarray(y).ndim == 0 else vals
 
 

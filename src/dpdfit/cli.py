@@ -49,9 +49,10 @@ def build_parser():
     parser = _Parser(prog="dpdfit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def cmd(name, help_text):
+    def cmd(name, help_text, handler):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--output", default=None, help="output file (default stdout)")
+        p.set_defaults(handler=handler)
         return p
 
     def add_input(p, required=True):
@@ -70,29 +71,29 @@ def build_parser():
     def add_fast(p):
         p.add_argument("--fast", action="store_true", help="coarse grid only, skip refinement")
 
-    p = cmd("fit", "fit one family at a fixed alpha")
+    p = cmd("fit", "fit one family at a fixed alpha", _cmd_fit)
     add_family(p)
     add_input(p)
     add_alpha(p)
     p.add_argument("--plot-data", default=None, help="also write histogram and density curve CSV here")
     p.add_argument("--bins", type=int, default=30)
 
-    p = cmd("tune", "pick alpha by the leave-one-out CVM distance")
+    p = cmd("tune", "pick alpha by the leave-one-out CVM distance", _cmd_tune)
     add_family(p)
     add_input(p)
     add_fast(p)
     p.add_argument("--curve-csv", default=None, help="write the alpha vs cvmd curve here")
 
-    p = cmd("select", "rank all four families by their RIC at one alpha")
+    p = cmd("select", "rank all four families by their RIC at one alpha", _cmd_select)
     add_input(p)
     p.add_argument("--table-csv", default=None, help="write the family,alpha,ric table here")
 
-    p = cmd("are-table", "asymptotic relative efficiency table for one family")
+    p = cmd("are-table", "asymptotic relative efficiency table for one family", _cmd_are_table)
     add_family(p)
     add_theta(p)
     p.add_argument("--alphas", default=None, help="comma-separated alpha values")
 
-    p = cmd("influence", "influence function curve over a y grid")
+    p = cmd("influence", "influence function curve over a y grid", _cmd_influence)
     add_family(p)
     add_theta(p)
     add_alpha(p)
@@ -100,7 +101,7 @@ def build_parser():
     p.add_argument("--y-min", type=float, default=None)
     p.add_argument("--y-max", type=float, default=None)
 
-    p = cmd("bootstrap", "bootstrap standard errors at a fixed alpha")
+    p = cmd("bootstrap", "bootstrap standard errors at a fixed alpha", _cmd_bootstrap)
     add_family(p)
     add_input(p)
     add_alpha(p)
@@ -108,7 +109,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--estimates-csv", default=None, help="write replicate,param,value rows here")
 
-    p = cmd("simulate", "draw a seeded, optionally contaminated sample")
+    p = cmd("simulate", "draw a seeded, optionally contaminated sample", _cmd_simulate)
     add_family(p)
     add_theta(p)
     p.add_argument("--n", type=int, required=True)
@@ -118,7 +119,7 @@ def build_parser():
     p.add_argument("--displaced-family", choices=tuple(FAMILIES), default=None)
     p.add_argument("--displaced-theta", default=None)
 
-    p = cmd("report", "full pipeline per series: select family, tune alpha, adjusted median")
+    p = cmd("report", "full pipeline per series: select family, tune alpha, adjusted median", _cmd_report)
     add_input(p)
     p.add_argument("--label-column", default=None, help="series id column (default: 'label' when present)")
     add_fast(p)
@@ -399,18 +400,6 @@ def _cmd_report(args):
     _emit(args.output, lambda fh: write_report_rows(rows, fh))
 
 
-_HANDLERS = {
-    "fit": _cmd_fit,
-    "tune": _cmd_tune,
-    "select": _cmd_select,
-    "are-table": _cmd_are_table,
-    "influence": _cmd_influence,
-    "bootstrap": _cmd_bootstrap,
-    "simulate": _cmd_simulate,
-    "report": _cmd_report,
-}
-
-
 def _one_line(e):
     return " ".join(str(e).split()) or e.__class__.__name__
 
@@ -418,7 +407,7 @@ def _one_line(e):
 def run(args):
     """Dispatch parsed arguments; returns the process exit code."""
     try:
-        _HANDLERS[args.command](args)
+        args.handler(args)
     except _UsageError as e:
         print(f"error: usage: {_one_line(e)}", file=sys.stderr)
         return 1

@@ -347,9 +347,15 @@ def _solve_rows(family, alphas, m, width, weights_of, starts):
     return theta, solved, evals
 
 
-def _checked_values(family, alphas, sample):
-    """The sample's values, after the checks that fail a fit at any alpha."""
-    if not all(_checked_alpha(alpha) <= 1.0 for alpha in alphas):
+def _fit_rows(family, alphas, sample, warm_start=None):
+    """The one way into a fit: fit's result at each alpha, or the
+    DpdError fit raises there. The checks of alpha and the sample raise
+    once for the batch; every row starts from warm_start, or else the
+    family's start point, a gamma or Weibull shape raised to at least
+    its floor plus 0.1; one _solve_rows call, weight 1/n per value, and
+    one _h_rows call for the objectives give the results."""
+    alphas = [_checked_alpha(alpha) for alpha in alphas]
+    if not all(alpha <= 1.0 for alpha in alphas):
         raise DomainError("alpha must lie in [0, 1]")
     vals = _sample_values(sample)
     if vals.size < family.param_count + 1:
@@ -362,13 +368,14 @@ def _checked_values(family, alphas, sample):
             f"sample is degenerate (all values equal); {family.tag} fit has "
             "no interior optimum"
         )
-    return vals
-
-
-def _fit_rows(family, alphas, vals, starts):
-    """fit's result at each alpha from its start, or the DpdError fit
-    raises there, by one _solve_rows call with weight 1/n per value and
-    one _h_rows call for the objectives."""
+    if warm_start is None:
+        start = family.start(vals)
+    else:
+        _check_family(family, warm_start)
+        start = warm_start.values
+    starts = np.tile(np.asarray(start, dtype=float), (len(alphas), 1))
+    if family.shaped:
+        starts[:, 0] = np.maximum(starts[:, 0], _shape_floor(np.asarray(alphas)) + 0.1)
     n = vals.size
     theta, solved, evals = _solve_rows(
         family,
@@ -399,7 +406,7 @@ def _fit_rows(family, alphas, vals, starts):
         out.append(
             FitResult(
                 family=family,
-                alpha=float(alpha),
+                alpha=alpha,
                 theta_hat=theta_hat,
                 objective=float(h_val),
                 converged=converged,
@@ -413,26 +420,19 @@ def _fit_rows(family, alphas, vals, starts):
 def fit(family, alpha, sample, warm_start=None):
     """Fit one family at a fixed tuning parameter alpha.
 
-    Minimizes H by damped Newton as the one row of _solve_rows, weight
-    1/n per observation, from `warm_start` when given (a gamma or Weibull
-    shape is raised to at least its floor plus 0.05) and from the
-    family's moment start otherwise. `converged` reports whether Newton
-    reached rounding at a positive definite Hessian. `objective` is H at
-    the returned `theta_hat`, so objective == objective_h(theta_hat).
+    Minimizes H by damped Newton as the one row of _fit_rows, weight 1/n
+    per observation, from `warm_start` when given and from the family's
+    moment start otherwise; a gamma or Weibull shape is raised to at
+    least its floor plus 0.1, as for every start. `converged` reports
+    whether Newton reached rounding at a positive definite Hessian.
+    `objective` is H at the returned `theta_hat`, so objective ==
+    objective_h(theta_hat).
 
     Model selection fits through here and the alpha search through
     fit_alphas; `warm_start` stays as the per-replicate reference route
     that the row-solver tests hold every batched refit to.
     """
-    vals = _checked_values(family, (alpha,), sample)
-    if warm_start is not None:
-        _check_family(family, warm_start)
-        start = np.asarray(warm_start.values, dtype=float)
-        if family.shaped:
-            start[0] = max(start[0], _shape_floor(alpha) + 0.05)
-    else:
-        start = family.start(vals, (alpha,))
-    (res,) = _fit_rows(family, (alpha,), vals, start)
+    (res,) = _fit_rows(family, (alpha,), sample, warm_start)
     if isinstance(res, DpdError):
         raise res
     return res
@@ -440,13 +440,12 @@ def fit(family, alpha, sample, warm_start=None):
 
 def fit_alphas(family, alphas, sample):
     """fit(family, alpha, sample) at each alpha of `alphas`, as one Newton
-    solve whose row at alpha starts from the family's moment start there.
+    solve whose row at alpha starts from the family's moment start, a
+    gamma or Weibull shape raised to at least its floor plus 0.1 there.
 
     Each entry is the FitResult fit returns at that alpha, bit for bit,
     or the DpdError fit raises there; a non-converged row warns as its
     fit does. An alpha outside [0, 1], too few values or, for a
     two-parameter family, all values equal raise once for the batch.
     """
-    alphas = [_checked_alpha(alpha) for alpha in alphas]
-    vals = _checked_values(family, alphas, sample)
-    return _fit_rows(family, alphas, vals, family.start(vals, alphas))
+    return _fit_rows(family, alphas, sample)

@@ -118,9 +118,9 @@ class Family:
     integrals of u u' f^(1+c) and u f^(1+c), c being al's alpha, and
     that of du/dtheta f^(1+c), or None where du is constant in x
     (exponential, gamma): that integral is mass times terms' du, which
-    the kernel already has. start(xs, alphas) gives a moment start
-    point per alpha (k, p), the moment or regression work done once;
-    at_zero(v) is the density's limit at x = 0.
+    the kernel already has. start(xs) gives the moment or regression
+    start point (p,), free of alpha: estimator._fit_rows raises a shape
+    above its floor; at_zero(v) is the density's limit at x = 0.
 
     mass and moments read alpha only through al, the _AlphaTerms of one
     alpha per parameter point. terms, cdf, mass and moments also take a
@@ -178,8 +178,8 @@ def _exp_moments(v, al, mass):
     )
 
 
-def _exp_start(xs, alphas):
-    return np.tile(1.0 / float(xs.mean()), (len(alphas), 1))
+def _exp_start(xs):
+    return (1.0 / float(xs.mean()),)
 
 
 def _exp_at_zero(v):
@@ -226,13 +226,12 @@ def _gamma_moments(v, al, mass):
     return _times(mass, cov + _outer(mean)), _times(mass, mean), None
 
 
-def _gamma_start(xs, alphas):
+def _gamma_start(xs):
     mean = float(xs.mean())
     var = float(xs.var(ddof=1))
     if not var > 0.0:  # distinct values so small that their variance underflows
         raise FitError(f"gamma moment start needs a positive sample variance, got {var:g}")
-    a0 = np.maximum(mean * mean / var, _shape_floor(np.asarray(alphas, dtype=float)) + 0.1)
-    return _vec([a0, mean / var])
+    return mean * mean / var, mean / var
 
 
 def _shape_rate_at_zero(v):
@@ -290,10 +289,9 @@ def _lognormal_moments(v, al, mass):
     return _times(mass, cov + _outer(mean)), _times(mass, mean), _times(mass, dmean)
 
 
-def _lognormal_start(xs, alphas):
+def _lognormal_start(xs):
     logs = np.log(xs)
-    sd = float(logs.std())
-    return np.tile([float(logs.mean()), max(sd, 1e-3)], (len(alphas), 1))
+    return float(logs.mean()), max(float(logs.std()), 1e-3)
 
 
 def _lognormal_at_zero(v):
@@ -364,7 +362,7 @@ def _weibull_moments(v, al, mass):
     )
 
 
-def _weibull_start(xs, alphas):
+def _weibull_start(xs):
     # slope of ln(-ln(1-p)) on ln x at plotting positions (i-1/2)/n
     n = xs.size
     pp = (np.arange(1, n + 1) - 0.5) / n
@@ -372,9 +370,7 @@ def _weibull_start(xs, alphas):
     z = np.log(np.sort(xs))
     vz = float(((z - z.mean()) ** 2).mean())
     a0 = float(((z - z.mean()) * (y - y.mean())).mean() / vz) if vz > 0 else 1.0
-    a0 = np.maximum(a0, _shape_floor(np.asarray(alphas, dtype=float)) + 0.1)
-    b0 = np.exp(special.gammaln(1.0 + 1.0 / a0)) / float(xs.mean())
-    return _vec([a0, b0])
+    return a0, np.exp(special.gammaln(1.0 + 1.0 / a0)) / float(xs.mean())
 
 
 EXPONENTIAL = Family(

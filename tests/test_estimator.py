@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import as_sample
+from dpdfit import estimator
 from dpdfit.errors import DomainError, FitError
 from dpdfit.estimator import (
     _newton_step,
@@ -23,6 +24,7 @@ from dpdfit.estimator import (
 from dpdfit.families import (
     FAMILIES,
     _AlphaTerms,
+    _shape_floor,
     ParamVector,
     quantile,
     score,
@@ -172,6 +174,18 @@ class TestFit:
             warm.theta_hat.values, cold.theta_hat.values, rtol=1e-5
         )
 
+    def test_warm_start_keeps_the_one_shape_margin(self):
+        """A warm start's shape is raised to its floor plus 0.1, the margin
+        of every start: from 0.07 above the floor the fit is that from 0.1
+        above, evaluations included."""
+        sample = sample_family(GAMMA, ParamVector(GAMMA, (4.0, 2.0)), 100, seed=9)
+        floor = _shape_floor(0.5)
+        low, margin = (
+            fit(GAMMA, 0.5, sample, warm_start=ParamVector(GAMMA, (floor + gap, 2.0)))
+            for gap in (0.07, 0.1)
+        )
+        assert low == margin
+
     def test_degenerate_sample_rejected(self):
         with pytest.raises(FitError):
             fit(GAMMA, 0.0, as_sample([2.0, 2.0, 2.0, 2.0]))
@@ -215,11 +229,20 @@ class TestIndefiniteStart:
         assert result.converged
         np.testing.assert_allclose(result.theta_hat.values, self.MINIMA[seed], rtol=1e-9)
 
-    def test_start_hessian_is_indefinite(self):
+    def test_start_hessian_is_indefinite(self, monkeypatch):
+        """The alpha = 1 start as estimator._fit_rows builds it."""
         x = self.sample(12)[None, :]
+        starts = []
+
+        def recording(family, alphas, m, width, weights_of, start):
+            starts.append(start)
+            return solve_rows(family, alphas, m, width, weights_of, start)
+
+        solve_rows = estimator._solve_rows
+        monkeypatch.setattr(estimator, "_solve_rows", recording)
+        fit(GAMMA, 1.0, x[0])
         weights = np.full(x.shape, 1.0 / x.size)
-        start = GAMMA.start(x[0], (1.0,))
-        _, _, hess, _ = _weighted_terms(GAMMA, _AlphaTerms(1.0), x, np.log(x), weights, start)
+        _, _, hess, _ = _weighted_terms(GAMMA, _AlphaTerms(1.0), x, np.log(x), weights, starts[0])
         assert np.linalg.eigvalsh(hess[0])[0] < 0.0
 
     def test_indefinite_step_descends(self):

@@ -412,20 +412,20 @@ class TestPartialFailure:
         assert all(round(a * 1000) / 1000 == a != round(a * 200) / 200 for a in batches[2])
 
     def test_failed_full_sample_fit_leaves_its_alpha_unscored(self):
-        """A full-sample fit that fails (its start overflows the objective)
-        drops its alpha; the other alphas are scored as before, and with
-        every fit failing no alpha is scored."""
+        """A full-sample fit that fails (its objective is infinite at that
+        alpha) drops its alpha; the other alphas are scored as before, and
+        with every fit failing (a start that overflows the objective) no
+        alpha is scored."""
         gamma = FAMILIES["gamma"]
         sample = clean("gamma")
         want = select_alpha(gamma, sample, refine=False)
 
         def breaking(at):
-            def start(xs, alphas):
-                out = gamma.start(xs, alphas)
-                out[[at in (None, alpha) for alpha in alphas]] = 1e308
-                return out
-
-            return dataclasses.replace(gamma, start=start)
+            if at is None:
+                return dataclasses.replace(gamma, start=lambda xs: (1e308, 1e308))
+            return dataclasses.replace(
+                gamma, mass=lambda v, al: np.where(al.alpha == at, np.inf, gamma.mass(v, al))
+            )
 
         got = select_alpha(breaking(0.5), sample, refine=False)
         assert set(got.cvmd_curve) == set(COARSE_GRID) - {0.5}

@@ -306,16 +306,12 @@ def test_alpha_zero_batch_matches_its_rows_beside_alpha_positive(tag):
 
 
 def test_one_failing_row_leaves_the_others_bitwise():
-    """A row whose start overflows the objective fails as its fit would,
-    and the other 20 alphas of the batch are still their one-row fits."""
+    """A row whose objective is infinite fails as its fit would, and the
+    other 20 alphas of the batch are still their one-row fits."""
     gamma = FAMILIES["gamma"]
-
-    def start(xs, alphas):
-        out = gamma.start(xs, alphas)
-        out[np.asarray(alphas) == 0.5] = 1e308
-        return out
-
-    broken = dataclasses.replace(gamma, start=start)
+    broken = dataclasses.replace(
+        gamma, mass=lambda v, al: np.where(al.alpha == 0.5, np.inf, gamma.mass(v, al))
+    )
     sample = tied_contamination("gamma")
     batch = fit_alphas(broken, COARSE_GRID, sample)
     want = one_row_fits(gamma, sample)

@@ -26,7 +26,7 @@ from dpdfit.errors import (
     SingularInformationError,
 )
 from dpdfit.estimator import fit
-from dpdfit.families import FAMILIES, ParamVector, log_density
+from dpdfit.families import FAMILIES, ParamVector, log_density, quantile
 from dpdfit.selection import RANK_ALPHA, ric, select_model
 from dpdfit.uncertainty import sample_family
 
@@ -42,6 +42,14 @@ GENERATORS = (
     (GAMMA, (5.0, 1.0)),
     (LOGNORMAL, (0.0, 1.0)),
     (WEIBULL, (5.0, 1.0)),
+)
+
+# The station laws of the rainfall benchmark panels.
+STATION_LAWS = (
+    (GAMMA, (4.0, 0.05)),
+    (WEIBULL, (1.6, 0.02)),
+    (LOGNORMAL, (4.0, 0.6)),
+    (EXPONENTIAL, (0.02,)),
 )
 
 
@@ -161,6 +169,42 @@ class TestOneAlpha:
         winner = select_model(ALL_FAMILIES, as_sample(x)).winner
         for scale in (25.4, 2.0**10):
             assert select_model(ALL_FAMILIES, as_sample(scale * x)).winner is winner
+
+
+class TestFamilyRecovery:
+    """How often select_model picks the law that drew a series: 16
+    stratified draws of n = 64 from each station law, clean and with 3
+    values replaced by 8 times the clean mean. Every clean draw picks its
+    generator at RANK_ALPHA and at alpha = 0.5. Of the contaminated
+    draws 63 of 64 do at alpha = 0.5, but only 19 of 64 at RANK_ALPHA
+    (gamma 0/16, Weibull 0/16, lognormal 16/16, exponential 3/16), so
+    that share is recorded here and not asserted."""
+
+    @staticmethod
+    def draws():
+        """(clean, contaminated): (family, values) for each station law and seed."""
+        clean, dirty = [], []
+        for family, theta in STATION_LAWS:
+            for seed in range(16):
+                rng = np.random.default_rng([7, seed])
+                x = quantile(ParamVector(family, theta), (np.arange(64) + rng.random(64)) / 64)
+                clean.append((family, x))
+                x = x.copy()
+                x[rng.choice(64, size=3, replace=False)] = 8.0 * x.mean()
+                dirty.append((family, x))
+        return clean, dirty
+
+    @staticmethod
+    def recovered(series):
+        """How many of the series pick the family that drew them."""
+        return sum(select_model(ALL_FAMILIES, as_sample(x)).winner is family for family, x in series)
+
+    def test_generator_recovered(self, monkeypatch):
+        clean, dirty = self.draws()
+        assert self.recovered(clean) >= 62
+        monkeypatch.setattr(selection, "RANK_ALPHA", 0.5)
+        assert self.recovered(clean) >= 62
+        assert self.recovered(dirty) >= 60
 
 
 class TestSelectModel:

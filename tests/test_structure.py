@@ -42,6 +42,11 @@ several commands share once. The one alpha search refines by grid
 rounds, not by a golden-section walk: tuning.py has no _GOLDEN and no
 while loop, and a refined select_alpha is at most three _score_alphas
 batches, the coarse grid and one round each at k/200 and k/1000.
+There is one way into a fit, estimator._fit_rows: it alone checks the
+sample and builds the starts, so a family's start takes no alpha and
+the margin a start's shape keeps above its floor is written once, there.
+Each CLI subcommand declares its handler, with no dispatch table, and
+asymptotics imports nothing from estimator.
 """
 
 import ast
@@ -401,3 +406,44 @@ def test_alpha_terms_have_one_form():
 def test_shared_cli_flags_defined_once():
     text = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert [text.count(f'"{flag}"') for flag in ("--fast", "--theta", "--alpha")] == [1, 1, 1]
+
+
+def _shape_margins(tree):
+    """Enclosing function of every _shape_floor(...) + margin."""
+    enclosing = {id(node): func for node, func in _calls(tree)}
+    return [
+        enclosing[id(node.left)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.left, ast.Call)
+        and ast.unparse(node.left.func) == "_shape_floor"
+    ]
+
+
+def test_family_starts_take_no_alpha():
+    for family in dpdfit.FAMILIES.values():
+        assert len(inspect.signature(family.start).parameters) == 1, family.tag
+    tree = _tree(PACKAGE / "families.py")
+    starts = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_start")
+    ]
+    assert len(starts) == 4
+    assert not [node.name for node in starts if "_shape_floor" in _names(node)]
+
+
+def test_start_margin_written_once_in_fit_rows():
+    found = [(p.name, func) for p in MODULES for func in _shape_margins(_tree(p))]
+    assert found == [("estimator.py", "_fit_rows")]
+
+
+def test_one_way_into_a_fit():
+    gone = {"_checked_values", "_HANDLERS"}
+    assert not [p.name for p in MODULES if gone & _names(_tree(p))]
+
+
+def test_asymptotics_imports_nothing_from_estimator():
+    tree = _tree(PACKAGE / "asymptotics.py")
+    assert not {"estimator", "dpdfit.estimator"} & _imports(tree)
+    assert "estimator" not in _names(tree)

@@ -162,10 +162,7 @@ def are(family, theta, alphas=_TABLE_ALPHAS):
     if error is not None:
         raise error
     fisher, *diags = np.diagonal(avar, axis1=1, axis2=2)
-    rows = {
-        a: tuple(1.0 for _ in range(family.param_count)) if a == 0.0 else tuple(fisher / diag)
-        for a, diag in zip(table[1:].tolist(), diags)
-    }
+    rows = {a: tuple(fisher / diag) for a, diag in zip(table[1:].tolist(), diags)}
     return AreTable(family=family, theta=theta, rows=rows)
 
 

@@ -55,12 +55,12 @@ def build_parser():
         p.set_defaults(handler=handler)
         return p
 
-    def add_input(p, required=True):
-        p.add_argument("--input", required=required, help="input CSV with a header row")
+    def add_input(p):
+        p.add_argument("--input", required=True, help="input CSV with a header row")
         p.add_argument("--column", default="value", help="value column name (default value)")
 
-    def add_family(p, required=True):
-        p.add_argument("--family", required=required, choices=tuple(FAMILIES))
+    def add_family(p):
+        p.add_argument("--family", required=True, choices=tuple(FAMILIES))
 
     def add_theta(p):
         p.add_argument("--theta", default=None, help="comma-separated parameters (exponential defaults to 1)")

@@ -119,9 +119,11 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
     x and lnx = log x are one row (1, n) shared by every row of theta or
     one row each (m, n), and each row of weights (m, n), or what
     broadcasts to it, sums to one. H, its scale, wg_j = weights_j
-    f_j^alpha and M come from families._divergence. H's gradient is
-    (1+alpha)(xi - sum_j wg_j u_j) and its Hessian (1+alpha)[dxi - sum_j
-    wg_j (alpha u_j u_j' + du_j)], with dxi = integral of du f^(1+alpha)
+    f_j^alpha, and family.tilted's M and moments under f^(1+alpha)/M come
+    from families._divergence; each integral of g f^(1+alpha) is M E[g],
+    taken here. H's gradient is (1+alpha)(xi - sum_j wg_j u_j) and its
+    Hessian (1+alpha)[dxi - sum_j wg_j (alpha u_j u_j' + du_j)], with
+    xi = integral of u f^(1+alpha) and dxi = integral of du f^(1+alpha)
     + (1+alpha) integral of u u' f^(1+alpha). An alpha = 0 row has wg =
     weights exactly, so the same formula is Newton on its negative
     log-likelihood, _divergence's H there, once xi and dxi are taken as
@@ -130,15 +132,15 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
     alpha = 0 therefore skips M, the moments, f^alpha and the alpha u u'
     sums, and a mixed batch masks its alpha = 0 rows out of those sums.
     family.terms gives ln f, u and du once; a du entry constant in x
-    multiplies sum_j wg_j, and its integral is M du; only the Hessian's
-    upper triangle is summed.
+    multiplies sum_j wg_j and is its own E[du]; only the Hessian's upper
+    triangle is summed.
 
     Sums run along contiguous rows of (m, n) arrays, so no row's result
     depends on its batch.
     """
     v, vc = tuple(theta.T), tuple(theta.T[:, :, None])
     lnf, u, du = family.terms(vc, x, lnx)
-    wg, total, mass, h, scale = _divergence(family, al, v, lnf, weights)
+    wg, total, tilted, h, scale = _divergence(family, al, v, lnf, weights)
     wu = [wg * uq for uq in u]
     sums = _vec([wuq.sum(axis=1) for wuq in wu])
     curv = np.empty((theta.shape[0], len(u), len(u)))
@@ -151,9 +153,10 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
         curv[:, i, j] = curv[:, j, i] = entry
     if al.all_zero:
         return h, 0.0 - sums, 0.0 - curv, scale
-    uu, xi, du_int = family.moments(v, al, mass)
+    mass, uu, xi, du_int = tilted
     if du_int is None:
-        du_int = _times(mass, np.reshape(_mat(du), uu.shape))
+        du_int = np.reshape(_mat(du), uu.shape)
+    uu, xi, du_int = (_times(mass, moment) for moment in (uu, xi, du_int))
     lift = al.lift[:, None]
     dxi = du_int + lift[:, :, None] * uu
     if al.any_zero:

@@ -113,24 +113,25 @@ class Family:
     The functions take the parameter values v first: terms(v, x, lnx),
     on validated x with lnx = log x, gives ln f, the score components u
     and the rows of their Jacobian du/dtheta, from shared intermediates,
-    and is the one form of ln f; cdf(v, x); ppf(v, q); mass(v, al) is
-    the integral of f^(1+alpha); moments(v, al, mass) gives the
-    integrals of u u' f^(1+c) and u f^(1+c), c being al's alpha, and
-    that of du/dtheta f^(1+c), or None where du is constant in x
-    (exponential, gamma): that integral is mass times terms' du, which
-    the kernel already has. start(xs) gives the moment or regression
-    start point (p,), free of alpha: estimator._fit_rows raises a shape
-    above its floor; at_zero(v) is the density's limit at x = 0.
+    and is the one form of ln f; cdf(v, x); ppf(v, q); tilted(v, al)
+    gives the mass M = integral of f^(1+c), c being al's alpha, and the
+    moments of the law f^(1+c)/M, a known law of the family's own kind
+    (Basu, Harris, Hjort & Jones 1998), whose parameters each family
+    derives once: (M, E[u u'], E[u], E[du/dtheta]), the last None where
+    du is constant in x (exponential, gamma), as E[du] is then terms'
+    du. start(xs) gives the moment or regression start point (p,), free
+    of alpha: estimator._fit_rows raises a shape above its floor;
+    at_zero(v) is the density's limit at x = 0.
 
-    mass and moments read alpha only through al, the _AlphaTerms of one
-    alpha per parameter point. terms, cdf, mass and moments also take a
-    batch of parameter points: v holds one array per parameter,
-    broadcasting against x (the kernel passes columns (m, 1) to terms,
-    with observations as one row (1, n) or a row per point (m, n), and v
-    of shape (m,) to mass and moments). Per-observation results take the
-    broadcast shape, an entry constant in x the shape of v; mass comes
-    out (m,) and the moments (m, p, p) and (m, p) for al of m points, v
-    of shape (m,) or one float per parameter.
+    tilted reads alpha only through al, the _AlphaTerms of one alpha per
+    parameter point. terms, cdf and tilted also take a batch of
+    parameter points: v holds one array per parameter, broadcasting
+    against x (the kernel passes columns (m, 1) to terms, with
+    observations as one row (1, n) or a row per point (m, n), and v of
+    shape (m,) to tilted). Per-observation results take the broadcast
+    shape, an entry constant in x the shape of v; tilted gives M (m,)
+    and the moments (m, p, p) and (m, p) for al of m points, v of shape
+    (m,) or one float per parameter.
     """
 
     tag: str
@@ -140,8 +141,7 @@ class Family:
     cdf: object = _entry()
     ppf: object = _entry()
     terms: object = _entry()
-    mass: object = _entry()
-    moments: object = _entry()
+    tilted: object = _entry()
     start: object = _entry()
     at_zero: object = _entry()
 
@@ -164,18 +164,12 @@ def _exp_terms(v, x, lnx):
     return np.log(lam) - lam * x, (1.0 / lam - x,), ((-1.0 / lam**2,),)
 
 
-def _exp_mass(v, al):
-    return np.exp(al.alpha * np.log(v[0]) - al.log1p)
-
-
-def _exp_moments(v, al, mass):
+def _exp_tilted(v, al):
+    # an exponential with rate lambda (1 + c)
     lam, c = v[0], al.alpha
     rate = lam * al.lift
-    return (
-        _times(mass, _mat([[(1.0 + c * c) / rate**2]])),
-        _vec([c * lam ** (c - 1.0) / (al.lift * al.lift)]),
-        None,
-    )
+    mass = np.exp(c * np.log(lam) - al.log1p)
+    return mass, _mat([[(1.0 + c * c) / rate**2]]), _vec([c / rate]), None
 
 
 def _exp_start(xs):
@@ -206,24 +200,20 @@ def _gamma_terms(v, x, lnx):
     return lnf, u, ((-_trigamma(a), 1.0 / b), (1.0 / b, -a / b**2))
 
 
-def _gamma_mass(v, al):
-    a, b = v
-    aa = (a - 1.0) * al.lift + 1.0
-    return np.exp(
-        special.gammaln(aa)
-        + al.alpha * np.log(b)
-        - al.lift * special.gammaln(a)
-        - aa * al.log1p
-    )
-
-
-def _gamma_moments(v, al, mass):
+def _gamma_tilted(v, al):
+    # a gamma with shape a + c(a - 1) and rate b (1 + c): exactly a at c = 0
     a, b = v
     c = al.alpha
     shape, rate = a + c * (a - 1.0), b * al.lift
+    mass = np.exp(
+        special.gammaln(shape)
+        + c * np.log(b)
+        - al.lift * special.gammaln(a)
+        - shape * al.log1p
+    )
     mean = _vec([special.digamma(shape) - special.digamma(a) - al.log1p, c / rate])
     cov = _mat([[_trigamma(shape), -1.0 / rate], [-1.0 / rate, shape / rate**2]])
-    return _times(mass, cov + _outer(mean)), _times(mass, mean), None
+    return mass, cov + _outer(mean), mean, None
 
 
 def _gamma_start(xs):
@@ -263,20 +253,17 @@ def _lognormal_terms(v, x, lnx):
     )
 
 
-def _lognormal_mass(v, al):
+def _lognormal_tilted(v, al):
+    # w = ln x - mu ~ N(m, s2)
     mu, sigma = v
-    return np.exp(
+    c = al.alpha
+    mass = np.exp(
         -0.5 * al.log1p
-        - al.alpha * (_LOG_SQRT_2PI + np.log(sigma))
-        - al.alpha * mu
-        + al.alpha * al.alpha * sigma**2 / (2.0 * al.lift)
+        - c * (_LOG_SQRT_2PI + np.log(sigma))
+        - c * mu
+        + c * c * sigma**2 / (2.0 * al.lift)
     )
-
-
-def _lognormal_moments(v, al, mass):
-    # w ~ N(m, s2) under f^(1+c)/M
-    sigma = v[1]
-    m, s2 = -al.alpha * sigma**2 / al.lift, sigma**2 / al.lift
+    m, s2 = -c * sigma**2 / al.lift, sigma**2 / al.lift
     sig2, sig4 = sigma**2, sigma**4
     mean = _vec([m / sig2, m * (m + 1.0) / sigma / sig2])
     cov_ms = 2.0 * m * s2 / sigma / sig4
@@ -286,7 +273,7 @@ def _lognormal_moments(v, al, mass):
     # du/dtheta is quadratic in w, with E[w] = m and E[w^2] = s2 + m^2
     cross = -2.0 * m / sigma**3
     dmean = _mat([[-1.0 / sig2, cross], [cross, 1.0 / sig2 - 3.0 * (s2 + m * m) / sig4]])
-    return _times(mass, cov + _outer(mean)), _times(mass, mean), _times(mass, dmean)
+    return mass, cov + _outer(mean), mean, dmean
 
 
 def _lognormal_start(xs):
@@ -325,22 +312,12 @@ def _weibull_terms(v, x, lnx):
     )
 
 
-def _weibull_mass(v, al):
-    a, b = v
-    kap = (a - 1.0) * al.alpha / a
-    return np.exp(
-        al.alpha * (np.log(a) + np.log(b))
-        + special.gammaln(1.0 + kap)
-        - (1.0 + kap) * al.log1p
-    )
-
-
-def _weibull_moments(v, al, mass):
-    # t ~ Gamma(shape, rate) under f^(1+c)/M;
-    # E[t^j] = r_j, E[t^j L] = r_j d_j, E[t^j L^2] = r_j q_j
+def _weibull_tilted(v, al):
+    # t ~ Gamma(shape, rate); E[t^j] = r_j, E[t^j L] = r_j d_j, E[t^j L^2] = r_j q_j
     a, b = v
     c = al.alpha
     shape, rate, rate2 = 1.0 + c * (a - 1.0) / a, al.lift, al.lift * al.lift
+    mass = np.exp(c * (np.log(a) + np.log(b)) + special.gammaln(shape) - shape * al.log1p)
     r = _vec([1.0, shape / rate, shape * (shape + 1.0) / rate2])
     shapes = np.asarray(shape)[..., None] + np.arange(3.0)
     d = special.digamma(shapes) - al.log1p[..., None]
@@ -355,11 +332,7 @@ def _weibull_moments(v, al, mass):
     # du/dtheta is linear in t, t L and t L^2
     cross = (tail - el[1]) / b
     dmean = _mat([[-(1.0 + eq[1]) / a**2, cross], [cross, -(a / b**2) * (tail + a * (1.0 - tail))]])
-    return (
-        _times(mass, _mat([[s_aa, s_ab], [s_ab, s_bb]])),
-        _times(mass, mean),
-        _times(mass, dmean),
-    )
+    return mass, _mat([[s_aa, s_ab], [s_ab, s_bb]]), mean, dmean
 
 
 def _weibull_start(xs):
@@ -375,25 +348,25 @@ def _weibull_start(xs):
 
 EXPONENTIAL = Family(
     "exponential", 1, ("rate",),
-    cdf=_exp_cdf, ppf=_exp_ppf, terms=_exp_terms, mass=_exp_mass,
-    moments=_exp_moments, start=_exp_start, at_zero=_exp_at_zero,
+    cdf=_exp_cdf, ppf=_exp_ppf, terms=_exp_terms, tilted=_exp_tilted,
+    start=_exp_start, at_zero=_exp_at_zero,
 )
 GAMMA = Family(
     "gamma", 2, ("shape", "rate"), shaped=True,
     cdf=_gamma_cdf, ppf=_gamma_ppf, terms=_gamma_terms,
-    mass=_gamma_mass, moments=_gamma_moments, start=_gamma_start,
+    tilted=_gamma_tilted, start=_gamma_start,
     at_zero=_shape_rate_at_zero,
 )
 LOGNORMAL = Family(
     "lognormal", 2, ("log_mean", "log_sd"),
     cdf=_lognormal_cdf, ppf=_lognormal_ppf, terms=_lognormal_terms,
-    mass=_lognormal_mass, moments=_lognormal_moments, start=_lognormal_start,
+    tilted=_lognormal_tilted, start=_lognormal_start,
     at_zero=_lognormal_at_zero,
 )
 WEIBULL = Family(
     "weibull", 2, ("shape", "rate"), shaped=True,
     cdf=_weibull_cdf, ppf=_weibull_ppf, terms=_weibull_terms,
-    mass=_weibull_mass, moments=_weibull_moments, start=_weibull_start,
+    tilted=_weibull_tilted, start=_weibull_start,
     at_zero=_shape_rate_at_zero,
 )
 
@@ -523,14 +496,14 @@ def dpd_mass_integral(p, alpha):
 def weighted_moments(p, c):
     """Closed forms of (M, integral of u u' f^(1+c), integral of u f^(1+c)).
 
-    f^(1+c)/M is the density of a known law, so each integral is M times
-    a score moment under that law: exponential with rate b(1+c); gamma
-    with shape a + c(a-1) and rate b(1+c); for the lognormal, ln x - mu
-    is N(-c sigma^2/(1+c), sigma^2/(1+c)); for the Weibull, (bx)^a is
-    gamma with shape 1 + c(a-1)/a and rate 1+c. At c = 0 this is
-    (1, Fisher information, 0). J, K and xi of the sandwich are built
-    from these (Basu, Harris, Hjort & Jones 1998). The one-point case of
-    _moment_rows.
+    f^(1+c)/M is the density of a known law, the family's tilted entry,
+    so each integral is M times a score moment under that law:
+    exponential with rate b(1+c); gamma with shape a + c(a-1) and rate
+    b(1+c); for the lognormal, ln x - mu is N(-c sigma^2/(1+c),
+    sigma^2/(1+c)); for the Weibull, (bx)^a is gamma with shape 1 +
+    c(a-1)/a and rate 1+c. At c = 0 this is (1, Fisher information, 0).
+    J, K and xi of the sandwich are built from these (Basu, Harris,
+    Hjort & Jones 1998). The one-point case of _moment_rows.
     """
     mass, uu, u, (error,) = _moment_rows(p.family, np.array([p.values]), np.array([_checked_alpha(c)]))
     if error is not None:
@@ -540,10 +513,11 @@ def weighted_moments(p, c):
 
 def _moment_rows(family, theta, c):
     """weighted_moments at each row of theta (m, p), row r at c[r], from
-    one family.mass and one family.moments call: (M (m,), uu (m, p, p),
-    u (m, p), errors), errors[r] being None or the error check_dpd_valid
-    raises at row r, whose moments are then those at c = 0 and meaningless.
-    M is exactly 1 at c = 0, as dpd_mass_integral gives it. Overflow at
+    one family.tilted call, each integral of g f^(1+c) being M E[g]: (M
+    (m,), uu (m, p, p), u (m, p), errors), errors[r] being None or the
+    error check_dpd_valid raises at row r, whose moments are then those
+    at c = 0 and meaningless. M is exactly 1 at c = 0, as
+    dpd_mass_integral gives it, also where gammaln overflows. Overflow at
     extreme parameters gives entries that are not finite, silently; the
     sandwich refuses such a J.
     """
@@ -558,29 +532,30 @@ def _moment_rows(family, theta, c):
     v = tuple(theta.T)
     with np.errstate(all="ignore"):
         al = _AlphaTerms(c)
-        mass = family.mass(v, al)
+        mass, uu, u, _ = family.tilted(v, al)
         if al.any_zero:
             mass = np.where(al.zero, 1.0, mass)
-        uu, u, _ = family.moments(v, al, mass)
-    return mass, uu, u, errors
+        return mass, _times(mass, uu), _times(mass, u), errors
 
 
 def _divergence(family, al, v, lnf, weights):
     """The one reduction of the objective H = sum_j weights_j v_alpha(x_j)
     at each row of lnf (m, n), ln f at the observations, row r at point r
     of v and al's alpha there; weights broadcasts against lnf. Returns wg
-    = weights f^alpha, total = its row sums, M, H = M - (1 + 1/alpha)
-    total and H's rounding scale |M| + (1 + 1/alpha) total. At alpha = 0,
-    H is the negative log-likelihood -sum_j weights_j ln f_j over the
-    positively weighted values, NaN rather than -inf (a ln f of +inf or
-    NaN among them), its scale sum_j |weights_j ln f_j|, and a batch all
-    at alpha = 0 takes no M (it reads 1).
+    = weights f^alpha, total = its row sums, family.tilted's (M, E[u u'],
+    E[u], E[du/dtheta] or None), H = M - (1 + 1/alpha) total and H's
+    rounding scale |M| + (1 + 1/alpha) total. At alpha = 0, H is the
+    negative log-likelihood -sum_j weights_j ln f_j over the positively
+    weighted values, NaN rather than -inf (a ln f of +inf or NaN among
+    them), its scale sum_j |weights_j ln f_j|, and a batch all at alpha =
+    0 calls no tilted: M reads 1 and the moments None.
     """
     if al.all_zero:
         # weights f^0: NaN where ln f is not finite, as exp(0 ln f) gives
-        wg, mass = weights + 0.0 * lnf, 1.0
+        wg, tilted = weights + 0.0 * lnf, (1.0, None, None, None)
     else:
-        wg, mass = weights * np.exp(al.col * lnf), family.mass(v, al)
+        wg, tilted = weights * np.exp(al.col * lnf), family.tilted(v, al)
+    mass = tilted[0]
     total = wg.sum(axis=1)
     # wg >= 0
     h, scale = mass - al.k * total, np.abs(mass) + al.k * total
@@ -589,7 +564,7 @@ def _divergence(family, al, v, lnf, weights):
         wl = np.where(w > 0.0, w * lnf, 0.0)
         nll = -wl.sum(axis=1)
         h[al.zero], scale[al.zero] = np.where(nll > -np.inf, nll, np.nan), np.abs(wl).sum(axis=1)
-    return wg, total, mass, h, scale
+    return wg, total, tilted, h, scale
 
 
 def v_alpha(p, alpha, x):

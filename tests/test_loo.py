@@ -34,6 +34,7 @@ from dpdfit.families import (
     ParamVector,
     _AlphaTerms,
     _mat,
+    _times,
     log_density,
     quantile,
     score,
@@ -72,15 +73,15 @@ def steps(theta, rel=1e-5):
     return rel * np.maximum(np.abs(theta), 1e-2)
 
 
-def du_moments(family, v, al, mass):
-    """family.moments, its third entry the integral of du/dtheta f^(1+c):
-    M du, as the kernel takes it, where moments gives None because du is
+def du_moments(family, v, al):
+    """family.tilted's M and the integrals of u u', u and du/dtheta times
+    f^(1+c), each M times its moment under f^(1+c)/M; E[du] is terms' du,
+    as the kernel takes it, where tilted gives None because du is
     constant in x (exponential, gamma)."""
-    uu, xi, du_int = family.moments(v, al, mass)
-    if du_int is None:
-        du = family.terms(v, 1.0, 0.0)[2]
-        du_int = np.reshape(mass, np.shape(mass) + (1, 1)) * _mat(du)
-    return uu, xi, du_int
+    mass, uu, xi, du_mean = family.tilted(v, al)
+    if du_mean is None:
+        du_mean = np.broadcast_to(_mat(family.terms(v, 1.0, 0.0)[2]), uu.shape)
+    return mass, _times(mass, uu), _times(mass, xi), _times(mass, du_mean)
 
 
 class TestTable:
@@ -110,8 +111,7 @@ class TestTable:
         x = xs[:, None]
         v = tuple(points.T)
         al = _AlphaTerms(0.4)
-        mass = family.mass(v, al)
-        moments = du_moments(family, v, al, mass)
+        mass, *moments = du_moments(family, v, al)
         lnf, u, du = family.terms(v, x, np.log(x))
         per_x = {
             "lnf": lnf,
@@ -123,9 +123,9 @@ class TestTable:
         for r, point in enumerate(points):
             # one point's terms come out as arrays of length 1
             one = tuple(point)
-            mass_one = family.mass(one, al)
+            mass_one, *moments_one = du_moments(family, one, al)
             assert mass[r] == pytest.approx(mass_one[0], rel=1e-13)
-            for got, want in zip(moments, du_moments(family, one, al, mass_one)):
+            for got, want in zip(moments, moments_one):
                 np.testing.assert_allclose(got[r], want[0], rtol=1e-12, atol=1e-300)
             np.testing.assert_allclose(
                 per_x["lnf"][:, r], family.terms(one, xs, np.log(xs))[0], rtol=1e-13
@@ -145,13 +145,12 @@ class TestTable:
     @pytest.mark.parametrize("tag", TAGS)
     @pytest.mark.parametrize("c", [0.0, 0.5, 1.5])
     def test_tilted_dscore_integral_matches_quadrature(self, tag, c):
-        """The third moments entry, or M du where du is constant in x, is
-        the integral of du/dtheta f^(1+c)."""
+        """M times tilted's E[du/dtheta], or M du where du is constant in
+        x, is the integral of du/dtheta f^(1+c)."""
         family = FAMILIES[tag]
         pv = ParamVector(family, THETA[tag])
-        al = _AlphaTerms(c)
-        mass = family.mass(pv.values, al)
-        got = du_moments(family, pv.values, al, mass)[2][0]
+        mass, _, _, du_int = du_moments(family, pv.values, _AlphaTerms(c))
+        got = du_int[0]
         # an entry can vanish (the lognormal's cross term at c = 0), so the
         # oracle stops at an absolute floor on the scale of the mass
         spec = QuadratureSpec(abs_tolerance=1e-11 * mass[0], rel_tolerance=1e-10)
@@ -423,9 +422,12 @@ class TestPartialFailure:
         def breaking(at):
             if at is None:
                 return dataclasses.replace(gamma, start=lambda xs: (1e308, 1e308))
-            return dataclasses.replace(
-                gamma, mass=lambda v, al: np.where(al.alpha == at, np.inf, gamma.mass(v, al))
-            )
+
+            def tilted(v, al):
+                mass, *moments = gamma.tilted(v, al)
+                return np.where(al.alpha == at, np.inf, mass), *moments
+
+            return dataclasses.replace(gamma, tilted=tilted)
 
         got = select_alpha(breaking(0.5), sample, refine=False)
         assert set(got.cvmd_curve) == set(COARSE_GRID) - {0.5}

@@ -21,6 +21,7 @@ from dpdfit.estimator import fit
 from dpdfit.families import (
     FAMILIES,
     ParamVector,
+    _AlphaTerms,
     _moment_rows,
     log_density,
     score,
@@ -150,6 +151,31 @@ class TestExactIdentities:
             assert m == pytest.approx(mass, rel=1e-12)
             assert s[1, 1] == pytest.approx(second[0, 0], rel=1e-12)
             assert f[1] == pytest.approx(first[0], rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("tag", sorted(FAMILIES))
+    def test_tilted_law_at_alpha_zero_is_the_model(self, tag):
+        """At c = 0 the tilted law f^(1+c)/M is f itself: the table's own
+        M is exactly 1, the gamma's over shapes 10^[-1.5, 3] too, since its
+        M takes the tilted shape a + c(a - 1), exactly a at c = 0; and the
+        mean score is 0."""
+        rng = np.random.default_rng(28)
+        n = 5000
+        draws = {
+            "exponential": (10.0 ** rng.uniform(-3.0, 3.0, n),),
+            "gamma": (10.0 ** rng.uniform(-1.5, 3.0, n), 10.0 ** rng.uniform(-3.0, 3.0, n)),
+            "lognormal": (rng.uniform(-5.0, 5.0, n), 10.0 ** rng.uniform(-2.0, 1.0, n)),
+            "weibull": (10.0 ** rng.uniform(-1.0, 1.5, n), 10.0 ** rng.uniform(-3.0, 3.0, n)),
+        }
+        mass, _, mean, _ = FAMILIES[tag].tilted(draws[tag], _AlphaTerms(0.0))
+        np.testing.assert_array_equal(mass, 1.0)
+        np.testing.assert_array_less(np.abs(mean), 1e-14)
+
+    def test_exponential_xi_is_its_closed_form(self):
+        """M E[u] under the tilted exponential is c lambda^(c-1)/(1+c)^2."""
+        rng = np.random.default_rng(5)
+        for rate, c in zip(10.0 ** rng.uniform(-100.0, 100.0, 400), rng.uniform(0.0, 2.0, 400)):
+            xi = weighted_moments(ParamVector(EXPONENTIAL, (rate,)), c)[2]
+            np.testing.assert_allclose(xi, c * rate ** (c - 1.0) / (1.0 + c) ** 2, rtol=1e-12)
 
 
 GUARD_SETTINGS = {

@@ -309,9 +309,12 @@ def test_one_failing_row_leaves_the_others_bitwise():
     """A row whose objective is infinite fails as its fit would, and the
     other 20 alphas of the batch are still their one-row fits."""
     gamma = FAMILIES["gamma"]
-    broken = dataclasses.replace(
-        gamma, mass=lambda v, al: np.where(al.alpha == 0.5, np.inf, gamma.mass(v, al))
-    )
+
+    def tilted(v, al):
+        mass, *moments = gamma.tilted(v, al)
+        return np.where(al.alpha == 0.5, np.inf, mass), *moments
+
+    broken = dataclasses.replace(gamma, tilted=tilted)
     sample = tied_contamination("gamma")
     batch = fit_alphas(broken, COARSE_GRID, sample)
     want = one_row_fits(gamma, sample)

@@ -32,7 +32,10 @@ the closed-form moments only through families._moment_rows, and its
 sandwich, standard errors and efficiency tables only through
 _sandwich_rows; selection takes one sandwich per family. The divergence H
 is reduced in one place, families._divergence, which with _moment_rows
-alone takes a family's mass, and J is inverted by one function,
+alone asks a family for its tilted law f^(1+c)/M: its mass M and the
+score moments under it, which each family's one tilted entry states
+once and which only _moment_rows and the Newton kernel scale by M into
+integrals. J is inverted by one function,
 _invert_spd_rows, which only the sandwich and influence_function call:
 RIC's trace comes from the sandwich's avar, so no module solves a
 linear system.
@@ -208,7 +211,7 @@ def test_family_has_one_back_transform():
     one entry, its terms."""
     assert [f.name for f in dataclasses.fields(dpdfit.Family)] == [
         "tag", "param_count", "param_names", "shaped",
-        "cdf", "ppf", "terms", "mass", "moments", "start", "at_zero",
+        "cdf", "ppf", "terms", "tilted", "start", "at_zero",
     ]
 
 
@@ -341,18 +344,19 @@ def _calls_ending(tree, suffix):
     return [func for node, func in _calls(tree) if ast.unparse(node.func).endswith(suffix)]
 
 
+def _tilted_calls():
+    return sorted((p.name, func) for p in MODULES for func in _calls_ending(_tree(p), ".tilted"))
+
+
 def test_moments_reached_only_through_the_rows_form():
     tree = _tree(PACKAGE / "asymptotics.py")
     assert "weighted_moments" not in _names(tree)
-    assert _calls_ending(tree, ".moments") == _calls_ending(tree, ".mass") == []
+    assert _calls_ending(tree, ".tilted") == []
     assert sorted(_calls_to(tree, "_moment_rows")) == [
         "_sandwich_rows", "_sandwich_rows", "influence_function"
     ]
     assert sorted(_calls_to(tree, "_sandwich_rows")) == ["are", "sandwich"]
-    found = sorted(
-        (p.name, func) for p in MODULES for func in _calls_ending(_tree(p), "family.moments")
-    )
-    assert found == [("estimator.py", "_weighted_terms"), ("families.py", "_moment_rows")]
+    assert _tilted_calls() == [("families.py", "_divergence"), ("families.py", "_moment_rows")]
 
 
 def test_selection_scores_a_family_with_one_fit_and_one_sandwich(monkeypatch):
@@ -377,9 +381,29 @@ def test_selection_scores_a_family_with_one_fit_and_one_sandwich(monkeypatch):
 
 
 def test_divergence_reduced_once():
+    """Each family states its tilted law f^(1+c)/M once, in one tilted
+    entry with no separate mass or moments function, and only
+    _divergence and _moment_rows ask for it."""
     assert not [p.name for p in MODULES if "_divergence_terms" in _names(_tree(p))]
-    found = sorted((p.name, func) for p in MODULES for func in _calls_ending(_tree(p), ".mass"))
-    assert found == [("families.py", "_divergence"), ("families.py", "_moment_rows")]
+    defined = {
+        node.name for node in ast.walk(_tree(PACKAGE / "families.py"))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not [
+        name for name in defined if name.startswith("_") and name.endswith(("_mass", "_moments"))
+    ]
+    assert _tilted_calls() == [("families.py", "_divergence"), ("families.py", "_moment_rows")]
+
+
+def test_mass_scales_the_moments_in_one_place():
+    """A tilted entry gives moments under f^(1+c)/M and never multiplies
+    by M: _moment_rows and the Newton kernel alone turn them into
+    integrals."""
+    found = sorted((p.name, func) for p in MODULES for func in _calls_ending(_tree(p), "_times"))
+    assert found == [
+        ("estimator.py", "_weighted_terms"), ("families.py", "_moment_rows"),
+        ("families.py", "_moment_rows"),
+    ]
 
 
 def test_information_matrix_inverted_once():

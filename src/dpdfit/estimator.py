@@ -19,7 +19,6 @@ from .families import (
     _check_family,
     _check_x,
     _checked_alpha,
-    _divergence,
     _mat,
     _positive,
     _shape_floor,
@@ -29,7 +28,9 @@ from .families import (
     log_density,
 )
 
-__all__ = ["FitResult", "objective_h", "estimating_residual", "fit", "fit_alphas", "dpd_weights"]
+__all__ = [
+    "FitResult", "objective_h", "v_alpha", "estimating_residual", "fit", "fit_alphas", "dpd_weights"
+]
 
 
 @dataclass(frozen=True)
@@ -48,41 +49,52 @@ def _sample_values(sample):
     return np.atleast_1d(_check_x(sample))
 
 
-def _h_rows(family, al, vals, theta):
-    """H at each row of theta (m, p) at the alphas of al, weight 1/n per
-    value, as _divergence reduces it for fit's Newton steps. Each row sums
-    along its own contiguous row, so no row's H depends on the others."""
-    with np.errstate(all="ignore"):
-        lnf = family.terms(tuple(theta.T[:, :, None]), vals, np.log(vals))[0]
-        return _divergence(family, al, tuple(theta.T), lnf, 1.0 / vals.size)[3]
-
-
-def objective_h(family, theta, alpha, sample):
-    """Empirical divergence H: the mean of the per-observation terms
-    v_alpha, reduced as M - (1 + 1/alpha) sum_j f_j^alpha / n.
-
-    At alpha = 0 this is the mean negative log-likelihood, +inf where a
-    density underflows to 0.
-    """
-    _check_family(family, theta)
-    check_dpd_valid(theta, alpha)
-    h = _h_rows(family, _AlphaTerms(alpha), _sample_values(sample), np.array([theta.values]))
-    return float(h[0])
-
-
-def estimating_residual(family, theta, alpha, sample):
-    """U_n(theta): weighted mean score minus its model expectation, that
-    is -grad H / (1 + alpha), from the kernel, _weighted_terms, at weight
-    1/n. Vanishes at the estimate.
-    """
+def _sample_terms(family, theta, alpha, sample):
+    """The kernel, _weighted_terms, at the one point theta and weight 1/n
+    per value of the sample, after the checks of theta and alpha."""
     _check_family(family, theta)
     check_dpd_valid(theta, alpha)
     x = _sample_values(sample)[None]
     with np.errstate(all="ignore"):
-        _, grad, _, _ = _weighted_terms(
+        return _weighted_terms(
             family, _AlphaTerms(alpha), x, np.log(x), 1.0 / x.size, np.array([theta.values])
         )
-    return -grad[0] / (1.0 + alpha)
+
+
+def objective_h(family, theta, alpha, sample):
+    """Empirical divergence H: the mean of the per-observation terms
+    v_alpha, reduced as M - (1 + 1/alpha) sum_j f_j^alpha / n; the
+    kernel's H at weight 1/n.
+
+    At alpha = 0 this is the mean negative log-likelihood, +inf where a
+    density underflows to 0.
+    """
+    return float(_sample_terms(family, theta, alpha, sample)[0][0])
+
+
+def v_alpha(p, alpha, x):
+    """Per-observation divergence term.
+
+    For alpha > 0 this is M(theta) - (1 + 1/alpha) f_theta(x)^alpha; the
+    alpha = 0 branch is the negative log likelihood. The two branches
+    differ by an additive constant by construction, so alpha = 0 is a
+    genuinely separate case, not a limit. The kernel's H over one
+    observation per row at weight 1.
+    """
+    check_dpd_valid(p, alpha)
+    x = _check_x(x)
+    col, al = x.reshape(-1, 1), _AlphaTerms(np.full(x.size, float(alpha)))
+    with np.errstate(all="ignore"):
+        h = _weighted_terms(p.family, al, col, np.log(col), 1.0, np.tile(p.values, (x.size, 1)))[0]
+    return h.reshape(x.shape)[()]  # [()]: a scalar for a scalar x
+
+
+def estimating_residual(family, theta, alpha, sample):
+    """U_n(theta): weighted mean score minus its model expectation, that
+    is -grad H / (1 + alpha), from the kernel at weight 1/n. Vanishes at
+    the estimate.
+    """
+    return -_sample_terms(family, theta, alpha, sample)[1][0] / (1.0 + alpha)
 
 
 def dpd_weights(family, theta, alpha, sample):
@@ -112,35 +124,52 @@ _UPPER = {p: tuple((i, j) for i in range(p) for j in range(i, p)) for p in (1, 2
 
 
 def _weighted_terms(family, al, x, lnx, weights, theta):
-    """H, its gradient and Hessian, and H's rounding scale, at each row of
-    theta (m, p) for the objective sum_j weights[r, j] v_alpha(x[r, j]),
-    al being the _AlphaTerms of one alpha per row.
+    """The one reduction of the objective: H = sum_j weights[r, j]
+    v_alpha(x[r, j]), its gradient and Hessian, and H's rounding scale, at
+    each row of theta (m, p), al being the _AlphaTerms of one alpha per
+    row.
 
     x and lnx = log x are one row (1, n) shared by every row of theta or
     one row each (m, n), and each row of weights (m, n), or what
-    broadcasts to it, sums to one. H, its scale, wg_j = weights_j
-    f_j^alpha, and family.tilted's M and moments under f^(1+alpha)/M come
-    from families._divergence; each integral of g f^(1+alpha) is M E[g],
-    taken here. H's gradient is (1+alpha)(xi - sum_j wg_j u_j) and its
-    Hessian (1+alpha)[dxi - sum_j wg_j (alpha u_j u_j' + du_j)], with
-    xi = integral of u f^(1+alpha) and dxi = integral of du f^(1+alpha)
-    + (1+alpha) integral of u u' f^(1+alpha). An alpha = 0 row has wg =
-    weights exactly, so the same formula is Newton on its negative
-    log-likelihood, _divergence's H there, once xi and dxi are taken as
-    0, which their closed forms give only up to rounding, and its alpha u
-    u' sum as 0, which 0 times an overflowed sum is not. A batch all at
-    alpha = 0 therefore skips M, the moments, f^alpha and the alpha u u'
-    sums, and a mixed batch masks its alpha = 0 rows out of those sums.
-    family.terms gives ln f, u and du once; a du entry constant in x
-    multiplies sum_j wg_j and is its own E[du]; only the Hessian's upper
-    triangle is summed.
+    broadcasts to it, sums to one. With wg_j = weights_j f_j^alpha and
+    the mass M = integral of f^(1+alpha), H = M - (1 + 1/alpha) sum_j
+    wg_j and its scale |M| + (1 + 1/alpha) sum_j wg_j. H's gradient is
+    (1+alpha)(xi - sum_j wg_j u_j) and its Hessian (1+alpha)[dxi - sum_j
+    wg_j (alpha u_j u_j' + du_j)], with xi = integral of u f^(1+alpha)
+    and dxi = integral of du f^(1+alpha) + (1+alpha) integral of u u'
+    f^(1+alpha); one family.tilted call gives M and the moments under
+    f^(1+alpha)/M, each integral of g f^(1+alpha) being M E[g].
+
+    At alpha = 0, H is the negative log-likelihood -sum_j weights_j ln
+    f_j over the positively weighted values, NaN rather than -inf (a ln f
+    of +inf or NaN among them), and its scale sum_j |weights_j ln f_j|.
+    Such a row has wg = weights exactly, so the same gradient and Hessian
+    are Newton on it once xi and dxi are taken as 0, which their closed
+    forms give only up to rounding, and its alpha u u' sum as 0, which 0
+    times an overflowed sum is not. A batch all at alpha = 0 therefore
+    skips tilted, f^alpha and the alpha u u' sums, and a mixed batch
+    masks its alpha = 0 rows out of those sums. family.terms gives ln f,
+    u and du once; a du entry constant in x multiplies sum_j wg_j and is
+    its own E[du]; only the Hessian's upper triangle is summed.
 
     Sums run along contiguous rows of (m, n) arrays, so no row's result
     depends on its batch.
     """
-    v, vc = tuple(theta.T), tuple(theta.T[:, :, None])
-    lnf, u, du = family.terms(vc, x, lnx)
-    wg, total, tilted, h, scale = _divergence(family, al, v, lnf, weights)
+    lnf, u, du = family.terms(tuple(theta.T[:, :, None]), x, lnx)
+    if al.all_zero:
+        # weights f^0: NaN where ln f is not finite, as exp(0 ln f) gives
+        wg, mass = weights + 0.0 * lnf, 1.0
+    else:
+        wg = weights * np.exp(al.col * lnf)
+        mass, e_uu, e_u, e_du = family.tilted(tuple(theta.T), al)
+    total = wg.sum(axis=1)
+    # wg >= 0
+    h, scale = mass - al.k * total, np.abs(mass) + al.k * total
+    if al.any_zero:
+        w, lnf = np.broadcast_to(weights, lnf.shape)[al.zero], lnf[al.zero]
+        wl = np.where(w > 0.0, w * lnf, 0.0)
+        nll = -wl.sum(axis=1)
+        h[al.zero], scale[al.zero] = np.where(nll > -np.inf, nll, np.nan), np.abs(wl).sum(axis=1)
     wu = [wg * uq for uq in u]
     sums = _vec([wuq.sum(axis=1) for wuq in wu])
     curv = np.empty((theta.shape[0], len(u), len(u)))
@@ -153,10 +182,9 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
         curv[:, i, j] = curv[:, j, i] = entry
     if al.all_zero:
         return h, 0.0 - sums, 0.0 - curv, scale
-    mass, uu, xi, du_int = tilted
-    if du_int is None:
-        du_int = np.reshape(_mat(du), uu.shape)
-    uu, xi, du_int = (_times(mass, moment) for moment in (uu, xi, du_int))
+    if e_du is None:
+        e_du = np.reshape(_mat(du), e_uu.shape)
+    uu, xi, du_int = (_times(mass, moment) for moment in (e_uu, e_u, e_du))
     lift = al.lift[:, None]
     dxi = du_int + lift[:, :, None] * uu
     if al.any_zero:
@@ -356,7 +384,8 @@ def _fit_rows(family, alphas, sample, warm_start=None):
     once for the batch; every row starts from warm_start, or else the
     family's start point, a gamma or Weibull shape raised to at least
     its floor plus 0.1; one _solve_rows call, weight 1/n per value, and
-    one _h_rows call for the objectives give the results."""
+    one kernel call at that weight for the objectives, H as objective_h
+    takes it, give the results."""
     alphas = [_checked_alpha(alpha) for alpha in alphas]
     if not all(alpha <= 1.0 for alpha in alphas):
         raise DomainError("alpha must lie in [0, 1]")
@@ -388,7 +417,10 @@ def _fit_rows(family, alphas, sample, warm_start=None):
         lambda rows: (vals, np.full((rows.size, n), 1.0 / n)),
         starts,
     )
-    hs = _h_rows(family, _AlphaTerms(alphas), vals, theta)
+    with np.errstate(all="ignore"):
+        hs = _weighted_terms(
+            family, _AlphaTerms(alphas), vals[None], np.log(vals)[None], 1.0 / n, theta
+        )[0]
     out = []
     for alpha, row, h_val, converged, count in zip(
         alphas, theta, hs.tolist(), solved.tolist(), evals.tolist()

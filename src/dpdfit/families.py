@@ -36,7 +36,6 @@ __all__ = [
     "score",
     "dpd_mass_integral",
     "weighted_moments",
-    "v_alpha",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -536,51 +535,3 @@ def _moment_rows(family, theta, c):
         if al.any_zero:
             mass = np.where(al.zero, 1.0, mass)
         return mass, _times(mass, uu), _times(mass, u), errors
-
-
-def _divergence(family, al, v, lnf, weights):
-    """The one reduction of the objective H = sum_j weights_j v_alpha(x_j)
-    at each row of lnf (m, n), ln f at the observations, row r at point r
-    of v and al's alpha there; weights broadcasts against lnf. Returns wg
-    = weights f^alpha, total = its row sums, family.tilted's (M, E[u u'],
-    E[u], E[du/dtheta] or None), H = M - (1 + 1/alpha) total and H's
-    rounding scale |M| + (1 + 1/alpha) total. At alpha = 0, H is the
-    negative log-likelihood -sum_j weights_j ln f_j over the positively
-    weighted values, NaN rather than -inf (a ln f of +inf or NaN among
-    them), its scale sum_j |weights_j ln f_j|, and a batch all at alpha =
-    0 calls no tilted: M reads 1 and the moments None.
-    """
-    if al.all_zero:
-        # weights f^0: NaN where ln f is not finite, as exp(0 ln f) gives
-        wg, tilted = weights + 0.0 * lnf, (1.0, None, None, None)
-    else:
-        wg, tilted = weights * np.exp(al.col * lnf), family.tilted(v, al)
-    mass = tilted[0]
-    total = wg.sum(axis=1)
-    # wg >= 0
-    h, scale = mass - al.k * total, np.abs(mass) + al.k * total
-    if al.any_zero:
-        w, lnf = np.broadcast_to(weights, lnf.shape)[al.zero], lnf[al.zero]
-        wl = np.where(w > 0.0, w * lnf, 0.0)
-        nll = -wl.sum(axis=1)
-        h[al.zero], scale[al.zero] = np.where(nll > -np.inf, nll, np.nan), np.abs(wl).sum(axis=1)
-    return wg, total, tilted, h, scale
-
-
-def v_alpha(p, alpha, x):
-    """Per-observation divergence term.
-
-    For alpha > 0 this is M(theta) - (1 + 1/alpha) f_theta(x)^alpha; the
-    alpha = 0 branch is the negative log likelihood. The two branches
-    differ by an additive constant by construction, so alpha = 0 is a
-    genuinely separate case, not a limit. _divergence's H, one
-    observation per row at weight 1.
-    """
-    check_dpd_valid(p, alpha)
-    x = _check_x(x)
-    al = _AlphaTerms(np.full(x.size, float(alpha)))
-    v = np.array(p.values)
-    with np.errstate(all="ignore"):
-        lnf = p.family.terms(v, x, np.log(x))[0]
-        h = _divergence(p.family, al, v, lnf.reshape(-1, 1), 1.0)[3]
-    return h.reshape(x.shape)[()]  # [()]: a scalar for a scalar x

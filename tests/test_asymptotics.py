@@ -363,6 +363,14 @@ class TestAre:
         with pytest.raises(DomainError):
             are(EXPONENTIAL, ParamVector(EXPONENTIAL, (1.0,)), alphas=(1.5,))
 
+    def test_raises_the_validity_error_of_its_two_alpha_row(self):
+        """K at alpha = 1 is taken at 2: a gamma shape of 0.6 clears every
+        table alpha's floor but not 2/3, the floor at 2 alpha = 2."""
+        pv = ParamVector(GAMMA, (0.6, 1.0))
+        assert set(are(GAMMA, pv, alphas=(0.7,)).rows) == {0.7}
+        with pytest.raises(DpdValidityError, match=r"at alpha = 2;"):
+            are(GAMMA, pv)
+
 
 class TestInfluenceFunction:
     def test_exponential_mle_spots(self):
@@ -380,6 +388,10 @@ class TestInfluenceFunction:
         pv = ParamVector(FAMILIES[tag], values)
         got = influence_function(FAMILIES[tag], pv, alpha, y)
         np.testing.assert_allclose(got, IF_SPOTS[key], rtol=1e-7)
+
+    def test_shape_at_floor_raises(self):
+        with pytest.raises(DpdValidityError, match="shape 0.3 <= "):
+            influence_function(GAMMA, ParamVector(GAMMA, (0.3, 1.0)), 0.5, 1.0)
 
     def test_tail_limit_is_minus_jinv_xi(self):
         """For alpha > 0 the density weight kills the score as y grows,

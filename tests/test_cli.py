@@ -13,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from dpdfit import tuning
+from dpdfit import cli, tuning
 from dpdfit.cli import build_parser, emit_plot_data, main, parse_args
 from dpdfit.dataio import REPORT_COLUMNS, Sample, load_csv
 from dpdfit.errors import DomainError
@@ -48,6 +48,9 @@ def tiny_csv(tmp_path):
     path = tmp_path / "tiny.csv"
     write_series(path, [1.0, 2.0, 3.0])
     return str(path)
+
+
+SIMULATE = ["simulate", "--family", "exponential", "--n", "10", "--seed", "0"]
 
 
 class TestUsageErrors:
@@ -112,6 +115,32 @@ class TestUsageErrors:
         assert rc == 1
         assert capsys.readouterr().err == f"error: usage: {flag} must be finite, got {value}\n"
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["are-table", "--family", "gamma", "--theta", "1,x"],
+             "--theta must be comma-separated numbers, got '1,x'"),
+            (["are-table", "--family", "exponential", "--theta", "-1"],
+             "exponential rate must be positive, got -1.0"),
+            ([*SIMULATE, "--displaced-family", "gamma"],
+             "--displaced-family and --displaced-theta go together"),
+            (["simulate", "--family", "exponential", "--n", "0", "--seed", "0"],
+             "--n must be at least 1, got 0"),
+            ([*SIMULATE, "--epsilon", "0.5"], "--epsilon must lie in [0, 0.5), got 0.5"),
+            ([*SIMULATE, "--epsilon", "0.1", "--point", "-1"],
+             "--point must be positive, got -1.0"),
+            (["fit", "--family", "exponential", "--input", "series.csv", "--bins", "0"],
+             "--bins must be at least 1, got 0"),
+            (["influence", "--family", "exponential", "--points", "1"],
+             "--points must be at least 2, got 1"),
+        ],
+        ids=["theta-text", "theta-domain", "displaced-pair", "n", "epsilon", "point", "bins",
+             "points"],
+    )
+    def test_checked_flag(self, argv, message, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: usage: {message}\n"
+
 
 class TestExitCodes:
     def test_missing_input_is_data_error(self, tmp_path, capsys):
@@ -144,6 +173,17 @@ class TestExitCodes:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: numeric:")
 
+    def test_other_exception_is_internal_error(self, tiny_csv, capsys, monkeypatch):
+        """A handler's exception that is no DpdError exits 3, as internal."""
+
+        def broken(*args):
+            raise ZeroDivisionError("broken\n  fit")
+
+        monkeypatch.setattr(cli, "fit", broken)
+        assert main(["fit", "--family", "exponential", "--input", tiny_csv]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: internal: broken fit\n")
+
 
 class TestParser:
     def test_parser_is_built_once(self):
@@ -162,6 +202,17 @@ class TestParser:
 
 
 class TestFitCommand:
+    def test_refused_sandwich_prints_null_ses(self, tmp_path, capsys):
+        """A fitted gamma shape of 0.430 at alpha = 0.5 is under the floor
+        at 2 alpha, 0.5, so the sandwich is refused: the fit still prints,
+        with null standard errors, and exits 0."""
+        path = tmp_path / "low_shape.csv"
+        write_series(path, sample_family(GAMMA, (0.4, 1.0), 200, 3).values)
+        assert main(["fit", "--family", "gamma", "--input", str(path), "--alpha", "0.5"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert 0.4 < out["params"]["shape"] <= 0.5
+        assert out["se_asymptotic"] is None
+
     def test_json_payload(self, tiny_csv, capsys):
         assert main(["fit", "--family", "exponential", "--input", tiny_csv]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -237,6 +288,16 @@ class TestEmitPlotData:
         fs = [f for _, f in curve]
         assert fs[0] == pytest.approx(0.5)
         assert all(a > b for a, b in zip(fs, fs[1:]))
+
+    @pytest.mark.parametrize(
+        ("tag", "theta", "limit"), [("gamma", (1.0, 2.0), 2.0), ("lognormal", (0.0, 1.0), 0.0)]
+    )
+    def test_curve_starts_at_density_limit(self, tag, theta, limit):
+        """The point at x = 0 is the density's limit there: the rate for a
+        unit gamma shape, 0 for a lognormal."""
+        res = self._fit_result(FAMILIES[tag], theta)
+        _, curve = _plot_blocks(emit_plot_data(res, Sample(values=(1.0, 2.0, 3.0))))
+        assert curve[0] == (0.0, limit)
 
     def test_gamma_curve_peaks_at_mode(self):
         # Mode of gamma(a, b) is (a - 1)/b; the sampled peak may sit at
@@ -523,7 +584,7 @@ class TestReportCommand:
     def test_one_sandwich_per_row(self, tmp_path, capsys, monkeypatch):
         """A report row takes its SEs and its RIC from one sandwich of its
         tuned fit, at its alpha_star."""
-        from dpdfit import asymptotics, cli
+        from dpdfit import asymptotics
 
         panel = tmp_path / "panel.csv"
         with open(panel, "w", encoding="utf-8") as fh:

@@ -106,6 +106,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 3"):
             load_csv(path)
 
+    def test_infinite_cell_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("year,value\n1951,3.0\n1952,inf\n")
+        with pytest.raises(DataError, match="non-finite 'value' cell 'inf' at line 3"):
+            load_csv(path)
+
     def test_missing_value_marker_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("year,value\n1951,NA\n")

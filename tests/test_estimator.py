@@ -20,6 +20,7 @@ from dpdfit.estimator import (
     estimating_residual,
     fit,
     objective_h,
+    v_alpha,
 )
 from dpdfit.families import (
     FAMILIES,
@@ -28,7 +29,6 @@ from dpdfit.families import (
     ParamVector,
     quantile,
     score,
-    v_alpha,
 )
 from dpdfit.uncertainty import sample_family
 

@@ -15,13 +15,20 @@ from scipy import special
 
 from dpdfit.asymptotics import are, if_supremum, influence_function, sandwich
 from dpdfit.errors import DomainError, DpdValidityError
-from dpdfit.estimator import dpd_weights, estimating_residual, fit, fit_alphas, objective_h
+from dpdfit.estimator import (
+    _weighted_terms,
+    dpd_weights,
+    estimating_residual,
+    fit,
+    fit_alphas,
+    objective_h,
+    v_alpha,
+)
 from dpdfit.families import (
     FAMILIES,
     Family,
     ParamVector,
     _AlphaTerms,
-    _divergence,
     cdf,
     check_dpd_valid,
     density,
@@ -29,7 +36,6 @@ from dpdfit.families import (
     log_density,
     quantile,
     score,
-    v_alpha,
     weighted_moments,
 )
 from dpdfit.selection import ric
@@ -96,6 +102,10 @@ class TestParamVector:
             ParamVector(WEIBULL, (-1.0, 1.0))
         with pytest.raises(DomainError):
             ParamVector(LOGNORMAL, (0.0, 0.0))
+
+    def test_parameters_must_be_finite(self):
+        with pytest.raises(DomainError, match="finite"):
+            ParamVector(GAMMA, (1.0, math.nan))
 
     def test_log_mean_unrestricted(self):
         pv = ParamVector(LOGNORMAL, (-3.0, 1.0))
@@ -453,15 +463,20 @@ class TestVAlpha:
             assert v_alpha(p, 0.5, [1.0, 2.0]).tolist() == [math.inf, math.inf]
 
     def test_alpha_zero_rule_never_reads_minus_infinity(self):
-        """_divergence's alpha = 0 rule sums -w ln f over the positively
+        """The kernel's alpha = 0 rule sums -w ln f over the positively
         weighted values only: ln f = -inf there reads +inf, at weight 0
         nothing, and ln f = +inf or NaN there reads NaN, never -inf, which
-        the Newton kernel's descent test would accept."""
+        the Newton kernel's descent test would accept. ln f = -x at rate
+        1, so x = +inf, -inf and NaN give ln f = -inf, +inf and NaN."""
         inf, nan = math.inf, math.nan
         lnf = np.array([[-inf, -1.0], [-1.0, -inf], [inf, -1.0], [nan, -1.0], [inf, -inf]])
         weights = np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
-        with np.errstate(invalid="ignore"):  # weights f^0 is NaN where ln f is infinite
-            h = _divergence(EXPONENTIAL, _AlphaTerms(np.zeros(5)), None, lnf, weights)[3]
+        x = -lnf
+        with np.errstate(all="ignore"):  # weights f^0 is NaN where ln f is infinite
+            np.testing.assert_array_equal(EXPONENTIAL.terms((1.0,), x, np.log(x))[0], lnf)
+            h = _weighted_terms(
+                EXPONENTIAL, _AlphaTerms(np.zeros(5)), x, np.log(x), weights, np.ones((5, 1))
+            )[0]
         assert h[0] == inf and h[1] == 1.0
         assert np.isnan(h[2:]).all()
 

@@ -31,11 +31,13 @@ estimator. Alpha is a row axis of the sandwich too: asymptotics reaches
 the closed-form moments only through families._moment_rows, and its
 sandwich, standard errors and efficiency tables only through
 _sandwich_rows; selection takes one sandwich per family. The divergence H
-is reduced in one place, families._divergence, which with _moment_rows
-alone asks a family for its tilted law f^(1+c)/M: its mass M and the
-score moments under it, which each family's one tilted entry states
-once and which only _moment_rows and the Newton kernel scale by M into
-integrals. J is inverted by one function,
+is reduced in one place, the Newton kernel estimator._weighted_terms,
+which every fit's objective, objective_h and v_alpha read, and which
+with families._moment_rows alone asks a family for its tilted law
+f^(1+c)/M: its mass M and the score moments under it, which each
+family's one tilted entry states once and which only _moment_rows and
+the kernel scale by M into integrals; families.py defines no v_alpha.
+J is inverted by one function,
 _invert_spd_rows, which only the sandwich and influence_function call:
 RIC's trace comes from the sandwich's avar, so no module solves a
 linear system.
@@ -356,7 +358,7 @@ def test_moments_reached_only_through_the_rows_form():
         "_sandwich_rows", "_sandwich_rows", "influence_function"
     ]
     assert sorted(_calls_to(tree, "_sandwich_rows")) == ["are", "sandwich"]
-    assert _tilted_calls() == [("families.py", "_divergence"), ("families.py", "_moment_rows")]
+    assert _tilted_calls() == [("estimator.py", "_weighted_terms"), ("families.py", "_moment_rows")]
 
 
 def test_selection_scores_a_family_with_one_fit_and_one_sandwich(monkeypatch):
@@ -380,19 +382,25 @@ def test_selection_scores_a_family_with_one_fit_and_one_sandwich(monkeypatch):
     assert calls == [(name, f.tag) for f in families for name in ("fit", "sandwich")]
 
 
+def _defined(path):
+    return {node.name for node in ast.walk(_tree(path)) if isinstance(node, ast.FunctionDef)}
+
+
 def test_divergence_reduced_once():
     """Each family states its tilted law f^(1+c)/M once, in one tilted
-    entry with no separate mass or moments function, and only
-    _divergence and _moment_rows ask for it."""
-    assert not [p.name for p in MODULES if "_divergence_terms" in _names(_tree(p))]
-    defined = {
-        node.name for node in ast.walk(_tree(PACKAGE / "families.py"))
-        if isinstance(node, ast.FunctionDef)
-    }
+    entry with no separate mass or moments function, and only the Newton
+    kernel, which alone reduces H, and _moment_rows ask for it."""
+    gone = {"_divergence_terms", "_divergence", "_h_rows"}
+    assert not [p.name for p in MODULES if gone & _names(_tree(p))]
+    assert not [p.name for p in MODULES if gone & _defined(p)]
+    assert "v_alpha" not in _defined(PACKAGE / "families.py")
+    assert dpdfit.v_alpha is estimator.v_alpha
     assert not [
-        name for name in defined if name.startswith("_") and name.endswith(("_mass", "_moments"))
+        name
+        for name in _defined(PACKAGE / "families.py")
+        if name.startswith("_") and name.endswith(("_mass", "_moments"))
     ]
-    assert _tilted_calls() == [("families.py", "_divergence"), ("families.py", "_moment_rows")]
+    assert _tilted_calls() == [("estimator.py", "_weighted_terms"), ("families.py", "_moment_rows")]
 
 
 def test_mass_scales_the_moments_in_one_place():

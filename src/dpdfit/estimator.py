@@ -110,8 +110,10 @@ def dpd_weights(family, theta, alpha, sample):
 
 # --- batched Newton on weighted objectives ------------------------------------
 
-# About twice the most evaluations (28) any fit of the test suite or the
-# benchmark inputs needs.
+# Above the most evaluations any solved row needs: 43 in the test suite
+# (a gamma held-out row at alpha = 0.55 of shape-0.15 data, whose optimum
+# lies far from its full-sample fit), 13 on the benchmark inputs (a
+# held-out row of tune).
 _NEWTON_CAP = 50
 # 2^-30 < 1e-8: halving can undo the eigenvalue floor's amplification
 # of a step along a direction of negative curvature.
@@ -194,20 +196,24 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
 
 
 def _newton_step(grad, hess):
-    """(Newton step, finite, pd) per row from the Hessian's eigen pairs in
-    closed form, each to its own digits however H is scaled, as LAPACK's
-    dlaev2 takes them: H itself for one parameter; for [[a, b], [b, c]],
+    """(Newton step, finite, pd, reach) per row from the Hessian's eigen
+    pairs in closed form, each to its own digits however H is scaled, as
+    LAPACK's dlaev2 takes them: H itself for one parameter; for [[a, b], [b, c]],
     with m, h = (a +- c)/2 and r = hypot(h, b), m +- r larger in magnitude,
     det H over it, and eigenvectors (1, tan) of m + sign(h) r and (-tan, 1),
     tan = b/(h + sign(h) r). Off pd each eigenvalue becomes max(|lambda|,
     1e-8 max|lambda|), a descent step; pd marks plain Newton steps. finite
-    is False where grad or H is not finite or H is 0 (meaningless steps)."""
+    is False where grad or H is not finite or H is 0 (meaningless steps).
+    reach is the largest diagonal entry of the inverse of the H stepped
+    by, sum_k v_ik^2 / lambda_k over its eigenvectors v_k, so that
+    |v|inf <= sqrt(reach v'Hv) for every v (Cauchy-Schwarz)."""
     finite = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
     if not finite.all():
         hess = np.where(finite[:, None, None], hess, np.eye(grad.shape[1]))
     if grad.shape[1] == 1:
         finite &= hess[:, 0, 0] != 0.0
-        return grad / np.abs(hess[:, 0]), finite, finite & (hess[:, 0, 0] > 0.0)
+        curv = np.abs(hess[:, 0])
+        return grad / curv, finite, finite & (hess[:, 0, 0] > 0.0), 1.0 / curv[:, 0]
     a, b, c = hess[:, 0, 0], hess[:, 1, 0], hess[:, 1, 1]
     half, mid = 0.5 * a - 0.5 * c, 0.5 * a + 0.5 * c
     radius = np.hypot(half, b)
@@ -226,7 +232,8 @@ def _newton_step(grad, hess):
     along_two = (grad[:, 1] - tan * grad[:, 0]) / (norm * two)
     step = np.empty_like(grad)
     step[:, 0], step[:, 1] = along_one - tan * along_two, tan * along_one + along_two
-    return step, finite, pd
+    reach = np.maximum(1.0 / one + tan * tan / two, tan * tan / one + 1.0 / two) / norm
+    return step, finite, pd, reach
 
 
 def _newton_rows(family, alphas, values, weights, starts):
@@ -241,12 +248,24 @@ def _newton_rows(family, alphas, values, weights, starts):
     parameter space, crosses the row's gamma or Weibull shape floor
     alpha/(1+alpha) or does not lower H (up to rounding) is halved, at
     most _NEWTON_HALVINGS times in a row. Returns (theta (m, p),
-    solved (m,), evaluations (m,)): row r is solved when a full Newton
-    step at a positive definite Hessian falls below _NEWTON_RTOL of
-    theta within _NEWTON_CAP steps; evaluations counts the points at
-    which its H, gradient and Hessian were taken. A row whose gradient
-    or Hessian is not finite, or that runs out of halvings, stops where
-    it is, unsolved.
+    solved (m,), evaluations (m,)): row r is solved, taking its next
+    full Newton step at a positive definite Hessian H, when that step,
+    or the step predicted to follow it, falls below _NEWTON_RTOL of
+    theta (largest entries) within _NEWTON_CAP steps; evaluations
+    counts the points at which its H, gradient and Hessian were taken.
+    A row whose gradient or Hessian is not finite, or that runs out of
+    halvings, stops where it is, unsolved.
+
+    The prediction is the a-posteriori estimate of Deuflhard's Newton
+    Methods for Nonlinear Problems (2004) from the contraction of
+    successive steps, in H's norm, where it does not depend on the
+    parameters' units. The Newton decrement dec = grad . step is the
+    step's squared norm, and dec over prev, that of the step that
+    brought the row to its point, is the squared contraction, so the
+    next step's norm is about dec / prev sqrt(dec) and its largest entry
+    at most sqrt(reach) times that (_newton_step). Only a full step at a
+    pd Hessian gives prev; with none, at the start or after a halved
+    step or one off pd, prev is 0 and predicts nothing.
 
     The terms of alpha alone (_AlphaTerms) go with the live rows' state
     and data, gathered again only when a row leaves; an evaluation takes
@@ -262,18 +281,23 @@ def _newton_rows(family, alphas, values, weights, starts):
     own = x.shape[0] > 1  # one row of values per row
     with np.errstate(all="ignore"):
         h, grad, hess, scale = _weighted_terms(family, al, x, lnx, weights, theta)
-        step, keep, pd = _newton_step(grad, hess)
-        # the live rows' ids, points, evaluation counts and halvings
+        step, keep, pd, reach = _newton_step(grad, hess)
+        # the live rows' ids, points, evaluation counts and halvings, and
+        # their Newton decrements: dec of the step, prev of the full pd step
+        # that brought the row to its point, else 0
         ids, point, count = np.arange(m), theta.copy(), evals.copy()
         halvings = np.zeros(m, dtype=int)
+        dec, prev = (grad * step).sum(axis=1), np.zeros(m)
 
         def leave(keep):
             """Write out the rows not kept and gather the others."""
-            nonlocal ids, point, count, h, scale, step, pd, halvings, weights, x, lnx, al
+            nonlocal ids, point, count, h, scale, step, pd, halvings, reach, dec, prev
+            nonlocal weights, x, lnx, al
             gone = ~keep
             theta[ids[gone]], evals[ids[gone]] = point[gone], count[gone]
-            ids, point, count, h, scale, step, pd, halvings, weights = (
-                a[keep] for a in (ids, point, count, h, scale, step, pd, halvings, weights)
+            live = (ids, point, count, h, scale, step, pd, halvings, reach, dec, prev, weights)
+            ids, point, count, h, scale, step, pd, halvings, reach, dec, prev, weights = (
+                a[keep] for a in live
             )
             if own:
                 x, lnx = x[keep], lnx[keep]
@@ -283,7 +307,9 @@ def _newton_rows(family, alphas, values, weights, starts):
         if not keep.all() and not leave(keep):
             return theta, solved, evals
         for _ in range(_NEWTON_CAP):
-            done = pd & (np.abs(step).max(axis=1) <= _NEWTON_RTOL * np.abs(point).max(axis=1))
+            size, tol = np.abs(step).max(axis=1), _NEWTON_RTOL * np.abs(point).max(axis=1)
+            # the step, or the bound on the next one; prev = 0 gives inf
+            done = pd & ((size <= tol) | (dec / prev * np.sqrt(dec * reach) <= tol))
             if done.any():
                 point[done] -= step[done]
                 solved[ids[done]] = True
@@ -307,9 +333,12 @@ def _newton_rows(family, alphas, values, weights, starts):
             down[down] = lower
             # the accepted rows, of those evaluated and of the live: slices when all are
             low, moved = (slice(None), sel) if lower.all() else (lower, down)
-            step_t, ok, pd_t = _newton_step(grad[low], hess[low])
+            step_t, ok, pd_t, reach_t = _newton_step(grad[low], hess[low])
+            prev[moved] = np.where(pd[moved] & (halvings[moved] == 0), dec[moved], 0.0)
+            dec[moved] = (grad[low] * step_t).sum(axis=1)
             point[moved] = trial[moved]
             h[moved], scale[moved], step[moved], pd[moved] = h_t[low], scale_t[low], step_t, pd_t
+            reach[moved] = reach_t
             halvings = np.where(down, 0, halvings + 1)
             keep = halvings <= _NEWTON_HALVINGS
             keep[moved] = ok
@@ -337,7 +366,7 @@ def _one_step_starts(family, alphas, xs, theta):
         x_i, lnx_i = np.repeat([xs, lnx], k, axis=1)[:, :, None]
         one = _weighted_terms(family, al.rows(each), x_i, lnx_i, np.ones((n * k, 1)), fits)
         grad, hess = ((n * w[each] - w_i) / (n - 1) for w, w_i in zip(whole[1:3], one[1:3]))
-        step, _, pd = _newton_step(grad, hess)
+        step, _, pd, _ = _newton_step(grad, hess)
         start = fits - step
         ok = pd & np.isfinite(start).all(axis=1) & ((start > 0.0) | ~_positive(family)).all(axis=1)
         if family.shaped:

@@ -248,7 +248,7 @@ class TestIndefiniteStart:
     def test_indefinite_step_descends(self):
         grad = np.array([[1.0, -2.0], [0.3, 0.4]])
         hess = np.array([[[2.0, 0.0], [0.0, -1.0]], [[1.0, 3.0], [3.0, 1.0]]])
-        step, finite, pd = _newton_step(grad, hess)
+        step, finite, pd, _ = _newton_step(grad, hess)
         assert finite.all() and not pd.any()
         assert (np.einsum("ij,ij->i", grad, step) > 0.0).all()
 

@@ -10,11 +10,13 @@ matches the per-replicate warm refit, fit(family, alpha, resample,
 warm_start=full.theta_hat), failing exactly where that refit raises or
 does not converge. The chunk size changes no result, no converged
 gamma or Weibull row sits on or below its alpha's shape floor, and no
-one-row fit off the grid returns a shape there. The kernel's Newton step
-takes its eigenvalues in closed form; LAPACK's eigh, kept here as the
-reference, must give the same flags and the same step to rounding,
-however badly the Hessian is scaled, and gamma and Weibull data near
-1e7-1e10 must fit and tune as the same data near 1 do.
+one-row fit off the grid returns a shape there. A row stops on its
+predicted next step only after a full step at a pd Hessian, and every
+solved row is a fixed point of one more step to rounding. The kernel's
+Newton step takes its eigenvalues in closed form; LAPACK's eigh, kept
+here as the reference, must give the same flags, step and reach to
+rounding, however badly the Hessian is scaled, and gamma and Weibull
+data near 1e7-1e10 must fit and tune as the same data near 1 do.
 """
 
 import dataclasses
@@ -31,7 +33,7 @@ from dpdfit import estimator
 from dpdfit.errors import DpdError, FitError
 from dpdfit.estimator import _newton_step, _weighted_terms, fit, fit_alphas
 from dpdfit.families import FAMILIES, ParamVector, _AlphaTerms, quantile
-from dpdfit.tuning import COARSE_GRID, _loo_points, _sorted_values
+from dpdfit.tuning import COARSE_GRID, _loo_points, _sorted_values, select_alpha
 from dpdfit.uncertainty import (
     ContaminationScheme,
     _stream,
@@ -357,9 +359,10 @@ def test_converged_rows_stay_above_their_shape_floor(tag):
 
 
 def eigh_step(grad, hess):
-    """The reference Newton step, from LAPACK's eigendecomposition: each
-    eigenvalue lambda of a Hessian that is not positive definite becomes
-    max(|lambda|, 1e-8 max|lambda|); a non-finite row gets the identity."""
+    """The reference Newton step and reach, from LAPACK's
+    eigendecomposition: each eigenvalue lambda of a Hessian that is not
+    positive definite becomes max(|lambda|, 1e-8 max|lambda|); a
+    non-finite row gets the identity."""
     finite = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
     hess = np.where(finite[:, None, None], hess, np.eye(grad.shape[1]))
     lam, vec = np.linalg.eigh(hess)
@@ -369,7 +372,8 @@ def eigh_step(grad, hess):
     lam = np.where(pd[:, None], lam, np.maximum(np.abs(lam), 1e-8 * top))
     with np.errstate(all="ignore"):
         coef = np.einsum("rij,ri->rj", vec, grad) / lam
-    return np.einsum("rij,rj->ri", vec, coef), finite, pd
+        reach = (vec * vec / lam[:, None, :]).sum(axis=2).max(axis=1)
+    return np.einsum("rij,rj->ri", vec, coef), finite, pd, reach
 
 
 # One Hessian row: its kind, eigenvalue magnitudes within a factor 1e3 of
@@ -394,7 +398,8 @@ HESSIAN_ROWS = st.tuples(
 def test_closed_form_step_matches_eigh(p, rows):
     """_newton_step's closed-form eigenvalues give eigh's flags on every
     row, pd, indefinite, zero or not finite, however badly scaled, and its
-    step to 1e-12 relative, in D's units, on every finite row."""
+    step to 1e-12 relative, in D's units, and its reach (the largest
+    diagonal entry of H's inverse) to 1e-12 relative on every finite row."""
     hess, grad, skew = [], [], []
     for kind, logs, signs, phi, log_scale, g, log_skew in rows:
         lam = np.array(signs[:p]) * 10.0 ** np.array(logs[:p]) * 10.0**log_scale
@@ -411,12 +416,13 @@ def test_closed_form_step_matches_eigh(p, rows):
         skew.append(d)
     hess, grad, skew = np.array(hess), np.array(grad), np.array(skew)
     with np.errstate(all="ignore"):
-        step, finite, pd = _newton_step(grad, hess)
-    want, want_finite, want_pd = eigh_step(grad, hess)
+        step, finite, pd, reach = _newton_step(grad, hess)
+    want, want_finite, want_pd, want_reach = eigh_step(grad, hess)
     assert finite.tolist() == want_finite.tolist()
     assert pd.tolist() == want_pd.tolist()
     for got, ref, d in zip(step[finite], want[finite], skew[finite]):
         assert np.abs(d * (got - ref)).max() <= 1e-12 * np.abs(d * ref).max()
+    np.testing.assert_allclose(reach[finite], want_reach[finite], rtol=1e-12)
 
 
 @pytest.mark.parametrize("corr", [0.5, 0.99, -0.999])
@@ -427,8 +433,8 @@ def test_closed_form_step_matches_eigh_on_a_skewed_hessian(skew, corr):
     is 1e14 and more below the larger, and must keep its own digits."""
     hess = np.array([[[1.0, corr * skew], [corr * skew, skew * skew]]])
     grad = np.array([[1.0, 2.0 * skew]])
-    step, finite, pd = _newton_step(grad, hess)
-    want, _, _ = eigh_step(grad, hess)
+    step, finite, pd, _ = _newton_step(grad, hess)
+    want, _, _, _ = eigh_step(grad, hess)
     assert finite.all() and pd.all()
     d = np.array([1.0, skew])
     assert np.abs(d * (step - want)).max() <= 1e-9 * np.abs(d * want).max()
@@ -454,3 +460,131 @@ def test_large_data_fits_and_loo_grid_are_solved(tag, size):
     assert solved.all()
     ref, _ = _loo_points(family, COARSE_GRID, xs, [res.theta_hat.values for res in base])
     assert np.allclose(theta * (1.0, size), ref, rtol=1e-10, atol=0.0)
+
+
+def scripted_kernel(monkeypatch, script):
+    """Make the kernel take a one-row, one-parameter objective whose k-th
+    evaluation gives script[k] = (H, gradient, Hessian), the last entry
+    repeating, at H's scale 1; returns the list of points it is taken at."""
+    points = []
+
+    def terms(family, al, x, lnx, weights, theta):
+        points.append(float(theta[0, 0]))
+        h, g, hess = script[min(len(points), len(script)) - 1]
+        return np.array([h]), np.array([[g]]), np.array([[[hess]]]), np.array([1.0])
+
+    monkeypatch.setattr(estimator, "_weighted_terms", terms)
+    return points
+
+
+# (script from the point 1, points evaluated). The second step of every
+# script but the first is 1e-8, above the tolerance 1e-13 |theta|, while its
+# decrement over the first one's (0.25), times its own size at H = 1,
+# predicts a next step of 4e-24.
+STOPPING_SCRIPTS = {
+    # no previous step: a first step above the tolerance is always taken
+    "first step": ([(0.0, 1e-8, 1.0), (-1.0, 0.0, 1.0)], [1.0, 1.0 - 1e-8]),
+    # after a full step at a pd Hessian the prediction stops the row
+    "full pd step": ([(0.0, 0.5, 1.0), (-1.0, 1e-8, 1.0)], [1.0, 0.5]),
+    # the step to 0.5 does not lower H, so 0.75 is reached by a halved one
+    "halved step": (
+        [(0.0, 0.5, 1.0), (1.0, 0.0, 1.0), (-1.0, 1e-8, 1.0), (-2.0, 0.0, 1.0)],
+        [1.0, 0.5, 0.75, 0.75 - 1e-8],
+    ),
+    # the step to 0.5 is a full one, at a Hessian that is not pd
+    "step off pd": (
+        [(0.0, 0.5, -1.0), (-1.0, 1e-8, 1.0), (-2.0, 0.0, 1.0)],
+        [1.0, 0.5, 0.5 - 1e-8],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STOPPING_SCRIPTS))
+def test_only_a_full_pd_step_predicts_the_next(case, monkeypatch):
+    """A row stops when its step is below the tolerance, or when the next
+    step predicted from the squared contraction, its Newton decrement
+    over that of the step that brought it there, is. Only a full step at
+    a pd Hessian counts as that last step: with none, as at the first
+    evaluation or after a halved step or one off pd, the row takes the
+    evaluation that the prediction would save. A solved row takes its
+    last step."""
+    script, want = STOPPING_SCRIPTS[case]
+    points = scripted_kernel(monkeypatch, script)
+    theta, solved, evals = estimator._newton_rows(
+        FAMILIES["exponential"], [0.5], np.array([1.0, 2.0]), np.full((1, 2), 0.5), [[1.0]]
+    )
+    assert points == want
+    assert solved.tolist() == [True] and evals.tolist() == [len(want)]
+    assert theta[0, 0] == want[-1] - script[len(want) - 1][1]
+
+
+def solve_logged(monkeypatch, run):
+    """Every _newton_rows call that run() makes: (family, alphas, values,
+    weights, theta, solved)."""
+    calls = []
+    solve = estimator._newton_rows
+
+    def logged(family, alphas, values, weights, starts):
+        theta, solved, evals = solve(family, alphas, values, weights, starts)
+        calls.append((family, alphas, values, weights, theta, solved))
+        return theta, solved, evals
+
+    monkeypatch.setattr(estimator, "_newton_rows", logged)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        run()
+    return calls
+
+
+def log_mean_near(shift, n=64):
+    """exp(z - mean z + shift) for a seeded standard normal z: ln x has mean shift."""
+    z = np.random.default_rng(5).standard_normal(n)
+    return np.exp(z - z.mean() + shift)
+
+
+FIXED_POINT_RUNS = {
+    **{
+        f"refined tune {tag}": lambda family=FAMILIES[tag], theta=THETA[tag]: select_alpha(
+            family, sample_family(family, ParamVector(family, theta), 64, seed=0)
+        )
+        for tag in TAGS
+    },
+    "refined tune weibull, contaminated": lambda: select_alpha(
+        FAMILIES["weibull"], tied_contamination("weibull", seed=1)
+    ),
+    "bootstrap gamma": lambda: bootstrap_se(
+        FAMILIES["gamma"], 0.5, tied_contamination("gamma"), B=100, seed=3
+    ),
+    **{
+        f"refined tune lognormal, log-mean {shift:g}": lambda shift=shift: select_alpha(
+            FAMILIES["lognormal"], log_mean_near(shift)
+        )
+        for shift in (0.0, 1e-9, -3e-6, 0.01)
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(FIXED_POINT_RUNS))
+def test_solved_rows_are_fixed_points(run, monkeypatch):
+    """A row stopped on its predicted step is still solved to rounding:
+    one more evaluation at its point, full-sample fits, held-out rows and
+    bootstrap replicates alike, gives a step at a pd Hessian no larger
+    than 2e-12 |theta|, a log-mean near 0 included. On the contaminated
+    Weibull draw, predicting the next step's largest entry from the
+    step's own largest entry, not from its norm in H's metric, leaves
+    held-out rows up to 6e-12 |theta| short."""
+    calls = solve_logged(monkeypatch, FIXED_POINT_RUNS[run])
+    assert calls
+    for family, alphas, values, weights, theta, solved in calls:
+        assert solved.any()
+        x = np.atleast_2d(values)
+        x = x[solved] if x.shape[0] > 1 else x
+        with np.errstate(all="ignore"):
+            _, grad, hess, _ = _weighted_terms(
+                family, _AlphaTerms(np.asarray(alphas)[solved]), x, np.log(x),
+                weights[solved], theta[solved],
+            )
+        step, _, pd, _ = _newton_step(grad, hess)
+        assert pd.all()
+        size = np.abs(step).max(axis=1) / np.abs(theta[solved]).max(axis=1)
+        assert size.max() <= 2e-12

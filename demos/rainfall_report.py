@@ -56,7 +56,7 @@ for series in load_panel("/tmp/panel_demo.csv", "value", "label"):
     tuned = select_alpha(winner, series, refine=False)
     res = tuned.fit_star
     se = asymptotic_se(res)
-    med = adjusted_median(res, series.dry_count, len(series.values))
+    med = adjusted_median(res, series.dry_count)
     print(f"  family={winner.tag} alpha*={tuned.alpha_star:.2f} "
           f"theta={tuple(round(v, 4) for v in res.theta_hat.values)}")
     print(f"  adjusted median = {med:.2f} (dry proportion folded in)")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, FitError, SingularInformationError
 from .dataio import write_rows
-from .families import _check_family, _check_x, _checked_alpha, _moment_rows, _vec, quantile
+from .families import _check_family, _check_x, _checked_alpha, _moment_rows, dpd_weights, quantile, score
 
 __all__ = [
     "SandwichMatrices",
@@ -182,10 +182,8 @@ def influence_function(family, theta0, alpha, y):
         raise error
     y_arr = np.atleast_1d(_check_x(y))
     with np.errstate(all="ignore"):
-        lnf, u, _ = family.terms(np.array(theta0.values), y_arr, np.log(y_arr))
-    # the weights f^alpha, identically 1 at alpha = 0
-    w = np.ones_like(y_arr) if alpha == 0.0 else np.exp(alpha * lnf)
-    vals = (_vec(u) * w[:, None] - xi) @ j_inv.T
+        w = dpd_weights(family, theta0, alpha, y_arr)
+    vals = (score(theta0, y_arr) * w[:, None] - xi) @ j_inv.T
     return vals[0] if np.isscalar(y) or np.asarray(y).ndim == 0 else vals
 
 

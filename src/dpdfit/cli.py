@@ -383,7 +383,7 @@ def _series_row(sample, fast):
         "se2": None if se is None or len(names) < 2 else se[names[1]],
         "cvmd": tun.cvmd_star,
         "ric": _criterion(res, sw),
-        "median_adjusted": adjusted_median(res, sample.dry_count, len(sample.values)),
+        "median_adjusted": adjusted_median(res, sample.dry_count),
     }
 
 

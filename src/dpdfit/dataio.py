@@ -224,22 +224,19 @@ def outlier_summary(sample):
     )
 
 
-def adjusted_median(fit_result, dry_count, n_wet=None):
+def adjusted_median(fit_result, dry_count):
     """Median of the zero-inflated mixture in data units.
 
-    With dry proportion p = dry/(dry + wet): zero when p > 0.5, and the
-    (0.5 - p)/(1 - p) quantile of the fitted law otherwise. At exactly
-    p = 0.5 the rule asks for the level-0 quantile, which is the left
-    support endpoint: zero.
+    With dry proportion p = dry/(dry + wet), the wet count being the
+    fit's n_obs: zero when p > 0.5, and the (0.5 - p)/(1 - p) quantile
+    of the fitted law otherwise. At exactly p = 0.5 the rule asks for
+    the level-0 quantile, which is the left support endpoint: zero.
     """
     if not fit_result.converged:
         raise FitError("adjusted median requires a converged fit")
-    if n_wet is None:
-        n_wet = fit_result.n_obs
-    integers = all(isinstance(v, numbers.Integral) for v in (dry_count, n_wet))
-    if not (integers and dry_count >= 0 and n_wet >= 1):
-        raise DomainError(f"need integers dry_count >= 0 and n_wet >= 1, got {dry_count!r} and {n_wet!r}")
-    p = dry_count / (dry_count + n_wet)
+    if not (isinstance(dry_count, numbers.Integral) and dry_count >= 0):
+        raise DomainError(f"need an integer dry_count >= 0, got {dry_count!r}")
+    p = dry_count / (dry_count + fit_result.n_obs)
     if p >= 0.5:
         return 0.0
     return float(quantile(fit_result.theta_hat, (0.5 - p) / (1.0 - p)))

@@ -19,18 +19,15 @@ from .families import (
     _check_family,
     _check_x,
     _checked_alpha,
+    _inside,
     _mat,
-    _positive,
     _shape_floor,
     _times,
     _vec,
     check_dpd_valid,
-    log_density,
 )
 
-__all__ = [
-    "FitResult", "objective_h", "v_alpha", "estimating_residual", "fit", "fit_alphas", "dpd_weights"
-]
+__all__ = ["FitResult", "objective_h", "v_alpha", "estimating_residual", "fit", "fit_alphas"]
 
 
 @dataclass(frozen=True)
@@ -97,17 +94,6 @@ def estimating_residual(family, theta, alpha, sample):
     return -_sample_terms(family, theta, alpha, sample)[1][0] / (1.0 + alpha)
 
 
-def dpd_weights(family, theta, alpha, sample):
-    """Per-observation weights f_theta^alpha; identically 1 at alpha = 0.
-    alpha and theta must pass check_dpd_valid."""
-    _check_family(family, theta)
-    check_dpd_valid(theta, alpha)
-    vals = _sample_values(sample)
-    if alpha == 0.0:
-        return np.ones_like(vals)
-    return np.exp(alpha * log_density(theta, vals))
-
-
 # --- batched Newton on weighted objectives ------------------------------------
 
 # Above the most evaluations any solved row needs: 43 in the test suite
@@ -145,25 +131,22 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
     At alpha = 0, H is the negative log-likelihood -sum_j weights_j ln
     f_j over the positively weighted values, NaN rather than -inf (a ln f
     of +inf or NaN among them), and its scale sum_j |weights_j ln f_j|.
-    Such a row has wg = weights exactly, so the same gradient and Hessian
-    are Newton on it once xi and dxi are taken as 0, which their closed
-    forms give only up to rounding, and its alpha u u' sum as 0, which 0
-    times an overflowed sum is not. A batch all at alpha = 0 therefore
-    skips tilted, f^alpha and the alpha u u' sums, and a mixed batch
-    masks its alpha = 0 rows out of those sums. family.terms gives ln f,
-    u and du once; a du entry constant in x multiplies sum_j wg_j and is
-    its own E[du]; only the Hessian's upper triangle is summed.
+    Such a row has wg = weights exactly (NaN where ln f is not finite),
+    so the same gradient and Hessian are Newton on it once xi and dxi are
+    taken as 0, which their closed forms give only up to rounding, and
+    its alpha u u' sum as 0, which 0 times an overflowed sum is not: the
+    alpha = 0 rows of any batch, a batch all at alpha = 0 included, are
+    masked out of M, xi, dxi and those sums, so they read only terms.
+    family.terms gives ln f, u and du once; a du entry constant in x
+    multiplies sum_j wg_j and is its own E[du]; only the Hessian's upper
+    triangle is summed.
 
     Sums run along contiguous rows of (m, n) arrays, so no row's result
     depends on its batch.
     """
     lnf, u, du = family.terms(tuple(theta.T[:, :, None]), x, lnx)
-    if al.all_zero:
-        # weights f^0: NaN where ln f is not finite, as exp(0 ln f) gives
-        wg, mass = weights + 0.0 * lnf, 1.0
-    else:
-        wg = weights * np.exp(al.col * lnf)
-        mass, e_uu, e_u, e_du = family.tilted(tuple(theta.T), al)
+    wg = weights * np.exp(al.col * lnf)
+    mass, e_uu, e_u, e_du = family.tilted(tuple(theta.T), al)
     total = wg.sum(axis=1)
     # wg >= 0
     h, scale = mass - al.k * total, np.abs(mass) + al.k * total
@@ -178,12 +161,8 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
     for i, j in _UPPER[len(u)]:
         d = du[i][j]
         entry = total * d[:, 0] if np.shape(d)[-1] == 1 else (wg * d).sum(axis=1)
-        if not al.all_zero:
-            uu = al.alpha * (wu[i] * u[j]).sum(axis=1)
-            entry = entry + (np.where(al.zero, 0.0, uu) if al.any_zero else uu)
-        curv[:, i, j] = curv[:, j, i] = entry
-    if al.all_zero:
-        return h, 0.0 - sums, 0.0 - curv, scale
+        uu = al.alpha * (wu[i] * u[j]).sum(axis=1)
+        curv[:, i, j] = curv[:, j, i] = entry + (np.where(al.zero, 0.0, uu) if al.any_zero else uu)
     if e_du is None:
         e_du = np.reshape(_mat(du), e_uu.shape)
     uu, xi, du_int = (_times(mass, moment) for moment in (e_uu, e_u, e_du))
@@ -244,9 +223,9 @@ def _newton_rows(family, alphas, values, weights, starts):
     likelihood, are rows like any other.
 
     Where the Hessian is not positive definite the step is the
-    eigenvalue-modified one of _newton_step. A step that leaves the
-    parameter space, crosses the row's gamma or Weibull shape floor
-    alpha/(1+alpha) or does not lower H (up to rounding) is halved, at
+    eigenvalue-modified one of _newton_step. A step to a point not
+    _inside the parameter space at the row's alpha, refused before H is
+    taken there, or that does not lower H (up to rounding) is halved, at
     most _NEWTON_HALVINGS times in a row. Returns (theta (m, p),
     solved (m,), evaluations (m,)): row r is solved, taking its next
     full Newton step at a positive definite Hessian H, when that step,
@@ -316,32 +295,31 @@ def _newton_rows(family, alphas, values, weights, starts):
                 if not leave(~done):
                     break
             trial = point - np.ldexp(step, -halvings[:, None])
-            down = np.isfinite(trial).all(axis=1)
-            if family.shaped:
-                down &= trial[:, 0] > _shape_floor(al.alpha)
+            down = _inside(family, trial, al.alpha)
             every = down.all()
-            sel = slice(None) if every else down  # a view, not a copy, when every row steps
-            h_t, grad, hess, scale_t = _weighted_terms(
-                family,
-                al if every else al.rows(down),
-                *((x[sel], lnx[sel]) if own else (x, lnx)),
-                weights[sel],
-                trial[sel],
-            )
-            count += down
-            lower = h_t <= h[sel] + 1e-12 * scale[sel]
-            down[down] = lower
-            # the accepted rows, of those evaluated and of the live: slices when all are
-            low, moved = (slice(None), sel) if lower.all() else (lower, down)
-            step_t, ok, pd_t, reach_t = _newton_step(grad[low], hess[low])
-            prev[moved] = np.where(pd[moved] & (halvings[moved] == 0), dec[moved], 0.0)
-            dec[moved] = (grad[low] * step_t).sum(axis=1)
-            point[moved] = trial[moved]
-            h[moved], scale[moved], step[moved], pd[moved] = h_t[low], scale_t[low], step_t, pd_t
-            reach[moved] = reach_t
+            # a row that does not move goes on while it has a halving left
+            keep = halvings < _NEWTON_HALVINGS
+            if every or down.any():  # else every row halves, with no evaluation
+                sel = slice(None) if every else down  # a view, not a copy, when every row steps
+                h_t, grad, hess, scale_t = _weighted_terms(
+                    family,
+                    al if every else al.rows(down),
+                    *((x[sel], lnx[sel]) if own else (x, lnx)),
+                    weights[sel],
+                    trial[sel],
+                )
+                count += down
+                lower = h_t <= h[sel] + 1e-12 * scale[sel]
+                down[down] = lower
+                # the accepted rows, of those evaluated and of the live: slices when all are
+                low, moved = (slice(None), sel) if lower.all() else (lower, down)
+                step_t, keep[moved], pd_t, reach_t = _newton_step(grad[low], hess[low])
+                prev[moved] = np.where(pd[moved] & (halvings[moved] == 0), dec[moved], 0.0)
+                dec[moved] = (grad[low] * step_t).sum(axis=1)
+                point[moved] = trial[moved]
+                h[moved], scale[moved], step[moved], pd[moved] = h_t[low], scale_t[low], step_t, pd_t
+                reach[moved] = reach_t
             halvings = np.where(down, 0, halvings + 1)
-            keep = halvings <= _NEWTON_HALVINGS
-            keep[moved] = ok
             if not keep.all() and not leave(keep):
                 break
         else:
@@ -354,8 +332,8 @@ def _one_step_starts(family, alphas, xs, theta):
     fit, row i k + j holding out xs[i] at alphas[j] (k,) from theta[j]:
     the objective is linear in the weights, so its gradient and Hessian
     are (n T_j - T_ij)/(n - 1), T_j those of all xs at weight 1/n, T_ij
-    those of xs[i] alone. A row keeps theta[j] where the step is not pd,
-    or the point not finite, outside the parameter space or the floor."""
+    those of xs[i] alone. A row keeps theta[j] where the step is not pd
+    or the point not _inside."""
     n, k = xs.size, len(alphas)
     alphas, lnx = np.asarray(alphas, dtype=float), np.log(xs)
     fits = np.reshape(theta, (k, family.param_count))
@@ -368,9 +346,7 @@ def _one_step_starts(family, alphas, xs, theta):
         grad, hess = ((n * w[each] - w_i) / (n - 1) for w, w_i in zip(whole[1:3], one[1:3]))
         step, _, pd, _ = _newton_step(grad, hess)
         start = fits - step
-        ok = pd & np.isfinite(start).all(axis=1) & ((start > 0.0) | ~_positive(family)).all(axis=1)
-        if family.shaped:
-            ok &= start[:, 0] > _shape_floor(alphas[each])
+        ok = pd & _inside(family, start, alphas[each])
     return np.where(ok[:, None], start, fits)
 
 

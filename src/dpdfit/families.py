@@ -30,6 +30,7 @@ __all__ = [
     "FAMILIES",
     "check_dpd_valid",
     "log_density",
+    "dpd_weights",
     "density",
     "cdf",
     "quantile",
@@ -65,20 +66,20 @@ def _mat(rows):
 class _AlphaTerms:
     """The terms of alpha alone that the divergence, its mass and its
     moments use, as numpy arrays with one entry per parameter point (m,),
-    a float alpha being one point: `alpha`; the alpha = 0 mask `zero`,
-    `any_zero` and `all_zero`; k = 1 + 1/alpha, 1 at alpha = 0; lift = 1
-    + alpha; log1p = log1p(alpha); and `col`, alpha against observations
-    (m, n), one float when every point shares it: numpy multiplies an
-    (m, n) array by a column about three times slower.
+    a float alpha being one point: `alpha`; the alpha = 0 mask `zero` and
+    `any_zero`, whether any point needs it; k = 1 + 1/alpha, 1 at alpha =
+    0; lift = 1 + alpha; log1p = log1p(alpha); and `col`, alpha against
+    observations (m, n), one float when every point shares it: numpy
+    multiplies an (m, n) array by a column about three times slower.
     """
 
-    __slots__ = ("alpha", "col", "zero", "k", "lift", "log1p", "any_zero", "all_zero")
+    __slots__ = ("alpha", "col", "zero", "k", "lift", "log1p", "any_zero")
 
     def __init__(self, alpha):
         self.alpha = alpha = np.asarray(alpha, dtype=float).reshape(-1)
         self.col = float(alpha[0]) if alpha.size and (alpha == alpha[0]).all() else alpha[:, None]
         self.zero = alpha == 0.0
-        self.any_zero, self.all_zero = bool(self.zero.any()), bool(self.zero.all())
+        self.any_zero = bool(self.zero.any())
         self.k = 1.0 + 1.0 / np.where(self.zero, np.inf, alpha)
         self.lift = 1.0 + alpha
         self.log1p = np.log1p(alpha)
@@ -417,6 +418,17 @@ def _shape_floor(alpha):
     return alpha / (1.0 + alpha)
 
 
+def _inside(family, theta, alpha):
+    """The one test of a candidate point: which rows of theta (m, p) are
+    finite, positive but for the lognormal log-mean, and, for a gamma or
+    Weibull, have a shape above _shape_floor(alpha), alpha (m,) or one
+    float."""
+    ok = np.isfinite(theta) & ((theta > 0.0) | ~_positive(family))
+    if family.shaped:
+        ok[:, 0] &= theta[:, 0] > _shape_floor(alpha)
+    return ok.all(axis=1)
+
+
 def check_dpd_valid(p, alpha):
     """Gamma/Weibull shape must exceed alpha/(1+alpha) for the DPD terms to exist."""
     _check_shape(p.family, p.values[0], alpha)
@@ -454,6 +466,17 @@ def log_density(p, x):
     x = _check_x(x)
     with np.errstate(all="ignore"):
         return p.family.terms(np.array(p.values), x, np.log(x))[0]
+
+
+def dpd_weights(family, theta, alpha, sample):
+    """Per-observation weights f_theta^alpha; identically 1 at alpha = 0.
+    alpha and theta must pass check_dpd_valid."""
+    _check_family(family, theta)
+    check_dpd_valid(theta, alpha)
+    x = np.atleast_1d(_check_x(sample))
+    if alpha == 0.0:
+        return np.ones_like(x)
+    return np.exp(alpha * log_density(theta, x))
 
 
 def density(p, x):

@@ -411,9 +411,9 @@ def test_10_zero_inflated_median_rule():
     result = fit(EXPONENTIAL, 0.0, sample)
     theta = result.theta_hat
 
-    majority_dry = adjusted_median(result, dry_count=600, n_wet=400)
-    fifth = adjusted_median(result, dry_count=100, n_wet=400)
-    no_dry = adjusted_median(result, dry_count=0, n_wet=400)
+    majority_dry = adjusted_median(result, dry_count=600)
+    fifth = adjusted_median(result, dry_count=100)
+    no_dry = adjusted_median(result, dry_count=0)
 
     ok = (
         majority_dry == 0.0

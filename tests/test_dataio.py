@@ -313,32 +313,27 @@ def exp_fit():
 
 class TestAdjustedMedian:
     def test_majority_dry_gives_zero(self, exp_fit):
-        assert adjusted_median(exp_fit, dry_count=600, n_wet=400) == 0.0
+        assert adjusted_median(exp_fit, dry_count=600) == 0.0
 
     def test_exactly_half_dry_gives_zero(self, exp_fit):
-        assert adjusted_median(exp_fit, dry_count=400, n_wet=400) == 0.0
+        assert adjusted_median(exp_fit, dry_count=400) == 0.0
 
     def test_twenty_percent_dry_hits_shifted_quantile(self, exp_fit):
         # p = 0.2 maps the mixture median to the (0.5 - p)/(1 - p)
         # quantile of the positive part, the 0.375 level.
-        got = adjusted_median(exp_fit, dry_count=100, n_wet=400)
+        got = adjusted_median(exp_fit, dry_count=100)
         assert got == float(quantile(exp_fit.theta_hat, (0.5 - 0.2) / (1.0 - 0.2)))
         assert got == pytest.approx(
             float(quantile(exp_fit.theta_hat, 0.375)), rel=1e-12
         )
 
     def test_no_dry_gives_plain_median(self, exp_fit):
-        got = adjusted_median(exp_fit, dry_count=0, n_wet=400)
+        got = adjusted_median(exp_fit, dry_count=0)
         assert got == float(quantile(exp_fit.theta_hat, 0.5))
-
-    def test_n_wet_defaults_to_fit_size(self, exp_fit):
-        assert adjusted_median(exp_fit, dry_count=100) == adjusted_median(
-            exp_fit, dry_count=100, n_wet=exp_fit.n_obs
-        )
 
     def test_nonincreasing_in_dry_proportion(self, exp_fit):
         medians = [
-            adjusted_median(exp_fit, dry_count=d, n_wet=400)
+            adjusted_median(exp_fit, dry_count=d)
             for d in (0, 50, 100, 200, 300, 400, 500)
         ]
         assert all(a >= b for a, b in zip(medians, medians[1:]))
@@ -359,8 +354,6 @@ class TestAdjustedMedian:
     def test_rejects_bad_counts(self, exp_fit):
         with pytest.raises(DomainError):
             adjusted_median(exp_fit, dry_count=-1)
-        with pytest.raises(DomainError):
-            adjusted_median(exp_fit, dry_count=0, n_wet=0)
 
 
 class TestWriteReportRows:

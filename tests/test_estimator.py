@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 from conftest import as_sample
-from dpdfit import estimator
+from dpdfit import dpd_weights, estimator
 from dpdfit.errors import DomainError, FitError
 from dpdfit.estimator import (
     _newton_step,
     _weighted_terms,
-    dpd_weights,
     estimating_residual,
     fit,
     objective_h,

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 from scipy import special
 
+from dpdfit import dpd_weights
 from dpdfit.asymptotics import are, if_supremum, influence_function, sandwich
 from dpdfit.errors import DomainError, DpdValidityError
 from dpdfit.estimator import (
     _weighted_terms,
-    dpd_weights,
     estimating_residual,
     fit,
     fit_alphas,

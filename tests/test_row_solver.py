@@ -12,11 +12,14 @@ does not converge. The chunk size changes no result, no converged
 gamma or Weibull row sits on or below its alpha's shape floor, and no
 one-row fit off the grid returns a shape there. A row stops on its
 predicted next step only after a full step at a pd Hessian, and every
-solved row is a fixed point of one more step to rounding. The kernel's
-Newton step takes its eigenvalues in closed form; LAPACK's eigh, kept
-here as the reference, must give the same flags, step and reach to
-rounding, however badly the Hessian is scaled, and gamma and Weibull
-data near 1e7-1e10 must fit and tune as the same data near 1 do.
+solved row is a fixed point of one more step to rounding. An alpha = 0
+row reads only the family's terms, whatever its tilted law gives, and a
+round whose trial points all leave the parameter space halves them
+without calling the kernel. The kernel's Newton step takes its
+eigenvalues in closed form; LAPACK's eigh, kept here as the reference,
+must give the same flags, step and reach to rounding, however badly the
+Hessian is scaled, and gamma and Weibull data near 1e7-1e10 must fit and
+tune as the same data near 1 do.
 """
 
 import dataclasses
@@ -273,12 +276,11 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("tag", TAGS)
 def test_alpha_zero_batch_matches_its_rows_beside_alpha_positive(tag):
-    """A batch all at alpha = 0 skips M, the moments, f^alpha and the
-    alpha u u' sums; each of its rows still gets the bits it gets beside
-    an alpha = 0.5 row, where its u u' sums are masked out, non-finite
-    results included. An overflowing u u' sum, which 0 times would make
-    NaN, leaves an alpha = 0 Hessian finite. Each point is tried alone
-    and with the others."""
+    """Each row of a batch all at alpha = 0 gets the bits it gets beside
+    an alpha = 0.5 row: both take the one masked path, non-finite results
+    included. An overflowing u u' sum, which 0 times would make NaN,
+    leaves an alpha = 0 Hessian finite. Each point is tried alone and
+    with the others."""
     family = FAMILIES[tag]
     x = np.array(tied_contamination(tag).values)[None, :]
     lnx = np.log(x)
@@ -305,6 +307,72 @@ def test_alpha_zero_batch_matches_its_rows_beside_alpha_positive(tag):
         assert np.isfinite(hess).all(axis=(1, 2)).tolist() == [
             row < FINITE_HESSIAN[tag] for row in rows
         ]
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_alpha_zero_rows_read_only_the_terms(tag):
+    """With a tilted law whose M and moments are all NaN, an alpha = 0
+    row, in a batch all at alpha = 0 or beside an alpha = 0.5 row, still
+    gets H = -sum w ln f, gradient -sum w u and Hessian -sum w du from
+    family.terms alone, bit for bit (a du entry constant in x times sum
+    w): the masks alone keep it off the tilted law."""
+    family = FAMILIES[tag]
+
+    def tilted(v, al):
+        return tuple(None if t is None else np.full_like(t, np.nan) for t in family.tilted(v, al))
+
+    broken = dataclasses.replace(family, tilted=tilted)
+    x = np.array(tied_contamination(tag).values)[None, :]
+    lnx = np.log(x)
+    points = np.array(EDGE_POINTS[tag][: FINITE_HESSIAN[tag]] + [THETA[tag]])
+    k = len(points)
+    weights = np.full((k, x.size), 1.0 / x.size)
+    lnf, u, du = family.terms(tuple(points.T[:, :, None]), x, lnx)
+    want_hess = np.empty((k, len(u), len(u)))
+    for i, row in enumerate(du):
+        for j, d in enumerate(row):
+            sums = weights.sum(axis=1) * d[:, 0] if d.shape[-1] == 1 else (weights * d).sum(axis=1)
+            want_hess[:, i, j] = -sums
+    want = (
+        -(weights * lnf).sum(axis=1),
+        -np.stack([(weights * uq).sum(axis=1) for uq in u], axis=1),
+        want_hess,
+    )
+    with np.errstate(all="ignore"):
+        alone = _weighted_terms(broken, _AlphaTerms(np.zeros(k)), x, lnx, weights, points)
+        beside = _weighted_terms(
+            broken,
+            _AlphaTerms(np.append(np.zeros(k), 0.5)),
+            x,
+            lnx,
+            np.vstack([weights, weights[:1]]),
+            np.vstack([points, THETA[tag]]),
+        )
+    assert np.isnan(beside[0][k])
+    for got in (alone, [term[:k] for term in beside]):
+        for have, expect in zip(got, want):
+            np.testing.assert_array_equal(have, expect)
+        assert np.isfinite(got[2]).all()
+
+
+def test_no_kernel_call_on_zero_rows(monkeypatch):
+    """A gamma fit at alpha = 0.9 of shape-0.15 data, where a trial often
+    crosses the shape floor, halves such a step without calling the
+    kernel: no call gets zero rows, and the fit keeps the point and the
+    23 evaluations it had when such rounds called the kernel on no rows."""
+    family = FAMILIES["gamma"]
+    xs = _sorted_values(sample_family(family, ParamVector(family, (0.15, 1.0)), 60, seed=0), 2)
+    rows = []
+
+    def counting(family, al, x, lnx, weights, theta):
+        rows.append(theta.shape[0])
+        return _weighted_terms(family, al, x, lnx, weights, theta)
+
+    monkeypatch.setattr(estimator, "_weighted_terms", counting)
+    res = fit(family, 0.9, xs)
+    assert min(rows) == 1 and len(rows) == res.evaluations + 1
+    assert (res.converged, res.evaluations) == (True, 23)
+    assert res.theta_hat.values == pytest.approx((0.5278303750525678, 121061.05817538536), rel=1e-12)
 
 
 def test_one_failing_row_leaves_the_others_bitwise():

@@ -42,8 +42,11 @@ _invert_spd_rows, which only the sandwich and influence_function call:
 RIC's trace comes from the sandwich's avar, so no module solves a
 linear system.
 The terms of alpha alone have one form, numpy arrays with an entry per
-point, and no table of math functions; the CLI defines each flag that
-several commands share once. The one alpha search refines by grid
+point, and no table of math functions; alpha = 0 rows, alone or in a
+batch, take one path through the kernel, its masks, with no all-alpha =
+0 flag. A candidate point has one test, families._inside, which only
+the Newton trial and the one-step starts call. The CLI defines each
+flag that several commands share once. The one alpha search refines by grid
 rounds, not by a golden-section walk: tuning.py has no _GOLDEN and no
 while loop, and a refined select_alpha is at most three _score_alphas
 batches, the coarse grid and one round each at k/200 and k/1000.
@@ -51,7 +54,8 @@ There is one way into a fit, estimator._fit_rows: it alone checks the
 sample and builds the starts, so a family's start takes no alpha and
 the margin a start's shape keeps above its floor is written once, there.
 Each CLI subcommand declares its handler, with no dispatch table, and
-asymptotics imports nothing from estimator.
+asymptotics imports nothing from estimator: the weights f^alpha, 1 at
+alpha = 0, are families.dpd_weights, which influence_function calls.
 """
 
 import ast
@@ -424,15 +428,33 @@ def test_information_matrix_inverted_once():
 def test_alpha_terms_have_one_form():
     """The terms of alpha alone are numpy arrays, one entry per point,
     with no table of math functions to take them entry by entry, no
-    second form of ln f and no |u| bound guarding the alpha u u' sums."""
-    gone = {"_each", "_ALPHA_FNS", "logf", "_weibull_parts", "_U_BOUND"}
+    second form of ln f, no |u| bound guarding the alpha u u' sums and
+    no all-alpha = 0 flag: alpha = 0 rows take one path, the masks."""
+    gone = {"_each", "_ALPHA_FNS", "logf", "_weibull_parts", "_U_BOUND", "all_zero"}
     assert not [p.name for p in MODULES if gone & _names(_tree(p))]
     assert not [
         name for name in gone if hasattr(dpdfit.families, name) or hasattr(estimator, name)
     ]
     assert dpdfit.families._AlphaTerms.__slots__ == (
-        "alpha", "col", "zero", "k", "lift", "log1p", "any_zero", "all_zero"
+        "alpha", "col", "zero", "k", "lift", "log1p", "any_zero"
     )
+
+
+def test_one_test_of_a_candidate_point():
+    """families._inside is the one test of a candidate point: only the
+    Newton trial and the one-step starts call it, and estimator.py
+    compares nothing against a shape floor; its one _shape_floor call is
+    the start margin in _fit_rows."""
+    calls = sorted((p.name, func) for p in MODULES for func in _calls_to(_tree(p), "_inside"))
+    assert calls == [("estimator.py", "_newton_rows"), ("estimator.py", "_one_step_starts")]
+    tree = _tree(PACKAGE / "estimator.py")
+    assert _calls_to(tree, "_shape_floor") == ["_fit_rows"]
+    compared = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and "_shape_floor" in _names(node)
+    ]
+    assert compared == []
 
 
 def test_shared_cli_flags_defined_once():
@@ -479,3 +501,13 @@ def test_asymptotics_imports_nothing_from_estimator():
     tree = _tree(PACKAGE / "asymptotics.py")
     assert not {"estimator", "dpdfit.estimator"} & _imports(tree)
     assert "estimator" not in _names(tree)
+
+
+def test_weight_rule_stated_once_outside_the_kernel():
+    """f^alpha, 1 at alpha = 0, is families.dpd_weights outside the
+    kernel: influence_function takes its weights there and its scores
+    from score, with no terms call of its own."""
+    assert dpdfit.dpd_weights is dpdfit.families.dpd_weights
+    tree = _tree(PACKAGE / "asymptotics.py")
+    assert _calls_to(tree, "dpd_weights") == _calls_to(tree, "score") == ["influence_function"]
+    assert _calls_ending(tree, ".terms") == []

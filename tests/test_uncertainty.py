@@ -338,13 +338,12 @@ def test_out_of_range_numbers_raise_dpd_errors(call, error, named):
         (lambda: emit_plot_data(fit(GAMMA, 0.5, SMALL), SMALL, bins=2.5), "bins"),
         (lambda: adjusted_median(fit(GAMMA, 0.5, SMALL), dry_count=2.5), "dry_count"),
         (lambda: adjusted_median(fit(GAMMA, 0.5, SMALL), dry_count=math.nan), "dry_count"),
-        (lambda: adjusted_median(fit(GAMMA, 0.5, SMALL), dry_count=1, n_wet=2.5), "n_wet"),
     ],
     ids=[
         "sample-seed-float", "sample-n-fraction", "sample-n-float", "sample-n-str",
         "scheme-seed-float", "scheme-seed-none", "bootstrap-B-fraction", "bootstrap-B-float",
         "bootstrap-seed-float", "if-grid-fraction", "plot-bins-fraction", "median-dry-fraction",
-        "median-dry-nan", "median-wet-fraction",
+        "median-dry-nan",
     ],
 )
 def test_counts_and_seeds_must_be_integers(call, named):
@@ -361,6 +360,6 @@ def test_numpy_integers_count_and_seed():
     res = bootstrap_se(GAMMA, 0.5, SMALL, B=np.int32(20), seed=np.int64(1))
     assert res.B == 20 and res.se == bootstrap_se(GAMMA, 0.5, SMALL, B=20, seed=1).se
     fitted, sup = fit(GAMMA, 0.5, SMALL), if_supremum(GAMMA, GAMMA_2, 0.5, grid_points=50)
-    assert adjusted_median(fitted, np.int64(1), np.int32(8)) == adjusted_median(fitted, 1, 8)
+    assert adjusted_median(fitted, np.int64(1)) == adjusted_median(fitted, 1)
     assert if_supremum(GAMMA, GAMMA_2, 0.5, grid_points=np.int64(50)) == sup
     assert emit_plot_data(fitted, SMALL, bins=np.int64(3)) == emit_plot_data(fitted, SMALL, bins=3)

@@ -228,14 +228,17 @@ def adjusted_median(fit_result, dry_count):
     """Median of the zero-inflated mixture in data units.
 
     With dry proportion p = dry/(dry + wet), the wet count being the
-    fit's n_obs: zero when p > 0.5, and the (0.5 - p)/(1 - p) quantile
-    of the fitted law otherwise. At exactly p = 0.5 the rule asks for
-    the level-0 quantile, which is the left support endpoint: zero.
+    fit's n_obs, at least 1: zero when p > 0.5, and the (0.5 - p)/(1 - p)
+    quantile of the fitted law otherwise. At exactly p = 0.5 the rule
+    asks for the level-0 quantile, which is the left support endpoint:
+    zero.
     """
     if not fit_result.converged:
         raise FitError("adjusted median requires a converged fit")
     if not (isinstance(dry_count, numbers.Integral) and dry_count >= 0):
         raise DomainError(f"need an integer dry_count >= 0, got {dry_count!r}")
+    if fit_result.n_obs < 1:
+        raise DomainError(f"need a fit of at least one wet value, got n_obs={fit_result.n_obs!r}")
     p = dry_count / (dry_count + fit_result.n_obs)
     if p >= 0.5:
         return 0.0

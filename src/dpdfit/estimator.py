@@ -327,31 +327,46 @@ def _newton_rows(family, alphas, values, weights, starts):
     return theta, solved, evals
 
 
-def _one_step_starts(family, alphas, xs, theta):
-    """One Newton step of each leave-one-out objective of xs (n,) off its
-    fit, row i k + j holding out xs[i] at alphas[j] (k,) from theta[j]:
-    the objective is linear in the weights, so its gradient and Hessian
-    are (n T_j - T_ij)/(n - 1), T_j those of all xs at weight 1/n, T_ij
-    those of xs[i] alone. A row keeps theta[j] where the step is not pd
-    or the point not _inside."""
-    n, k = xs.size, len(alphas)
+# Weight entries per Newton batch, which bounds its memory.
+_ROW_BUDGET = 1 << 14
+
+
+def _one_step_starts(family, alphas, xs, theta, counts=None):
+    """One Newton step off the fit theta[j] at each alphas[j] (k,) of each
+    objective that reweights the values xs (n,): row i k + j holds out
+    xs[i], or with counts (B, n), row r k + j weights xs[i] by counts[r,
+    i] / n, bootstrap replicate r. The objective is linear in the
+    weights, so its gradient and Hessian are (n T_j - T_ij)/(n - 1), or
+    sum_i counts[r, i] T_ij / n, T_ij those of xs[i] alone at theta[j]
+    and T_j those of all xs at weight 1/n. The count sums run
+    _ROW_BUDGET // n replicates at a time, each by the same reduction
+    whatever the batch. A row keeps theta[j] where the step is not pd or
+    the point not _inside."""
+    n, k, p = xs.size, len(alphas), family.param_count
     alphas, lnx = np.asarray(alphas, dtype=float), np.log(xs)
-    fits = np.reshape(theta, (k, family.param_count))
+    fits = np.reshape(theta, (k, p))
     al, each = _AlphaTerms(alphas), np.tile(np.arange(k), n)
     with np.errstate(all="ignore"):
-        whole = _weighted_terms(family, al, xs[None], lnx[None], np.full((k, n), 1.0 / n), fits)
-        fits = fits[each]
         x_i, lnx_i = np.repeat([xs, lnx], k, axis=1)[:, :, None]
-        one = _weighted_terms(family, al.rows(each), x_i, lnx_i, np.ones((n * k, 1)), fits)
-        grad, hess = ((n * w[each] - w_i) / (n - 1) for w, w_i in zip(whole[1:3], one[1:3]))
+        one = _weighted_terms(family, al.rows(each), x_i, lnx_i, np.ones((n * k, 1)), fits[each])
+        if counts is None:
+            whole = _weighted_terms(family, al, xs[None], lnx[None], np.full((k, n), 1.0 / n), fits)
+            grad, hess = ((n * w[each] - w_i) / (n - 1) for w, w_i in zip(whole[1:3], one[1:3]))
+        else:
+            # (q, n) in C order, einsum being 4x slower on a transposed view: each
+            # entry of the k gradients, then of the k Hessians, over the n values
+            terms = (np.concatenate([w.reshape(n, -1) for w in one[1:3]], axis=1) / n).T.copy()
+            sums = np.empty((counts.shape[0], terms.shape[0]))
+            chunk = max(_ROW_BUDGET // n, 1)
+            for lo in range(0, counts.shape[0], chunk):
+                sums[lo : lo + chunk] = np.einsum("rn,qn->rq", counts[lo : lo + chunk], terms)
+            grad, hess = sums[:, : k * p].reshape(-1, p), sums[:, k * p :].reshape(-1, p, p)
+            each = np.tile(np.arange(k), counts.shape[0])
+        fits = fits[each]
         step, _, pd, _ = _newton_step(grad, hess)
         start = fits - step
         ok = pd & _inside(family, start, alphas[each])
     return np.where(ok[:, None], start, fits)
-
-
-# Weight entries per Newton batch, which bounds its memory.
-_ROW_BUDGET = 1 << 14
 
 
 def _solve_rows(family, alphas, m, width, weights_of, starts):

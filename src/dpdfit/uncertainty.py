@@ -1,7 +1,9 @@
 """Bootstrap standard errors and seeded sample generation.
 
 A bootstrap replicate is a row of estimator._solve_rows over the values
-it drew, each weighted by its draw count / n.
+it drew, each weighted by its draw count / n, started one Newton step of
+its objective off the full-sample fit (estimator._one_step_starts), the
+k-step bootstrap of Andrews (Econometrica, 2002) taken on to rounding.
 
 All randomness comes from the counter-based Philox generator. Stream
 r of a seed is Philox(SeedSequence(seed, spawn_key=(r,))), so every
@@ -17,7 +19,7 @@ import numpy as np
 
 from .dataio import Sample, write_rows
 from .errors import DomainError, FitError
-from .estimator import _sample_values, _solve_rows, fit
+from .estimator import _one_step_starts, _sample_values, _solve_rows, fit
 from .families import ParamVector, _check_family, quantile
 
 __all__ = [
@@ -128,8 +130,9 @@ def simulate_contaminated(family, theta, scheme, n):
 
 
 def _replicate_rows(xs, B, seed):
-    """(width, drawn) for B resamples of xs: replicate r draws n indices by
-    stream r of seed, and drawn(rows) gives each replicate's distinct
+    """(counts, width, drawn) for B resamples of xs: replicate r draws n
+    indices by stream r of seed, counts (B, n) holding how often it drew
+    each value, and drawn(rows) gives each replicate's distinct
     drawn values in sample order, weighted by count / n, as rows
     (rows.size, width) of (values, weights). width is the largest
     support among the B replicates; a smaller support is padded with
@@ -145,14 +148,19 @@ def _replicate_rows(xs, B, seed):
         order = np.argsort(picked == 0, axis=1, kind="stable")[:, :width]
         return xs[order], np.take_along_axis(picked, order, axis=1) / n
 
-    return width, drawn
+    return counts, width, drawn
 
 
 def bootstrap_se(family, alpha, sample, B=1000, seed=0):
     """Nonparametric bootstrap around the full-sample fit.
 
     Replicate r resamples n observations by stream r of seed and is
-    solved from the full-sample estimate, over the values it drew. se is
+    solved over the values it drew, by Newton from one Newton step of its
+    objective off the full-sample estimate: there its gradient and
+    Hessian are its draw counts / n times those of each value alone, one
+    kernel call for all B, so no replicate spends an evaluation at the
+    estimate. A replicate whose step is not pd or leaves the parameter
+    space starts at the estimate itself. se is
     the standard deviation over solved replicates, divisor B_conv - 1;
     over 5% unsolved warns. A replicate's row is as wide as the largest
     support among the B replicates, so its estimate may move with B by
@@ -162,8 +170,10 @@ def bootstrap_se(family, alpha, sample, B=1000, seed=0):
     if not (all(isinstance(v, numbers.Integral) for v in (B, seed)) and B >= 2 and seed >= 0):
         raise DomainError(f"need integers B >= 2 and seed >= 0, got {B!r} and {seed!r}")
     full = fit(family, alpha, sample)
-    width, drawn = _replicate_rows(_sample_values(sample), int(B), seed)
-    theta, solved, _ = _solve_rows(family, alpha, int(B), width, drawn, full.theta_hat.values)
+    xs = _sample_values(sample)
+    counts, width, drawn = _replicate_rows(xs, int(B), seed)
+    starts = _one_step_starts(family, [alpha], xs, full.theta_hat.values, counts)
+    theta, solved, _ = _solve_rows(family, alpha, int(B), width, drawn, starts)
     ids = np.flatnonzero(solved)
     failures = int(B) - ids.size
     if ids.size < 2:

@@ -5,6 +5,7 @@ input must survive a save/load roundtrip bit for bit.
 """
 
 import builtins
+import dataclasses
 import io
 import math
 
@@ -354,6 +355,9 @@ class TestAdjustedMedian:
     def test_rejects_bad_counts(self, exp_fit):
         with pytest.raises(DomainError):
             adjusted_median(exp_fit, dry_count=-1)
+        for dry in (0, 5):
+            with pytest.raises(DomainError, match="wet value"):
+                adjusted_median(dataclasses.replace(exp_fit, n_obs=0), dry_count=dry)
 
 
 class TestWriteReportRows:

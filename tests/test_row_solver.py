@@ -8,11 +8,15 @@ one-row fits are kept here as the reference: each row of a grid batch
 (fit_alphas) is bit for bit the fit at its alpha, and each bootstrap row
 matches the per-replicate warm refit, fit(family, alpha, resample,
 warm_start=full.theta_hat), failing exactly where that refit raises or
-does not converge. The chunk size changes no result, no converged
-gamma or Weibull row sits on or below its alpha's shape floor, and no
-one-row fit off the grid returns a shape there. A row stops on its
-predicted next step only after a full step at a pd Hessian, and every
-solved row is a fixed point of one more step to rounding. An alpha = 0
+does not converge. A replicate starts one Newton step of its objective
+off the full-sample fit, or at the fit where that step is not pd or
+leaves the parameter space, and from there takes no more evaluations
+than from the fit, and fewer in all. The chunk size changes no result,
+no converged gamma or Weibull row sits on or below its alpha's shape
+floor, and no one-row fit off the grid returns a shape there. A row
+stops on its predicted next step only after a full step at a pd
+Hessian, and every solved row is a fixed point of one more step to
+rounding. An alpha = 0
 row reads only the family's terms, whatever its tilted law gives, and a
 round whose trial points all leave the parameter space halves them
 without calling the kernel. The kernel's Newton step takes its
@@ -32,13 +36,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import as_sample
-from dpdfit import estimator
+from dpdfit import estimator, uncertainty
 from dpdfit.errors import DpdError, FitError
-from dpdfit.estimator import _newton_step, _weighted_terms, fit, fit_alphas
+from dpdfit.estimator import _newton_step, _one_step_starts, _weighted_terms, fit, fit_alphas
 from dpdfit.families import FAMILIES, ParamVector, _AlphaTerms, quantile
 from dpdfit.tuning import COARSE_GRID, _loo_points, _sorted_values, select_alpha
 from dpdfit.uncertainty import (
     ContaminationScheme,
+    _replicate_rows,
     _stream,
     bootstrap_se,
     sample_family,
@@ -108,6 +113,92 @@ def test_failed_rows_are_the_refused_resamples(tag):
     fit refuses those for a two-parameter family, and so does the row."""
     sample = as_sample([1.0, 1.0, 2.0])
     check_against_warm_refits(FAMILIES[tag], 0.0, sample, B=40, seed=0)
+
+
+class TestReplicateStarts:
+    @pytest.mark.parametrize("tag", TAGS)
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_start_is_one_newton_step_of_the_replicate_objective(self, tag, alpha):
+        """Replicate r's start is the full-sample fit less H^-1 g of its
+        objective, both taken at the fit, here with count / n weights and
+        a plain linear solve."""
+        family = FAMILIES[tag]
+        xs = np.asarray(sample_family(family, ParamVector(family, THETA[tag]), 60, seed=0).values)
+        theta = np.array([fit(family, alpha, xs).theta_hat.values])
+        counts, _, _ = _replicate_rows(xs, 40, 1)
+        starts = _one_step_starts(family, [alpha], xs, theta, counts)
+        assert starts.shape == (40, family.param_count)
+        assert (starts != theta).any(axis=1).all()
+        for start, row in zip(starts, counts):
+            _, grad, hess, _ = _weighted_terms(
+                family, _AlphaTerms(alpha), xs[None], np.log(xs)[None], row / xs.size, theta
+            )
+            want = theta[0] - np.linalg.solve(hess[0], grad[0])
+            np.testing.assert_allclose(start, want, rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "tag, scale",
+        [("exponential", (3.0,)), ("lognormal", (0.1, 1.0))],
+        ids=["off-the-space", "off-pd"],
+    )
+    def test_start_falls_back_to_the_fit(self, tag, scale, monkeypatch):
+        """From a full-sample point of three times the MLE rate, the alpha
+        = 0 step of the exponential lands at 2 lambda - lambda^2 mean < 0,
+        outside the parameter space. A log-mean 1.8 below the MLE's, at
+        the MLE log-sd 0.56, makes the lognormal's Hessian indefinite:
+        its determinant has the sign of 3 s^2 - sigma^2 - d^2, s^2 and d
+        being a replicate's variance of ln x and the offset of its mean,
+        near 0.6 - 3.3; its modified step stays inside. Every replicate
+        then starts at that point and is still solved, to its own MLE."""
+        family = FAMILIES[tag]
+        sample = sample_family(family, ParamVector(family, THETA[tag]), 60, seed=0)
+        full = fit(family, 0.0, sample)
+        bad = np.multiply(full.theta_hat.values, scale)
+        starts = []
+
+        def recording(*args):
+            starts.append(_one_step_starts(*args))
+            return starts[-1]
+
+        shifted = dataclasses.replace(full, theta_hat=ParamVector(family, bad))
+        monkeypatch.setattr(uncertainty, "fit", lambda *args: shifted)
+        monkeypatch.setattr(uncertainty, "_one_step_starts", recording)
+        boot = bootstrap_se(family, 0.0, sample, B=30, seed=5)
+        assert (starts[0] == bad).all()
+        assert boot.failures == 0
+        xs = np.asarray(sample.values)
+        for rid, est in zip(boot.replicate_ids, boot.replicate_estimates):
+            logs = np.log(xs[_stream(5, rid).integers(0, xs.size, size=xs.size)])
+            if tag == "exponential":
+                want = (1.0 / np.exp(logs).mean(),)
+            else:
+                want = (logs.mean(), logs.std())
+            np.testing.assert_allclose(est, want, rtol=1e-9)
+
+    @pytest.mark.parametrize("tag", TAGS)
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_replicates_take_fewer_evaluations(self, tag, alpha, monkeypatch):
+        """Solved from their one-step starts, the replicates take fewer
+        evaluations in all than the same rows solved from the full-sample
+        fit, their first evaluation included, and no row takes more."""
+        family = FAMILIES[tag]
+        sample = tied_contamination(tag, n=250)
+        counts = []
+        solve = uncertainty._solve_rows
+
+        def counted(*args):
+            out = solve(*args)
+            counts.append(out[2])
+            return out
+
+        monkeypatch.setattr(uncertainty, "_solve_rows", counted)
+        boot = bootstrap_se(family, alpha, sample, B=100, seed=3)
+        (one_step,) = counts
+        _, width, drawn = _replicate_rows(np.asarray(sample.values), 100, 3)
+        _, solved, from_fit = solve(family, alpha, 100, width, drawn, boot.fit.theta_hat.values)
+        assert solved.sum() == 100 - boot.failures
+        assert (one_step <= from_fit).all()
+        assert one_step.sum() < from_fit.sum()
 
 
 @pytest.mark.parametrize("tag", TAGS)

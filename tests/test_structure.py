@@ -15,8 +15,10 @@ families.py. Full fits,
 leave-one-out fits and bootstrap replicates all reach the kernel
 through estimator._solve_rows, so the kernel is named only in
 estimator.py; its Newton step takes eigenvalues in closed form, so
-estimator.py calls no eigh, and only tuning._loo_points asks
-estimator._one_step_starts for its rows' starts. No module silences
+estimator.py calls no eigh, and only tuning._loo_points and
+uncertainty.bootstrap_se ask estimator._one_step_starts for their rows'
+starts; estimator.py takes no BLAS product (@, matmul or dot), whose
+rows would move with the batch. No module silences
 warnings process-wide with warnings.catch_warnings. Model selection
 scores a family with one fit and one sandwich, and imports nothing from
 tuning; the alpha-batch scorer, tuning._score_alphas, is tuning's own,
@@ -267,11 +269,21 @@ def test_newton_step_takes_no_eigh():
     assert _calls_ending(tree, "eigh") == _calls_ending(tree, "eig") == []
 
 
-def test_one_step_starts_only_for_leave_one_out():
-    found = [
+def test_one_step_starts_for_leave_one_out_and_bootstrap():
+    found = sorted(
         (p.name, func) for p in MODULES for func in _calls_ending(_tree(p), "_one_step_starts")
-    ]
-    assert found == [("tuning.py", "_loo_points")]
+    )
+    assert found == [("tuning.py", "_loo_points"), ("uncertainty.py", "bootstrap_se")]
+
+
+def test_estimator_takes_no_blas_product():
+    """A BLAS product's rows move with the batch's shape; the kernel and
+    the one-step starts reduce each row by itself, so estimator.py has
+    no @, matmul or dot."""
+    tree = _tree(PACKAGE / "estimator.py")
+    ops = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.MatMult)]
+    assert ops == []
+    assert not {"matmul", "dot"} & _names(tree)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

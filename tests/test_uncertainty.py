@@ -174,12 +174,14 @@ class TestBootstrapSe:
         assert a.replicate_ids == b.replicate_ids
 
     def test_replicate_rows_rebuild_the_draw_counts(self):
-        """Row r holds replicate r's distinct drawn values in sample order,
+        """Row r of the counts is replicate r's draw counts, and row r of
+        the drawn rows holds its distinct drawn values in sample order,
         each weighted by its count / n, then zero weight on values it did
         not draw up to the largest support; any chunk of rows is the same."""
         xs = np.array(sample_family(GAMMA, (5.0, 1.0), 60, seed=6).values)
         n, B, seed = xs.size, 30, 4
-        width, drawn = _replicate_rows(xs, B, seed)
+        drawn_counts, width, drawn = _replicate_rows(xs, B, seed)
+        assert drawn_counts.shape == (B, n)
         values, weights = drawn(np.arange(B))
         assert values.shape == weights.shape == (B, width)
         index = {float(v): i for i, v in enumerate(xs)}
@@ -187,6 +189,7 @@ class TestBootstrapSe:
         supports = []
         for r in range(B):
             counts = np.bincount(_stream(seed, r).integers(0, n, size=n), minlength=n)
+            np.testing.assert_array_equal(drawn_counts[r], counts)
             support = np.flatnonzero(counts)
             supports.append(support.size)
             k = support.size

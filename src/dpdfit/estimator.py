@@ -331,17 +331,15 @@ def _newton_rows(family, alphas, values, weights, starts):
 _ROW_BUDGET = 1 << 14
 
 
-def _one_step_starts(family, alphas, xs, theta, counts=None):
+def _one_step_starts(family, alphas, xs, theta, counts, total):
     """One Newton step off the fit theta[j] at each alphas[j] (k,) of each
-    objective that reweights the values xs (n,): row i k + j holds out
-    xs[i], or with counts (B, n), row r k + j weights xs[i] by counts[r,
-    i] / n, bootstrap replicate r. The objective is linear in the
-    weights, so its gradient and Hessian are (n T_j - T_ij)/(n - 1), or
-    sum_i counts[r, i] T_ij / n, T_ij those of xs[i] alone at theta[j]
-    and T_j those of all xs at weight 1/n. The count sums run
-    _ROW_BUDGET // n replicates at a time, each by the same reduction
-    whatever the batch. A row keeps theta[j] where the step is not pd or
-    the point not _inside."""
+    objective of _solve_rows: row c k + j weights xs[i] (n,) by counts[c,
+    i] / total at alphas[j]. The objective is linear in the weights, so
+    its gradient and Hessian there are sum_i counts[c, i] T_ij / total,
+    T_ij those of xs[i] alone at theta[j], one kernel call for all n k.
+    The sums run _ROW_BUDGET // n count rows at a time, each by the same
+    reduction whatever the batch. A row keeps theta[j] where the step is
+    not pd or the point not _inside."""
     n, k, p = xs.size, len(alphas), family.param_count
     alphas, lnx = np.asarray(alphas, dtype=float), np.log(xs)
     fits = np.reshape(theta, (k, p))
@@ -349,19 +347,15 @@ def _one_step_starts(family, alphas, xs, theta, counts=None):
     with np.errstate(all="ignore"):
         x_i, lnx_i = np.repeat([xs, lnx], k, axis=1)[:, :, None]
         one = _weighted_terms(family, al.rows(each), x_i, lnx_i, np.ones((n * k, 1)), fits[each])
-        if counts is None:
-            whole = _weighted_terms(family, al, xs[None], lnx[None], np.full((k, n), 1.0 / n), fits)
-            grad, hess = ((n * w[each] - w_i) / (n - 1) for w, w_i in zip(whole[1:3], one[1:3]))
-        else:
-            # (q, n) in C order, einsum being 4x slower on a transposed view: each
-            # entry of the k gradients, then of the k Hessians, over the n values
-            terms = (np.concatenate([w.reshape(n, -1) for w in one[1:3]], axis=1) / n).T.copy()
-            sums = np.empty((counts.shape[0], terms.shape[0]))
-            chunk = max(_ROW_BUDGET // n, 1)
-            for lo in range(0, counts.shape[0], chunk):
-                sums[lo : lo + chunk] = np.einsum("rn,qn->rq", counts[lo : lo + chunk], terms)
-            grad, hess = sums[:, : k * p].reshape(-1, p), sums[:, k * p :].reshape(-1, p, p)
-            each = np.tile(np.arange(k), counts.shape[0])
+        # (q, n) in C order, einsum being 4x slower on a transposed view: each
+        # entry of the k gradients, then of the k Hessians, over the n values
+        terms = (np.concatenate([w.reshape(n, -1) for w in one[1:3]], axis=1) / total).T.copy()
+        sums = np.empty((counts.shape[0], terms.shape[0]))
+        chunk = max(_ROW_BUDGET // n, 1)
+        for lo in range(0, counts.shape[0], chunk):
+            sums[lo : lo + chunk] = np.einsum("rn,qn->rq", counts[lo : lo + chunk], terms)
+        grad, hess = sums[:, : k * p].reshape(-1, p), sums[:, k * p :].reshape(-1, p, p)
+        each = np.tile(np.arange(k), counts.shape[0])
         fits = fits[each]
         step, _, pd, _ = _newton_step(grad, hess)
         start = fits - step
@@ -369,25 +363,35 @@ def _one_step_starts(family, alphas, xs, theta, counts=None):
     return np.where(ok[:, None], start, fits)
 
 
-def _solve_rows(family, alphas, m, width, weights_of, starts):
-    """_newton_rows' (theta, solved, evaluations) for rows 0..m-1, row r at
-    alphas[r] from starts[r]; alphas (m,) and starts (m, p) may be anything
-    that broadcasts to those shapes. Rows are solved in order,
-    _ROW_BUDGET // width at a time whatever their alphas, weights_of(rows)
-    giving a batch's (values, weights): values (width,) shared by the
-    batch or one row per row (rows.size, width), and weights (rows.size,
-    width). A two-parameter row whose positively weighted values are all
+def _solve_rows(family, alphas, xs, counts, total, starts):
+    """_newton_rows' (theta, solved, evaluations) for the rows that weight
+    the values xs (n,) by counts (C, n) / total: row c k + j at alphas[j]
+    (k,) from starts[c k + j], starts (C k, p) or what broadcasts to it.
+    Each count row runs on its support (its nonzero counts' values in
+    sample order, zero weight after them up to the widest) where the
+    widest leaves out a tenth of xs, else on all of xs. Rows are solved
+    in order, about _ROW_BUDGET weight entries (one count row at least) at
+    a time. A two-parameter row whose positively weighted values are all
     equal is unsolved, as fit refuses such a sample."""
-    p = family.param_count
-    alphas = np.broadcast_to(np.asarray(alphas, dtype=float), (m,))
+    k, p = len(alphas), family.param_count
+    m = counts.shape[0] * k
+    alphas = np.tile(np.asarray(alphas, dtype=float), counts.shape[0])
     starts = np.broadcast_to(np.reshape(np.asarray(starts, dtype=float), (-1, p)), (m, p))
+    width = int(np.count_nonzero(counts, axis=1).max())
+    own = 10 * width <= 9 * xs.size
     theta = np.empty((m, p))
     solved = np.empty(m, dtype=bool)
     evals = np.empty(m, dtype=int)
-    chunk = max(_ROW_BUDGET // width, 1)
-    for lo in range(0, m, chunk):
-        rows = np.arange(lo, min(lo + chunk, m))
-        values, weights = weights_of(rows)
+    chunk = max(_ROW_BUDGET // ((width if own else xs.size) * max(k, 1)), 1)
+    for lo in range(0, counts.shape[0] if k else 0, chunk):
+        values, weights = xs, counts[lo : lo + chunk] / total
+        if own:
+            support = np.argsort(weights == 0.0, axis=1, kind="stable")[:, :width]
+            values = np.repeat(xs[support], k, axis=0)
+            weights = np.take_along_axis(weights, support, axis=1)
+            del support  # not held through the solve
+        weights = np.repeat(weights, k, axis=0)
+        rows = slice(lo * k, lo * k + weights.shape[0])
         theta[rows], solved[rows], evals[rows] = _newton_rows(
             family, alphas[rows], values, weights, starts[rows]
         )
@@ -429,14 +433,7 @@ def _fit_rows(family, alphas, sample, warm_start=None):
     if family.shaped:
         starts[:, 0] = np.maximum(starts[:, 0], _shape_floor(np.asarray(alphas)) + 0.1)
     n = vals.size
-    theta, solved, evals = _solve_rows(
-        family,
-        alphas,
-        len(alphas),
-        n,
-        lambda rows: (vals, np.full((rows.size, n), 1.0 / n)),
-        starts,
-    )
+    theta, solved, evals = _solve_rows(family, alphas, vals, np.ones((1, n)), n, starts)
     with np.errstate(all="ignore"):
         hs = _weighted_terms(
             family, _AlphaTerms(alphas), vals[None], np.log(vals)[None], 1.0 / n, theta

@@ -5,11 +5,12 @@ each order statistic removed, evaluate the held-out point's fitted CDF
 against its plotting position (i - 0.5)/n, and average the squared
 discrepancies.
 
-The n refits are exact: each held-out point is a row of
-estimator._solve_rows, as a bootstrap replicate is, solved to rounding
-by damped Newton with the closed-form gradient and Hessian of the
-divergence terms, from the one-step leave-one-out estimate of Giordano
-et al. (2019) and Rad & Maleki (2020), estimator._one_step_starts.
+The n refits are exact: held-out point i is row i of the counts 1 - I
+over n - 1, a row of estimator._solve_rows as a bootstrap replicate's
+draw counts are, solved to rounding by damped Newton with the
+closed-form gradient and Hessian of the divergence terms, from the
+one-step leave-one-out estimate of Giordano et al. (2019) and Rad &
+Maleki (2020), estimator._one_step_starts, which takes the same counts.
 
 _score_alphas turns a batch of alphas into scored fits: one batched
 full-sample fit (estimator.fit_alphas), alpha being a row axis of the
@@ -77,19 +78,14 @@ def _sorted_values(sample, param_count):
 def _loo_points(family, alphas, xs, fits):
     """Every leave-one-out estimate of the sorted sample xs at each alpha of
     alphas (k,), by Newton from the one-step estimate off that alpha's
-    row of fits (k, p): held-out point i weights every point but xs[i] by
-    1/(n - 1). All n k rows are one _solve_rows call. Returns (theta (n,
-    k, p), solved (n, k))."""
-    n, k = xs.size, len(alphas)
-    theta, solved, _ = _solve_rows(
-        family,
-        np.tile(alphas, n),
-        n * k,
-        n,
-        lambda rows: (xs, (np.arange(n) != rows[:, None] // k) / (n - 1)),
-        _one_step_starts(family, alphas, xs, fits),
-    )
-    return theta.reshape(n, k, family.param_count), solved.reshape(n, k)
+    row of fits (k, p): held-out point i weights xs by row i of the
+    counts 1 - I over n - 1, which the starts and the one _solve_rows
+    call of all n k rows share. Returns (theta (n, k, p), solved (n,
+    k))."""
+    n, counts = xs.size, 1 - np.eye(xs.size, dtype=np.uint8)
+    starts = _one_step_starts(family, alphas, xs, fits, counts, n - 1)
+    theta, solved, _ = _solve_rows(family, alphas, xs, counts, n - 1, starts)
+    return theta.reshape(n, len(alphas), family.param_count), solved.reshape(n, len(alphas))
 
 
 def _score_alphas(family, alphas, xs):

@@ -1,7 +1,8 @@
 """Bootstrap standard errors and seeded sample generation.
 
-A bootstrap replicate is a row of estimator._solve_rows over the values
-it drew, each weighted by its draw count / n, started one Newton step of
+A bootstrap replicate is a row of draw counts over the sample, each
+value weighted by its count / n: one row of estimator._solve_rows,
+which solves it over the values it drew, started one Newton step of
 its objective off the full-sample fit (estimator._one_step_starts), the
 k-step bootstrap of Andrews (Econometrica, 2002) taken on to rounding.
 
@@ -130,50 +131,41 @@ def simulate_contaminated(family, theta, scheme, n):
 
 
 def _replicate_rows(xs, B, seed):
-    """(counts, width, drawn) for B resamples of xs: replicate r draws n
-    indices by stream r of seed, counts (B, n) holding how often it drew
-    each value, and drawn(rows) gives each replicate's distinct
-    drawn values in sample order, weighted by count / n, as rows
-    (rows.size, width) of (values, weights). width is the largest
-    support among the B replicates; a smaller support is padded with
-    zero weight on values it did not draw."""
+    """The draw counts (B, n) of B resamples of xs: replicate r draws n
+    indices by stream r of seed, and row r holds how often it drew each
+    value."""
     n = xs.size
     counts = np.empty((B, n), dtype=np.min_scalar_type(n))
     for r in range(B):
         counts[r] = np.bincount(_stream(seed, r).integers(0, n, size=n), minlength=n)
-    width = int(np.count_nonzero(counts, axis=1).max())
-
-    def drawn(rows):
-        picked = counts[rows]
-        order = np.argsort(picked == 0, axis=1, kind="stable")[:, :width]
-        return xs[order], np.take_along_axis(picked, order, axis=1) / n
-
-    return counts, width, drawn
+    return counts
 
 
 def bootstrap_se(family, alpha, sample, B=1000, seed=0):
     """Nonparametric bootstrap around the full-sample fit.
 
-    Replicate r resamples n observations by stream r of seed and is
-    solved over the values it drew, by Newton from one Newton step of its
-    objective off the full-sample estimate: there its gradient and
+    Replicate r resamples n observations by stream r of seed: its draw
+    counts over the sample, divided by n, are one row of
+    estimator._solve_rows, solved by Newton from one Newton step of its
+    objective off the full-sample estimate. There its gradient and
     Hessian are its draw counts / n times those of each value alone, one
     kernel call for all B, so no replicate spends an evaluation at the
     estimate. A replicate whose step is not pd or leaves the parameter
-    space starts at the estimate itself. se is
-    the standard deviation over solved replicates, divisor B_conv - 1;
-    over 5% unsolved warns. A replicate's row is as wide as the largest
-    support among the B replicates, so its estimate may move with B by
-    rounding (1e-14 relative at most in the tests), though its draws
-    never do.
+    space starts at the estimate itself. se is the standard deviation
+    over solved replicates, divisor B_conv - 1; over 5% unsolved warns.
+    A replicate is solved over the values it drew, its row as wide as
+    the largest support among the B replicates, unless that support
+    leaves out less than a tenth of the sample (small n), when every row
+    is the whole sample; so its estimate may move with B by rounding
+    (1e-14 relative at most in the tests), though its draws never do.
     """
     if not (all(isinstance(v, numbers.Integral) for v in (B, seed)) and B >= 2 and seed >= 0):
         raise DomainError(f"need integers B >= 2 and seed >= 0, got {B!r} and {seed!r}")
     full = fit(family, alpha, sample)
     xs = _sample_values(sample)
-    counts, width, drawn = _replicate_rows(xs, int(B), seed)
-    starts = _one_step_starts(family, [alpha], xs, full.theta_hat.values, counts)
-    theta, solved, _ = _solve_rows(family, alpha, int(B), width, drawn, starts)
+    counts = _replicate_rows(xs, int(B), seed)
+    starts = _one_step_starts(family, [alpha], xs, full.theta_hat.values, counts, xs.size)
+    theta, solved, _ = _solve_rows(family, [alpha], xs, counts, xs.size, starts)
     ids = np.flatnonzero(solved)
     failures = int(B) - ids.size
     if ids.size < 2:

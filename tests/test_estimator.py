@@ -233,9 +233,9 @@ class TestIndefiniteStart:
         x = self.sample(12)[None, :]
         starts = []
 
-        def recording(family, alphas, m, width, weights_of, start):
+        def recording(family, alphas, xs, counts, total, start):
             starts.append(start)
-            return solve_rows(family, alphas, m, width, weights_of, start)
+            return solve_rows(family, alphas, xs, counts, total, start)
 
         solve_rows = estimator._solve_rows
         monkeypatch.setattr(estimator, "_solve_rows", recording)

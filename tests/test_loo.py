@@ -63,6 +63,11 @@ def contaminated(tag, seed=0, n=30):
     return _sorted_values(sample, family.param_count)
 
 
+def held_out_counts(n):
+    """Row i counts every value of an n-point sample but the i-th once."""
+    return 1 - np.eye(n, dtype=np.uint8)
+
+
 def held_out_weights(n, i):
     w = np.full((1, n), 1.0 / (n - 1))
     w[0, i] = 0.0
@@ -235,7 +240,7 @@ class TestOneStepStarts:
         family = FAMILIES[tag]
         xs = _sorted_values(clean(tag), family.param_count)
         theta = np.array([fit(family, alpha, xs).theta_hat.values])
-        starts = _one_step_starts(family, [alpha], xs, theta)
+        starts = _one_step_starts(family, [alpha], xs, theta, held_out_counts(xs.size), xs.size - 1)
         assert starts.shape == (xs.size, family.param_count)
         for i in range(xs.size):
             weights = held_out_weights(xs.size, i)
@@ -270,12 +275,7 @@ class TestOneStepStarts:
         one_step = np.concatenate(counts)
         counts.clear()
         _, from_fit, _ = _solve_rows(
-            family,
-            np.tile(COARSE_GRID, n),
-            n * k,
-            n,
-            lambda rows: (xs, (np.arange(n) != rows[:, None] // k) / (n - 1)),
-            np.tile(fits, (n, 1)),
+            family, COARSE_GRID, xs, held_out_counts(n), n - 1, np.tile(fits, (n, 1))
         )
         from_fit_evals = np.concatenate(counts)
         assert solved.all() and from_fit.all()
@@ -292,7 +292,9 @@ class TestOneStepStarts:
         xs = _sorted_values(clean("exponential"), 1)
         bad = 3.0 / xs.mean()
         good = fit(family, 0.5, xs).theta_hat.values[0]
-        starts = _one_step_starts(family, [0.0, 0.5], xs, [[bad], [good]]).reshape(xs.size, 2)
+        counts = held_out_counts(xs.size)
+        starts = _one_step_starts(family, [0.0, 0.5], xs, [[bad], [good]], counts, xs.size - 1)
+        starts = starts.reshape(xs.size, 2)
         assert (starts[:, 0] == bad).all()
         assert (starts[:, 1] != good).all()
         theta, solved = _loo_points(family, (0.0, 0.5), xs, [(bad,), (good,)])

@@ -14,10 +14,13 @@ gamma/Weibull shape floor alpha/(1+alpha) is spelled once, in
 families.py. Full fits,
 leave-one-out fits and bootstrap replicates all reach the kernel
 through estimator._solve_rows, so the kernel is named only in
-estimator.py; its Newton step takes eigenvalues in closed form, so
+estimator.py; each is a row of counts over the sample, with no weights
+callback, and _solve_rows alone lays the rows out, on the sample or on
+each row's drawn support, so tuning and uncertainty compact nothing.
+The kernel's Newton step takes eigenvalues in closed form, so
 estimator.py calls no eigh, and only tuning._loo_points and
-uncertainty.bootstrap_se ask estimator._one_step_starts for their rows'
-starts; estimator.py takes no BLAS product (@, matmul or dot), whose
+uncertainty.bootstrap_se ask estimator._one_step_starts, one formula
+with one kernel call, for their rows' starts; estimator.py takes no BLAS product (@, matmul or dot), whose
 rows would move with the batch. No module silences
 warnings process-wide with warnings.catch_warnings. Model selection
 scores a family with one fit and one sandwich, and imports nothing from
@@ -274,6 +277,37 @@ def test_one_step_starts_for_leave_one_out_and_bootstrap():
         (p.name, func) for p in MODULES for func in _calls_ending(_tree(p), "_one_step_starts")
     )
     assert found == [("tuning.py", "_loo_points"), ("uncertainty.py", "bootstrap_se")]
+
+
+def test_reweighted_rows_are_counts_over_the_sample():
+    """Every solve weights the sample by rows of counts over a total: no
+    callable is passed to _solve_rows, _one_step_starts has one path,
+    with one kernel call and no None default, and the rows' layout is
+    _solve_rows' own, so neither tuning.py nor uncertainty.py compacts a
+    support."""
+    assert list(inspect.signature(estimator._solve_rows).parameters) == [
+        "family", "alphas", "xs", "counts", "total", "starts"
+    ]
+    assert not [p.name for p in MODULES if "weights_of" in _names(_tree(p))]
+    for path in MODULES:
+        tree = _tree(path)
+        local = _defined(path)
+        for node, _ in _calls(tree):
+            if ast.unparse(node.func).endswith("_solve_rows"):
+                args = [*node.args, *(kw.value for kw in node.keywords)]
+                assert not [a for a in args if isinstance(a, ast.Lambda)], path.name
+                assert not {a.id for a in args if isinstance(a, ast.Name)} & local, path.name
+    (starts,) = [
+        node
+        for node in ast.walk(_tree(PACKAGE / "estimator.py"))
+        if isinstance(node, ast.FunctionDef) and node.name == "_one_step_starts"
+    ]
+    assert _calls_to(starts, "_weighted_terms") == ["_one_step_starts"]
+    params = inspect.signature(estimator._one_step_starts).parameters.values()
+    assert [p.default for p in params] == [inspect.Parameter.empty] * len(params)
+    for name in ("tuning.py", "uncertainty.py"):
+        tree = _tree(PACKAGE / name)
+        assert _calls_ending(tree, "argsort") == _calls_ending(tree, "take_along_axis") == []
 
 
 def test_estimator_takes_no_blas_product():

@@ -3,8 +3,9 @@
 Sampling is checked against distributional facts (moments, reductions
 between families), contamination against its mixture construction, and
 bootstrap standard errors against the asymptotic ones they estimate.
-Each replicate is a row over the values it drew: those rows must carry
-exactly the draw counts of its stream.
+Each replicate is a row of draw counts over the sample, solved over the
+values it drew: those rows must carry exactly the draw counts of its
+stream.
 """
 
 import io
@@ -18,7 +19,8 @@ from dpdfit.asymptotics import asymptotic_se, if_supremum
 from dpdfit.cli import emit_plot_data
 from dpdfit.dataio import Sample, adjusted_median
 from dpdfit.errors import DataError, DomainError, FitError
-from dpdfit.estimator import fit
+from dpdfit import estimator
+from dpdfit.estimator import _solve_rows, fit
 from dpdfit.families import FAMILIES, ParamVector, quantile
 from dpdfit.uncertainty import (
     ContaminationScheme,
@@ -173,16 +175,33 @@ class TestBootstrapSe:
         assert a.replicate_estimates == b.replicate_estimates
         assert a.replicate_ids == b.replicate_ids
 
-    def test_replicate_rows_rebuild_the_draw_counts(self):
-        """Row r of the counts is replicate r's draw counts, and row r of
-        the drawn rows holds its distinct drawn values in sample order,
-        each weighted by its count / n, then zero weight on values it did
-        not draw up to the largest support; any chunk of rows is the same."""
+    def test_replicate_rows_rebuild_the_draw_counts(self, monkeypatch):
+        """Row r of the counts is replicate r's draw counts. Its row of the
+        solve (estimator._solve_rows, on the drawn supports, as the widest
+        leaves out more than a tenth of the sample) holds its distinct
+        drawn values in sample order, each weighted by its count / n, then
+        zero weight on values it did not draw up to the largest support;
+        any chunk of rows is the same."""
         xs = np.array(sample_family(GAMMA, (5.0, 1.0), 60, seed=6).values)
         n, B, seed = xs.size, 30, 4
-        drawn_counts, width, drawn = _replicate_rows(xs, B, seed)
+        drawn_counts = _replicate_rows(xs, B, seed)
         assert drawn_counts.shape == (B, n)
-        values, weights = drawn(np.arange(B))
+        batches = []
+        newton_rows = estimator._newton_rows
+
+        def recording(family, alphas, values, weights, starts):
+            assert np.ndim(values) == 2
+            batches.append((np.broadcast_to(values, weights.shape), weights))
+            return newton_rows(family, alphas, values, weights, starts)
+
+        def solve():
+            batches.clear()
+            _solve_rows(GAMMA, [0.3], xs, drawn_counts, n, (5.0, 1.0))
+            return [np.concatenate(rows) for rows in zip(*batches)]
+
+        monkeypatch.setattr(estimator, "_newton_rows", recording)
+        values, weights = solve()
+        width = weights.shape[1]
         assert values.shape == weights.shape == (B, width)
         index = {float(v): i for i, v in enumerate(xs)}
         assert len(index) == n
@@ -201,10 +220,12 @@ class TestBootstrapSe:
                 np.bincount(at, weights=weights[r], minlength=n), counts / n
             )
         assert width == max(supports) < n
-        for rows in (np.array([7]), np.array([3, 4, 29])):
-            chunk = drawn(rows)
-            np.testing.assert_array_equal(chunk[0], values[rows])
-            np.testing.assert_array_equal(chunk[1], weights[rows])
+        for rows in (1, 7):
+            monkeypatch.setattr(estimator, "_ROW_BUDGET", rows * width)
+            chunks = solve()
+            assert len(batches) == math.ceil(B / rows)
+            np.testing.assert_array_equal(chunks[0], values)
+            np.testing.assert_array_equal(chunks[1], weights)
 
     @pytest.mark.parametrize("tag", sorted(FIG_SETTINGS))
     def test_shared_replicates_agree_across_B(self, tag):

@@ -53,9 +53,7 @@ def _sample_terms(family, theta, alpha, sample):
     check_dpd_valid(theta, alpha)
     x = _sample_values(sample)[None]
     with np.errstate(all="ignore"):
-        return _weighted_terms(
-            family, _AlphaTerms(alpha), x, np.log(x), 1.0 / x.size, np.array([theta.values])
-        )
+        return _weighted_terms(family, alpha, x, np.log(x), 1.0 / x.size, np.array([theta.values]))
 
 
 def objective_h(family, theta, alpha, sample):
@@ -80,9 +78,9 @@ def v_alpha(p, alpha, x):
     """
     check_dpd_valid(p, alpha)
     x = _check_x(x)
-    col, al = x.reshape(-1, 1), _AlphaTerms(np.full(x.size, float(alpha)))
+    col, theta = x.reshape(-1, 1), np.tile(p.values, (x.size, 1))
     with np.errstate(all="ignore"):
-        h = _weighted_terms(p.family, al, col, np.log(col), 1.0, np.tile(p.values, (x.size, 1)))[0]
+        h = _weighted_terms(p.family, np.full(x.size, alpha), col, np.log(col), 1.0, theta)[0]
     return h.reshape(x.shape)[()]  # [()]: a scalar for a scalar x
 
 
@@ -111,11 +109,11 @@ _NEWTON_RTOL = 1e-13
 _UPPER = {p: tuple((i, j) for i in range(p) for j in range(i, p)) for p in (1, 2)}
 
 
-def _weighted_terms(family, al, x, lnx, weights, theta):
+def _weighted_terms(family, alphas, x, lnx, weights, theta):
     """The one reduction of the objective: H = sum_j weights[r, j]
     v_alpha(x[r, j]), its gradient and Hessian, and H's rounding scale, at
-    each row of theta (m, p), al being the _AlphaTerms of one alpha per
-    row.
+    each row of theta (m, p) at alpha = alphas[r], alphas (m,) or one
+    float, whose _AlphaTerms it takes once.
 
     x and lnx = log x are one row (1, n) shared by every row of theta or
     one row each (m, n), and each row of weights (m, n), or what
@@ -144,6 +142,7 @@ def _weighted_terms(family, al, x, lnx, weights, theta):
     Sums run along contiguous rows of (m, n) arrays, so no row's result
     depends on its batch.
     """
+    al = _AlphaTerms(alphas)
     lnf, u, du = family.terms(tuple(theta.T[:, :, None]), x, lnx)
     wg = weights * np.exp(al.col * lnf)
     mass, e_uu, e_u, e_du = family.tilted(tuple(theta.T), al)
@@ -246,9 +245,9 @@ def _newton_rows(family, alphas, values, weights, starts):
     pd Hessian gives prev; with none, at the start or after a halved
     step or one off pd, prev is 0 and predicts nothing.
 
-    The terms of alpha alone (_AlphaTerms) go with the live rows' state
-    and data, gathered again only when a row leaves; an evaluation takes
-    them as they are when every live row steps.
+    The rows' alphas go with the live rows' state and data, gathered
+    again only when a row leaves; each kernel call takes the terms of
+    alpha alone (_AlphaTerms) from the alphas of the rows it evaluates.
     """
     x = np.atleast_2d(values)
     lnx = np.log(x)
@@ -256,10 +255,10 @@ def _newton_rows(family, alphas, values, weights, starts):
     m = theta.shape[0]
     solved = np.zeros(m, dtype=bool)
     evals = np.ones(m, dtype=int)
-    al = _AlphaTerms(alphas)
+    alphas = np.asarray(alphas, dtype=float)
     own = x.shape[0] > 1  # one row of values per row
     with np.errstate(all="ignore"):
-        h, grad, hess, scale = _weighted_terms(family, al, x, lnx, weights, theta)
+        h, grad, hess, scale = _weighted_terms(family, alphas, x, lnx, weights, theta)
         step, keep, pd, reach = _newton_step(grad, hess)
         # the live rows' ids, points, evaluation counts and halvings, and
         # their Newton decrements: dec of the step, prev of the full pd step
@@ -271,16 +270,15 @@ def _newton_rows(family, alphas, values, weights, starts):
         def leave(keep):
             """Write out the rows not kept and gather the others."""
             nonlocal ids, point, count, h, scale, step, pd, halvings, reach, dec, prev
-            nonlocal weights, x, lnx, al
+            nonlocal alphas, weights, x, lnx
             gone = ~keep
             theta[ids[gone]], evals[ids[gone]] = point[gone], count[gone]
-            live = (ids, point, count, h, scale, step, pd, halvings, reach, dec, prev, weights)
-            ids, point, count, h, scale, step, pd, halvings, reach, dec, prev, weights = (
+            live = (ids, point, count, h, scale, step, pd, halvings, reach, dec, prev, alphas, weights)
+            ids, point, count, h, scale, step, pd, halvings, reach, dec, prev, alphas, weights = (
                 a[keep] for a in live
             )
             if own:
                 x, lnx = x[keep], lnx[keep]
-            al = al.rows(keep)
             return ids.size > 0
 
         if not keep.all() and not leave(keep):
@@ -295,7 +293,7 @@ def _newton_rows(family, alphas, values, weights, starts):
                 if not leave(~done):
                     break
             trial = point - np.ldexp(step, -halvings[:, None])
-            down = _inside(family, trial, al.alpha)
+            down = _inside(family, trial, alphas)
             every = down.all()
             # a row that does not move goes on while it has a halving left
             keep = halvings < _NEWTON_HALVINGS
@@ -303,7 +301,7 @@ def _newton_rows(family, alphas, values, weights, starts):
                 sel = slice(None) if every else down  # a view, not a copy, when every row steps
                 h_t, grad, hess, scale_t = _weighted_terms(
                     family,
-                    al if every else al.rows(down),
+                    alphas[sel],
                     *((x[sel], lnx[sel]) if own else (x, lnx)),
                     weights[sel],
                     trial[sel],
@@ -331,59 +329,44 @@ def _newton_rows(family, alphas, values, weights, starts):
 _ROW_BUDGET = 1 << 14
 
 
-def _one_step_starts(family, alphas, xs, theta, counts, total):
-    """One Newton step off the fit theta[j] at each alphas[j] (k,) of each
-    objective of _solve_rows: row c k + j weights xs[i] (n,) by counts[c,
-    i] / total at alphas[j]. The objective is linear in the weights, so
-    its gradient and Hessian there are sum_i counts[c, i] T_ij / total,
-    T_ij those of xs[i] alone at theta[j], one kernel call for all n k.
-    The sums run _ROW_BUDGET // n count rows at a time, each by the same
-    reduction whatever the batch. A row keeps theta[j] where the step is
-    not pd or the point not _inside."""
+def _solve_rows(family, alphas, xs, counts, total, fits):
+    """_newton_rows' (theta, solved, evaluations) for the rows that weight
+    the values xs (n,) by counts (C, n) / total: row c k + j at alphas[j]
+    (k,), started one Newton step of its objective off fits[j] (k, p).
+    The objective is linear in the weights, so there its gradient and
+    Hessian are sum_i counts[c, i] T_ij / total, T_ij those of xs[i]
+    alone at fits[j]: one kernel call for all n k and one einsum over all
+    count rows, which casts the counts through its buffers (no (C, n)
+    float copy) and sums each row alike in any batch. A row keeps fits[j]
+    where the step is not pd or the point not _inside. Each count row
+    runs on its support (its nonzero counts' values in sample order, zero
+    weight after them up to the widest) where the widest leaves out a
+    tenth of xs, else on all of xs. Rows are solved in order, about
+    _ROW_BUDGET weight entries (one count row at least) at a time. A
+    two-parameter row whose positively weighted values are all equal is
+    unsolved, as fit refuses such a sample."""
     n, k, p = xs.size, len(alphas), family.param_count
     alphas, lnx = np.asarray(alphas, dtype=float), np.log(xs)
-    fits = np.reshape(theta, (k, p))
-    al, each = _AlphaTerms(alphas), np.tile(np.arange(k), n)
+    fits = np.reshape(np.asarray(fits, dtype=float), (k, p))
+    each = np.tile(np.arange(k), n)
     with np.errstate(all="ignore"):
         x_i, lnx_i = np.repeat([xs, lnx], k, axis=1)[:, :, None]
-        one = _weighted_terms(family, al.rows(each), x_i, lnx_i, np.ones((n * k, 1)), fits[each])
+        one = _weighted_terms(family, alphas[each], x_i, lnx_i, np.ones((n * k, 1)), fits[each])
         # (q, n) in C order, einsum being 4x slower on a transposed view: each
         # entry of the k gradients, then of the k Hessians, over the n values
         terms = (np.concatenate([w.reshape(n, -1) for w in one[1:3]], axis=1) / total).T.copy()
-        sums = np.empty((counts.shape[0], terms.shape[0]))
-        chunk = max(_ROW_BUDGET // n, 1)
-        for lo in range(0, counts.shape[0], chunk):
-            sums[lo : lo + chunk] = np.einsum("rn,qn->rq", counts[lo : lo + chunk], terms)
+        sums = np.einsum("rn,qn->rq", counts, terms)
         grad, hess = sums[:, : k * p].reshape(-1, p), sums[:, k * p :].reshape(-1, p, p)
-        each = np.tile(np.arange(k), counts.shape[0])
-        fits = fits[each]
+        alphas, fits = np.tile(alphas, counts.shape[0]), np.tile(fits, (counts.shape[0], 1))
         step, _, pd, _ = _newton_step(grad, hess)
-        start = fits - step
-        ok = pd & _inside(family, start, alphas[each])
-    return np.where(ok[:, None], start, fits)
-
-
-def _solve_rows(family, alphas, xs, counts, total, starts):
-    """_newton_rows' (theta, solved, evaluations) for the rows that weight
-    the values xs (n,) by counts (C, n) / total: row c k + j at alphas[j]
-    (k,) from starts[c k + j], starts (C k, p) or what broadcasts to it.
-    Each count row runs on its support (its nonzero counts' values in
-    sample order, zero weight after them up to the widest) where the
-    widest leaves out a tenth of xs, else on all of xs. Rows are solved
-    in order, about _ROW_BUDGET weight entries (one count row at least) at
-    a time. A two-parameter row whose positively weighted values are all
-    equal is unsolved, as fit refuses such a sample."""
-    k, p = len(alphas), family.param_count
-    m = counts.shape[0] * k
-    alphas = np.tile(np.asarray(alphas, dtype=float), counts.shape[0])
-    starts = np.broadcast_to(np.reshape(np.asarray(starts, dtype=float), (-1, p)), (m, p))
+        starts = fits - step
+        starts = np.where((pd & _inside(family, starts, alphas))[:, None], starts, fits)
+    m = alphas.size
     width = int(np.count_nonzero(counts, axis=1).max())
-    own = 10 * width <= 9 * xs.size
-    theta = np.empty((m, p))
-    solved = np.empty(m, dtype=bool)
-    evals = np.empty(m, dtype=int)
-    chunk = max(_ROW_BUDGET // ((width if own else xs.size) * max(k, 1)), 1)
-    for lo in range(0, counts.shape[0] if k else 0, chunk):
+    own = 10 * width <= 9 * n
+    theta, solved, evals = np.empty((m, p)), np.empty(m, dtype=bool), np.empty(m, dtype=int)
+    chunk = max(_ROW_BUDGET // ((width if own else n) * k), 1)
+    for lo in range(0, counts.shape[0], chunk):
         values, weights = xs, counts[lo : lo + chunk] / total
         if own:
             support = np.argsort(weights == 0.0, axis=1, kind="stable")[:, :width]
@@ -407,7 +390,7 @@ def _fit_rows(family, alphas, sample, warm_start=None):
     DpdError fit raises there. The checks of alpha and the sample raise
     once for the batch; every row starts from warm_start, or else the
     family's start point, a gamma or Weibull shape raised to at least
-    its floor plus 0.1; one _solve_rows call, weight 1/n per value, and
+    its floor plus 0.1; one _newton_rows call, weight 1/n per value, and
     one kernel call at that weight for the objectives, H as objective_h
     takes it, give the results."""
     alphas = [_checked_alpha(alpha) for alpha in alphas]
@@ -433,11 +416,10 @@ def _fit_rows(family, alphas, sample, warm_start=None):
     if family.shaped:
         starts[:, 0] = np.maximum(starts[:, 0], _shape_floor(np.asarray(alphas)) + 0.1)
     n = vals.size
-    theta, solved, evals = _solve_rows(family, alphas, vals, np.ones((1, n)), n, starts)
+    weights = np.full((len(alphas), 1), 1.0 / n)  # one count row of ones: nothing to lay out
+    theta, solved, evals = _newton_rows(family, alphas, vals, weights, starts)
     with np.errstate(all="ignore"):
-        hs = _weighted_terms(
-            family, _AlphaTerms(alphas), vals[None], np.log(vals)[None], 1.0 / n, theta
-        )[0]
+        hs = _weighted_terms(family, alphas, vals[None], np.log(vals)[None], 1.0 / n, theta)[0]
     out = []
     for alpha, row, h_val, converged, count in zip(
         alphas, theta, hs.tolist(), solved.tolist(), evals.tolist()

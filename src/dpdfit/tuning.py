@@ -10,7 +10,7 @@ over n - 1, a row of estimator._solve_rows as a bootstrap replicate's
 draw counts are, solved to rounding by damped Newton with the
 closed-form gradient and Hessian of the divergence terms, from the
 one-step leave-one-out estimate of Giordano et al. (2019) and Rad &
-Maleki (2020), estimator._one_step_starts, which takes the same counts.
+Maleki (2020), which _solve_rows takes off the full-sample fits.
 
 _score_alphas turns a batch of alphas into scored fits: one batched
 full-sample fit (estimator.fit_alphas), alpha being a row axis of the
@@ -35,7 +35,7 @@ import numpy as np
 
 from .dataio import write_rows
 from .errors import DomainError, DpdError, TuningError
-from .estimator import _one_step_starts, _sample_values, _solve_rows, fit_alphas
+from .estimator import _sample_values, _solve_rows, fit_alphas
 
 __all__ = ["TuningResult", "cvm_distance", "select_alpha", "COARSE_GRID"]
 
@@ -79,12 +79,10 @@ def _loo_points(family, alphas, xs, fits):
     """Every leave-one-out estimate of the sorted sample xs at each alpha of
     alphas (k,), by Newton from the one-step estimate off that alpha's
     row of fits (k, p): held-out point i weights xs by row i of the
-    counts 1 - I over n - 1, which the starts and the one _solve_rows
-    call of all n k rows share. Returns (theta (n, k, p), solved (n,
-    k))."""
-    n, counts = xs.size, 1 - np.eye(xs.size, dtype=np.uint8)
-    starts = _one_step_starts(family, alphas, xs, fits, counts, n - 1)
-    theta, solved, _ = _solve_rows(family, alphas, xs, counts, n - 1, starts)
+    counts 1 - I over n - 1, one _solve_rows call of all n k rows.
+    Returns (theta (n, k, p), solved (n, k))."""
+    n = xs.size
+    theta, solved, _ = _solve_rows(family, alphas, xs, 1 - np.eye(n, dtype=np.uint8), n - 1, fits)
     return theta.reshape(n, len(alphas), family.param_count), solved.reshape(n, len(alphas))
 
 
@@ -93,12 +91,14 @@ def _score_alphas(family, alphas, xs):
     DpdError that leaves it unscored: its fit's, a TuningError naming its
     first unsolved held-out row or, everywhere, the one for values that
     cannot be fitted at all. One fit_alphas call and one leave-one-out
-    solve of the fits that succeeded."""
+    solve of the fits that succeeded, none when no fit did."""
     try:
         fits = fit_alphas(family, alphas, xs)
     except DpdError as exc:
         return [exc] * len(alphas)
     ok = [res for res in fits if not isinstance(res, DpdError)]
+    if not ok:
+        return fits
     theta, solved = _loo_points(
         family, [res.alpha for res in ok], xs, [res.theta_hat.values for res in ok]
     )

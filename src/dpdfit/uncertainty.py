@@ -2,9 +2,9 @@
 
 A bootstrap replicate is a row of draw counts over the sample, each
 value weighted by its count / n: one row of estimator._solve_rows,
-which solves it over the values it drew, started one Newton step of
-its objective off the full-sample fit (estimator._one_step_starts), the
-k-step bootstrap of Andrews (Econometrica, 2002) taken on to rounding.
+which starts it one Newton step of its objective off the full-sample
+fit and solves it over the values it drew, the k-step bootstrap of
+Andrews (Econometrica, 2002) taken on to rounding.
 
 All randomness comes from the counter-based Philox generator. Stream
 r of a seed is Philox(SeedSequence(seed, spawn_key=(r,))), so every
@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataio import Sample, write_rows
 from .errors import DomainError, FitError
-from .estimator import _one_step_starts, _sample_values, _solve_rows, fit
+from .estimator import _sample_values, _solve_rows, fit
 from .families import ParamVector, _check_family, quantile
 
 __all__ = [
@@ -145,14 +145,15 @@ def bootstrap_se(family, alpha, sample, B=1000, seed=0):
     """Nonparametric bootstrap around the full-sample fit.
 
     Replicate r resamples n observations by stream r of seed: its draw
-    counts over the sample, divided by n, are one row of
-    estimator._solve_rows, solved by Newton from one Newton step of its
-    objective off the full-sample estimate. There its gradient and
-    Hessian are its draw counts / n times those of each value alone, one
-    kernel call for all B, so no replicate spends an evaluation at the
-    estimate. A replicate whose step is not pd or leaves the parameter
-    space starts at the estimate itself. se is the standard deviation
-    over solved replicates, divisor B_conv - 1; over 5% unsolved warns.
+    counts over the sample, divided by n, are one row of the one
+    estimator._solve_rows call, which takes the full-sample estimate and
+    solves the row by Newton from one Newton step of its objective off
+    that estimate. There its gradient and Hessian are its draw counts /
+    n times those of each value alone, one kernel call for all B, so no
+    replicate spends an evaluation at the estimate; a replicate whose
+    step is not pd or leaves the parameter space starts at the estimate.
+    se is the standard deviation over solved replicates, divisor B_conv
+    - 1; over 5% unsolved warns.
     A replicate is solved over the values it drew, its row as wide as
     the largest support among the B replicates, unless that support
     leaves out less than a tenth of the sample (small n), when every row
@@ -164,8 +165,7 @@ def bootstrap_se(family, alpha, sample, B=1000, seed=0):
     full = fit(family, alpha, sample)
     xs = _sample_values(sample)
     counts = _replicate_rows(xs, int(B), seed)
-    starts = _one_step_starts(family, [alpha], xs, full.theta_hat.values, counts, xs.size)
-    theta, solved, _ = _solve_rows(family, [alpha], xs, counts, xs.size, starts)
+    theta, solved, _ = _solve_rows(family, [alpha], xs, counts, xs.size, [full.theta_hat.values])
     ids = np.flatnonzero(solved)
     failures = int(B) - ids.size
     if ids.size < 2:

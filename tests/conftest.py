@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dpdfit import estimator
 from dpdfit.dataio import Sample
 
 # numpy's floating-point RuntimeWarnings fail the test that leaks one:
@@ -22,6 +23,22 @@ def pytest_configure(config):
 def as_sample(values, label="test-sample"):
     """Wrap an iterable of positive floats as a Sample."""
     return Sample(values=tuple(float(v) for v in values), dry_count=0, label=label)
+
+
+def newton_calls(monkeypatch):
+    """Log every estimator._newton_rows call from here on: a list, in call
+    order, of (family, alphas, values, weights, starts, (theta, solved,
+    evaluations))."""
+    calls = []
+    solve = estimator._newton_rows
+
+    def logged(family, alphas, values, weights, starts):
+        out = solve(family, alphas, values, weights, starts)
+        calls.append((family, alphas, values, weights, np.array(starts), out))
+        return out
+
+    monkeypatch.setattr(estimator, "_newton_rows", logged)
+    return calls
 
 
 def write_csv(path, values, column="value"):

@@ -530,8 +530,9 @@ class TestReportCommand:
                 fh.write(f"good,{v!r}\n")
             fh.write("bad,1.0\nbad,2.0\n")
         target = tmp_path / "report.csv"
-        rc = main(["report", "--input", panel.as_posix(), "--fast",
-                   "--output", str(target)])
+        with pytest.warns(RuntimeWarning, match="excluded from selection"):
+            rc = main(["report", "--input", panel.as_posix(), "--fast",
+                       "--output", str(target)])
         assert rc == 0
         assert "skipped" in capsys.readouterr().err
         lines = target.read_text().splitlines()
@@ -610,7 +611,8 @@ class TestReportCommand:
     def test_all_series_failing_is_numeric_error(self, tmp_path, capsys):
         panel = tmp_path / "hopeless.csv"
         panel.write_text("label,value\nonly,1.0\nonly,2.0\n")
-        rc = main(["report", "--input", str(panel), "--fast"])
+        with pytest.warns(RuntimeWarning, match="excluded from selection"):
+            rc = main(["report", "--input", str(panel), "--fast"])
         assert rc == 3
         assert "every series failed" in capsys.readouterr().err
 

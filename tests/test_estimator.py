@@ -10,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import as_sample
-from dpdfit import dpd_weights, estimator
+from conftest import as_sample, newton_calls
+from dpdfit import dpd_weights
 from dpdfit.errors import DomainError, FitError
 from dpdfit.estimator import (
     _newton_step,
@@ -23,7 +23,6 @@ from dpdfit.estimator import (
 )
 from dpdfit.families import (
     FAMILIES,
-    _AlphaTerms,
     _shape_floor,
     ParamVector,
     quantile,
@@ -231,17 +230,11 @@ class TestIndefiniteStart:
     def test_start_hessian_is_indefinite(self, monkeypatch):
         """The alpha = 1 start as estimator._fit_rows builds it."""
         x = self.sample(12)[None, :]
-        starts = []
-
-        def recording(family, alphas, xs, counts, total, start):
-            starts.append(start)
-            return solve_rows(family, alphas, xs, counts, total, start)
-
-        solve_rows = estimator._solve_rows
-        monkeypatch.setattr(estimator, "_solve_rows", recording)
+        calls = newton_calls(monkeypatch)
         fit(GAMMA, 1.0, x[0])
+        (start,) = [call[4] for call in calls]
         weights = np.full(x.shape, 1.0 / x.size)
-        _, _, hess, _ = _weighted_terms(GAMMA, _AlphaTerms(1.0), x, np.log(x), weights, starts[0])
+        _, _, hess, _ = _weighted_terms(GAMMA, 1.0, x, np.log(x), weights, start)
         assert np.linalg.eigvalsh(hess[0])[0] < 0.0
 
     def test_indefinite_step_descends(self):

@@ -28,7 +28,6 @@ from dpdfit.families import (
     FAMILIES,
     Family,
     ParamVector,
-    _AlphaTerms,
     cdf,
     check_dpd_valid,
     density,
@@ -474,9 +473,7 @@ class TestVAlpha:
         x = -lnf
         with np.errstate(all="ignore"):  # weights f^0 is NaN where ln f is infinite
             np.testing.assert_array_equal(EXPONENTIAL.terms((1.0,), x, np.log(x))[0], lnf)
-            h = _weighted_terms(
-                EXPONENTIAL, _AlphaTerms(np.zeros(5)), x, np.log(x), weights, np.ones((5, 1))
-            )[0]
+            h = _weighted_terms(EXPONENTIAL, np.zeros(5), x, np.log(x), weights, np.ones((5, 1)))[0]
         assert h[0] == inf and h[1] == 1.0
         assert np.isnan(h[2:]).all()
 

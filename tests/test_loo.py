@@ -6,9 +6,10 @@ gradient and Hessian of the divergence terms. These tests hold the
 score Jacobian du/dtheta (dscore) of the family table's terms entry and
 the kernel's gradient and Hessian to central differences and each
 held-out point to a full refit. Each held-out row starts from its
-one-step estimate (estimator._one_step_starts): one Newton step of the
-held-out objective from the full-sample fit, or that fit itself where
-the step is not usable. A row the guard leaves unsolved is not refit:
+one-step estimate, which estimator._solve_rows takes off the
+full-sample fits and hands to _newton_rows, where these tests read it:
+one Newton step of the held-out objective from the full-sample fit, or
+that fit itself where the step is not usable. A row the guard leaves unsolved is not refit:
 it leaves its alpha unscored, and the other alphas of the curve do not
 move.
 """
@@ -21,8 +22,8 @@ import pytest
 
 from dpdfit import estimator, tuning
 from dpdfit.errors import FitError, TuningError
+from conftest import newton_calls
 from dpdfit.estimator import (
-    _one_step_starts,
     _solve_rows,
     _weighted_terms,
     fit,
@@ -183,7 +184,7 @@ class TestKernel:
         theta = np.array(fit(family, alpha, rest).theta_hat.values) * (1.03, 0.97)[: family.param_count]
         x = xs[None, :]
         _, grad, hess, _ = _weighted_terms(
-            family, _AlphaTerms(alpha), x, np.log(x), held_out_weights(xs.size, i), theta[None, :]
+            family, alpha, x, np.log(x), held_out_weights(xs.size, i), theta[None, :]
         )
 
         def h_at(t):
@@ -233,19 +234,21 @@ class TestKernel:
 class TestOneStepStarts:
     @pytest.mark.parametrize("tag", TAGS)
     @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_start_is_one_newton_step_of_the_held_out_objective(self, tag, alpha):
-        """Row i's start is the fit less H^-1 g of the objective without
-        xs[i], both taken at the fit, here with 1/(n - 1) weights and a
-        plain linear solve."""
+    def test_start_is_one_newton_step_of_the_held_out_objective(self, tag, alpha, monkeypatch):
+        """Row i's start, as _solve_rows hands it to _newton_rows, is the
+        fit less H^-1 g of the objective without xs[i], both taken at the
+        fit, here with 1/(n - 1) weights and a plain linear solve."""
         family = FAMILIES[tag]
         xs = _sorted_values(clean(tag), family.param_count)
         theta = np.array([fit(family, alpha, xs).theta_hat.values])
-        starts = _one_step_starts(family, [alpha], xs, theta, held_out_counts(xs.size), xs.size - 1)
+        calls = newton_calls(monkeypatch)
+        _solve_rows(family, [alpha], xs, held_out_counts(xs.size), xs.size - 1, theta)
+        starts = np.concatenate([call[4] for call in calls])
         assert starts.shape == (xs.size, family.param_count)
         for i in range(xs.size):
             weights = held_out_weights(xs.size, i)
             _, grad, hess, _ = _weighted_terms(
-                family, _AlphaTerms(alpha), xs[None], np.log(xs)[None], weights, theta
+                family, alpha, xs[None], np.log(xs)[None], weights, theta
             )
             want = theta[0] - np.linalg.solve(hess[0], grad[0])
             np.testing.assert_allclose(starts[i], want, rtol=1e-9)
@@ -254,35 +257,27 @@ class TestOneStepStarts:
     def test_grid_takes_at_most_three_evaluations_per_row(self, tag, monkeypatch):
         """On a clean n = 60 draw every row of the 21-alpha leave-one-out
         grid is solved within 3 evaluations, its start's included, and
-        fewer than 3 on average; from the full-sample fits the same rows
-        take up to 4, and more in all."""
+        fewer than 3 on average; from the full-sample fits, the same
+        _newton_rows calls take up to 4, and more in all."""
         family = FAMILIES[tag]
         xs = _sorted_values(
             sample_family(family, ParamVector(family, THETA[tag]), 60, seed=0), family.param_count
         )
         n, k = xs.size, len(COARSE_GRID)
         fits = np.array([res.theta_hat.values for res in fit_alphas(family, COARSE_GRID, xs)])
-        counts = []
         solve = estimator._newton_rows
-
-        def counted(*args):
-            out = solve(*args)
-            counts.append(out[2])
-            return out
-
-        monkeypatch.setattr(estimator, "_newton_rows", counted)
+        calls = newton_calls(monkeypatch)
         _, solved = _loo_points(family, COARSE_GRID, xs, fits)
-        one_step = np.concatenate(counts)
-        counts.clear()
-        _, from_fit, _ = _solve_rows(
-            family, COARSE_GRID, xs, held_out_counts(n), n - 1, np.tile(fits, (n, 1))
-        )
-        from_fit_evals = np.concatenate(counts)
+        one_step = np.concatenate([call[5][2] for call in calls])
+        # each call's rows run over whole count rows, fit j at row c k + j
+        refits = [solve(*call[:4], np.tile(fits, (call[4].shape[0] // k, 1))) for call in calls]
+        from_fit = np.concatenate([out[1] for out in refits])
+        from_fit_evals = np.concatenate([out[2] for out in refits])
         assert solved.all() and from_fit.all()
         assert one_step.size == n * k and one_step.max() <= 3 and one_step.mean() < 3.0
         assert one_step.sum() < from_fit_evals.sum()
 
-    def test_invalid_start_falls_back_to_the_fit(self):
+    def test_invalid_start_falls_back_to_the_fit(self, monkeypatch):
         """From a rate three times the MLE, the alpha = 0 step of the
         exponential lands at 2 lambda - lambda^2 mean(x without x_i) < 0,
         outside the parameter space: those rows start at the given point
@@ -292,12 +287,11 @@ class TestOneStepStarts:
         xs = _sorted_values(clean("exponential"), 1)
         bad = 3.0 / xs.mean()
         good = fit(family, 0.5, xs).theta_hat.values[0]
-        counts = held_out_counts(xs.size)
-        starts = _one_step_starts(family, [0.0, 0.5], xs, [[bad], [good]], counts, xs.size - 1)
-        starts = starts.reshape(xs.size, 2)
+        calls = newton_calls(monkeypatch)
+        theta, solved = _loo_points(family, (0.0, 0.5), xs, [(bad,), (good,)])
+        starts = np.concatenate([call[4] for call in calls]).reshape(xs.size, 2)
         assert (starts[:, 0] == bad).all()
         assert (starts[:, 1] != good).all()
-        theta, solved = _loo_points(family, (0.0, 0.5), xs, [(bad,), (good,)])
         assert solved.all()
         held_out_mle = [1.0 / np.delete(xs, i).mean() for i in range(xs.size)]
         np.testing.assert_allclose(theta[:, 0, 0], held_out_mle, rtol=1e-12)
@@ -413,14 +407,21 @@ class TestPartialFailure:
         assert len(batches) == 3 and batches[2]
         assert all(round(a * 1000) / 1000 == a != round(a * 200) / 200 for a in batches[2])
 
-    def test_failed_full_sample_fit_leaves_its_alpha_unscored(self):
+    def test_failed_full_sample_fit_leaves_its_alpha_unscored(self, monkeypatch):
         """A full-sample fit that fails (its objective is infinite at that
         alpha) drops its alpha; the other alphas are scored as before, and
         with every fit failing (a start that overflows the objective) no
-        alpha is scored."""
+        alpha is scored, with no leave-one-out refit: no kernel call on
+        zero rows."""
         gamma = FAMILIES["gamma"]
         sample = clean("gamma")
         want = select_alpha(gamma, sample, refine=False)
+        rows = []
+        kernel = estimator._weighted_terms
+
+        def counting(family, alphas, x, lnx, weights, theta):
+            rows.append(theta.shape[0])
+            return kernel(family, alphas, x, lnx, weights, theta)
 
         def breaking(at):
             if at is None:
@@ -438,8 +439,11 @@ class TestPartialFailure:
             assert value.hex() == want.cvmd_curve[alpha].hex()
         with pytest.raises(FitError, match="objective not finite"):
             cvm_distance(breaking(0.5), 0.5, sample)
+        monkeypatch.setattr(estimator, "_weighted_terms", counting)
         with pytest.raises(TuningError, match="no alpha could be scored.*objective not finite"):
             select_alpha(breaking(None), sample)
+        # the full-sample fits' start and objectives, and no refit of no rows
+        assert rows == [len(COARSE_GRID)] * 2
 
     @pytest.mark.parametrize("tag", TAGS)
     def test_no_scored_alpha_raises(self, tag, monkeypatch):

@@ -1,13 +1,17 @@
-"""Tests for estimator._solve_rows, the one route of every fit.
+"""Tests for the batched Newton row solver, the one route of every fit.
 
-Full-sample fits, leave-one-out fits and bootstrap replicates are all
-rows of counts over the sample (ones, 1 - I over n - 1, draw counts
-over n), each at each alpha of the batch (alpha = 0 a row like any
-other) from its own start, solved by the batched Newton kernel in
-chunks of _ROW_BUDGET // width rows, so a grid fit is one kernel call.
-The rows share the sample, or run on their own drawn supports where
-the widest leaves out a tenth of it, and the two layouts agree to
-rounding. The
+A full-sample fit, one family over a grid of alphas, is one
+estimator._newton_rows call at weight 1/n, so a grid fit is one kernel
+call. Leave-one-out fits and bootstrap replicates are rows of counts
+over the sample (1 - I over n - 1, draw counts over n), each at each
+alpha of the batch (alpha = 0 a row like any other), and one call of
+estimator._solve_rows(family, alphas, xs, counts, total, fits), which
+starts every row one Newton step off its alpha's fit and solves the
+rows in chunks of _ROW_BUDGET // width count rows. These tests read the
+starts where _solve_rows hands them to _newton_rows. The rows share the
+sample, or run on their own drawn supports where the widest leaves out
+a tenth of it, and the two layouts agree to rounding; any subset of
+count rows refits as those rows of the whole call, bit for bit. The
 one-row fits are kept here as the reference: each row of a grid batch
 (fit_alphas) is bit for bit the fit at its alpha, and each bootstrap row
 matches the per-replicate warm refit, fit(family, alpha, resample,
@@ -15,8 +19,9 @@ warm_start=full.theta_hat), failing exactly where that refit raises or
 does not converge. A replicate starts one Newton step of its objective
 off the full-sample fit, or at the fit where that step is not pd or
 leaves the parameter space, and from there takes no more evaluations
-than from the fit, and fewer in all. The chunk size changes no result,
-no converged gamma or Weibull row sits on or below its alpha's shape
+than from the fit, and fewer in all. The chunk size changes no start
+and no result, the kernel builds the terms of alpha alone once per
+call, no converged gamma or Weibull row sits on or below its alpha's shape
 floor, and no one-row fit off the grid returns a shape there. A row
 stops on its predicted next step only after a full step at a pd
 Hessian, and every solved row is a fixed point of one more step to
@@ -39,12 +44,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_sample
-from dpdfit import estimator, uncertainty
+from conftest import as_sample, newton_calls
+from dpdfit import asymptotics, estimator, families, uncertainty
+from dpdfit.asymptotics import are
 from dpdfit.errors import DpdError, FitError
 from dpdfit.estimator import (
     _newton_step,
-    _one_step_starts,
     _solve_rows,
     _weighted_terms,
     fit,
@@ -126,23 +131,30 @@ def test_failed_rows_are_the_refused_resamples(tag):
     check_against_warm_refits(FAMILIES[tag], 0.0, sample, B=40, seed=0)
 
 
+def starts_of(calls):
+    """The starts that the logged _newton_rows calls took, in row order."""
+    return np.concatenate([call[4] for call in calls])
+
+
 class TestReplicateStarts:
     @pytest.mark.parametrize("tag", TAGS)
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
-    def test_start_is_one_newton_step_of_the_replicate_objective(self, tag, alpha):
-        """Replicate r's start is the full-sample fit less H^-1 g of its
-        objective, both taken at the fit, here with count / n weights and
-        a plain linear solve."""
+    def test_start_is_one_newton_step_of_the_replicate_objective(self, tag, alpha, monkeypatch):
+        """Replicate r's start, as _solve_rows hands it to _newton_rows, is
+        the full-sample fit less H^-1 g of its objective, both taken at
+        the fit, here with count / n weights and a plain linear solve."""
         family = FAMILIES[tag]
         xs = np.asarray(sample_family(family, ParamVector(family, THETA[tag]), 60, seed=0).values)
         theta = np.array([fit(family, alpha, xs).theta_hat.values])
         counts = _replicate_rows(xs, 40, 1)
-        starts = _one_step_starts(family, [alpha], xs, theta, counts, xs.size)
+        calls = newton_calls(monkeypatch)
+        _solve_rows(family, [alpha], xs, counts, xs.size, theta)
+        starts = starts_of(calls)
         assert starts.shape == (40, family.param_count)
         assert (starts != theta).any(axis=1).all()
         for start, row in zip(starts, counts):
             _, grad, hess, _ = _weighted_terms(
-                family, _AlphaTerms(alpha), xs[None], np.log(xs)[None], row / xs.size, theta
+                family, alpha, xs[None], np.log(xs)[None], row / xs.size, theta
             )
             want = theta[0] - np.linalg.solve(hess[0], grad[0])
             np.testing.assert_allclose(start, want, rtol=1e-9)
@@ -165,17 +177,12 @@ class TestReplicateStarts:
         sample = sample_family(family, ParamVector(family, THETA[tag]), 60, seed=0)
         full = fit(family, 0.0, sample)
         bad = np.multiply(full.theta_hat.values, scale)
-        starts = []
-
-        def recording(*args):
-            starts.append(_one_step_starts(*args))
-            return starts[-1]
-
         shifted = dataclasses.replace(full, theta_hat=ParamVector(family, bad))
         monkeypatch.setattr(uncertainty, "fit", lambda *args: shifted)
-        monkeypatch.setattr(uncertainty, "_one_step_starts", recording)
+        calls = newton_calls(monkeypatch)
         boot = bootstrap_se(family, 0.0, sample, B=30, seed=5)
-        assert (starts[0] == bad).all()
+        assert starts_of(calls).shape == (30, family.param_count)
+        assert (starts_of(calls) == bad).all()
         assert boot.failures == 0
         xs = np.asarray(sample.values)
         for rid, est in zip(boot.replicate_ids, boot.replicate_estimates):
@@ -190,24 +197,19 @@ class TestReplicateStarts:
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_replicates_take_fewer_evaluations(self, tag, alpha, monkeypatch):
         """Solved from their one-step starts, the replicates take fewer
-        evaluations in all than the same rows solved from the full-sample
-        fit, their first evaluation included, and no row takes more."""
+        evaluations in all than the same rows, as _solve_rows lays them
+        out for _newton_rows, solved from the full-sample fit, their
+        first evaluation included, and no row takes more."""
         family = FAMILIES[tag]
         sample = tied_contamination(tag, n=250)
-        counts = []
-        solve = uncertainty._solve_rows
-
-        def counted(*args):
-            out = solve(*args)
-            counts.append(out[2])
-            return out
-
-        monkeypatch.setattr(uncertainty, "_solve_rows", counted)
+        solve = estimator._newton_rows
+        calls = newton_calls(monkeypatch)
         boot = bootstrap_se(family, alpha, sample, B=100, seed=3)
-        (one_step,) = counts
-        xs = np.asarray(sample.values)
-        counts = _replicate_rows(xs, 100, 3)
-        _, solved, from_fit = solve(family, [alpha], xs, counts, xs.size, boot.fit.theta_hat.values)
+        calls = calls[1:]  # the first is the full-sample fit
+        one_step = np.concatenate([call[5][2] for call in calls])
+        point = boot.fit.theta_hat.values
+        refits = [solve(*call[:4], np.broadcast_to(point, call[4].shape)) for call in calls]
+        solved, from_fit = (np.concatenate([out[i] for out in refits]) for i in (1, 2))
         assert solved.sum() == 100 - boot.failures
         assert (one_step <= from_fit).all()
         assert one_step.sum() < from_fit.sum()
@@ -220,7 +222,8 @@ def test_shared_and_own_layouts_agree(tag, kind, monkeypatch):
     sample, undrawn values at zero weight, agree to 1e-12 |theta|inf and
     in which are solved. _solve_rows takes the supports while the widest
     leaves out a tenth of the sample, so one more count row over the
-    whole sample moves the others to the shared layout. The bootstrap
+    whole sample moves the others to the shared layout; their starts
+    stay the same bits. The bootstrap
     rows are 40 replicates of 60 values at alpha 0.5, the leave-one-out
     rows the 10 held-out points of 10 values at alpha 0 and 0.5."""
     family = FAMILIES[tag]
@@ -232,21 +235,15 @@ def test_shared_and_own_layouts_agree(tag, kind, monkeypatch):
         alphas, counts, total = [0.0, 0.5], 1 - np.eye(xs.size, dtype=np.uint8), xs.size - 1
     fits = [res.theta_hat.values for res in fit_alphas(family, alphas, xs)]
     both = np.vstack([counts, np.ones((1, xs.size), dtype=counts.dtype)])
-    starts = _one_step_starts(family, alphas, xs, fits, both, total)
     m = counts.shape[0] * len(alphas)
-    layouts = []
-    newton_rows = estimator._newton_rows
-
-    def recording(family, alphas, values, weights, starts):
-        layouts.append(np.ndim(values))
-        return newton_rows(family, alphas, values, weights, starts)
-
-    monkeypatch.setattr(estimator, "_newton_rows", recording)
-    own, own_solved, _ = _solve_rows(family, alphas, xs, counts, total, starts[:m])
-    assert set(layouts) == {2}
-    layouts.clear()
-    shared, shared_solved, _ = _solve_rows(family, alphas, xs, both, total, starts)
-    assert set(layouts) == {1}
+    calls = newton_calls(monkeypatch)
+    own, own_solved, _ = _solve_rows(family, alphas, xs, counts, total, fits)
+    assert {np.ndim(call[2]) for call in calls} == {2}
+    own_starts = starts_of(calls)
+    calls.clear()
+    shared, shared_solved, _ = _solve_rows(family, alphas, xs, both, total, fits)
+    assert {np.ndim(call[2]) for call in calls} == {1}
+    assert starts_of(calls)[:m].tobytes() == own_starts.tobytes()
     np.testing.assert_array_equal(shared_solved[:m], own_solved)
     assert own_solved.mean() > 0.9
     gap = np.abs(shared[:m] - own).max(axis=1)
@@ -255,6 +252,9 @@ def test_shared_and_own_layouts_agree(tag, kind, monkeypatch):
 
 @pytest.mark.parametrize("tag", TAGS)
 def test_chunk_size_changes_no_result(tag, monkeypatch):
+    """_ROW_BUDGET chunks the solve alone: the starts that _newton_rows
+    takes and every result are the same bits for chunks of 7, 64 and
+    the default number of count rows."""
     family = FAMILIES[tag]
     alpha = 0.5
     sample = tied_contamination(tag, n=250)
@@ -262,18 +262,21 @@ def test_chunk_size_changes_no_result(tag, monkeypatch):
     start = fit(family, alpha, xs).theta_hat.values
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        starts = [res.theta_hat.values for res in fit_alphas(family, COARSE_GRID, xs)]
+        fits = [res.theta_hat.values for res in fit_alphas(family, COARSE_GRID, xs)]
+    calls = newton_calls(monkeypatch)
 
     def run():
+        calls.clear()
         loo = _loo_points(family, (alpha,), xs, [start])
-        grid = _loo_points(family, COARSE_GRID, xs, starts)
+        grid = _loo_points(family, COARSE_GRID, xs, fits)
         boot = bootstrap_se(family, alpha, sample, B=40, seed=2)
-        return loo, grid, boot
+        return loo, grid, boot, starts_of(calls)
 
-    (loo_theta, loo_solved), (grid_theta, grid_solved), boot = run()
+    (loo_theta, loo_solved), (grid_theta, grid_solved), boot, starts = run()
     for rows in (7, 64):
         monkeypatch.setattr(estimator, "_ROW_BUDGET", rows * xs.size)
-        (theta, solved), (other_grid, other_solved), other = run()
+        (theta, solved), (other_grid, other_solved), other, other_starts = run()
+        assert other_starts.tobytes() == starts.tobytes()
         np.testing.assert_array_equal(theta, loo_theta)
         np.testing.assert_array_equal(solved, loo_solved)
         np.testing.assert_array_equal(other_grid, grid_theta)
@@ -281,6 +284,40 @@ def test_chunk_size_changes_no_result(tag, monkeypatch):
         assert other.replicate_ids == boot.replicate_ids
         assert other.replicate_estimates == boot.replicate_estimates
         assert other.se == boot.se
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("kind", ["bootstrap", "leave-one-out"])
+def test_any_count_rows_refit_as_in_the_whole_call(tag, kind, monkeypatch):
+    """Refitting any subset of count rows, one row included, gives those
+    rows of the whole call bit for bit: their starts, which one einsum
+    takes over all count rows whatever their number, and their theta,
+    solved flags and evaluations. Each subset keeps the whole call's
+    row width, so that the layout, which follows the widest row, is the
+    same: the bootstrap subsets keep the widest replicate, the
+    leave-one-out rows (40 held-out points, alphas 0 and 0.5) are all
+    one width."""
+    family = FAMILIES[tag]
+    if kind == "bootstrap":
+        xs = np.asarray(tied_contamination(tag).values)
+        alphas, counts, total = [0.5], _replicate_rows(xs, 40, 1), xs.size
+    else:
+        xs = _sorted_values(tied_contamination(tag, n=40), family.param_count)
+        alphas, counts, total = [0.0, 0.5], 1 - np.eye(xs.size, dtype=np.uint8), xs.size - 1
+    fits = [res.theta_hat.values for res in fit_alphas(family, alphas, xs)]
+    k = len(alphas)
+    calls = newton_calls(monkeypatch)
+    whole = _solve_rows(family, alphas, xs, counts, total, fits)
+    whole_starts = starts_of(calls)
+    widest = int(np.count_nonzero(counts, axis=1).argmax())
+    others = np.random.default_rng(4).permutation(np.delete(np.arange(counts.shape[0]), widest))
+    for picked in ([widest], [*others[:4], widest, *others[4:9]]):
+        rows = (k * np.array(picked)[:, None] + np.arange(k)).reshape(-1)
+        calls.clear()
+        part = _solve_rows(family, alphas, xs, counts[picked], total, fits)
+        assert starts_of(calls).tobytes() == whole_starts[rows].tobytes()
+        for got, want in zip(part, whole):
+            assert got.tobytes() == want[rows].tobytes()
 
 
 def as_record(res):
@@ -347,53 +384,53 @@ def test_alpha_zero_rows_share_the_kernel_call(monkeypatch):
 
 
 @pytest.mark.parametrize("tag", ["gamma", "weibull"])
-def test_alpha_terms_are_taken_once_per_solve(tag, monkeypatch):
-    """The terms of alpha alone are taken from the alphas (an _AlphaTerms
-    built in the estimator) once per _newton_rows call, not at each of
-    its evaluations, and once for the one-step starts: the leave-one-out
-    grid at n = 60 makes 5 solves, over more evaluations than that. Rows
-    are then only selected from them (_AlphaTerms.rows)."""
+def test_alpha_terms_are_taken_once_per_kernel_call(tag, monkeypatch):
+    """The terms of alpha alone (families._AlphaTerms) are built once per
+    kernel call, from the alphas of the rows it evaluates, and once per
+    _moment_rows call, and nowhere else: not per solve, nor again to
+    select rows of them. Counted over the leave-one-out grid at n = 60
+    (its one-step starts and 5 solves, over more evaluations than
+    solves) and an ARE table at one of its fits (2 _moment_rows calls)."""
     family = FAMILIES[tag]
     xs = _sorted_values(tied_contamination(tag), family.param_count)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        starts = [res.theta_hat.values for res in fit_alphas(family, COARSE_GRID, xs)]
-    counts = {"_AlphaTerms": 0, "_newton_rows": 0, "_weighted_terms": 0}
+        fits = [res.theta_hat.values for res in fit_alphas(family, COARSE_GRID, xs)]
+    counts = dict.fromkeys(["__init__", "_newton_rows", "_weighted_terms", "_moment_rows"], 0)
 
-    def counted(module, name):
-        inner = getattr(module, name)
+    def counted(name, *owners):
+        inner = getattr(owners[0], name)
 
         def wrapper(*args):
             counts[name] += 1
             return inner(*args)
 
-        monkeypatch.setattr(module, name, wrapper)
+        for owner in owners:
+            monkeypatch.setattr(owner, name, wrapper)
 
-    counted(estimator, "_AlphaTerms")
-    counted(estimator, "_newton_rows")
-    counted(estimator, "_weighted_terms")
-    _loo_points(family, COARSE_GRID, xs, starts)
-    assert counts["_newton_rows"] == 5
-    # the one-step starts take the terms once more, for both their
-    # _weighted_terms calls; those calls and the evaluations outnumber the
-    # solves, so terms taken per evaluation would break the count
-    solves = counts["_newton_rows"] + 1
-    assert counts["_AlphaTerms"] == solves < counts["_weighted_terms"]
+    counted("__init__", families._AlphaTerms)
+    counted("_newton_rows", estimator)
+    counted("_weighted_terms", estimator)
+    counted("_moment_rows", families, asymptotics)
+    _loo_points(family, COARSE_GRID, xs, fits)
+    assert counts["_newton_rows"] == 5 < counts["_weighted_terms"]
+    assert counts["__init__"] == counts["_weighted_terms"]
+    are(family, ParamVector(family, fits[10]))
+    assert counts["_moment_rows"] == 2
+    assert counts["__init__"] == counts["_weighted_terms"] + counts["_moment_rows"]
 
 
 def test_alpha_terms_take_each_distinct_alpha_once():
     """A leave-one-out chunk (273 rows at n = 60) holds the grid's 21
     alphas over and over; each row gets the log1p, k and lift bits its
-    alpha gets alone, and its rows() selection the bits of the chunk."""
+    alpha gets alone."""
     n = 60
     alphas = np.tile(COARSE_GRID, n)[: estimator._ROW_BUDGET // n]
     assert alphas.size == 273
     al = _AlphaTerms(alphas)
-    picked = al.rows(np.arange(0, alphas.size, 2))
     for name in ("log1p", "k", "lift"):
         alone = [getattr(_AlphaTerms(a), name)[0] for a in alphas.tolist()]
         assert [v.hex() for v in getattr(al, name).tolist()] == [v.hex() for v in alone], name
-        assert getattr(picked, name).tobytes() == getattr(al, name)[::2].tobytes(), name
 
 
 # Points of an alpha = 0 row whose Hessian is finite (the leading
@@ -433,12 +470,10 @@ def test_alpha_zero_batch_matches_its_rows_beside_alpha_positive(tag):
         k = len(rows)
         weights = np.full((k + 1, x.size), 1.0 / x.size)
         with np.errstate(all="ignore"):
-            alone = _weighted_terms(
-                family, _AlphaTerms(np.zeros(k)), x, lnx, weights[:k], points[rows]
-            )
+            alone = _weighted_terms(family, np.zeros(k), x, lnx, weights[:k], points[rows])
             beside = _weighted_terms(
                 family,
-                _AlphaTerms(np.append(np.zeros(k), 0.5)),
+                np.append(np.zeros(k), 0.5),
                 x,
                 lnx,
                 weights,
@@ -482,10 +517,10 @@ def test_alpha_zero_rows_read_only_the_terms(tag):
         want_hess,
     )
     with np.errstate(all="ignore"):
-        alone = _weighted_terms(broken, _AlphaTerms(np.zeros(k)), x, lnx, weights, points)
+        alone = _weighted_terms(broken, np.zeros(k), x, lnx, weights, points)
         beside = _weighted_terms(
             broken,
-            _AlphaTerms(np.append(np.zeros(k), 0.5)),
+            np.append(np.zeros(k), 0.5),
             x,
             lnx,
             np.vstack([weights, weights[:1]]),
@@ -507,9 +542,9 @@ def test_no_kernel_call_on_zero_rows(monkeypatch):
     xs = _sorted_values(sample_family(family, ParamVector(family, (0.15, 1.0)), 60, seed=0), 2)
     rows = []
 
-    def counting(family, al, x, lnx, weights, theta):
+    def counting(family, alphas, x, lnx, weights, theta):
         rows.append(theta.shape[0])
-        return _weighted_terms(family, al, x, lnx, weights, theta)
+        return _weighted_terms(family, alphas, x, lnx, weights, theta)
 
     monkeypatch.setattr(estimator, "_weighted_terms", counting)
     res = fit(family, 0.9, xs)
@@ -682,7 +717,7 @@ def scripted_kernel(monkeypatch, script):
     repeating, at H's scale 1; returns the list of points it is taken at."""
     points = []
 
-    def terms(family, al, x, lnx, weights, theta):
+    def terms(family, alphas, x, lnx, weights, theta):
         points.append(float(theta[0, 0]))
         h, g, hess = script[min(len(points), len(script)) - 1]
         return np.array([h]), np.array([[g]]), np.array([[[hess]]]), np.array([1.0])
@@ -733,17 +768,8 @@ def test_only_a_full_pd_step_predicts_the_next(case, monkeypatch):
 
 
 def solve_logged(monkeypatch, run):
-    """Every _newton_rows call that run() makes: (family, alphas, values,
-    weights, theta, solved)."""
-    calls = []
-    solve = estimator._newton_rows
-
-    def logged(family, alphas, values, weights, starts):
-        theta, solved, evals = solve(family, alphas, values, weights, starts)
-        calls.append((family, alphas, values, weights, theta, solved))
-        return theta, solved, evals
-
-    monkeypatch.setattr(estimator, "_newton_rows", logged)
+    """Every _newton_rows call that run() makes, as newton_calls logs it."""
+    calls = newton_calls(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         run()
@@ -789,13 +815,13 @@ def test_solved_rows_are_fixed_points(run, monkeypatch):
     held-out rows up to 6e-12 |theta| short."""
     calls = solve_logged(monkeypatch, FIXED_POINT_RUNS[run])
     assert calls
-    for family, alphas, values, weights, theta, solved in calls:
+    for family, alphas, values, weights, _, (theta, solved, _) in calls:
         assert solved.any()
         x = np.atleast_2d(values)
         x = x[solved] if x.shape[0] > 1 else x
         with np.errstate(all="ignore"):
             _, grad, hess, _ = _weighted_terms(
-                family, _AlphaTerms(np.asarray(alphas)[solved]), x, np.log(x),
+                family, np.asarray(alphas)[solved], x, np.log(x),
                 weights[solved], theta[solved],
             )
         step, _, pd, _ = _newton_step(grad, hess)

@@ -11,17 +11,18 @@ batched Newton kernel in natural coordinates, so no module imports
 scipy.optimize and a Family carries no reparameterisation and one form
 of ln f, its terms; numerics holds only CDF inversion, and the
 gamma/Weibull shape floor alpha/(1+alpha) is spelled once, in
-families.py. Full fits,
-leave-one-out fits and bootstrap replicates all reach the kernel
-through estimator._solve_rows, so the kernel is named only in
-estimator.py; each is a row of counts over the sample, with no weights
-callback, and _solve_rows alone lays the rows out, on the sample or on
-each row's drawn support, so tuning and uncertainty compact nothing.
+families.py. The kernel is named only in estimator.py. Every refit,
+a leave-one-out fit or a bootstrap replicate, is a row of counts over
+the sample, with no weights callback, and one call of
+estimator._solve_rows: tuning._loo_points and uncertainty.bootstrap_se
+each make one and hand it the fits, off which _solve_rows starts every
+row one Newton step, its sums one einsum over all count rows with no
+loop around it; there is no _one_step_starts. _solve_rows alone lays
+the rows out, on the sample or on each row's drawn support, so tuning
+and uncertainty compact nothing.
 The kernel's Newton step takes eigenvalues in closed form, so
-estimator.py calls no eigh, and only tuning._loo_points and
-uncertainty.bootstrap_se ask estimator._one_step_starts, one formula
-with one kernel call, for their rows' starts; estimator.py takes no BLAS product (@, matmul or dot), whose
-rows would move with the batch. No module silences
+estimator.py calls no eigh; estimator.py takes no BLAS product (@,
+matmul or dot), whose rows would move with the batch. No module silences
 warnings process-wide with warnings.catch_warnings. Model selection
 scores a family with one fit and one sandwich, and imports nothing from
 tuning; the alpha-batch scorer, tuning._score_alphas, is tuning's own,
@@ -49,8 +50,10 @@ linear system.
 The terms of alpha alone have one form, numpy arrays with an entry per
 point, and no table of math functions; alpha = 0 rows, alone or in a
 batch, take one path through the kernel, its masks, with no all-alpha =
-0 flag. A candidate point has one test, families._inside, which only
-the Newton trial and the one-step starts call. The CLI defines each
+0 flag; the kernel takes its rows' alphas and builds their terms
+itself, so _AlphaTerms has no rows method. A candidate point has one
+test, families._inside, which only the Newton trial (_newton_rows) and
+the one-step starts (_solve_rows) call. The CLI defines each
 flag that several commands share once. The one alpha search refines by grid
 rounds, not by a golden-section walk: tuning.py has no _GOLDEN and no
 while loop, and a refined select_alpha is at most three _score_alphas
@@ -273,20 +276,37 @@ def test_newton_step_takes_no_eigh():
 
 
 def test_one_step_starts_for_leave_one_out_and_bootstrap():
+    """The starts are _solve_rows' own: no module names _one_step_starts,
+    and the leave-one-out rows and the bootstrap replicates are each one
+    _solve_rows call."""
+    assert not [p.name for p in MODULES if "_one_step_starts" in p.read_text(encoding="utf-8")]
+    assert not hasattr(estimator, "_one_step_starts")
     found = sorted(
-        (p.name, func) for p in MODULES for func in _calls_ending(_tree(p), "_one_step_starts")
+        (p.name, func)
+        for p in MODULES
+        if p.name != "estimator.py"
+        for func in _calls_ending(_tree(p), "_solve_rows")
     )
     assert found == [("tuning.py", "_loo_points"), ("uncertainty.py", "bootstrap_se")]
 
 
+def _function(path, name):
+    (node,) = [
+        node
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return node
+
+
 def test_reweighted_rows_are_counts_over_the_sample():
-    """Every solve weights the sample by rows of counts over a total: no
-    callable is passed to _solve_rows, _one_step_starts has one path,
-    with one kernel call and no None default, and the rows' layout is
-    _solve_rows' own, so neither tuning.py nor uncertainty.py compacts a
-    support."""
+    """Every refit weights the sample by rows of counts over a total and
+    starts off the fits: no callable is passed to _solve_rows, whose
+    starts take one kernel call and one einsum over all count rows, in
+    no loop, and no default; the rows' layout is _solve_rows' own, so
+    neither tuning.py nor uncertainty.py compacts a support."""
     assert list(inspect.signature(estimator._solve_rows).parameters) == [
-        "family", "alphas", "xs", "counts", "total", "starts"
+        "family", "alphas", "xs", "counts", "total", "fits"
     ]
     assert not [p.name for p in MODULES if "weights_of" in _names(_tree(p))]
     for path in MODULES:
@@ -297,13 +317,12 @@ def test_reweighted_rows_are_counts_over_the_sample():
                 args = [*node.args, *(kw.value for kw in node.keywords)]
                 assert not [a for a in args if isinstance(a, ast.Lambda)], path.name
                 assert not {a.id for a in args if isinstance(a, ast.Name)} & local, path.name
-    (starts,) = [
-        node
-        for node in ast.walk(_tree(PACKAGE / "estimator.py"))
-        if isinstance(node, ast.FunctionDef) and node.name == "_one_step_starts"
-    ]
-    assert _calls_to(starts, "_weighted_terms") == ["_one_step_starts"]
-    params = inspect.signature(estimator._one_step_starts).parameters.values()
+    solve = _function(PACKAGE / "estimator.py", "_solve_rows")
+    assert _calls_to(solve, "_weighted_terms") == ["_solve_rows"]
+    assert _calls_to(solve, "np.einsum") == ["_solve_rows"]
+    loops = [node for node in ast.walk(solve) if isinstance(node, (ast.For, ast.While))]
+    assert loops and not [loop for loop in loops if "einsum" in _names(loop)]
+    params = inspect.signature(estimator._solve_rows).parameters.values()
     assert [p.default for p in params] == [inspect.Parameter.empty] * len(params)
     for name in ("tuning.py", "uncertainty.py"):
         tree = _tree(PACKAGE / name)
@@ -475,7 +494,9 @@ def test_alpha_terms_have_one_form():
     """The terms of alpha alone are numpy arrays, one entry per point,
     with no table of math functions to take them entry by entry, no
     second form of ln f, no |u| bound guarding the alpha u u' sums and
-    no all-alpha = 0 flag: alpha = 0 rows take one path, the masks."""
+    no all-alpha = 0 flag: alpha = 0 rows take one path, the masks. The
+    kernel builds them from its rows' alphas, so they have no rows
+    method to select from them."""
     gone = {"_each", "_ALPHA_FNS", "logf", "_weibull_parts", "_U_BOUND", "all_zero"}
     assert not [p.name for p in MODULES if gone & _names(_tree(p))]
     assert not [
@@ -484,15 +505,18 @@ def test_alpha_terms_have_one_form():
     assert dpdfit.families._AlphaTerms.__slots__ == (
         "alpha", "col", "zero", "k", "lift", "log1p", "any_zero"
     )
+    assert not hasattr(dpdfit.families._AlphaTerms, "rows")
+    assert list(inspect.signature(estimator._weighted_terms).parameters)[1] == "alphas"
 
 
 def test_one_test_of_a_candidate_point():
     """families._inside is the one test of a candidate point: only the
-    Newton trial and the one-step starts call it, and estimator.py
+    Newton trial (_newton_rows) and the one-step starts (_solve_rows)
+    call it, and estimator.py
     compares nothing against a shape floor; its one _shape_floor call is
     the start margin in _fit_rows."""
     calls = sorted((p.name, func) for p in MODULES for func in _calls_to(_tree(p), "_inside"))
-    assert calls == [("estimator.py", "_newton_rows"), ("estimator.py", "_one_step_starts")]
+    assert calls == [("estimator.py", "_newton_rows"), ("estimator.py", "_solve_rows")]
     tree = _tree(PACKAGE / "estimator.py")
     assert _calls_to(tree, "_shape_floor") == ["_fit_rows"]
     compared = [

@@ -196,7 +196,7 @@ class TestBootstrapSe:
 
         def solve():
             batches.clear()
-            _solve_rows(GAMMA, [0.3], xs, drawn_counts, n, (5.0, 1.0))
+            _solve_rows(GAMMA, [0.3], xs, drawn_counts, n, [(5.0, 1.0)])
             return [np.concatenate(rows) for rows in zip(*batches)]
 
         monkeypatch.setattr(estimator, "_newton_rows", recording)

@@ -7,6 +7,7 @@ both to stdout unless --output names a file. Exit codes: 0 success,
 """
 
 import argparse
+import ctypes
 import functools
 import json
 import numbers
@@ -423,7 +424,21 @@ def run(args):
     return 0
 
 
+@functools.cache
+def _keep_heap():
+    """Once per process, set glibc's mmap and trim thresholds to the 32 and 64 MiB
+    its dynamic rule reaches, so kernel temporaries are not trimmed and refaulted."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # not glibc: keep the defaults
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None):
+    _keep_heap()
     try:
         args = parse_args(argv)
     except _UsageError as e:

@@ -325,7 +325,9 @@ def _newton_rows(family, alphas, values, weights, starts):
     return theta, solved, evals
 
 
-# Weight entries per Newton batch, which bounds its memory.
+# Weight entries per Newton batch, which bounds its memory: each (rows,
+# values) array of a batch, weights and kernel temporaries, is at most
+# 2^14 doubles, 128 KiB, unless one count row's k rows alone are wider.
 _ROW_BUDGET = 1 << 14
 
 

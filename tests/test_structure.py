@@ -201,6 +201,13 @@ def test_only_dataio_imports_csv():
     assert [p.name for p in MODULES if "csv" in _imports(_tree(p))] == ["dataio.py"]
 
 
+def test_only_cli_touches_the_allocator():
+    """The allocator is the process's: only the dpdfit command sets its
+    policy, so no library module imports ctypes."""
+    found = [p.name for p in MODULES if any(n.split(".")[0] == "ctypes" for n in _imports(_tree(p)))]
+    assert found == ["cli.py"]
+
+
 def test_csv_writer_only_in_write_rows():
     found = [(p.name, func) for p in MODULES for func in _calls_to(_tree(p), "csv.writer")]
     assert found == [("dataio.py", "write_rows")]

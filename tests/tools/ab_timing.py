@@ -14,9 +14,16 @@ After one untimed warm-up pass per tree, each round times every
 workload's whole job list once through each tree's cli.main, output
 discarded; the old tree goes first in even rounds (counting from 0) and
 the new tree in odd ones. Per workload it prints each tree's median and
-inclusive quartiles of the pass time in ms, and in how many rounds the
-new tree's pass was the faster. --json writes the same with every
-round's times, old and new, in round order.
+inclusive quartiles of the pass time in ms, its median minor page
+faults per pass (ru_minflt), and in how many rounds the new tree's pass
+was the faster. --json writes the same with every round's times and
+faults, old and new, in round order.
+
+Both trees share this process, and with it one allocator, one set of
+glibc malloc thresholds and one heap: a change to process-wide state
+(say, a mallopt call in cli.main) acts on both sides as soon as either
+runs, so it cannot be A/B-tested here. Time such a change with paired
+bench/run.py runs, which use separate processes.
 """
 
 import argparse
@@ -25,6 +32,7 @@ import importlib
 import io
 import json
 import os
+import resource
 import shutil
 import statistics
 import sys
@@ -42,9 +50,14 @@ def load_cli(tree, side, into):
     return importlib.import_module(f"{name}.cli")
 
 
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def one_pass(cli, jobs):
-    """Seconds to run every job once; a job that fails or raises stops the run."""
-    t0 = time.perf_counter()
+    """Seconds and minor page faults to run every job once; a job that
+    fails or raises stops the run."""
+    f0, t0 = minor_faults(), time.perf_counter()
     for job in jobs:
         os.environ.update(job.env)
         err = io.StringIO()
@@ -52,7 +65,7 @@ def one_pass(cli, jobs):
             code = cli.main(list(job.argv))
         if code != 0:
             raise SystemExit(f"{cli.__name__} {job.name}: exit {code}: {err.getvalue().strip()}")
-    return time.perf_counter() - t0
+    return time.perf_counter() - t0, minor_faults() - f0
 
 
 def summary(times):
@@ -79,8 +92,9 @@ def main(argv=None):
         index = str(workloads.pool_index(args.seed))
         clis = {side: load_cli(trees[side], side, work) for side in SIDES}
         report = {"seed": args.seed, "rounds": args.rounds, "workloads": {}}
-        header = ("workload", "old ms: median [q1, q3]", "new ms: median [q1, q3]", "new won")
-        print(f"{header[0]:<14} {header[1]:<28} {header[2]:<28} {header[3]}")
+        header = ("workload", "old ms: median [q1, q3]", "new ms: median [q1, q3]", "new won",
+                  "old faults", "new faults")
+        print(f"{header[0]:<14} {header[1]:<28} {header[2]:<28} {header[3]:<8} {header[4]:<11} {header[5]}")
         for workload in WORKLOADS:
             jobs = workloads.write_inputs(
                 workload, keys[workload][index], os.path.join(work, "inputs", workload)
@@ -88,16 +102,26 @@ def main(argv=None):
             for side in SIDES:
                 one_pass(clis[side], jobs)
             times = {side: [] for side in SIDES}
+            faults = {side: [] for side in SIDES}
             for r in range(args.rounds):
                 for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                    times[side].append(one_pass(clis[side], jobs) * 1e3)
+                    seconds, count = one_pass(clis[side], jobs)
+                    times[side].append(seconds * 1e3)
+                    faults[side].append(count)
             won = sum(new < old for old, new in zip(times["old"], times["new"]))
             stats = {side: summary(times[side]) for side in SIDES}
+            medians = {side: statistics.median(faults[side]) for side in SIDES}
             cells = [f"{s['median']:.1f} [{s['q1']:.1f}, {s['q3']:.1f}]" for s in stats.values()]
-            print(f"{workload:<14} {cells[0]:<28} {cells[1]:<28} {won}/{args.rounds}")
+            won_cell = f"{won}/{args.rounds}"
+            print(f"{workload:<14} {cells[0]:<28} {cells[1]:<28} {won_cell:<8} "
+                  f"{medians['old']:<11g} {medians['new']:g}")
             report["workloads"][workload] = {
                 "unit": "ms",
-                **{side: {**stats[side], "runs": times[side]} for side in SIDES},
+                **{
+                    side: {**stats[side], "runs": times[side],
+                           "minor_faults_median": medians[side], "minor_faults": faults[side]}
+                    for side in SIDES
+                },
                 "rounds_new_won": won,
             }
     if args.json_path:

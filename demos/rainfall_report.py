@@ -11,6 +11,8 @@ panel.csv --fast`.
 
 import csv
 import io
+import os
+import tempfile
 
 from dpdfit import (
     FAMILIES,
@@ -41,11 +43,14 @@ wet2 = sample_family(WEIBULL, (1.6, 0.02), 64, seed=2025)
 for i, v in enumerate(wet2.values):
     writer.writerow(["station-oct", 1951 + i, f"{v:.3f}"])
 
-with open("/tmp/panel_demo.csv", "w") as fh:
-    fh.write(buf.getvalue())
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "panel_demo.csv")
+    with open(path, "w") as fh:
+        fh.write(buf.getvalue())
+    panel = load_panel(path, "value", "label")
 
 rows = []
-for series in load_panel("/tmp/panel_demo.csv", "value", "label"):
+for series in panel:
     o = outlier_summary(series)
     print(f"\n{series.label}: n_wet={len(series.values)} dry={series.dry_count} "
           f"(p={series.dry_proportion:.3f})")

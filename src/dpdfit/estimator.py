@@ -245,9 +245,9 @@ def _newton_rows(family, alphas, values, weights, starts):
     pd Hessian gives prev; with none, at the start or after a halved
     step or one off pd, prev is 0 and predicts nothing.
 
-    The rows' alphas go with the live rows' state and data, gathered
-    again only when a row leaves; each kernel call takes the terms of
-    alpha alone (_AlphaTerms) from the alphas of the rows it evaluates.
+    The rows keep their places; live marks those still iterating, and
+    each kernel call takes the rows it evaluates, with the terms of
+    alpha alone (_AlphaTerms) from their alphas.
     """
     x = np.atleast_2d(values)
     lnx = np.log(x)
@@ -259,69 +259,42 @@ def _newton_rows(family, alphas, values, weights, starts):
     own = x.shape[0] > 1  # one row of values per row
     with np.errstate(all="ignore"):
         h, grad, hess, scale = _weighted_terms(family, alphas, x, lnx, weights, theta)
-        step, keep, pd, reach = _newton_step(grad, hess)
-        # the live rows' ids, points, evaluation counts and halvings, and
-        # their Newton decrements: dec of the step, prev of the full pd step
-        # that brought the row to its point, else 0
-        ids, point, count = np.arange(m), theta.copy(), evals.copy()
+        step, live, pd, reach = _newton_step(grad, hess)
+        # halvings in a row, and the Newton decrements: dec of the step, prev
+        # of the full pd step that brought the row to its point, else 0
         halvings = np.zeros(m, dtype=int)
         dec, prev = (grad * step).sum(axis=1), np.zeros(m)
-
-        def leave(keep):
-            """Write out the rows not kept and gather the others."""
-            nonlocal ids, point, count, h, scale, step, pd, halvings, reach, dec, prev
-            nonlocal alphas, weights, x, lnx
-            gone = ~keep
-            theta[ids[gone]], evals[ids[gone]] = point[gone], count[gone]
-            live = (ids, point, count, h, scale, step, pd, halvings, reach, dec, prev, alphas, weights)
-            ids, point, count, h, scale, step, pd, halvings, reach, dec, prev, alphas, weights = (
-                a[keep] for a in live
-            )
-            if own:
-                x, lnx = x[keep], lnx[keep]
-            return ids.size > 0
-
-        if not keep.all() and not leave(keep):
-            return theta, solved, evals
         for _ in range(_NEWTON_CAP):
-            size, tol = np.abs(step).max(axis=1), _NEWTON_RTOL * np.abs(point).max(axis=1)
+            if not live.any():
+                break
+            size, tol = np.abs(step).max(axis=1), _NEWTON_RTOL * np.abs(theta).max(axis=1)
             # the step, or the bound on the next one; prev = 0 gives inf
-            done = pd & ((size <= tol) | (dec / prev * np.sqrt(dec * reach) <= tol))
+            done = live & pd & ((size <= tol) | (dec / prev * np.sqrt(dec * reach) <= tol))
             if done.any():
-                point[done] -= step[done]
-                solved[ids[done]] = True
-                if not leave(~done):
-                    break
-            trial = point - np.ldexp(step, -halvings[:, None])
-            down = _inside(family, trial, alphas)
-            every = down.all()
+                theta[done] -= step[done]
+                solved |= done
+                live &= ~done
+            trial = theta - np.ldexp(step, -halvings[:, None])
+            down = live & _inside(family, trial, alphas)
             # a row that does not move goes on while it has a halving left
             keep = halvings < _NEWTON_HALVINGS
-            if every or down.any():  # else every row halves, with no evaluation
-                sel = slice(None) if every else down  # a view, not a copy, when every row steps
-                h_t, grad, hess, scale_t = _weighted_terms(
-                    family,
-                    alphas[sel],
-                    *((x[sel], lnx[sel]) if own else (x, lnx)),
-                    weights[sel],
-                    trial[sel],
-                )
-                count += down
+            if down.any():  # else every live row halves, with no evaluation
+                sel = slice(None) if down.all() else down  # a view, not a copy, when every row steps
+                data = (x[sel], lnx[sel]) if own else (x, lnx)
+                h_t, grad, hess, scale_t = _weighted_terms(family, alphas[sel], *data, weights[sel], trial[sel])
+                evals += down
                 lower = h_t <= h[sel] + 1e-12 * scale[sel]
                 down[down] = lower
-                # the accepted rows, of those evaluated and of the live: slices when all are
+                # the accepted rows, of those evaluated and of all: slices when all are
                 low, moved = (slice(None), sel) if lower.all() else (lower, down)
                 step_t, keep[moved], pd_t, reach_t = _newton_step(grad[low], hess[low])
                 prev[moved] = np.where(pd[moved] & (halvings[moved] == 0), dec[moved], 0.0)
                 dec[moved] = (grad[low] * step_t).sum(axis=1)
-                point[moved] = trial[moved]
+                theta[moved] = trial[moved]
                 h[moved], scale[moved], step[moved], pd[moved] = h_t[low], scale_t[low], step_t, pd_t
                 reach[moved] = reach_t
             halvings = np.where(down, 0, halvings + 1)
-            if not keep.all() and not leave(keep):
-                break
-        else:
-            theta[ids], evals[ids] = point, count
+            live &= keep
     return theta, solved, evals
 
 

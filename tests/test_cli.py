@@ -634,6 +634,29 @@ class TestReportCommand:
         text1, text2 = panel_reports
         assert text1 == text2
 
+    @pytest.mark.parametrize("extra", [[], ["--fast"]], ids=["refined", "fast"])
+    def test_row_does_not_depend_on_the_other_series(self, tmp_path, extra):
+        """Each row of a four-family panel's report, 60 wet values and one
+        dry month per series, is byte for byte the row of the report on
+        that series alone."""
+
+        def report(name, tags):
+            panel, target = tmp_path / f"{name}.csv", tmp_path / f"{name}-report.csv"
+            with open(panel, "w", encoding="utf-8") as fh:
+                fh.write("label,value\n")
+                for tag, theta, seed in PANEL_SETTINGS:
+                    if tag in tags:
+                        for v in (*sample_family(FAMILIES[tag], theta, 60, seed=seed).values, 0.0):
+                            fh.write(f"{tag}-series,{v!r}\n")
+            assert main(["report", "--input", str(panel), "--output", str(target), *extra]) == 0
+            return target.read_text().splitlines()
+
+        tags = [tag for tag, _, _ in PANEL_SETTINGS]
+        header, *rows = report("panel", tags)
+        assert len(rows) == 4
+        for tag, row in zip(tags, rows):
+            assert report(tag, [tag]) == [header, row]
+
     def test_bad_series_is_skipped_with_message(self, tmp_path, capsys):
         panel = tmp_path / "mixed.csv"
         with open(panel, "w", encoding="utf-8") as fh:

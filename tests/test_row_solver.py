@@ -286,8 +286,11 @@ def test_chunk_size_changes_no_result(tag, monkeypatch):
         assert other.se == boot.se
 
 
-@pytest.mark.parametrize("tag", TAGS)
-@pytest.mark.parametrize("kind", ["bootstrap", "leave-one-out"])
+@pytest.mark.parametrize(
+    "kind, tag",
+    [(kind, tag) for kind in ("bootstrap", "leave-one-out") for tag in TAGS]
+    + [("mixed-stops", "gamma"), ("mixed-stops", "weibull")],
+)
 def test_any_count_rows_refit_as_in_the_whole_call(tag, kind, monkeypatch):
     """Refitting any subset of count rows, one row included, gives those
     rows of the whole call bit for bit: their starts, which one einsum
@@ -296,19 +299,36 @@ def test_any_count_rows_refit_as_in_the_whole_call(tag, kind, monkeypatch):
     row width, so that the layout, which follows the widest row, is the
     same: the bootstrap subsets keep the widest replicate, the
     leave-one-out rows (40 held-out points, alphas 0 and 0.5) are all
-    one width."""
+    one width. The mixed-stops rows leave out each point of the
+    shape-0.15 draw of test_converged_rows_stay_above_their_shape_floor:
+    the widest, row 0, holds out the smallest value and, past alpha 0,
+    stops unsolved at _NEWTON_CAP or before it, while every other row is
+    solved within 6 evaluations; so rows that stop in different rounds,
+    for different reasons, share a batch, and a stopped row is never
+    written again."""
     family = FAMILIES[tag]
     if kind == "bootstrap":
         xs = np.asarray(tied_contamination(tag).values)
         alphas, counts, total = [0.5], _replicate_rows(xs, 40, 1), xs.size
-    else:
+    elif kind == "leave-one-out":
         xs = _sorted_values(tied_contamination(tag, n=40), family.param_count)
         alphas, counts, total = [0.0, 0.5], 1 - np.eye(xs.size, dtype=np.uint8), xs.size - 1
+    else:
+        xs = _sorted_values(sample_family(family, ParamVector(family, (0.15, 1.0)), 60, seed=0), 2)
+        alphas = {"gamma": [0.0, 0.6, 1.0], "weibull": [0.0, 0.55, 0.6]}[tag]
+        counts, total = 1 - np.eye(xs.size, dtype=np.uint8), xs.size - 1
     fits = [res.theta_hat.values for res in fit_alphas(family, alphas, xs)]
     k = len(alphas)
     calls = newton_calls(monkeypatch)
     whole = _solve_rows(family, alphas, xs, counts, total, fits)
     whole_starts = starts_of(calls)
+    if kind == "mixed-stops":
+        _, solved, evals = whole
+        cap = estimator._NEWTON_CAP + 1
+        assert solved[:k].tolist() == [True, False, False]
+        assert evals[1:k].tolist() == {"gamma": [cap, 39], "weibull": [44, cap]}[tag]
+        assert solved[k:].all()
+        assert evals[k:].max() == {"gamma": 5, "weibull": 6}[tag]
     widest = int(np.count_nonzero(counts, axis=1).argmax())
     others = np.random.default_rng(4).permutation(np.delete(np.arange(counts.shape[0]), widest))
     for picked in ([widest], [*others[:4], widest, *others[4:9]]):

@@ -64,6 +64,8 @@ the margin a start's shape keeps above its floor is written once, there.
 Each CLI subcommand declares its handler, with no dispatch table, and
 asymptotics imports nothing from estimator: the weights f^alpha, 1 at
 alpha = 0, are families.dpd_weights, which influence_function calls.
+The Newton rows keep their places, a mask marking the live ones:
+_newton_rows defines no nested function and has no nonlocal.
 """
 
 import ast
@@ -334,6 +336,14 @@ def test_reweighted_rows_are_counts_over_the_sample():
     for name in ("tuning.py", "uncertainty.py"):
         tree = _tree(PACKAGE / name)
         assert _calls_ending(tree, "argsort") == _calls_ending(tree, "take_along_axis") == []
+
+
+def test_newton_rows_stay_in_place():
+    """_newton_rows gathers no live rows: it defines no nested function
+    (no closure to compact its state) and rebinds no enclosing name."""
+    solve = _function(PACKAGE / "estimator.py", "_newton_rows")
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.Nonlocal)
+    assert not [node for node in ast.walk(solve) if node is not solve and isinstance(node, kinds)]
 
 
 def test_estimator_takes_no_blas_product():

@@ -1,6 +1,7 @@
 """Time the benchmark workloads through two source trees in one process.
 
-    python3 tests/tools/ab_timing.py OLD_TREE NEW_TREE [--rounds 20] [--seed 3] [--json PATH]
+    python3 tests/tools/ab_timing.py OLD_TREE NEW_TREE [--rounds 20] [--seed 3]
+        [--workloads NAME ...] [--json PATH]
 
 Each tree is a checkout of this repository. Its src/dpdfit is copied
 into a temporary directory as the package dpdfit_old or dpdfit_new (the
@@ -13,10 +14,12 @@ bench/workloads.write_inputs from that set's recorded generator key
 After one untimed warm-up pass per tree, each round times every
 workload's whole job list once through each tree's cli.main, output
 discarded; the old tree goes first in even rounds (counting from 0) and
-the new tree in odd ones. Per workload it prints each tree's median and
-inclusive quartiles of the pass time in ms, its median minor page
-faults per pass (ru_minflt), and in how many rounds the new tree's pass
-was the faster. --json writes the same with every round's times and
+the new tree in odd ones. --workloads names the workloads to time, in
+that order (default: all three), so that a change to the solver can
+spend every round on tune_loo. Per workload it prints each tree's
+median and inclusive quartiles of the pass time in ms, its median minor
+page faults per pass (ru_minflt), and in how many rounds the new tree's
+pass was the faster. --json writes the same with every round's times and
 faults, old and new, in round order.
 
 Both trees share this process, and with it one allocator, one set of
@@ -79,6 +82,7 @@ def main(argv=None):
     p.add_argument("new_tree")
     p.add_argument("--rounds", type=int, default=20)
     p.add_argument("--seed", type=int, default=3)
+    p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     p.add_argument("--json", dest="json_path")
     args = p.parse_args(argv)
     trees = {"old": args.old_tree, "new": args.new_tree}
@@ -95,7 +99,7 @@ def main(argv=None):
         header = ("workload", "old ms: median [q1, q3]", "new ms: median [q1, q3]", "new won",
                   "old faults", "new faults")
         print(f"{header[0]:<14} {header[1]:<28} {header[2]:<28} {header[3]:<8} {header[4]:<11} {header[5]}")
-        for workload in WORKLOADS:
+        for workload in args.workloads:
             jobs = workloads.write_inputs(
                 workload, keys[workload][index], os.path.join(work, "inputs", workload)
             )

@@ -7,7 +7,6 @@ both to stdout unless --output names a file. Exit codes: 0 success,
 """
 
 import argparse
-import ctypes
 import functools
 import json
 import numbers
@@ -426,15 +425,10 @@ def run(args):
 
 @functools.cache
 def _keep_heap():
-    """Once per process, set glibc's mmap and trim thresholds to the 32 and 64 MiB
-    its dynamic rule reaches, so kernel temporaries are not trimmed and refaulted."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):  # not glibc: keep the defaults
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    """Free one mapped 16 MiB block once per process: glibc then lifts its mmap threshold to it
+    and its trim threshold to twice it (blocks up to 32 MiB; 16 stays clear of that edge after
+    numpy's rounding), so kernel temporaries are not refaulted. Explicit MALLOC_* thresholds win."""
+    np.empty(16 << 20, dtype=np.uint8)
 
 
 def main(argv=None):

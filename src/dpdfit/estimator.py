@@ -94,10 +94,10 @@ def estimating_residual(family, theta, alpha, sample):
 
 # --- batched Newton on weighted objectives ------------------------------------
 
-# Above the most evaluations any solved row needs: 43 in the test suite
-# (a gamma held-out row at alpha = 0.55 of shape-0.15 data, whose optimum
-# lies far from its full-sample fit), 13 on the benchmark inputs (a
-# held-out row of tune).
+# Above the most evaluations any solved row needs: 48 in the test suite (a
+# gamma alpha = 0 resample of [1, 1, 2]; 41 for a held-out row at 0.55 of
+# shape-0.15 data, far from its full-sample fit), 12 on benchmark input sets
+# 0-31 (a gamma full-sample fit at alpha = 1 of the coarse grid).
 _NEWTON_CAP = 50
 # 2^-30 < 1e-8: halving can undo the eigenvalue floor's amplification
 # of a step along a direction of negative curvature.

@@ -8,8 +8,8 @@ Andrews (Econometrica, 2002) taken on to rounding.
 
 All randomness comes from the counter-based Philox generator. Stream
 r of a seed is Philox(SeedSequence(seed, spawn_key=(r,))), so every
-replicate's draws are fixed by (seed, r) alone and results cannot
-depend on execution order or thread count.
+replicate's draws are fixed by (seed, r) alone; its estimate may still
+move with B by rounding, as bootstrap_se says.
 """
 
 import numbers

@@ -25,7 +25,8 @@ call, no converged gamma or Weibull row sits on or below its alpha's shape
 floor, and no one-row fit off the grid returns a shape there. A row
 stops on its predicted next step only after a full step at a pd
 Hessian, and every solved row is a fixed point of one more step to
-rounding. An alpha = 0
+rounding; a row none of whose trials lowers H stops at its start,
+unsolved, once out of halvings. An alpha = 0
 row reads only the family's terms, whatever its tilted law gives, and a
 round whose trial points all leave the parameter space halves them
 without calling the kernel. The kernel's Newton step takes its
@@ -571,6 +572,26 @@ def test_no_kernel_call_on_zero_rows(monkeypatch):
     assert min(rows) == 1 and len(rows) == res.evaluations + 1
     assert (res.converged, res.evaluations) == (True, 23)
     assert res.theta_hat.values == pytest.approx((0.5278303750525678, 121061.05817538536), rel=1e-12)
+
+
+def test_a_row_out_of_halvings_stops_unsolved(monkeypatch):
+    """A row none of whose trials lowers H halves its step at most
+    _NEWTON_HALVINGS times in a row and then stops at its start, unsolved,
+    after 30 evaluations, its start included (49 if it ran on to
+    _NEWTON_CAP)."""
+    family = FAMILIES["gamma"]
+    xs = sample_family(family, ParamVector(family, (2.0, 1.0)), 40, seed=1).values
+    hs = []
+
+    def raised(*args):
+        h, *rest = _weighted_terms(*args)
+        hs.append(h)
+        return h + (len(hs) > 1), *rest
+
+    monkeypatch.setattr(estimator, "_weighted_terms", raised)
+    theta, solved, evals = estimator._newton_rows(family, [0.3], xs, np.full((1, 40), 1 / 40), [[1.0, 1.0]])
+    assert theta.tolist() == [[1.0, 1.0]] and solved.tolist() == [False]
+    assert evals.tolist() == [len(hs)] == [30]
 
 
 def test_one_failing_row_leaves_the_others_bitwise():

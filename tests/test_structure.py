@@ -66,6 +66,8 @@ asymptotics imports nothing from estimator: the weights f^alpha, 1 at
 alpha = 0, are families.dpd_weights, which influence_function calls.
 The Newton rows keep their places, a mask marking the live ones:
 _newton_rows defines no nested function and has no nonlocal.
+Only cli.main sets the allocator's policy, through cli._keep_heap, and no
+module imports ctypes.
 """
 
 import ast
@@ -205,9 +207,11 @@ def test_only_dataio_imports_csv():
 
 def test_only_cli_touches_the_allocator():
     """The allocator is the process's: only the dpdfit command sets its
-    policy, so no library module imports ctypes."""
-    found = [p.name for p in MODULES if any(n.split(".")[0] == "ctypes" for n in _imports(_tree(p)))]
-    assert found == ["cli.py"]
+    policy, by one freed block in _keep_heap, which only cli.main calls; no
+    module imports ctypes."""
+    assert [p.name for p in MODULES if any(n.split(".")[0] == "ctypes" for n in _imports(_tree(p)))] == []
+    found = [(p.name, func) for p in MODULES for func in _calls_to(_tree(p), "_keep_heap")]
+    assert found == [("cli.py", "main")]
 
 
 def test_csv_writer_only_in_write_rows():

@@ -24,9 +24,10 @@ faults, old and new, in round order.
 
 Both trees share this process, and with it one allocator, one set of
 glibc malloc thresholds and one heap: a change to process-wide state
-(say, a mallopt call in cli.main) acts on both sides as soon as either
-runs, so it cannot be A/B-tested here. Time such a change with paired
-bench/run.py runs, which use separate processes.
+(say, the block that cli.main frees to lift those thresholds) acts on
+both sides as soon as either runs, so it cannot be A/B-tested here.
+Time such a change with paired bench/run.py runs, and count its faults
+with tests/tools/compare_outputs.py, which both use separate processes.
 """
 
 import argparse

@@ -7,16 +7,19 @@ process puts the tree's src/ and bench/ first on sys.path and runs every
 job of input sets 0 to SETS - 1 of the three benchmark workloads in
 process: bench/workloads.write_inputs writes the inputs of each set's
 recorded generator key (bench/reference.json), and dpdfit.cli.main runs
-each job, its stdout, stderr and exit code kept.
+each job, its stdout, stderr and exit code kept, and the minor page
+faults (ru_minflt) its process took during the call.
 
 The report prints, per workload and job kind, how many jobs have
-byte-identical stdout, stderr and exit code, then every moved value of
-the others: a float as `old.hex -> new.hex` with its relative move, any
-other value (a string, a bool, an exit code, a key or curve alpha only
-one side has) as its two reprs. JSON output is read by key, a list of
-[alpha, value] pairs (the tune curve) as a map from alpha; CSV output by
-the row's first column and the column name. --json writes the same as
-one object, the form of the `moved` entries of the BENCH_*.json files.
+byte-identical stdout, stderr and exit code and each tree's median
+faults per job, then every moved value of the others: a float as
+`old.hex -> new.hex` with its relative move, any other value (a string,
+a bool, an exit code, a key or curve alpha only one side has) as its
+two reprs. JSON output is read by key, a list of [alpha, value] pairs
+(the tune curve) as a map from alpha; CSV output by the row's first
+column and the column name. --json writes the same as one object, the
+form of the `moved` entries of the BENCH_*.json files, with each
+group's median faults per job as median_faults.
 """
 
 import argparse
@@ -25,6 +28,8 @@ import csv
 import io
 import json
 import os
+import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -33,7 +38,7 @@ WORKLOADS = ("report_panel", "tune_loo", "robust_study")
 
 
 def run_tree(tree, sets, out_path):
-    """Child process: every job's (id, kind, code, stdout, stderr) as JSON."""
+    """Child process: every job's (id, kind, code, stdout, stderr, faults) as JSON."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
     import dpdfit.cli
     import workloads
@@ -50,10 +55,12 @@ def run_tree(tree, sets, out_path):
                 for job in jobs:
                     os.environ.update(job.env)
                     out, err = io.StringIO(), io.StringIO()
+                    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                         code = dpdfit.cli.main(list(job.argv))
+                    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
                     records.append(
-                        [f"{workload}/set{k}/{job.name}", job.kind, code, out.getvalue(), err.getvalue()]
+                        [f"{workload}/set{k}/{job.name}", job.kind, code, out.getvalue(), err.getvalue(), faults]
                     )
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(records, fh)
@@ -96,7 +103,7 @@ def values(stdout):
 def compare(old, new):
     """(identical job ids, {path: [old, new]} of moved floats, {path: [old, new]} of other moves)."""
     same, floats, other = [], {}, {}
-    for (job, _, code_a, out_a, err_a), (job_b, _, code_b, out_b, err_b) in zip(old, new):
+    for (job, _, code_a, out_a, err_a, _), (job_b, _, code_b, out_b, err_b, _) in zip(old, new):
         assert job == job_b, (job, job_b)
         if (code_a, out_a, err_a) == (code_b, out_b, err_b):
             same.append(job)
@@ -141,13 +148,16 @@ def main(argv=None):
                 runs.append(json.load(fh))
     old, new = runs
     same, floats, other = compare(old, new)
-    tally = {}
-    for job, kind, *_ in old:
+    tally, faults = {}, {}
+    for (job, kind, *_, fault_a), (*_, fault_b) in zip(old, new):
         group = f"{job.split('/')[0]}/{kind}"
         total, identical = tally.get(group, (0, 0))
         tally[group] = (total + 1, identical + (job in same))
+        faults.setdefault(group, []).append((fault_a, fault_b))
+    median_faults = {g: [statistics.median(side) for side in zip(*pairs)] for g, pairs in sorted(faults.items())}
     for group, (total, identical) in sorted(tally.items()):
-        print(f"{group}: {identical} of {total} jobs identical")
+        a, b = median_faults[group]
+        print(f"{group}: {identical} of {total} jobs identical, median faults per job {a:g} -> {b:g}")
     for path, (a, b) in floats.items():
         fa, fb = float.fromhex(a), float.fromhex(b)
         rel = abs(fb - fa) / max(abs(fa), abs(fb)) if fa != fb else 0.0
@@ -158,6 +168,7 @@ def main(argv=None):
         with open(args.json_path, "w", encoding="utf-8") as fh:
             json.dump({"identical_jobs": {g: t[1] for g, t in sorted(tally.items())},
                        "jobs": {g: t[0] for g, t in sorted(tally.items())},
+                       "median_faults": median_faults,
                        "moved": floats, "other": other}, fh, indent=1)
     return 0
 
